@@ -176,26 +176,32 @@ def pi3_amplify(R1, R2, m: int, start: np.ndarray) -> np.ndarray:
     """
     if m < 0:
         raise ValueError("recursion depth must be nonnegative")
+    return _amplify_forward(R1, R2, m, start)
 
-    def forward(depth, v):
-        if depth == 0:
-            return v
-        v = forward(depth - 1, v)
-        v = R2.apply(v)
-        v = backward(depth - 1, v)
-        v = R1.apply(v)
-        return forward(depth - 1, v)
 
-    def backward(depth, v):
-        if depth == 0:
-            return v
-        v = backward(depth - 1, v)
-        v = R1.apply_inverse(v)
-        v = forward(depth - 1, v)
-        v = R2.apply_inverse(v)
-        return backward(depth - 1, v)
+# module-level rather than closures over R1 and R2: mutually recursive inner
+# functions form a reference cycle that keeps both gates (dense D x D
+# operators for QPE gates) alive until the cyclic collector runs
+def _amplify_forward(R1, R2, depth: int, v: np.ndarray) -> np.ndarray:
+    """U_depth v."""
+    if depth == 0:
+        return v
+    v = _amplify_forward(R1, R2, depth - 1, v)
+    v = R2.apply(v)
+    v = _amplify_backward(R1, R2, depth - 1, v)
+    v = R1.apply(v)
+    return _amplify_forward(R1, R2, depth - 1, v)
 
-    return forward(m, start)
+
+def _amplify_backward(R1, R2, depth: int, v: np.ndarray) -> np.ndarray:
+    """U_depth^-1 v."""
+    if depth == 0:
+        return v
+    v = _amplify_backward(R1, R2, depth - 1, v)
+    v = R1.apply_inverse(v)
+    v = _amplify_forward(R1, R2, depth - 1, v)
+    v = R2.apply_inverse(v)
+    return _amplify_backward(R1, R2, depth - 1, v)
 
 
 def pi3_overlap_bound(p: float, m: int) -> float:
@@ -281,12 +287,6 @@ def stage_count_limit(mean_nll: float) -> int:
     if mean_nll <= 0:
         return 1
     return max(1, int(np.ceil(np.sqrt(mean_nll * max(np.log(mean_nll), 1.0)))))
-
-
-def _exact_overlap(model: TargetModel, b1: float, b2: float) -> float:
-    a1 = np.sqrt(model.with_beta(b1).distribution())
-    a2 = np.sqrt(model.with_beta(b2).distribution())
-    return float(np.dot(a1, a2) ** 2)
 
 
 def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,

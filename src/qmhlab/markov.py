@@ -16,6 +16,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 PROB_ATOL = 1e-10
+_MH_CHUNK = 8192             # run_mh steps per bulk draw of uniforms
 
 
 class ReducibleChainError(ValueError):
@@ -78,13 +79,17 @@ class StateSpace:
     def flat_index(self, multi) -> int:
         return int(np.ravel_multi_index([m % n for m, n in zip(multi, self.shape)], self.shape))
 
-    def shift(self, idx: int, offset) -> int:
-        """Index of the point reached from idx by the (torus) grid offset."""
-        mi = self.multi_index(idx)
-        return self.flat_index(tuple(m + o for m, o in zip(mi, offset)))
 
-    def axis_values(self, i: int) -> np.ndarray:
-        return self.axes[i]
+def neighbour_table(shape, moves) -> np.ndarray:
+    """(n, k) table whose entry [x, j] is the index reached from x by moves[j].
+
+    Indices are row-major over the torus grid ``shape``; each column is the
+    index grid rolled back by the move, so offsets wrap around every axis.
+    """
+    grid = np.arange(int(np.prod(shape))).reshape(shape)
+    axes = tuple(range(len(shape)))
+    return np.stack([np.roll(grid, tuple(-int(c) for c in m), axis=axes).ravel()
+                     for m in moves], axis=1)
 
 
 @dataclass(frozen=True)
@@ -181,9 +186,8 @@ class ProposalKernel:
         """Dense row-stochastic proposal matrix T."""
         n = self.space.size
         T = np.zeros((n, n))
-        for x in range(n):
-            for m, w in zip(self.moves, self.weights):
-                T[x, self.space.shift(x, m)] += w
+        # moves are distinct on the torus, so each (x, y) gets at most one weight
+        T[np.arange(n)[:, None], neighbour_table(self.space.shape, self.moves)] = self.weights
         return T
 
     @classmethod
@@ -363,25 +367,43 @@ class ChainSample:
 
 
 def run_mh(model: TargetModel, kernel: ProposalKernel, n_b: int, n: int, seed: int) -> ChainSample:
-    """Generate an MH chain: draw x0 from the prior, then propose/accept."""
+    """Generate an MH chain: draw x0 from the prior, then propose/accept.
+
+    Each step spends two uniforms, the first picking the move (by inverse CDF
+    over the weights, as ``rng.choice(k, p=weights)`` does) and the second
+    deciding acceptance, so a seed fixes the chain.
+    """
     if n_b < 0 or n < 1:
         raise ValueError("need n_b >= 0 and n >= 1")
     rng = np.random.default_rng(seed)
     p = model.unnormalized()
-    weights = kernel.weights
+    w = kernel.weights
     moves = kernel.moves
-    neg = [kernel.negate(m) for m in moves]
-    w_of = {m: float(w) for m, w in zip(moves, weights)}
+    k = len(moves)
+    slot = {m: j for j, m in enumerate(moves)}
+    neg = np.array([slot[kernel.negate(m)] for m in moves])
+    nb = neighbour_table(model.space.shape, moves)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmin, like min(1.0, r), reads 1 for the inf and nan of underflowed p;
+        # the zero move, its own negation, gets r = 1 or nan, hence always 1
+        acc = np.fmin(1.0, (p[nb] * w[neg]) / (p[:, None] * w))
+    nb_flat = nb.ravel().tolist()
+    acc_flat = acc.ravel().tolist()
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
 
     x = int(rng.choice(model.space.size, p=model.prior))
     out = np.empty(n_b + n, dtype=np.int64)
-    for t in range(n_b + n):
-        k = int(rng.choice(len(moves), p=weights))
-        y = model.space.shift(x, moves[k])
-        a = 1.0 if y == x else min(1.0, (p[y] * w_of[neg[k]]) / (p[x] * w_of[moves[k]]))
-        if rng.random() < a:
-            x = y
-        out[t] = x
+    for start in range(0, n_b + n, _MH_CHUNK):
+        u = rng.random((min(_MH_CHUNK, n_b + n - start), 2))
+        picks = cdf.searchsorted(u[:, 0], side="right").tolist()
+        states = []
+        for j, v in zip(picks, u[:, 1].tolist()):
+            i = x * k + j
+            if v < acc_flat[i]:
+                x = nb_flat[i]
+            states.append(x)
+        out[start:start + len(states)] = states
     return ChainSample(states=out, burn_in=n_b, n_samples=n, seed=seed)
 
 

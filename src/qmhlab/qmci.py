@@ -18,8 +18,9 @@ import numpy as np
 
 from . import annealing
 from .annealing import QueryLedger, qsa_generate, qsa_schedule
-from .markov import ProposalKernel, TargetModel, build_transition_matrix, tv_distance
-from .qsim import RegisterLayout, build_walk_operator, decode_distribution
+from .markov import (ProposalKernel, TargetModel, acceptance_matrix, build_transition_matrix,
+                     tv_distance)
+from .qsim import RegisterLayout, build_walk_operator
 
 FAITHFUL_MAX_TERMS = 16
 
@@ -203,6 +204,15 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _estimate_states(oracle: LikelihoodOracle, eps: float, delta: float,
+                     mode: str, seed: int) -> tuple[np.ndarray, float]:
+    """L~ clipped at zero, and the largest bad-branch mass of its estimations."""
+    results = [qmci_mean(oracle, x, eps, delta, mode, seed) for x in range(oracle.n_states)]
+    est = np.array([r.estimate for r in results])
+    nll = np.maximum(0.0, est + oracle.ell0 + oracle.const)
+    return nll, max(r.residual for r in results)
+
+
 def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
                  mode: str, seed: int) -> np.ndarray:
     """Full perturbed negative log-likelihood table L~, clipped at zero.
@@ -210,10 +220,25 @@ def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
     One qmci_mean per state; emulated mode makes this a fixed deterministic
     function, so the perturbed chain is well-defined.
     """
-    n = oracle.n_states
-    est = np.array([qmci_mean(oracle, x, eps, delta, mode, seed).estimate
-                    for x in range(n)])
-    return np.maximum(0.0, est + oracle.ell0 + oracle.const)
+    return _estimate_states(oracle, eps, delta, mode, seed)[0]
+
+
+def _acceptance_table(oracle: LikelihoodOracle, model: TargetModel,
+                      kernel: ProposalKernel, eps: float, delta: float,
+                      seed: int, mode: str):
+    """approx_acceptance_table's results plus the estimations' largest residual."""
+    before = oracle.queries
+    nll, residual = _estimate_states(oracle, eps, delta, mode, seed)
+    single = (oracle.queries - before) // max(1, oracle.n_states)
+    A = acceptance_matrix(model, kernel)
+    A_pert = acceptance_matrix(model.with_neg_log_lik(nll), kernel)
+    T = kernel.matrix()
+    n_pairs = int(np.sum((T > 0) & ~np.eye(len(T), dtype=bool)))
+    pair_charge = 4 * single
+    # charge the uncompute halves on top of the per-state estimations
+    oracle.charge(max(0, n_pairs * pair_charge - (oracle.queries - before)))
+    max_err = float(np.max(np.abs(A_pert - A)))
+    return A_pert, nll, max_err, pair_charge, residual
 
 
 def approx_acceptance_table(oracle: LikelihoodOracle, model: TargetModel,
@@ -224,19 +249,7 @@ def approx_acceptance_table(oracle: LikelihoodOracle, model: TargetModel,
     Each ordered supported pair consumes two mean estimations plus their
     uncomputation, so the pair charge is four single-call charges.
     """
-    before = oracle.queries
-    nll = estimate_nll(oracle, eps, delta, mode, seed)
-    single = (oracle.queries - before) // max(1, oracle.n_states)
-    from .markov import acceptance_matrix
-    A = acceptance_matrix(model, kernel)
-    A_pert = acceptance_matrix(model.with_neg_log_lik(nll), kernel)
-    T = kernel.matrix()
-    n_pairs = int(np.sum((T > 0) & ~np.eye(len(T), dtype=bool)))
-    pair_charge = 4 * single
-    # charge the uncompute halves on top of the per-state estimations
-    oracle.charge(max(0, n_pairs * pair_charge - (oracle.queries - before)))
-    max_err = float(np.max(np.abs(A_pert - A)))
-    return A_pert, nll, max_err, pair_charge
+    return _acceptance_table(oracle, model, kernel, eps, delta, seed, mode)[:4]
 
 
 def approx_walk_operator(oracle: LikelihoodOracle, model: TargetModel,
@@ -247,19 +260,15 @@ def approx_walk_operator(oracle: LikelihoodOracle, model: TargetModel,
 
     In emulated mode this is exactly the walk operator of the perturbed
     chain (no residual branch in the matrix; delta is tracked analytically).
-    In faithful mode the realized bad-branch mass of the underlying
-    estimations is measured and reported, still without injection, so the
-    spectral claims apply to the perturbed chain verbatim.
+    In faithful mode the realized bad-branch mass of the estimations behind
+    the table is reported, still without injection, so the spectral claims
+    apply to the perturbed chain verbatim.  The oracle is charged once, for
+    the table.
     """
-    table, nll, _, _ = approx_acceptance_table(oracle, model, kernel, eps, delta,
-                                               seed, mode)
+    table, nll, _, _, residual = _acceptance_table(oracle, model, kernel, eps, delta,
+                                                   seed, mode)
     model_pert = model.with_neg_log_lik(nll)
     U = build_walk_operator(model_pert, kernel, layout, table=table)
-    if mode == "faithful":
-        residual = max(qmci_mean(oracle, x, eps, delta, "faithful", seed).residual
-                       for x in range(oracle.n_states))
-    else:
-        residual = 0.0
     return U, model_pert, residual
 
 

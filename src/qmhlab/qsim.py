@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import ChainModel, ProposalKernel, TargetModel
+from .markov import ChainModel, ProposalKernel, TargetModel, neighbour_table
 
 UNITARY_ATOL = 1e-10
 SUBSPACE_RANK_TOL = 1e-9
@@ -66,14 +66,15 @@ class RegisterLayout:
     def index(self, x: int, m: int, c: int) -> int:
         return (x * self.n_moves + m) * 2 + c
 
-    def negate_slot(self, m: int) -> int:
-        neg = tuple((-c) % n for c, n in zip(self.moves[m], self.shape))
-        return self.moves.index(neg)
+    def neighbours(self) -> np.ndarray:
+        """(space_dim, n_moves) state index reached from x by each slot's move."""
+        return neighbour_table(self.shape, self.moves)
 
-    def shift_state(self, x: int, m: int) -> int:
-        mi = np.unravel_index(x, self.shape)
-        return int(np.ravel_multi_index(
-            [(a + b) % n for a, b, n in zip(mi, self.moves[m], self.shape)], self.shape))
+    def neg_slots(self) -> np.ndarray:
+        """Slot of each slot's negated move."""
+        slot = {m: j for j, m in enumerate(self.moves)}
+        return np.array([slot[tuple((-c) % n for c, n in zip(m, self.shape))]
+                         for m in self.moves])
 
 
 def basis_state(layout: RegisterLayout, x: int, m: int = 0, c: int = 0) -> np.ndarray:
@@ -133,19 +134,19 @@ def acceptance_slots(model: TargetModel, layout: RegisterLayout,
     indexed by (x, y).
     """
     n, k = layout.space_dim, layout.n_moves
+    w = layout.weights
+    nb = layout.neighbours()
+    live = np.flatnonzero(w[1:] > 0) + 1
     A = np.zeros((n, k))
-    p = model.unnormalized()
-    for m in range(1, k):
-        if layout.weights[m] <= 0:
-            continue
-        mn = layout.negate_slot(m)
-        for x in range(n):
-            y = layout.shift_state(x, m)
-            if table is not None:
-                A[x, m] = table[x, y]
-            else:
-                A[x, m] = min(1.0, (p[y] * layout.weights[mn]) / (p[x] * layout.weights[m]))
-    if layout.weights[0] > 0:
+    if table is not None:
+        A[:, live] = table[np.arange(n)[:, None], nb[:, live]]
+    else:
+        p = model.unnormalized()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # fmin, like min(1.0, r), reads 1 for the inf and nan of underflowed p
+            A[:, live] = np.fmin(1.0, (p[nb[:, live]] * w[layout.neg_slots()[live]])
+                                 / (p[:, None] * w[live]))
+    if w[0] > 0:
         A[:, 0] = 1.0
     return A
 
@@ -176,21 +177,23 @@ def build_B(model: TargetModel, layout: RegisterLayout,
 
 def build_F(layout: RegisterLayout) -> np.ndarray:
     """State shift: adds the move to R_S (mod the torus) when R_C = |1>."""
+    x = np.arange(layout.space_dim)[:, None]
+    m = np.arange(layout.n_moves)[None, :]
+    stay = layout.index(x, m, 0).ravel()
     F = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for x in range(layout.space_dim):
-        for m in range(layout.n_moves):
-            F[layout.index(x, m, 0), layout.index(x, m, 0)] = 1.0
-            F[layout.index(layout.shift_state(x, m), m, 1), layout.index(x, m, 1)] = 1.0
+    F[stay, stay] = 1.0
+    F[layout.index(layout.neighbours(), m, 1).ravel(), layout.index(x, m, 1).ravel()] = 1.0
     return F
 
 
 def build_S(layout: RegisterLayout) -> np.ndarray:
     """Move negation on R_M when R_C = |1>."""
+    x = np.arange(layout.space_dim)[:, None]
+    m = np.arange(layout.n_moves)[None, :]
+    stay = layout.index(x, m, 0).ravel()
     S = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for x in range(layout.space_dim):
-        for m in range(layout.n_moves):
-            S[layout.index(x, m, 0), layout.index(x, m, 0)] = 1.0
-            S[layout.index(x, layout.negate_slot(m), 1), layout.index(x, m, 1)] = 1.0
+    S[stay, stay] = 1.0
+    S[layout.index(x, layout.neg_slots()[m], 1).ravel(), layout.index(x, m, 1).ravel()] = 1.0
     return S
 
 

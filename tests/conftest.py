@@ -26,6 +26,43 @@ def random_instance(seed, max_points=16, allow_2d=True):
     return model, kernel
 
 
+def torus_shift(shape, idx, offset):
+    """Scalar reference for the neighbour table: idx moved by offset on the torus."""
+    mi = np.unravel_index(idx, shape)
+    return int(np.ravel_multi_index([(a + o) % n for a, o, n in zip(mi, offset, shape)], shape))
+
+
+def _torus_model(shape, L=None, seed=0):
+    space = StateSpace.regular_grid(shape)
+    rng = np.random.default_rng(seed)
+    prior = rng.uniform(0.5, 1.5, space.size)
+    prior /= prior.sum()
+    L = rng.uniform(0.0, 3.0, space.size) if L is None else np.asarray(L, float)
+    return TargetModel(space=space, prior=prior, neg_log_lik=L - L.min())
+
+
+def torus_cases():
+    """(name, model, kernel) for the exactness checks of the neighbour table.
+
+    A plain ring; a (2, 3) torus whose Gaussian radius-2 offsets alias onto
+    each other and onto the zero move; explicit stay mass; the 2-ring, whose
+    one move is its own negation; and a target whose exp(-L) underflows to 0
+    on half the ring, so acceptance ratios read inf and nan there.
+    """
+    ring = _torus_model((7,), seed=1)
+    torus = _torus_model((2, 3), seed=2)
+    stay = _torus_model((6,), seed=3)
+    ring2 = _torus_model((2,), seed=4)
+    underflow = _torus_model((8,), L=[0.0] * 4 + [900.0] * 4, seed=5)
+    return [
+        ("ring", ring, ProposalKernel.nearest_neighbor(ring.space)),
+        ("aliased-torus", torus, ProposalKernel.gaussian(torus.space, width=1.0, radius=2)),
+        ("stay-mass", stay, ProposalKernel.nearest_neighbor(stay.space, stay_prob=0.3)),
+        ("2-ring", ring2, ProposalKernel.nearest_neighbor(ring2.space)),
+        ("underflow", underflow, ProposalKernel.nearest_neighbor(underflow.space)),
+    ]
+
+
 @pytest.fixture
 def two_state_gap_half():
     """Uniform 2-state chain with W = [[.75,.25],[.25,.75]]: gap exactly 0.5."""

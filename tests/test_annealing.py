@@ -1,5 +1,8 @@
 """Phase gates, pi/3 amplification, overlap estimation, and schedule search."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,21 @@ class TestPi3Amplification:
             counts.append(ledger.total)
         # U_{m+1} applies U_m three times plus two gates
         assert counts == [0, 2, 8, 26]
+
+    def test_gates_freed_without_cyclic_collector(self):
+        # QPE gates hold dense D x D operators: they must go with their last
+        # reference, not wait for the cyclic collector
+        phi1, phi2 = overlap_pair(0.5)
+        R1 = ExactPhaseGate(phi1, OMEGA_PI3)
+        R2 = ExactPhaseGate(phi2, OMEGA_PI3)
+        refs = [weakref.ref(R1), weakref.ref(R2)]
+        gc.disable()
+        try:
+            pi3_amplify(R1, R2, 2, phi1)
+            del R1, R2
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestQpePhaseGate:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmhlab import markov
 from qmhlab.markov import (
     ChainModel,
     ProposalKernel,
@@ -19,12 +20,16 @@ from qmhlab.markov import (
     mcmc_expectation,
     mixing_bound_check,
     mixing_time_bound,
+    neighbour_table,
     run_mh,
     spectral_gap,
     tv_distance,
 )
 
-from conftest import random_instance
+from conftest import random_instance, torus_cases, torus_shift
+
+TORUS_CASES = torus_cases()
+TORUS_IDS = [name for name, _, _ in TORUS_CASES]
 
 ROW_SUM_ATOL = 1e-12
 BALANCE_ATOL = 1e-10
@@ -47,9 +52,18 @@ class TestStateSpace:
             assert space.flat_index(space.multi_index(i)) == i
 
     def test_shift_wraps_torus(self):
-        space = StateSpace.regular_grid((5,))
-        assert space.shift(4, (1,)) == 0
-        assert space.shift(0, (-1,)) == 4
+        nb = neighbour_table((5,), [(1,), (-1,)])
+        assert nb[4, 0] == 0
+        assert nb[0, 1] == 4
+        nb = neighbour_table((2, 3), [(1, 2)])
+        assert nb[5, 0] == 1            # (1, 2) + (1, 2) wraps to (0, 1)
+
+    @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
+    def test_neighbour_table_matches_scalar_shift(self, name, model, kernel):
+        shape = model.space.shape
+        nb = neighbour_table(shape, kernel.moves)
+        ref = [[torus_shift(shape, x, m) for m in kernel.moves] for x in range(model.space.size)]
+        assert np.array_equal(nb, ref)
 
     def test_rejects_duplicate_axis_values(self):
         with pytest.raises(ValueError):
@@ -94,7 +108,7 @@ class TestProposalKernel:
         assert np.array_equal(T > 0, (T > 0).T)
         # T(x, x+d) must not depend on x
         for m, w in zip(kernel.moves, kernel.weights):
-            col = [T[x, space.shift(x, m)] for x in range(space.size)]
+            col = [T[x, torus_shift(space.shape, x, m)] for x in range(space.size)]
             np.testing.assert_allclose(col, col[0], atol=1e-14)
 
     def test_rejects_asymmetric_weights(self):
@@ -107,6 +121,15 @@ class TestProposalKernel:
         space = StateSpace.regular_grid((5,))
         with pytest.raises(ValueError):
             ProposalKernel(space=space, moves=((1,),), weights=np.array([1.0]))
+
+    @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
+    def test_matrix_matches_scalar_loop(self, name, model, kernel):
+        space = kernel.space
+        T = np.zeros((space.size, space.size))
+        for x in range(space.size):
+            for m, w in zip(kernel.moves, kernel.weights):
+                T[x, torus_shift(space.shape, x, m)] += w
+        assert np.array_equal(kernel.matrix(), T)
 
     def test_nearest_neighbor_stay_mass(self):
         space = StateSpace.regular_grid((6,))
@@ -221,7 +244,44 @@ class TestTransitionMatrix:
         np.testing.assert_allclose(lam, lam_sym, atol=1e-9)
 
 
+def run_mh_reference(model, kernel, n_b, n, seed):
+    """The per-step loop run_mh replaced: one rng.choice and one rng.random per step."""
+    rng = np.random.default_rng(seed)
+    p = model.unnormalized()
+    weights = kernel.weights
+    moves = kernel.moves
+    neg = [kernel.negate(m) for m in moves]
+    w_of = {m: float(w) for m, w in zip(moves, weights)}
+
+    x = int(rng.choice(model.space.size, p=model.prior))
+    out = np.empty(n_b + n, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(n_b + n):
+            k = int(rng.choice(len(moves), p=weights))
+            y = torus_shift(model.space.shape, x, moves[k])
+            a = 1.0 if y == x else min(1.0, (p[y] * w_of[neg[k]]) / (p[x] * w_of[moves[k]]))
+            if rng.random() < a:
+                x = y
+            out[t] = x
+    return out
+
+
 class TestSampling:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
+    def test_matches_scalar_reference(self, name, model, kernel, seed):
+        n_b, n = 20, markov._MH_CHUNK + 100      # spans two chunks of uniforms
+        ref = run_mh_reference(model, kernel, n_b, n, seed)
+        assert np.array_equal(run_mh(model, kernel, n_b, n, seed).states, ref)
+
+    def test_underflow_case_meets_inf_and_nan_ratios(self):
+        # with seed 0 the chain starts where p underflowed to 0 and takes both
+        # a p = 0 -> p = 0 step (ratio nan) and a p = 0 -> p > 0 step (ratio inf)
+        (_, model, kernel), = [c for c in TORUS_CASES if c[0] == "underflow"]
+        zero = model.unnormalized()[run_mh_reference(model, kernel, 0, 50, seed=0)] == 0.0
+        steps = set(zip(zero[:-1].tolist(), zero[1:].tolist()))
+        assert (True, True) in steps and (True, False) in steps
+
     def test_trajectory_shape_and_range(self):
         model, kernel = random_instance(23, allow_2d=False)
         sample = run_mh(model, kernel, n_b=10, n=50, seed=1)

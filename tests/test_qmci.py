@@ -209,6 +209,25 @@ class TestApproxChain:
         report = verify_phase_gap(U, layout, chain_pert)
         assert report.passed
 
+    def test_faithful_walk_charges_only_the_table(self):
+        space = StateSpace.regular_grid((6,))
+        nll = 0.3 * (space.points[:, 0] - 2.0) ** 2
+        model = TargetModel(space=space, prior=np.full(6, 1.0 / 6.0), neg_log_lik=nll)
+        kernel = ProposalKernel.nearest_neighbor(space)
+        layout = RegisterLayout.for_kernel(kernel)
+        eps, delta = 0.05, 0.1
+
+        def oracle():
+            return LikelihoodOracle.from_nll(nll, M=16, spread=0.5, seed=0)
+
+        table_oracle, walk_oracle = oracle(), oracle()
+        approx_acceptance_table(table_oracle, model, kernel, eps, delta, seed=0, mode="faithful")
+        _, _, residual = approx_walk_operator(walk_oracle, model, kernel, layout, eps, delta,
+                                              seed=0, mode="faithful")
+        assert table_oracle.queries == walk_oracle.queries == 889_728
+        assert residual == max(qmci_mean(oracle(), x, eps, delta, "faithful", 0).residual
+                               for x in range(6))
+
     def test_internal_accuracy_guarantees_tv(self):
         oracle = small_oracle(27, n=6)
         model, kernel = self.make_model(oracle)

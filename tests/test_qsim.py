@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qmhlab.markov import ProposalKernel, StateSpace, TargetModel, build_transition_matrix
 from qmhlab.qsim import (
     RegisterLayout,
+    acceptance_slots,
     basis_state,
     build_B,
     build_core,
@@ -23,7 +24,10 @@ from qmhlab.qsim import (
     verify_phase_gap,
 )
 
-from conftest import random_instance
+from conftest import random_instance, torus_cases, torus_shift
+
+TORUS_CASES = torus_cases()
+TORUS_IDS = [name for name, _, _ in TORUS_CASES]
 
 UNITARY_ATOL = 1e-10
 BLOCK_ATOL = 1e-10
@@ -59,8 +63,8 @@ class TestRegisterLayout:
     def test_negate_slot_involution(self):
         _, kernel = random_instance(12)
         layout = RegisterLayout.for_kernel(kernel)
-        for m in range(layout.n_moves):
-            assert layout.negate_slot(layout.negate_slot(m)) == m
+        neg = layout.neg_slots()
+        assert np.array_equal(neg[neg], np.arange(layout.n_moves))
 
     def test_rejects_oversized_layout(self):
         space = StateSpace.regular_grid((70, 70))
@@ -135,7 +139,52 @@ class TestOperatorsUnitary:
         np.testing.assert_array_equal(F @ v0, v0)
         v1 = basis_state(layout, x, m, 1)
         out = F @ v1
-        assert out[layout.index(layout.shift_state(x, m), m, 1)] == 1.0
+        assert out[layout.index(layout.neighbours()[x, m], m, 1)] == 1.0
+
+    @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
+    def test_table_builders_match_scalar_loops(self, name, model, kernel):
+        layout = RegisterLayout.for_kernel(kernel)
+        n, k, D = layout.space_dim, layout.n_moves, layout.total_dim
+
+        def shift_state(x, m):
+            return torus_shift(layout.shape, x, layout.moves[m])
+
+        def negate_slot(m):
+            return layout.moves.index(tuple((-c) % d for c, d in zip(layout.moves[m], layout.shape)))
+
+        def slots(table):
+            A = np.zeros((n, k))
+            p = model.unnormalized()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for m in range(1, k):
+                    if layout.weights[m] <= 0:
+                        continue
+                    mn = negate_slot(m)
+                    for x in range(n):
+                        y = shift_state(x, m)
+                        if table is not None:
+                            A[x, m] = table[x, y]
+                        else:
+                            A[x, m] = min(1.0, (p[y] * layout.weights[mn])
+                                          / (p[x] * layout.weights[m]))
+            if layout.weights[0] > 0:
+                A[:, 0] = 1.0
+            return A
+
+        F = np.zeros((D, D), dtype=complex)
+        S = np.zeros((D, D), dtype=complex)
+        for x in range(n):
+            for m in range(k):
+                F[layout.index(x, m, 0), layout.index(x, m, 0)] = 1.0
+                F[layout.index(shift_state(x, m), m, 1), layout.index(x, m, 1)] = 1.0
+                S[layout.index(x, m, 0), layout.index(x, m, 0)] = 1.0
+                S[layout.index(x, negate_slot(m), 1), layout.index(x, m, 1)] = 1.0
+
+        table = np.random.default_rng(0).uniform(size=(n, n))
+        assert np.array_equal(acceptance_slots(model, layout), slots(None))
+        assert np.array_equal(acceptance_slots(model, layout, table), slots(table))
+        assert np.array_equal(build_F(layout), F)
+        assert np.array_equal(build_S(layout), S)
 
     def test_sf_squared_identity(self):
         for seed in range(4):
