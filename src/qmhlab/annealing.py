@@ -9,7 +9,6 @@ outcome distributions; walk-operator applications are charged to a ledger.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +28,16 @@ class QueryLedger:
 
     def __init__(self):
         self.total = 0
-        self.stages: list[dict] = []
+        self.by_tag: dict[str, int] = {}
 
     def charge(self, n: int, tag: str = "") -> None:
         if n < 0:
             raise ValueError("charge must be nonnegative")
         self.total += int(n)
-        self.stages.append({"tag": tag, "charge": int(n)})
+        self.by_tag[tag] = self.by_tag.get(tag, 0) + int(n)
 
     def stage_total(self, tag: str) -> int:
-        return sum(s["charge"] for s in self.stages if s["tag"] == tag)
+        return self.by_tag.get(tag, 0)
 
 
 def qpe_ancilla_count(phase_gap: float, delta: float) -> int:
@@ -95,6 +94,26 @@ def _qpe_estimate_amplitudes(phase: float, t: int) -> np.ndarray:
     N = 2**t
     ell = np.arange(N)
     return np.fft.fft(np.exp(1j * phase * ell)) / N
+
+
+def _qpe_outcome_distributions(phase: float, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized t-ancilla phase-estimation outcome distributions at +phase and -phase."""
+    plus = np.abs(_qpe_estimate_amplitudes(phase, t)) ** 2
+    minus = np.abs(_qpe_estimate_amplitudes(-phase, t)) ** 2
+    return plus / plus.sum(), minus / minus.sum()
+
+
+def _sample_qpe_outcomes(phase: float, t: int, runs: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Outcomes k of `runs` phase estimations on an even mix of the +-phase eigenvectors.
+
+    Each run spends two uniforms: the first picks the eigenvector, the second
+    the outcome by inverse CDF, as ``rng.choice(2**t, p=dist)`` does.
+    """
+    plus, minus = (np.cumsum(d) for d in _qpe_outcome_distributions(phase, t))
+    u = rng.random((runs, 2))
+    return np.where(u[:, 0] < 0.5, (plus / plus[-1]).searchsorted(u[:, 1], side="right"),
+                    (minus / minus[-1]).searchsorted(u[:, 1], side="right"))
 
 
 class QpePhaseGate:
@@ -229,17 +248,10 @@ def nae_overlap(state: np.ndarray, target: np.ndarray, eps: float, delta: float,
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
     runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
-    dist_plus = np.abs(_qpe_estimate_amplitudes(2.0 * theta, t)) ** 2
-    dist_minus = np.abs(_qpe_estimate_amplitudes(-2.0 * theta, t)) ** 2
-    dist_plus /= dist_plus.sum()
-    dist_minus /= dist_minus.sum()
-
-    estimates = np.empty(runs)
-    for r in range(runs):
-        dist = dist_plus if rng.random() < 0.5 else dist_minus
-        k = int(rng.choice(N, p=dist))
-        phi = 2.0 * np.pi * min(k, N - k) / N
-        estimates[r] = np.cos(phi / 2.0) ** 2
+    k = _sample_qpe_outcomes(2.0 * theta, t, runs, rng)
+    phi = 2.0 * np.pi * np.minimum(k, N - k) / N
+    # float_power calls pow like a scalar ** 2; an array ** 2 squares (last bit differs)
+    estimates = np.float_power(np.cos(phi / 2.0), 2)
     estimate = float(np.median(estimates))
     agree = int(np.sum(np.abs(estimates - estimate) <= eps))
     flag = 1 if 2 * agree >= runs else 0
@@ -273,13 +285,6 @@ class AnnealingSchedule:
             if any(o < OVERLAP_GUARANTEE for o in self.overlaps):
                 raise ValueError("recorded overlap below the success threshold")
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({
-                "betas": list(self.betas), "overlaps": list(self.overlaps),
-                "success": self.success, "l_max": self.l_max,
-                "mode": self.mode, "seed": self.seed, "queries": self.queries,
-            }, fh, indent=2)
 
 
 def stage_count_limit(mean_nll: float) -> int:

@@ -262,6 +262,9 @@ def _run_config(cfg, out_dir):
     if exp not in EXPERIMENTS:
         raise click.ClickException(
             f"unknown experiment {exp!r}; choose from {', '.join(EXPERIMENTS)}")
+    if exp == "gw-scaling":          # builds its own GW instances
+        _scaling_from_config(cfg, out_dir)
+        return True
     seed = int(cfg.get("seed", 0))
     if "model" in cfg:
         model, kernel, model_seed = load_model(cfg["model"])
@@ -290,15 +293,28 @@ def _run_config(cfg, out_dir):
             model, kernel, out_dir, seed, axis=cfg.get("axis", 0),
             alpha=cfg.get("alpha", 0.5), eps=cfg.get("eps", 0.05),
             delta=cfg.get("delta", 0.1))
-    elif exp == "gw-scaling":
-        payload = scaling_study(
-            cfg.get("M_values", [256, 512, 1024, 2048, 4096]),
-            cfg.get("methods", ["proposed", "exact-qsa", "classical-mh"]),
-            out_dir, rho=cfg.get("rho", 2.0), eps=cfg.get("eps", 0.1),
-            delta=cfg.get("delta", 0.2), seeds=cfg.get("seeds", [0, 1, 2]))
-        passed = True
-        click.echo(json.dumps(payload["slopes"], indent=2))
     return passed
+
+
+def _scaling_from_config(cfg, out_dir):
+    """Run the scaling study a gw-scaling config describes and print its slopes."""
+    payload = scaling_study(
+        cfg.get("M_values", [256, 512, 1024, 2048, 4096]),
+        cfg.get("methods", ["proposed", "exact-qsa", "classical-mh"]),
+        out_dir, rho=cfg.get("rho", 2.0), eps=cfg.get("eps", 0.1),
+        delta=cfg.get("delta", 0.2), seeds=cfg.get("seeds", [0, 1, 2]))
+    click.echo(json.dumps(payload["slopes"], indent=2))
+
+
+def _load_config(path):
+    """Parsed JSON config and its output directory."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise click.ClickException(f"config parse error at line {exc.lineno}, "
+                                   f"column {exc.colno}: {exc.msg}")
+    return cfg, cfg.get("output_dir", os.environ.get("QMH_LAB_OUT", "qmh-lab-out"))
 
 
 @click.group()
@@ -310,13 +326,7 @@ def main():
 @click.argument("config", type=click.Path(exists=True))
 def run_cmd(config):
     """Run the experiment described by a JSON config file."""
-    try:
-        with open(config) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise click.ClickException(f"config parse error at line {exc.lineno}, "
-                                   f"column {exc.colno}: {exc.msg}")
-    out_dir = cfg.get("output_dir", os.environ.get("QMH_LAB_OUT", "qmh-lab-out"))
+    cfg, out_dir = _load_config(config)
     passed = _run_config(cfg, out_dir)
     click.echo(f"{cfg.get('experiment')}: {'PASS' if passed else 'FAIL'}")
     sys.exit(0 if passed else 1)
@@ -346,13 +356,5 @@ def verify_cmd(suite, out):
               required=True)
 def scaling_cmd(config_path):
     """Run the query-scaling study described by a JSON config file."""
-    with open(config_path) as fh:
-        cfg = json.load(fh)
-    out_dir = cfg.get("output_dir", os.environ.get("QMH_LAB_OUT", "qmh-lab-out"))
-    payload = scaling_study(
-        cfg.get("M_values", [256, 512, 1024, 2048, 4096]),
-        cfg.get("methods", ["proposed", "exact-qsa", "classical-mh"]),
-        out_dir, rho=cfg.get("rho", 2.0), eps=cfg.get("eps", 0.1),
-        delta=cfg.get("delta", 0.2), seeds=cfg.get("seeds", [0, 1, 2]))
-    click.echo(json.dumps(payload["slopes"], indent=2))
+    _scaling_from_config(*_load_config(config_path))
     sys.exit(0)

@@ -56,15 +56,9 @@ def cdf_qmci(handle: PosteriorHandle, axis: int, a: float, eps: float,
     t = int(np.ceil(np.log2(2.0 * np.pi / (eps / 3.0)))) + 3
     N = 2**t
     runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
-    dist_p = np.abs(annealing._qpe_estimate_amplitudes(2.0 * theta, t)) ** 2
-    dist_m = np.abs(annealing._qpe_estimate_amplitudes(-2.0 * theta, t)) ** 2
-    dist_p /= dist_p.sum()
-    dist_m /= dist_m.sum()
-    estimates = np.empty(runs)
-    for r in range(runs):
-        dist = dist_p if rng.random() < 0.5 else dist_m
-        k = int(rng.choice(N, p=dist))
-        estimates[r] = np.sin(np.pi * min(k, N - k) / N) ** 2
+    k = annealing._sample_qpe_outcomes(2.0 * theta, t, runs, rng)
+    # float_power, like nae_overlap's, keeps the bits of a scalar ** 2
+    estimates = np.float_power(np.sin(np.pi * np.minimum(k, N - k) / N), 2)
     estimate = float(np.median(estimates))
     # two preparations per Grover step (reflection about the prepared state)
     queries = runs * (N - 1) * 2 * handle.prep_queries

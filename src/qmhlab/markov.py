@@ -92,6 +92,12 @@ def neighbour_table(shape, moves) -> np.ndarray:
                      for m in moves], axis=1)
 
 
+def negation_slots(shape, moves) -> np.ndarray:
+    """Index of each move's torus negation in ``moves`` (closed under negation)."""
+    slot = {tuple(m): j for j, m in enumerate(moves)}
+    return np.array([slot[tuple((-c) % n for c, n in zip(m, shape))] for m in moves])
+
+
 @dataclass(frozen=True)
 class TargetModel:
     """Target P ~ prior * exp(-beta * L) over a state space."""
@@ -159,8 +165,7 @@ class ProposalKernel:
             raise ValueError("duplicate moves")
         lookup = {m: i for i, m in enumerate(canon)}
         for i, m in enumerate(canon):
-            neg = tuple((-c) % n for c, n in zip(m, self.space.shape))
-            j = lookup.get(neg)
+            j = lookup.get(self.negate(m))
             if j is None:
                 raise ValueError(f"move set not closed under negation: {m}")
             if abs(w[i] - w[j]) > 1e-12:
@@ -239,17 +244,31 @@ def acceptance_ratio(model: TargetModel, kernel: ProposalKernel, x: int, y: int)
     return min(1.0, (p[y] * T[y, x]) / (p[x] * T[x, y]))
 
 
+def acceptance_table(model: TargetModel, nb: np.ndarray, weights: np.ndarray,
+                     neg: np.ndarray) -> np.ndarray:
+    """(n, k) MH acceptance min{1, P(y)T(y,x) / (P(x)T(x,y))} with y = nb[x, j].
+
+    T(x, y) is the weight of move j and T(y, x) that of its negation neg[j].
+    fmin, like min(1.0, r), reads 1 for the inf and nan of an underflowed
+    target; the zero move, its own negation, gets r = 1 or nan, hence 1.
+    Columns of zero-weight moves are meaningless.
+    """
+    p = model.unnormalized()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmin(1.0, (p[nb] * weights[neg]) / (p[:, None] * weights))
+
+
 def acceptance_matrix(model: TargetModel, kernel: ProposalKernel) -> np.ndarray:
     """A(x, y) for all pairs with T(x, y) > 0; zero elsewhere."""
-    T = kernel.matrix()
-    p = model.unnormalized()
-    n = len(p)
-    ratio = np.zeros((n, n))
-    mask = T > 0
-    py_tyx = np.outer(np.ones(n), p) * T.T
-    px_txy = np.outer(p, np.ones(n)) * T
-    ratio[mask] = np.minimum(1.0, py_tyx[mask] / px_txy[mask])
-    return ratio
+    n = model.space.size
+    nb = neighbour_table(model.space.shape, kernel.moves)
+    live = kernel.weights > 0
+    acc = acceptance_table(model, nb, kernel.weights,
+                           negation_slots(model.space.shape, kernel.moves))
+    A = np.zeros((n, n))
+    # moves are distinct on the torus, so each (x, y) gets at most one value
+    A[np.arange(n)[:, None], nb[:, live]] = acc[:, live]
+    return A
 
 
 def tv_distance(p, q) -> float:
@@ -268,9 +287,10 @@ class ChainModel:
     space: StateSpace
     transition: np.ndarray
     stationary: np.ndarray
-    eigenvalues: np.ndarray          # sorted by descending modulus
-    spectral_gap: float              # 1 - |lambda_1|
-    signed_gap: float                # 1 - lambda_1' (second largest real part)
+    eigenvalues: np.ndarray          # real, ascending: the last is the unit eigenvalue
+    eigenvectors: np.ndarray         # orthonormal columns O of the symmetrized D W D^-1
+    spectral_gap: float              # 1 - max(|lambda_min|, lambda_2)
+    signed_gap: float                # 1 - lambda_2 (second largest eigenvalue)
     condition_number: float          # cond of the diagonalizing Q = D^-1 O
 
     @property
@@ -282,29 +302,14 @@ class ChainModel:
         return bool(np.max(np.abs(flow - flow.T)) <= atol)
 
 
-def _diagonalizer(W: np.ndarray, pi: np.ndarray):
-    """Q with Q^-1 W Q diagonal, canonical under detailed balance.
-
-    Q = D^-1 O with O an orthonormal eigenbasis of the symmetrized D W D^-1,
-    D = diag(sqrt(pi)); columns sign-fixed so the largest-modulus component
-    is positive.
-    """
-    d = np.sqrt(pi)
-    S = (d[:, None] * W) / d[None, :]
-    S = 0.5 * (S + S.T)
-    _, O = np.linalg.eigh(S)
-    for j in range(O.shape[1]):
-        k = int(np.argmax(np.abs(O[:, j])))
-        if O[k, j] < 0:
-            O[:, j] = -O[:, j]
-    return O / d[:, None]
-
-
 def build_transition_matrix(model: TargetModel, kernel: ProposalKernel) -> ChainModel:
-    """Assemble W from T and the acceptance ratios, with spectrum and gap."""
-    T = kernel.matrix()
-    A = acceptance_matrix(model, kernel)
-    W = T * A
+    """Assemble W from T and the acceptance ratios, with spectrum and gap.
+
+    The proposal is negation symmetric, so the chain is reversible and one
+    eigh of the symmetrized D W D^-1, D = diag(sqrt(pi)), gives its real
+    spectrum.  Q = D^-1 O diagonalizes W, and cond(Q) = sqrt(pi_max / pi_min).
+    """
+    W = kernel.matrix() * acceptance_matrix(model, kernel)
     np.fill_diagonal(W, 0.0)
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     if np.any(W < -1e-14):
@@ -315,22 +320,21 @@ def build_transition_matrix(model: TargetModel, kernel: ProposalKernel) -> Chain
         raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
 
     pi = model.distribution()
-    eig = np.linalg.eigvals(W)
-    order = np.argsort(-np.abs(eig))
-    eig = eig[order]
-    # non-unit eigenvalue of largest modulus; ties are harmless for the gap
-    sub = eig[1:]
-    gap = 1.0 - (float(np.max(np.abs(sub))) if len(sub) else 0.0)
-    signed = 1.0 - (float(np.max(np.real(sub))) if len(sub) else 0.0)
-    kappa = float(np.linalg.cond(_diagonalizer(W, pi)))
+    d = np.sqrt(pi)
+    S = (d[:, None] * W) / d[None, :]
+    lam, O = np.linalg.eigh(0.5 * (S + S.T))
+    # lam[-1] is the unit eigenvalue; a one-state chain has no other
+    second = float(lam[-2]) if len(lam) > 1 else 0.0
+    bottom = abs(float(lam[0])) if len(lam) > 1 else 0.0
     return ChainModel(
         space=model.space,
         transition=W,
         stationary=pi,
-        eigenvalues=eig,
-        spectral_gap=gap,
-        signed_gap=signed,
-        condition_number=kappa,
+        eigenvalues=lam,
+        eigenvectors=O,
+        spectral_gap=1.0 - max(bottom, second),
+        signed_gap=1.0 - second,
+        condition_number=float(np.sqrt(pi.max() / pi.min())),
     )
 
 
@@ -376,17 +380,10 @@ def run_mh(model: TargetModel, kernel: ProposalKernel, n_b: int, n: int, seed: i
     if n_b < 0 or n < 1:
         raise ValueError("need n_b >= 0 and n >= 1")
     rng = np.random.default_rng(seed)
-    p = model.unnormalized()
     w = kernel.weights
-    moves = kernel.moves
-    k = len(moves)
-    slot = {m: j for j, m in enumerate(moves)}
-    neg = np.array([slot[kernel.negate(m)] for m in moves])
-    nb = neighbour_table(model.space.shape, moves)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # fmin, like min(1.0, r), reads 1 for the inf and nan of underflowed p;
-        # the zero move, its own negation, gets r = 1 or nan, hence always 1
-        acc = np.fmin(1.0, (p[nb] * w[neg]) / (p[:, None] * w))
+    k = len(w)
+    nb = neighbour_table(model.space.shape, kernel.moves)
+    acc = acceptance_table(model, nb, w, negation_slots(model.space.shape, kernel.moves))
     nb_flat = nb.ravel().tolist()
     acc_flat = acc.ravel().tolist()
     cdf = w.cumsum()

@@ -113,9 +113,8 @@ def _qae_outcome_distribution(amplitude_sq: float, t: int) -> tuple[np.ndarray, 
     """Values and probabilities of one t-ancilla amplitude-estimation run."""
     theta = float(np.arcsin(np.sqrt(np.clip(amplitude_sq, 0.0, 1.0))))
     N = 2**t
-    amps_p = annealing._qpe_estimate_amplitudes(2.0 * theta, t)
-    amps_m = annealing._qpe_estimate_amplitudes(-2.0 * theta, t)
-    probs = 0.5 * (np.abs(amps_p) ** 2 + np.abs(amps_m) ** 2)
+    plus, minus = annealing._qpe_outcome_distributions(2.0 * theta, t)
+    probs = 0.5 * (plus + minus)
     probs /= probs.sum()
     k = np.arange(N)
     values = np.sin(np.pi * k / N) ** 2

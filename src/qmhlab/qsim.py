@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import ChainModel, ProposalKernel, TargetModel, neighbour_table
+from .markov import (ChainModel, ProposalKernel, TargetModel, acceptance_table,
+                     negation_slots, neighbour_table, spectral_gap)
 
 UNITARY_ATOL = 1e-10
-SUBSPACE_RANK_TOL = 1e-9
 MAX_TOTAL_DIM = 2**14
 
 
@@ -72,9 +72,17 @@ class RegisterLayout:
 
     def neg_slots(self) -> np.ndarray:
         """Slot of each slot's negated move."""
-        slot = {m: j for j, m in enumerate(self.moves)}
-        return np.array([slot[tuple((-c) % n for c, n in zip(m, self.shape))]
-                         for m in self.moves])
+        return negation_slots(self.shape, self.moves)
+
+    def reference_indices(self) -> np.ndarray:
+        """Index of each reference state |x>|0>|0>, in state order."""
+        return self.index(np.arange(self.space_dim), 0, 0)
+
+    def reflection_signs(self) -> np.ndarray:
+        """Diagonal of R = 2 Lambda_0 - I: +1 on the reference states, -1 elsewhere."""
+        signs = -np.ones(self.total_dim)
+        signs[self.reference_indices()] = 1.0
+        return signs
 
 
 def basis_state(layout: RegisterLayout, x: int, m: int = 0, c: int = 0) -> np.ndarray:
@@ -89,8 +97,7 @@ def encode_distribution(P, layout: RegisterLayout) -> np.ndarray:
     if abs(P.sum() - 1.0) > 1e-10 or np.any(P < 0):
         raise ValueError("P must be a probability vector")
     v = np.zeros(layout.total_dim, dtype=complex)
-    for x in range(layout.space_dim):
-        v[layout.index(x, 0, 0)] = np.sqrt(P[x])
+    v[layout.reference_indices()] = np.sqrt(P)
     return v
 
 
@@ -141,11 +148,7 @@ def acceptance_slots(model: TargetModel, layout: RegisterLayout,
     if table is not None:
         A[:, live] = table[np.arange(n)[:, None], nb[:, live]]
     else:
-        p = model.unnormalized()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # fmin, like min(1.0, r), reads 1 for the inf and nan of underflowed p
-            A[:, live] = np.fmin(1.0, (p[nb[:, live]] * w[layout.neg_slots()[live]])
-                                 / (p[:, None] * w[live]))
+        A[:, live] = acceptance_table(model, nb, w, layout.neg_slots())[:, live]
     if w[0] > 0:
         A[:, 0] = 1.0
     return A
@@ -162,16 +165,11 @@ def build_B(model: TargetModel, layout: RegisterLayout,
     if np.any(A < -1e-12) or np.any(A > 1.0 + 1e-12):
         raise ValueError("acceptance values must lie in [0, 1]")
     A = np.clip(A, 0.0, 1.0)
+    x, m = np.nonzero(np.broadcast_to(layout.weights > 0, A.shape))
+    i0, i1 = layout.index(x, m, 0), layout.index(x, m, 1)
+    s, c = np.sqrt(A[x, m]), np.sqrt(1.0 - A[x, m])
     B = np.eye(layout.total_dim, dtype=complex)
-    for x in range(layout.space_dim):
-        for m in range(layout.n_moves):
-            if layout.weights[m] <= 0:
-                continue
-            a = A[x, m]
-            i0, i1 = layout.index(x, m, 0), layout.index(x, m, 1)
-            s, c = np.sqrt(a), np.sqrt(1.0 - a)
-            B[i0, i0], B[i0, i1] = c, -s
-            B[i1, i0], B[i1, i1] = s, c
+    B[i0, i0], B[i0, i1], B[i1, i0], B[i1, i1] = c, -s, s, c
     return B
 
 
@@ -198,11 +196,8 @@ def build_S(layout: RegisterLayout) -> np.ndarray:
 
 
 def build_R(layout: RegisterLayout) -> np.ndarray:
-    """Reflection 2 Lambda_0 - I about the span of |x>|0>|0>."""
-    diag = -np.ones(layout.total_dim)
-    for x in range(layout.space_dim):
-        diag[layout.index(x, 0, 0)] = 1.0
-    return np.diag(diag).astype(complex)
+    """Reflection 2 Lambda_0 - I about the span of |x>|0>|0>, as a dense matrix."""
+    return np.diag(layout.reflection_signs()).astype(complex)
 
 
 def build_core(model: TargetModel, kernel: ProposalKernel, layout: RegisterLayout,
@@ -217,14 +212,15 @@ def build_core(model: TargetModel, kernel: ProposalKernel, layout: RegisterLayou
 def build_walk_operator(model: TargetModel, kernel: ProposalKernel,
                         layout: RegisterLayout,
                         table: np.ndarray | None = None) -> np.ndarray:
-    U = build_R(layout) @ build_core(model, kernel, layout, table)
+    # R is diagonal with entries +-1, so R G is a row sign flip of G
+    U = layout.reflection_signs()[:, None] * build_core(model, kernel, layout, table)
     assert_unitary(U)
     return U
 
 
 def reference_block(G: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     """The |Omega| x |Omega| block of G on the reference states |x>|0>|0>."""
-    idx = [layout.index(x, 0, 0) for x in range(layout.space_dim)]
+    idx = layout.reference_indices()
     return G[np.ix_(idx, idx)]
 
 
@@ -234,21 +230,26 @@ def symmetrized_transition(chain: ChainModel) -> np.ndarray:
     return (d[:, None] * chain.transition) / d[None, :]
 
 
-def invariant_subspace(U_or_G: np.ndarray, layout: RegisterLayout,
-                       rank_tol: float = SUBSPACE_RANK_TOL) -> np.ndarray:
+def invariant_subspace(U: np.ndarray, layout: RegisterLayout,
+                       chain: ChainModel) -> np.ndarray:
     """Orthonormal basis of span{ reference states } + G * span{ reference states }.
 
-    This span is invariant under both the core involution and the reflection,
-    hence under the walk operator.
+    With G = R U the core involution, A the reference columns and (lambda_j,
+    v_j) the non-unit eigenpairs of the chain's symmetrized W (G's reference
+    block), the partners (G A v_j - lambda_j A v_j) / sqrt(1 - lambda_j^2)
+    complete A.  The span is invariant under G and R, hence under U.
     """
-    idx = [layout.index(x, 0, 0) for x in range(layout.space_dim)]
-    A_basis = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
-    for j, i in enumerate(idx):
-        A_basis[i, j] = 1.0
-    combined = np.hstack([A_basis, U_or_G @ A_basis])
-    Q, Rm = np.linalg.qr(combined)
-    keep = np.abs(np.diag(Rm)) > rank_tol
-    return Q[:, keep]
+    spectral_gap(chain)                 # an eigenvalue -1 has no partner
+    ref = layout.reference_indices()
+    lam = chain.eigenvalues[:-1]
+    O = chain.eigenvectors[:, :-1]
+    GA = layout.reflection_signs()[:, None] * U[:, ref]
+    partners = GA @ O
+    partners[ref] -= O * lam
+    partners /= np.sqrt(1.0 - lam**2)
+    A = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
+    A[ref, np.arange(layout.space_dim)] = 1.0
+    return np.hstack([A, partners])
 
 
 @dataclass(frozen=True)
@@ -269,8 +270,7 @@ def verify_phase_gap(U: np.ndarray, layout: RegisterLayout,
     stationary state, and every other eigenphase theta obeys
     |theta| >= arccos(1 - Delta) - 1e-8.
     """
-    G = build_R(layout) @ U        # R^2 = I, so this is the core involution
-    Q = invariant_subspace(G, layout)
+    Q = invariant_subspace(U, layout, chain)
     U_sub = Q.conj().T @ U @ Q
     if np.linalg.norm(U_sub.conj().T @ U_sub - np.eye(U_sub.shape[0])) > 1e-8:
         raise ValueError("subspace is not invariant under the walk operator")
@@ -301,7 +301,7 @@ def verify_phase_gap(U: np.ndarray, layout: RegisterLayout,
 
 def decode_distribution(state: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     """Probability vector read off the reference-slot amplitudes, renormalized."""
-    p = np.array([abs(state[layout.index(x, 0, 0)]) ** 2 for x in range(layout.space_dim)])
+    p = np.abs(state[layout.reference_indices()]) ** 2
     total = p.sum()
     if total <= 0:
         raise ValueError("state has no mass on the reference slots")

@@ -15,6 +15,7 @@ from qmhlab.annealing import (
     ExactPhaseGate,
     QpePhaseGate,
     QueryLedger,
+    _qpe_estimate_amplitudes,
     amplification_depth,
     nae_overlap,
     phase_gate_cost,
@@ -46,8 +47,16 @@ class TestQueryLedger:
         ledger.charge(3, "a")
         assert ledger.total == 15
         assert ledger.stage_total("a") == 8
+        assert ledger.stage_total("never") == 0
         with pytest.raises(ValueError):
             ledger.charge(-1)
+
+    def test_keeps_one_total_per_tag(self):
+        ledger = QueryLedger()
+        for i in range(1000):
+            ledger.charge(i, "ab"[i % 2])
+        assert ledger.by_tag == {"a": 249500, "b": 250000}
+        assert ledger.total == 499500
 
 
 class TestPhaseGateCost:
@@ -195,7 +204,46 @@ class TestQpePhaseGate:
             QpePhaseGate(U, OMEGA_PI3, 0.1, 0.0)
 
 
+def nae_overlap_reference(state, target, eps, delta, seed):
+    """The per-run loop nae_overlap replaced: one rng.random and one rng.choice per run."""
+    rng = np.random.default_rng(seed)
+    overlap = abs(np.vdot(target / np.linalg.norm(target),
+                          state / np.linalg.norm(state)))
+    theta = float(np.arccos(np.clip(overlap, 0.0, 1.0)))
+
+    t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
+    N = 2**t
+    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
+    dist_plus = np.abs(_qpe_estimate_amplitudes(2.0 * theta, t)) ** 2
+    dist_minus = np.abs(_qpe_estimate_amplitudes(-2.0 * theta, t)) ** 2
+    dist_plus /= dist_plus.sum()
+    dist_minus /= dist_minus.sum()
+
+    estimates = np.empty(runs)
+    for r in range(runs):
+        dist = dist_plus if rng.random() < 0.5 else dist_minus
+        k = int(rng.choice(N, p=dist))
+        phi = 2.0 * np.pi * min(k, N - k) / N
+        estimates[r] = np.cos(phi / 2.0) ** 2
+    estimate = float(np.median(estimates))
+    agree = int(np.sum(np.abs(estimates - estimate) <= eps))
+    flag = 1 if 2 * agree >= runs else 0
+    return estimate, flag
+
+
 class TestNaeOverlap:
+    def test_matches_per_run_reference(self):
+        rng = np.random.default_rng(7)
+        for seed in range(240):
+            d = int(rng.integers(2, 10))
+            state, target = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+            if seed % 8 == 0:
+                target = state                      # overlap 1: theta = 0
+            eps = float(rng.choice([0.3, 0.1, NAE_ACCURACY, 0.02]))
+            delta = float(rng.uniform(0.01, 0.45))
+            est, flag, _ = nae_overlap(state, target, eps, delta, seed)
+            assert (est, flag) == nae_overlap_reference(state, target, eps, delta, seed)
+
     def test_exact_overlap_cases(self):
         v = np.array([1.0, 0.0], dtype=complex)
         w = np.array([0.0, 1.0], dtype=complex)

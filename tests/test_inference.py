@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qmhlab.annealing import _qpe_estimate_amplitudes
 from qmhlab.inference import (
     CredibleQuery,
     GwInstance,
@@ -36,7 +37,41 @@ def posterior_16():
     return model
 
 
+def cdf_qmci_reference(handle, axis, a, eps, delta, seed):
+    """The per-run loop cdf_qmci replaced: one rng.random and one rng.choice per run."""
+    rng = np.random.default_rng(seed)
+    amp = cdf_exact(handle.distribution, handle.space, axis, a)
+    theta = float(np.arcsin(np.sqrt(np.clip(amp, 0.0, 1.0))))
+    t = int(np.ceil(np.log2(2.0 * np.pi / (eps / 3.0)))) + 3
+    N = 2**t
+    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
+    dist_p = np.abs(_qpe_estimate_amplitudes(2.0 * theta, t)) ** 2
+    dist_m = np.abs(_qpe_estimate_amplitudes(-2.0 * theta, t)) ** 2
+    dist_p /= dist_p.sum()
+    dist_m /= dist_m.sum()
+    estimates = np.empty(runs)
+    for r in range(runs):
+        dist = dist_p if rng.random() < 0.5 else dist_m
+        k = int(rng.choice(N, p=dist))
+        estimates[r] = np.sin(np.pi * min(k, N - k) / N) ** 2
+    estimate = float(np.median(estimates))
+    queries = runs * (N - 1) * 2 * handle.prep_queries
+    return estimate, queries
+
+
 class TestCdf:
+    def test_matches_per_run_reference(self):
+        rng = np.random.default_rng(11)
+        space = StateSpace.regular_grid((12,))
+        for seed in range(240):
+            handle = PosteriorHandle(distribution=rng.dirichlet(np.ones(12)), space=space,
+                                     prep_queries=int(rng.integers(1, 100)))
+            a = float(rng.uniform(-1.0, 12.0))      # includes tails of mass 0 and 1
+            eps = float(rng.choice([0.3, 0.1, 0.05]))
+            delta = float(rng.uniform(0.01, 0.45))
+            assert (cdf_qmci(handle, 0, a, eps, delta, seed)
+                    == cdf_qmci_reference(handle, 0, a, eps, delta, seed))
+
     def test_exact_enumeration(self):
         space = StateSpace.regular_grid((4,))
         P = np.array([0.1, 0.2, 0.3, 0.4])

@@ -26,6 +26,8 @@ from qmhlab.markov import (
     tv_distance,
 )
 
+from qmhlab.inference import synth_gw_instance
+
 from conftest import random_instance, torus_cases, torus_shift
 
 TORUS_CASES = torus_cases()
@@ -137,7 +139,38 @@ class TestProposalKernel:
         assert kernel.zero_move_mass == pytest.approx(0.4)
 
 
+def acceptance_matrix_reference(model, kernel):
+    """The dense formula acceptance_matrix replaced: ratios over the whole of T."""
+    T = kernel.matrix()
+    p = model.unnormalized()
+    n = len(p)
+    ratio = np.zeros((n, n))
+    mask = T > 0
+    py_tyx = np.outer(np.ones(n), p) * T.T
+    px_txy = np.outer(p, np.ones(n)) * T
+    ratio[mask] = np.minimum(1.0, py_tyx[mask] / px_txy[mask])
+    return ratio
+
+
 class TestAcceptance:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matrix_matches_dense_reference(self, seed):
+        model, kernel = random_instance(seed)
+        assert np.array_equal(acceptance_matrix(model, kernel),
+                              acceptance_matrix_reference(model, kernel))
+
+    @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
+    def test_matrix_matches_dense_reference_on_torus_cases(self, name, model, kernel):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = acceptance_matrix_reference(model, kernel)
+        A = acceptance_matrix(model, kernel)
+        # only the underflow case has 0/0 ratios: the dense formula read them
+        # as nan, the shared table (like run_mh) as 1
+        nan = np.isnan(ref)
+        assert nan.any() == (name == "underflow")
+        assert np.all(A[nan] == 1.0)
+        assert np.array_equal(A[~nan], ref[~nan])
+
     def test_ratio_two_thirds_one_third(self):
         # P = (2/3, 1/3) with a symmetric proposal: A(0,1) = 1/2, A(1,0) = 1
         space = StateSpace.regular_grid((2,))
@@ -236,12 +269,68 @@ class TestTransitionMatrix:
     def test_condition_number_diagonalizes(self):
         model, kernel = random_instance(19)
         chain = build_transition_matrix(model, kernel)
+        W = chain.transition
+        # the nonsymmetric solver never sees the symmetrized D W D^-1
+        np.testing.assert_allclose(chain.eigenvalues, np.sort(np.linalg.eigvals(W).real),
+                                   atol=1e-12)
+        Q = chain.eigenvectors / np.sqrt(chain.stationary)[:, None]
+        np.testing.assert_allclose(np.linalg.solve(Q, W @ Q), np.diag(chain.eigenvalues),
+                                   atol=1e-12)
         assert chain.condition_number >= 1.0
-        lam = np.sort(chain.eigenvalues.real)
-        d = np.sqrt(chain.stationary)
-        S = (d[:, None] * chain.transition) / d[None, :]
-        lam_sym = np.sort(np.linalg.eigvalsh(0.5 * (S + S.T)))
-        np.testing.assert_allclose(lam, lam_sym, atol=1e-9)
+        assert chain.condition_number == pytest.approx(np.linalg.cond(Q), rel=1e-12)
+
+    def test_spectral_data_match_reference(self):
+        for seed in range(200):
+            chain = build_transition_matrix(*random_instance(seed))
+            gap, signed, kappa = spectral_reference(chain.transition, chain.stationary)
+            assert abs(chain.spectral_gap - gap) <= 1e-12
+            assert abs(chain.signed_gap - signed) <= 1e-12
+            assert chain.condition_number == pytest.approx(kappa, rel=1e-12)
+
+    def test_gw_ladder_step_counts_match_reference(self):
+        eps = 0.05
+        for M in (256, 512, 1024, 2048, 4096):
+            for s in (0, 1, 2):
+                inst = synth_gw_instance(0.1, 0.0, M, 2.0, s, grid_shape=(8, 8))
+                chain = build_transition_matrix(
+                    inst.model, ProposalKernel.nearest_neighbor(inst.space))
+                gap, signed, kappa = spectral_reference(chain.transition, chain.stationary)
+                n_b = int(np.ceil(np.log(1.0 / (eps * chain.stationary.min())) / gap))
+                assert mixing_time_bound(chain, eps) == n_b
+                assert np.ceil(2.0 / (chain.signed_gap * eps**2)) == np.ceil(
+                    2.0 / (signed * eps**2))
+                assert chain.condition_number == pytest.approx(kappa, rel=1e-12)
+
+
+def diagonalizer_reference(W, pi):
+    """Q with Q^-1 W Q diagonal, canonical under detailed balance.
+
+    Q = D^-1 O with O an orthonormal eigenbasis of the symmetrized D W D^-1,
+    D = diag(sqrt(pi)); columns sign-fixed so the largest-modulus component
+    is positive.
+    """
+    d = np.sqrt(pi)
+    S = (d[:, None] * W) / d[None, :]
+    S = 0.5 * (S + S.T)
+    _, O = np.linalg.eigh(S)
+    for j in range(O.shape[1]):
+        k = int(np.argmax(np.abs(O[:, j])))
+        if O[k, j] < 0:
+            O[:, j] = -O[:, j]
+    return O / d[:, None]
+
+
+def spectral_reference(W, pi):
+    """The gaps and kappa build_transition_matrix took from eigvals(W) and cond(Q)."""
+    eig = np.linalg.eigvals(W)
+    order = np.argsort(-np.abs(eig))
+    eig = eig[order]
+    # non-unit eigenvalue of largest modulus; ties are harmless for the gap
+    sub = eig[1:]
+    gap = 1.0 - (float(np.max(np.abs(sub))) if len(sub) else 0.0)
+    signed = 1.0 - (float(np.max(np.real(sub))) if len(sub) else 0.0)
+    kappa = float(np.linalg.cond(diagonalizer_reference(W, pi)))
+    return gap, signed, kappa
 
 
 def run_mh_reference(model, kernel, n_b, n, seed):

@@ -180,9 +180,25 @@ class TestOperatorsUnitary:
                 S[layout.index(x, m, 0), layout.index(x, m, 0)] = 1.0
                 S[layout.index(x, negate_slot(m), 1), layout.index(x, m, 1)] = 1.0
 
+        def rotations(table):
+            A = np.clip(slots(table), 0.0, 1.0)
+            B = np.eye(D, dtype=complex)
+            for x in range(n):
+                for m in range(k):
+                    if layout.weights[m] <= 0:
+                        continue
+                    a = A[x, m]
+                    i0, i1 = layout.index(x, m, 0), layout.index(x, m, 1)
+                    s, c = np.sqrt(a), np.sqrt(1.0 - a)
+                    B[i0, i0], B[i0, i1] = c, -s
+                    B[i1, i0], B[i1, i1] = s, c
+            return B
+
         table = np.random.default_rng(0).uniform(size=(n, n))
         assert np.array_equal(acceptance_slots(model, layout), slots(None))
         assert np.array_equal(acceptance_slots(model, layout, table), slots(table))
+        assert np.array_equal(build_B(model, layout), rotations(None))
+        assert np.array_equal(build_B(model, layout, table), rotations(table))
         assert np.array_equal(build_F(layout), F)
         assert np.array_equal(build_S(layout), S)
 
@@ -223,12 +239,31 @@ class TestCoreIdentities:
 
     def test_invariant_subspace_closed_under_walk(self):
         model, kernel, layout = make_setup(17)
+        chain = build_transition_matrix(model, kernel)
         U = build_walk_operator(model, kernel, layout)
-        G = build_R(layout) @ U
-        Q = invariant_subspace(G, layout)
+        Q = invariant_subspace(U, layout, chain)
+        # the reference states and one partner per non-unit eigenpair, orthonormal
+        assert Q.shape == (layout.total_dim, 2 * layout.space_dim - 1)
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) <= 1e-9
         proj = Q @ Q.conj().T
         # U maps the subspace into itself
         assert np.linalg.norm(proj @ U @ Q - U @ Q) <= 1e-9
+
+    def test_invariant_subspace_rejects_zero_gap(self):
+        # uniform 2-ring with no stay mass: W swaps the states, eigenvalues +-1
+        space = StateSpace.regular_grid((2,))
+        model = TargetModel(space=space, prior=np.full(2, 0.5), neg_log_lik=np.zeros(2))
+        kernel = ProposalKernel.nearest_neighbor(space)
+        layout = RegisterLayout.for_kernel(kernel)
+        chain = build_transition_matrix(model, kernel)
+        with pytest.raises(ValueError, match="spectral gap is zero"):
+            invariant_subspace(build_walk_operator(model, kernel, layout), layout, chain)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_walk_operator_is_row_signed_core(self, seed):
+        model, kernel, layout = make_setup(seed)
+        G = build_core(model, kernel, layout)
+        assert np.array_equal(build_walk_operator(model, kernel, layout), build_R(layout) @ G)
 
 
 class TestPhaseGap:
@@ -252,6 +287,31 @@ class TestPhaseGap:
         assert report.unit_multiplicity == 1
         assert report.principal_overlap >= 1.0 - 1e-9
         assert report.min_nonzero_phase >= report.phase_bound - PHASE_ATOL
+
+    def test_sharply_peaked_ring_passes(self):
+        # 64-ring with L = 0.05 (x - 32)^2, 51 nats deep: the images of the
+        # reference states are nearly dependent, so a rank-tolerance basis miscounts
+        space = StateSpace.regular_grid((64,))
+        model = TargetModel(space=space, prior=np.full(64, 1.0 / 64.0),
+                            neg_log_lik=0.05 * (space.points[:, 0] - 32.0) ** 2)
+        kernel = ProposalKernel.nearest_neighbor(space)
+        layout = RegisterLayout.for_kernel(kernel)
+        chain = build_transition_matrix(model, kernel)
+        report = verify_phase_gap(build_walk_operator(model, kernel, layout), layout, chain)
+        assert report.passed
+        assert report.unit_multiplicity == 1
+        assert len(report.eigenphases) == 2 * 64 - 1
+
+    def test_walk_of_another_chain_does_not_pass(self):
+        model, kernel, layout = make_setup(23, allow_2d=False)
+        chain = build_transition_matrix(model, kernel)
+        n = layout.space_dim
+        U = build_walk_operator(model, kernel, layout, table=np.full((n, n), 0.5))
+        try:
+            report = verify_phase_gap(U, layout, chain)
+        except ValueError:
+            return
+        assert not report.passed
 
     def test_stationary_state_is_fixed(self):
         model, kernel, layout = make_setup(21)
