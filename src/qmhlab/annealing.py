@@ -382,7 +382,8 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
 
     exact mode uses oracle phase gates about the known intermediate states
     (charged at the synthesized-gate rate); qpe mode synthesizes each gate
-    from the walk operator of the chain at that temperature.
+    from the walk operator of the chain at that temperature, once per
+    temperature.
     """
     if not schedule.success:
         raise ValueError("cannot generate from a failed schedule")
@@ -392,6 +393,12 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
     if n_stages == 0:
         return state
     stage_eps = eps / n_stages
+
+    def qpe_gate(beta):
+        target = model.with_beta(beta)
+        chain = build_transition_matrix(target, kernel)
+        return QpePhaseGate(build_walk_operator(target, kernel, layout), OMEGA_PI3,
+                            gate_delta, chain.signed_gap, ledger=ledger, tag="generate")
 
     for i in range(n_stages):
         b1, b2 = schedule.betas[i], schedule.betas[i + 1]
@@ -406,14 +413,9 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
             R1 = ExactPhaseGate(t1, OMEGA_PI3, cost=cost, ledger=ledger, tag="generate")
             R2 = ExactPhaseGate(t2, OMEGA_PI3, cost=cost, ledger=ledger, tag="generate")
         elif mode == "qpe":
-            chain1 = build_transition_matrix(model.with_beta(b1), kernel)
-            chain2 = build_transition_matrix(model.with_beta(b2), kernel)
-            U1 = build_walk_operator(model.with_beta(b1), kernel, layout)
-            U2 = build_walk_operator(model.with_beta(b2), kernel, layout)
-            R1 = QpePhaseGate(U1, OMEGA_PI3, gate_delta, chain1.signed_gap,
-                              ledger=ledger, tag="generate")
-            R2 = QpePhaseGate(U2, OMEGA_PI3, gate_delta, chain2.signed_gap,
-                              ledger=ledger, tag="generate")
+            # stage i's R2 is stage i+1's R1: same temperature, same gate
+            R1 = qpe_gate(b1) if i == 0 else R2
+            R2 = qpe_gate(b2)
         else:
             raise ValueError(f"unknown gate mode {mode!r}")
         state = pi3_amplify(R1, R2, m, state)

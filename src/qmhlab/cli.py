@@ -28,7 +28,6 @@ from .markov import (
 )
 from .qsim import (
     RegisterLayout,
-    build_core,
     build_F,
     build_S,
     build_walk_operator,
@@ -60,7 +59,7 @@ def experiment_verify_walk(model, kernel, out_dir, seed=0):
     chain = build_transition_matrix(model, kernel)
     layout = RegisterLayout.for_kernel(kernel)
     U = build_walk_operator(model, kernel, layout)
-    G = build_core(model, kernel, layout)
+    G = layout.reflection_signs()[:, None] * U      # R is +-1, so R U = G exactly
     block_err = float(np.max(np.abs(reference_block(G, layout)
                                     - symmetrized_transition(chain))))
     SF = build_S(layout) @ build_F(layout)

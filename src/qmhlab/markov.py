@@ -124,10 +124,6 @@ class TargetModel:
     def unnormalized(self) -> np.ndarray:
         return self.prior * np.exp(-self.beta * self.neg_log_lik)
 
-    @property
-    def normalizer(self) -> float:
-        return float(self.unnormalized().sum())
-
     def distribution(self) -> np.ndarray:
         p = self.unnormalized()
         return p / p.sum()

@@ -134,7 +134,11 @@ def tv_perturbation_bound(chain: ChainModel, eps: float) -> float:
 def tv_perturbation_check(model: TargetModel, kernel: ProposalKernel,
                           pert: PerturbedLikelihood):
     """Exact ||P~ - P||_TV (both stationary distributions in closed form) vs the bound."""
-    chain = build_transition_matrix(model, kernel)
+    return _tv_check(build_transition_matrix(model, kernel), model, pert)
+
+
+def _tv_check(chain: ChainModel, model: TargetModel, pert: PerturbedLikelihood):
+    """tv_perturbation_check on the already built base chain of model."""
     bound = tv_perturbation_bound(chain, pert.eps)
     P = model.distribution()
     P_pert = model.with_neg_log_lik(pert.perturbed).distribution()
@@ -150,7 +154,7 @@ def verification_record(instance_id, model: TargetModel, kernel: ProposalKernel,
     chain_pert = build_transition_matrix(model.with_neg_log_lik(pert.perturbed), kernel)
     a_diff, a_bound, a_ok = acceptance_error_check(model, kernel, pert)
     g_val, g_bound, g_ok = spectral_gap_perturbation_check(chain, chain_pert, kernel, pert.eps)
-    tv, tv_bound, tv_ok = tv_perturbation_check(model, kernel, pert)
+    tv, tv_bound, tv_ok = _tv_check(chain, model, pert)
     return {
         "instance": str(instance_id),
         "eps": pert.eps,

@@ -264,10 +264,9 @@ def approx_walk_operator(oracle: LikelihoodOracle, model: TargetModel,
     apply to the perturbed chain verbatim.  The oracle is charged once, for
     the table.
     """
-    table, nll, _, _, residual = _acceptance_table(oracle, model, kernel, eps, delta,
-                                                   seed, mode)
+    _, nll, _, _, residual = _acceptance_table(oracle, model, kernel, eps, delta, seed, mode)
     model_pert = model.with_neg_log_lik(nll)
-    U = build_walk_operator(model_pert, kernel, layout, table=table)
+    U = build_walk_operator(model_pert, kernel, layout)
     return U, model_pert, residual
 
 

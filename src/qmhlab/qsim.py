@@ -1,9 +1,11 @@
 """Dense tensor-product register simulator and the quantum walk operator.
 
 Registers: R_S (state, dim |Omega|), R_M (move alphabet, slot 0 reserved for
-the zero move), R_C (coin, dim 2).  The walk operator is the product
-U = R V' B' S F B V built as an explicit dense unitary, with spectral
-verification of its phase gap against the chain's spectral gap.
+the zero move), R_C (coin, dim 2).  The walk operator U = R V' B' S F B V is
+returned as an explicit dense unitary, assembled in O(D^2 k) by applying each
+factor through its structure (a Kronecker contraction, 2 x 2 coin rotations,
+a gather, a row sign mask) rather than as dense D x D factor products, with
+spectral verification of its phase gap against the chain's spectral gap.
 """
 
 from __future__ import annotations
@@ -120,100 +122,63 @@ def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
     return Q
 
 
-def build_V(kernel: ProposalKernel, layout: RegisterLayout) -> np.ndarray:
-    """V |x>|0>|c> = |x> sum_m sqrt(T(x, x+m)) |m> |c>.
-
-    Translation invariance makes the R_M block state-independent; the block
-    is completed to a full unitary beyond the reference column.
-    """
+def acceptance_slots(model: TargetModel, layout: RegisterLayout) -> np.ndarray:
+    """A(x, x+m) for each supported (x, slot), 1 on the zero move; zero-weight slots get 0."""
     w = layout.weights
-    if abs(w.sum() - 1.0) > 1e-10:
-        raise ValueError("move weights do not normalize")
-    VM = _complete_unitary(np.sqrt(w).astype(complex))
-    return np.kron(np.eye(layout.space_dim), np.kron(VM, np.eye(2)))
-
-
-def acceptance_slots(model: TargetModel, layout: RegisterLayout,
-                     table: np.ndarray | None = None) -> np.ndarray:
-    """A(x, x+m) for each supported (x, slot); slots with zero weight get 0.
-
-    ``table`` overrides the exact ratios with a dense (n, n) acceptance table
-    indexed by (x, y).
-    """
-    n, k = layout.space_dim, layout.n_moves
-    w = layout.weights
-    nb = layout.neighbours()
-    live = np.flatnonzero(w[1:] > 0) + 1
-    A = np.zeros((n, k))
-    if table is not None:
-        A[:, live] = table[np.arange(n)[:, None], nb[:, live]]
-    else:
-        A[:, live] = acceptance_table(model, nb, w, layout.neg_slots())[:, live]
-    if w[0] > 0:
-        A[:, 0] = 1.0
+    A = acceptance_table(model, layout.neighbours(), w, layout.neg_slots())
+    A[:, w == 0] = 0.0
     return A
 
 
-def build_B(model: TargetModel, layout: RegisterLayout,
-            table: np.ndarray | None = None) -> np.ndarray:
-    """Controlled Y rotation of R_C by 2 arcsin sqrt(A(x, x+m)) per (x, m).
-
-    Unsupported slots (zero proposal weight) get the identity block; they
-    never mix into the walk dynamics.
-    """
-    A = acceptance_slots(model, layout, table)
-    if np.any(A < -1e-12) or np.any(A > 1.0 + 1e-12):
-        raise ValueError("acceptance values must lie in [0, 1]")
-    A = np.clip(A, 0.0, 1.0)
-    x, m = np.nonzero(np.broadcast_to(layout.weights > 0, A.shape))
-    i0, i1 = layout.index(x, m, 0), layout.index(x, m, 1)
-    s, c = np.sqrt(A[x, m]), np.sqrt(1.0 - A[x, m])
-    B = np.eye(layout.total_dim, dtype=complex)
-    B[i0, i0], B[i0, i1], B[i1, i0], B[i1, i1] = c, -s, s, c
-    return B
+def _coin_one_permutation(layout: RegisterLayout, to_state, to_slot) -> np.ndarray:
+    """Dense permutation: identity on R_C = |0>, |x>|m>|1> -> |to_state>|to_slot>|1>."""
+    x = np.arange(layout.space_dim)[:, None]
+    m = np.arange(layout.n_moves)[None, :]
+    stay = layout.index(x, m, 0).ravel()
+    P = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    P[stay, stay] = 1.0
+    P[layout.index(to_state, to_slot, 1).ravel(), layout.index(x, m, 1).ravel()] = 1.0
+    return P
 
 
 def build_F(layout: RegisterLayout) -> np.ndarray:
     """State shift: adds the move to R_S (mod the torus) when R_C = |1>."""
-    x = np.arange(layout.space_dim)[:, None]
-    m = np.arange(layout.n_moves)[None, :]
-    stay = layout.index(x, m, 0).ravel()
-    F = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    F[stay, stay] = 1.0
-    F[layout.index(layout.neighbours(), m, 1).ravel(), layout.index(x, m, 1).ravel()] = 1.0
-    return F
+    return _coin_one_permutation(layout, layout.neighbours(), np.arange(layout.n_moves))
 
 
 def build_S(layout: RegisterLayout) -> np.ndarray:
     """Move negation on R_M when R_C = |1>."""
-    x = np.arange(layout.space_dim)[:, None]
-    m = np.arange(layout.n_moves)[None, :]
-    stay = layout.index(x, m, 0).ravel()
-    S = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    S[stay, stay] = 1.0
-    S[layout.index(x, layout.neg_slots()[m], 1).ravel(), layout.index(x, m, 1).ravel()] = 1.0
-    return S
+    return _coin_one_permutation(layout, np.arange(layout.space_dim)[:, None],
+                                 layout.neg_slots())
 
 
-def build_R(layout: RegisterLayout) -> np.ndarray:
-    """Reflection 2 Lambda_0 - I about the span of |x>|0>|0>, as a dense matrix."""
-    return np.diag(layout.reflection_signs()).astype(complex)
+def build_core(model: TargetModel, kernel: ProposalKernel,
+               layout: RegisterLayout) -> np.ndarray:
+    """G = V' B' S F B V; Hermitian involution whose reference block conjugates W.
 
-
-def build_core(model: TargetModel, kernel: ProposalKernel, layout: RegisterLayout,
-               table: np.ndarray | None = None) -> np.ndarray:
-    """G = V' B' S F B V; Hermitian involution whose reference block conjugates W."""
-    V = build_V(kernel, layout)
-    B = build_B(model, layout, table)
-    prod = build_S(layout) @ build_F(layout) @ B @ V
-    return V.conj().T @ B.conj().T @ prod
+    The factors act on the identity's columns as an (n, k, 2, D) array over
+    (state, slot, coin, column): V is V_M (first column sqrt(w)) on the slot axis,
+    B a 2 x 2 coin rotation by 2 arcsin sqrt(A) per (state, slot), the identity
+    where A = 0, and B' its transpose; S F is out[y, m', 1] = in[y + m', -m', 1].
+    """
+    w = layout.weights
+    if abs(w.sum() - 1.0) > 1e-10:
+        raise ValueError("move weights do not normalize")
+    n, k, D = layout.space_dim, layout.n_moves, layout.total_dim
+    VM = _complete_unitary(np.sqrt(w).astype(complex))
+    A = acceptance_slots(model, layout)
+    s, c = np.sqrt(A), np.sqrt(1.0 - A)
+    B = np.array([[c, -s], [s, c]]).transpose(2, 3, 0, 1)  # (n, k, 2, 2) blocks
+    X = B @ (VM @ np.eye(D, dtype=complex).reshape(n, k, 2 * D)).reshape(n, k, 2, D)
+    X[:, :, 1] = X[layout.neighbours(), layout.neg_slots(), 1]
+    X = B.transpose(0, 1, 3, 2) @ X
+    return (VM.conj().T @ X.reshape(n, k, 2 * D)).reshape(D, D)
 
 
 def build_walk_operator(model: TargetModel, kernel: ProposalKernel,
-                        layout: RegisterLayout,
-                        table: np.ndarray | None = None) -> np.ndarray:
+                        layout: RegisterLayout) -> np.ndarray:
     # R is diagonal with entries +-1, so R G is a row sign flip of G
-    U = layout.reflection_signs()[:, None] * build_core(model, kernel, layout, table)
+    U = layout.reflection_signs()[:, None] * build_core(model, kernel, layout)
     assert_unitary(U)
     return U
 

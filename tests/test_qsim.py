@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 from qmhlab.markov import ProposalKernel, StateSpace, TargetModel, build_transition_matrix
 from qmhlab.qsim import (
     RegisterLayout,
+    _complete_unitary,
     acceptance_slots,
     basis_state,
-    build_B,
     build_core,
     build_F,
-    build_R,
     build_S,
-    build_V,
     build_walk_operator,
     decode_distribution,
     encode_distribution,
@@ -33,12 +31,52 @@ UNITARY_ATOL = 1e-10
 BLOCK_ATOL = 1e-10
 SF_ATOL = 1e-12
 PHASE_ATOL = 1e-8
+CORE_ATOL = 1e-14
 
 
 def make_setup(seed, allow_2d=True):
     model, kernel = random_instance(seed, allow_2d=allow_2d)
     layout = RegisterLayout.for_kernel(kernel)
     return model, kernel, layout
+
+
+# Dense D x D reference factors: build_core applies them through their structure
+
+
+def build_V(kernel, layout):
+    """V |x>|0>|c> = |x> sum_m sqrt(T(x, x+m)) |m> |c>, completed to a unitary."""
+    w = layout.weights
+    if abs(w.sum() - 1.0) > 1e-10:
+        raise ValueError("move weights do not normalize")
+    VM = _complete_unitary(np.sqrt(w).astype(complex))
+    return np.kron(np.eye(layout.space_dim), np.kron(VM, np.eye(2)))
+
+
+def build_B(model, layout):
+    """Controlled Y rotation of R_C by 2 arcsin sqrt(A(x, x+m)); identity on unsupported slots."""
+    A = acceptance_slots(model, layout)
+    if np.any(A < -1e-12) or np.any(A > 1.0 + 1e-12):
+        raise ValueError("acceptance values must lie in [0, 1]")
+    A = np.clip(A, 0.0, 1.0)
+    x, m = np.nonzero(np.broadcast_to(layout.weights > 0, A.shape))
+    i0, i1 = layout.index(x, m, 0), layout.index(x, m, 1)
+    s, c = np.sqrt(A[x, m]), np.sqrt(1.0 - A[x, m])
+    B = np.eye(layout.total_dim, dtype=complex)
+    B[i0, i0], B[i0, i1], B[i1, i0], B[i1, i1] = c, -s, s, c
+    return B
+
+
+def build_R(layout):
+    """Reflection 2 Lambda_0 - I about the span of |x>|0>|0>, as a dense matrix."""
+    return np.diag(layout.reflection_signs()).astype(complex)
+
+
+def dense_core(model, kernel, layout):
+    """G = V' B' S F B V as a product of dense factors."""
+    V = build_V(kernel, layout)
+    B = build_B(model, layout)
+    prod = build_S(layout) @ build_F(layout) @ B @ V
+    return V.conj().T @ B.conj().T @ prod
 
 
 class TestRegisterLayout:
@@ -152,7 +190,7 @@ class TestOperatorsUnitary:
         def negate_slot(m):
             return layout.moves.index(tuple((-c) % d for c, d in zip(layout.moves[m], layout.shape)))
 
-        def slots(table):
+        def slots():
             A = np.zeros((n, k))
             p = model.unnormalized()
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -162,11 +200,8 @@ class TestOperatorsUnitary:
                     mn = negate_slot(m)
                     for x in range(n):
                         y = shift_state(x, m)
-                        if table is not None:
-                            A[x, m] = table[x, y]
-                        else:
-                            A[x, m] = min(1.0, (p[y] * layout.weights[mn])
-                                          / (p[x] * layout.weights[m]))
+                        A[x, m] = min(1.0, (p[y] * layout.weights[mn])
+                                      / (p[x] * layout.weights[m]))
             if layout.weights[0] > 0:
                 A[:, 0] = 1.0
             return A
@@ -180,8 +215,8 @@ class TestOperatorsUnitary:
                 S[layout.index(x, m, 0), layout.index(x, m, 0)] = 1.0
                 S[layout.index(x, negate_slot(m), 1), layout.index(x, m, 1)] = 1.0
 
-        def rotations(table):
-            A = np.clip(slots(table), 0.0, 1.0)
+        def rotations():
+            A = np.clip(slots(), 0.0, 1.0)
             B = np.eye(D, dtype=complex)
             for x in range(n):
                 for m in range(k):
@@ -194,13 +229,19 @@ class TestOperatorsUnitary:
                     B[i1, i0], B[i1, i1] = s, c
             return B
 
-        table = np.random.default_rng(0).uniform(size=(n, n))
-        assert np.array_equal(acceptance_slots(model, layout), slots(None))
-        assert np.array_equal(acceptance_slots(model, layout, table), slots(table))
-        assert np.array_equal(build_B(model, layout), rotations(None))
-        assert np.array_equal(build_B(model, layout, table), rotations(table))
+        assert np.array_equal(acceptance_slots(model, layout), slots())
+        assert np.array_equal(build_B(model, layout), rotations())
         assert np.array_equal(build_F(layout), F)
         assert np.array_equal(build_S(layout), S)
+
+    def test_supported_zero_move_reads_one_where_target_underflows(self):
+        # exp(-900) underflows on half the ring: the zero move's ratio is 0/0 there
+        space = StateSpace.regular_grid((8,))
+        model = TargetModel(space=space, prior=np.full(8, 1.0 / 8.0),
+                            neg_log_lik=np.array([0.0] * 4 + [900.0] * 4))
+        kernel = ProposalKernel.nearest_neighbor(space, stay_prob=0.3)
+        A = acceptance_slots(model, RegisterLayout.for_kernel(kernel))
+        assert np.array_equal(A[:, 0], np.ones(8))
 
     def test_sf_squared_identity(self):
         for seed in range(4):
@@ -219,6 +260,18 @@ class TestOperatorsUnitary:
 
 
 class TestCoreIdentities:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_core_matches_dense_product(self, seed):
+        model, kernel, layout = make_setup(seed)
+        err = np.max(np.abs(build_core(model, kernel, layout) - dense_core(model, kernel, layout)))
+        assert err <= CORE_ATOL
+
+    @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
+    def test_core_matches_dense_product_on_torus_cases(self, name, model, kernel):
+        layout = RegisterLayout.for_kernel(kernel)
+        err = np.max(np.abs(build_core(model, kernel, layout) - dense_core(model, kernel, layout)))
+        assert err <= CORE_ATOL
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=12, deadline=None)
     def test_core_hermitian_involution(self, seed):
@@ -305,8 +358,8 @@ class TestPhaseGap:
     def test_walk_of_another_chain_does_not_pass(self):
         model, kernel, layout = make_setup(23, allow_2d=False)
         chain = build_transition_matrix(model, kernel)
-        n = layout.space_dim
-        U = build_walk_operator(model, kernel, layout, table=np.full((n, n), 0.5))
+        other = model.with_neg_log_lik(model.neg_log_lik[::-1])
+        U = build_walk_operator(other, kernel, layout)
         try:
             report = verify_phase_gap(U, layout, chain)
         except ValueError:
@@ -319,12 +372,3 @@ class TestPhaseGap:
         U = build_walk_operator(model, kernel, layout)
         v = encode_distribution(chain.stationary, layout)
         assert np.linalg.norm(U @ v - v) <= 1e-9
-
-    def test_acceptance_table_override_changes_operator(self):
-        model, kernel, layout = make_setup(23, allow_2d=False)
-        n = layout.space_dim
-        table = np.full((n, n), 0.5)
-        U_override = build_walk_operator(model, kernel, layout, table=table)
-        U_exact = build_walk_operator(model, kernel, layout)
-        assert np.max(np.abs(U_override - U_exact)) > 1e-6
-        assert np.linalg.norm(U_override.conj().T @ U_override - np.eye(2 * n * layout.n_moves)) <= UNITARY_ATOL
