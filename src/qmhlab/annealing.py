@@ -1,8 +1,9 @@
 """Annealed state preparation on top of the walk operator.
 
-Pieces: phase gates about a marked state (exact, and QPE-synthesized from a
-walk operator), pi/3 amplitude amplification, nondestructive overlap
-estimation, and the temperature-schedule search with staged state generation.
+Pieces: phase gates about a marked state (exact, and QPE-synthesized on a
+chain's walk operator from its eigendecomposition), pi/3 amplitude
+amplification, nondestructive overlap estimation, and the temperature-schedule
+search with staged state generation.
 All quantum measurements are simulated by sampling from exactly computed
 outcome distributions; walk-operator applications are charged to a ledger.
 """
@@ -12,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .markov import ProposalKernel, TargetModel, build_transition_matrix
-from .qsim import RegisterLayout, build_walk_operator, encode_distribution
+from .qsim import (PARTNER_ATOL, RegisterLayout, apply_core, encode_distribution,
+                   invariant_subspace)
 
 OMEGA_PI3 = np.exp(1j * np.pi / 3)
 KEEP_THRESHOLD = np.exp(-2.0)          # schedule keeps overlaps estimated >= e^-2
@@ -83,23 +84,16 @@ class ExactPhaseGate:
         self._charge()
         return v + (np.conj(self.omega) - 1.0) * np.vdot(self.target, v) * self.target
 
-    def matrix(self) -> np.ndarray:
-        n = len(self.target)
-        return np.eye(n, dtype=complex) + (self.omega - 1.0) * np.outer(
-            self.target, self.target.conj())
 
-
-def _qpe_estimate_amplitudes(phase: float, t: int) -> np.ndarray:
-    """Outcome amplitudes of t-ancilla phase estimation at a fixed eigenphase."""
+def _qpe_estimate_amplitudes(phase, t: int) -> np.ndarray:
+    """Outcome amplitudes (last axis) of t-ancilla phase estimation at fixed eigenphase(s)."""
     N = 2**t
-    ell = np.arange(N)
-    return np.fft.fft(np.exp(1j * phase * ell)) / N
+    return np.fft.fft(np.exp(1j * np.multiply.outer(phase, np.arange(N)))) / N
 
 
 def _qpe_outcome_distributions(phase: float, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Normalized t-ancilla phase-estimation outcome distributions at +phase and -phase."""
-    plus = np.abs(_qpe_estimate_amplitudes(phase, t)) ** 2
-    minus = np.abs(_qpe_estimate_amplitudes(-phase, t)) ** 2
+    plus, minus = np.abs(_qpe_estimate_amplitudes(np.array([phase, -phase]), t)) ** 2
     return plus / plus.sum(), minus / minus.sum()
 
 
@@ -117,73 +111,77 @@ def _sample_qpe_outcomes(phase: float, t: int, runs: int,
 
 
 class QpePhaseGate:
-    """Phase gate about the walk operator's phase-0 eigenstate, via QPE.
+    """Phase gate about the chain's stationary state |pi>, via QPE on its walk operator U.
 
-    The gate runs phase estimation on the walk operator, kicks the phase
-    omega onto outcomes below half the phase gap, and uncomputes.  The
-    ancilla register is projected back onto |0> after each application
-    (leaked norm is tracked, bounded by the reported per-eigenvector
-    residual).  The surviving action is diagonal in the walk operator's
-    eigenbasis, so it is precomputed as one dense matrix.
+    Phase estimation, a phase omega kicked onto outcomes below half the phase
+    gap, and uncomputation, with the ancillas projected back onto |0>, leave
+    one coefficient per eigenphase of U (the residual bounds the leaked norm).
+    On the invariant subspace K, with basis B = [A O, partners] from the
+    chain's one eigh, U has phase 0 on |pi> and +-arccos(lambda_j) on each
+    other eigenvalue's plane, so the gate scales B's columns.  On K's
+    complement R = -I and U = -G: U = 1 where G = -1, kicked by exactly omega.
     """
 
-    def __init__(self, walk_op: np.ndarray, omega: complex, delta: float,
-                 signed_gap: float, ledger: QueryLedger | None = None, tag: str = ""):
+    def __init__(self, model: TargetModel, kernel: ProposalKernel, omega: complex,
+                 delta: float, ledger: QueryLedger | None = None, tag: str = ""):
         if not 0 < delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        if signed_gap <= 0:
-            raise ValueError("need a positive signed spectral gap")
-        phase_gap = float(np.arccos(1.0 - signed_gap))
+        chain = build_transition_matrix(model, kernel)
+        layout = RegisterLayout.for_kernel(kernel)
+        phase_gap = float(np.arccos(1.0 - chain.signed_gap))
         self.t = qpe_ancilla_count(phase_gap, delta)
         self.omega = complex(omega)
-        self.delta = float(delta)
-        self.ledger = ledger
-        self.tag = tag
+        self.ledger, self.tag = ledger, tag
         self.cost = 2 * (2**self.t - 1)
+        self._model, self._layout = model, layout
 
-        T, Z = scipy.linalg.schur(np.asarray(walk_op, complex), output="complex")
-        lam = np.diag(T)
-        phases = np.angle(lam)
-        threshold = phase_gap / 2.0
+        A = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
+        A[layout.reference_indices(), np.arange(layout.space_dim)] = 1.0
+        self._basis = invariant_subspace(apply_core(model, layout, A), layout, chain)
+        gram = self._basis.conj().T @ self._basis
+        if np.linalg.norm(gram - np.eye(len(gram))) > 1e-10:
+            raise ValueError("invariant-subspace basis is not orthonormal")
 
+        theta = np.arccos(np.clip(chain.eigenvalues, -1.0, 1.0))
+        theta[-1] = 0.0                                  # the unit eigenvalue: |pi>
         N = 2**self.t
         k = np.arange(N)
-        kick_phase = 2.0 * np.pi * np.minimum(k, N - k) / N
-        kick = np.where(kick_phase <= threshold, self.omega, 1.0)
-
-        coeff = np.empty(len(lam), dtype=complex)
-        err = np.empty(len(lam))
-        cache: dict[float, tuple[complex, float]] = {}
-        for j, ph in enumerate(phases):
-            key = round(float(ph), 14)
-            if key not in cache:
-                alpha = _qpe_estimate_amplitudes(ph, self.t)
-                survived = np.vdot(alpha, kick * alpha)   # <0| W' D W |0>
-                ideal = self.omega if abs(ph) < 1e-12 else 1.0
-                e2 = max(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived))
-                cache[key] = (complex(survived), float(np.sqrt(e2)))
-            coeff[j], err[j] = cache[key]
-        self.eigenphases = phases
-        self.residuals = err
-        self._op = (Z * coeff) @ Z.conj().T
-        self._basis = Z
+        kick = np.where(2.0 * np.pi * np.minimum(k, N - k) / N <= phase_gap / 2.0,
+                        self.omega, 1.0)
+        alpha = _qpe_estimate_amplitudes(theta, self.t)
+        survived = (np.abs(alpha) ** 2) @ kick           # <0| W' D W |0>, +-theta alike
+        ideal = np.append(np.ones(len(theta) - 1), self.omega)
+        err = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived)))
+        partner = 1.0 - chain.eigenvalues[:-1] ** 2 > PARTNER_ATOL
+        self._coeff = np.concatenate([survived, survived[:-1][partner]])
+        self.residuals = np.concatenate([err, err[:-1][partner]])
 
     def _charge(self):
         if self.ledger is not None:
             self.ledger.charge(self.cost, self.tag)
 
+    def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B^dagger v, and (v_c - G v_c) / 2: v's part outside K where U = 1."""
+        w = self._basis.conj().T @ v
+        v_c = v - self._basis @ w
+        return w, (v_c - apply_core(self._model, self._layout, v_c[:, None])[:, 0]) / 2.0
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         self._charge()
-        return self._op @ v
+        w, p = self._split(v)
+        return v + self._basis @ ((self._coeff - 1.0) * w) + (self.omega - 1.0) * p
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         self._charge()
-        return self._op.conj().T @ v
+        w, p = self._split(v)
+        return (v + self._basis @ ((np.conj(self._coeff) - 1.0) * w)
+                + (np.conj(self.omega) - 1.0) * p)
 
     def error_bound(self, v: np.ndarray) -> float:
-        """||gate (v x |0>) - (ideal v) x |0>|| for this input."""
-        c = self._basis.conj().T @ v
-        return float(np.sqrt(np.sum(np.abs(c) ** 2 * self.residuals**2)))
+        """||gate (v x |0>) - (ideal v) x |0>||, ideal the phase gate about |pi> alone."""
+        w, p = self._split(v)
+        return float(np.sqrt(np.sum(np.abs(w) ** 2 * self.residuals**2)
+                             + abs(self.omega - 1.0) ** 2 * np.vdot(p, p).real))
 
 
 def pi3_amplify(R1, R2, m: int, start: np.ndarray) -> np.ndarray:
@@ -199,8 +197,8 @@ def pi3_amplify(R1, R2, m: int, start: np.ndarray) -> np.ndarray:
 
 
 # module-level rather than closures over R1 and R2: mutually recursive inner
-# functions form a reference cycle that keeps both gates (dense D x D
-# operators for QPE gates) alive until the cyclic collector runs
+# functions form a reference cycle that keeps both gates (a D x (2n - 1)
+# basis each for QPE gates) alive until the cyclic collector runs
 def _amplify_forward(R1, R2, depth: int, v: np.ndarray) -> np.ndarray:
     """U_depth v."""
     if depth == 0:
@@ -286,7 +284,6 @@ class AnnealingSchedule:
                 raise ValueError("recorded overlap below the success threshold")
 
 
-
 def stage_count_limit(mean_nll: float) -> int:
     """ceil(sqrt(Lbar log Lbar)); at least 1 stage for small Lbar."""
     if mean_nll <= 0:
@@ -310,7 +307,7 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
     if mean_nll == 0:
         return AnnealingSchedule(betas=(0.0, 1.0), overlaps=(1.0,), success=True,
                                  l_max=l_max, mode="exact", seed=seed,
-                                 queries=0 if ledger is None else 0)
+                                 queries=0)
     L_max = float(L.max())
     precision = 1.0 / L_max if grid_step is None else float(grid_step)
     precision = min(precision, 0.5)
@@ -321,9 +318,7 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
     rng = np.random.default_rng(seed)
 
     def estimate(b1, b2):
-        cur = encode_vec(b1)
-        tgt = encode_vec(b2)
-        est, _, _ = nae_overlap(cur, tgt, NAE_ACCURACY, delta_nae,
+        est, _, _ = nae_overlap(encode_vec(b1), encode_vec(b2), NAE_ACCURACY, delta_nae,
                                 seed=int(rng.integers(2**63)), ledger=ledger,
                                 reflection_cost=refl_cost, tag="schedule")
         return est
@@ -331,14 +326,17 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
     def encode_vec(b):
         return np.sqrt(model.with_beta(b).distribution()).astype(complex)
 
+    def result(success):
+        return AnnealingSchedule(betas=tuple(betas), overlaps=tuple(overlaps), success=success,
+                                 l_max=l_max, mode="exact", seed=seed,
+                                 queries=ledger.total - start_queries)
+
     start_queries = ledger.total
     betas = [0.0]
     overlaps: list[float] = []
     while betas[-1] < 1.0:
         if len(betas) - 1 >= l_max:
-            return AnnealingSchedule(betas=tuple(betas), overlaps=tuple(overlaps),
-                                     success=False, l_max=l_max, mode="exact",
-                                     seed=seed, queries=ledger.total - start_queries)
+            return result(False)
         b = betas[-1]
         est_full = estimate(b, 1.0)
         if est_full >= KEEP_THRESHOLD:
@@ -356,14 +354,10 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
                 hi = mid
         if est_lo is None:
             # even one precision step loses too much overlap
-            return AnnealingSchedule(betas=tuple(betas), overlaps=tuple(overlaps),
-                                     success=False, l_max=l_max, mode="exact",
-                                     seed=seed, queries=ledger.total - start_queries)
+            return result(False)
         betas.append(lo)
         overlaps.append(est_lo)
-    return AnnealingSchedule(betas=tuple(betas), overlaps=tuple(overlaps),
-                             success=True, l_max=l_max, mode="exact", seed=seed,
-                             queries=ledger.total - start_queries)
+    return result(True)
 
 
 def amplification_depth(p: float, stage_eps: float) -> int:
@@ -395,19 +389,17 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
     stage_eps = eps / n_stages
 
     def qpe_gate(beta):
-        target = model.with_beta(beta)
-        chain = build_transition_matrix(target, kernel)
-        return QpePhaseGate(build_walk_operator(target, kernel, layout), OMEGA_PI3,
-                            gate_delta, chain.signed_gap, ledger=ledger, tag="generate")
+        return QpePhaseGate(model.with_beta(beta), kernel, OMEGA_PI3, gate_delta,
+                            ledger=ledger, tag="generate")
 
     for i in range(n_stages):
         b1, b2 = schedule.betas[i], schedule.betas[i + 1]
         p = max(OVERLAP_GUARANTEE,
                 min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
         m = amplification_depth(p, stage_eps)
-        t1 = encode_distribution(model.with_beta(b1).distribution(), layout)
-        t2 = encode_distribution(model.with_beta(b2).distribution(), layout)
         if mode == "exact":
+            t1 = encode_distribution(model.with_beta(b1).distribution(), layout)
+            t2 = encode_distribution(model.with_beta(b2).distribution(), layout)
             chain2 = build_transition_matrix(model.with_beta(b2), kernel)
             cost = phase_gate_cost(chain2.signed_gap, gate_delta)
             R1 = ExactPhaseGate(t1, OMEGA_PI3, cost=cost, ledger=ledger, tag="generate")

@@ -1,11 +1,11 @@
 """Dense tensor-product register simulator and the quantum walk operator.
 
 Registers: R_S (state, dim |Omega|), R_M (move alphabet, slot 0 reserved for
-the zero move), R_C (coin, dim 2).  The walk operator U = R V' B' S F B V is
-returned as an explicit dense unitary, assembled in O(D^2 k) by applying each
-factor through its structure (a Kronecker contraction, 2 x 2 coin rotations,
-a gather, a row sign mask) rather than as dense D x D factor products, with
-spectral verification of its phase gap against the chain's spectral gap.
+the zero move), R_C (coin, dim 2).  The walk operator U = R V' B' S F B V acts
+on column blocks in O(D k) per column through each factor's structure (a
+Kronecker contraction, 2 x 2 coin rotations, a gather, a row sign mask), not
+as dense D x D factor products; dense U, with spectral verification of its
+phase gap against the chain's spectral gap, is that action on the identity.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .markov import (ChainModel, ProposalKernel, TargetModel, acceptance_table,
                      negation_slots, neighbour_table, spectral_gap)
 
 UNITARY_ATOL = 1e-10
+PARTNER_ATOL = 1e-12        # 1 - lambda^2 at or below this: A o is itself a walk eigenvector
 MAX_TOTAL_DIM = 2**14
 
 
@@ -152,27 +153,32 @@ def build_S(layout: RegisterLayout) -> np.ndarray:
                                  layout.neg_slots())
 
 
-def build_core(model: TargetModel, kernel: ProposalKernel,
-               layout: RegisterLayout) -> np.ndarray:
-    """G = V' B' S F B V; Hermitian involution whose reference block conjugates W.
+def apply_core(model: TargetModel, layout: RegisterLayout, X: np.ndarray) -> np.ndarray:
+    """G X for a (D, c) block, G = V' B' S F B V, in O(D k) per column.
 
-    The factors act on the identity's columns as an (n, k, 2, D) array over
-    (state, slot, coin, column): V is V_M (first column sqrt(w)) on the slot axis,
-    B a 2 x 2 coin rotation by 2 arcsin sqrt(A) per (state, slot), the identity
-    where A = 0, and B' its transpose; S F is out[y, m', 1] = in[y + m', -m', 1].
+    The factors act on X's columns as an (n, k, 2, c) array over (state, slot,
+    coin, column): V is V_M (first column sqrt(w)) on the slot axis, B a 2 x 2
+    coin rotation by 2 arcsin sqrt(A) per (state, slot), the identity where
+    A = 0, and B' its transpose; S F is out[y, m', 1] = in[y + m', -m', 1].
     """
     w = layout.weights
     if abs(w.sum() - 1.0) > 1e-10:
         raise ValueError("move weights do not normalize")
-    n, k, D = layout.space_dim, layout.n_moves, layout.total_dim
+    n, k, cols = layout.space_dim, layout.n_moves, X.shape[1]
     VM = _complete_unitary(np.sqrt(w).astype(complex))
     A = acceptance_slots(model, layout)
     s, c = np.sqrt(A), np.sqrt(1.0 - A)
     B = np.array([[c, -s], [s, c]]).transpose(2, 3, 0, 1)  # (n, k, 2, 2) blocks
-    X = B @ (VM @ np.eye(D, dtype=complex).reshape(n, k, 2 * D)).reshape(n, k, 2, D)
-    X[:, :, 1] = X[layout.neighbours(), layout.neg_slots(), 1]
-    X = B.transpose(0, 1, 3, 2) @ X
-    return (VM.conj().T @ X.reshape(n, k, 2 * D)).reshape(D, D)
+    Y = B @ (VM @ X.reshape(n, k, 2 * cols)).reshape(n, k, 2, cols)
+    Y[:, :, 1] = Y[layout.neighbours(), layout.neg_slots(), 1]
+    Y = B.transpose(0, 1, 3, 2) @ Y
+    return (VM.conj().T @ Y.reshape(n, k, 2 * cols)).reshape(-1, cols)
+
+
+def build_core(model: TargetModel, kernel: ProposalKernel,
+               layout: RegisterLayout) -> np.ndarray:
+    """G as a dense matrix; Hermitian involution whose reference block conjugates W."""
+    return apply_core(model, layout, np.eye(layout.total_dim, dtype=complex))
 
 
 def build_walk_operator(model: TargetModel, kernel: ProposalKernel,
@@ -195,26 +201,25 @@ def symmetrized_transition(chain: ChainModel) -> np.ndarray:
     return (d[:, None] * chain.transition) / d[None, :]
 
 
-def invariant_subspace(U: np.ndarray, layout: RegisterLayout,
+def invariant_subspace(GA: np.ndarray, layout: RegisterLayout,
                        chain: ChainModel) -> np.ndarray:
-    """Orthonormal basis of span{ reference states } + G * span{ reference states }.
+    """Orthonormal basis [A O, partners] of span{A} + G span{A}, A the reference states.
 
-    With G = R U the core involution, A the reference columns and (lambda_j,
-    v_j) the non-unit eigenpairs of the chain's symmetrized W (G's reference
-    block), the partners (G A v_j - lambda_j A v_j) / sqrt(1 - lambda_j^2)
-    complete A.  The span is invariant under G and R, hence under U.
+    GA is G A for the core involution G = R U.  With (lambda_j, o_j) the
+    eigenpairs of G's reference block, the chain's symmetrized W, the
+    normalized partners G A o_j - lambda_j A o_j complete A O; at
+    lambda_j = -1, G A o_j = -A o_j needs none.  The span is invariant under U.
     """
-    spectral_gap(chain)                 # an eigenvalue -1 has no partner
     ref = layout.reference_indices()
     lam = chain.eigenvalues[:-1]
-    O = chain.eigenvectors[:, :-1]
-    GA = layout.reflection_signs()[:, None] * U[:, ref]
+    keep = 1.0 - lam**2 > PARTNER_ATOL
+    lam, O = lam[keep], chain.eigenvectors[:, :-1][:, keep]
     partners = GA @ O
     partners[ref] -= O * lam
-    partners /= np.sqrt(1.0 - lam**2)
-    A = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
-    A[ref, np.arange(layout.space_dim)] = 1.0
-    return np.hstack([A, partners])
+    partners /= np.linalg.norm(partners, axis=0)    # sqrt(1 - lambda^2), to rounding
+    AO = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
+    AO[ref] = chain.eigenvectors
+    return np.hstack([AO, partners])
 
 
 @dataclass(frozen=True)
@@ -235,7 +240,9 @@ def verify_phase_gap(U: np.ndarray, layout: RegisterLayout,
     stationary state, and every other eigenphase theta obeys
     |theta| >= arccos(1 - Delta) - 1e-8.
     """
-    Q = invariant_subspace(U, layout, chain)
+    spectral_gap(chain)                 # an eigenvalue -1 breaks the phase-gap claim
+    Q = invariant_subspace(layout.reflection_signs()[:, None] * U[:, layout.reference_indices()],
+                           layout, chain)
     U_sub = Q.conj().T @ U @ Q
     if np.linalg.norm(U_sub.conj().T @ U_sub - np.eye(U_sub.shape[0])) > 1e-8:
         raise ValueError("subspace is not invariant under the walk operator")

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qmhlab.annealing import (
     KEEP_THRESHOLD,
@@ -26,8 +27,11 @@ from qmhlab.annealing import (
     qsa_schedule,
     stage_count_limit,
 )
-from qmhlab.markov import StateSpace, TargetModel, ProposalKernel, build_transition_matrix
+from qmhlab.markov import (ProposalKernel, ReducibleChainError, StateSpace, TargetModel,
+                           build_transition_matrix)
 from qmhlab.qsim import RegisterLayout, build_walk_operator, encode_distribution
+
+from conftest import random_instance, torus_cases
 
 PI3_ATOL = 1e-9
 
@@ -137,7 +141,7 @@ class TestPi3Amplification:
         assert counts == [0, 2, 8, 26]
 
     def test_gates_freed_without_cyclic_collector(self):
-        # QPE gates hold dense D x D operators: they must go with their last
+        # QPE gates hold D x (2n - 1) bases: they must go with their last
         # reference, not wait for the cyclic collector
         phi1, phi2 = overlap_pair(0.5)
         R1 = ExactPhaseGate(phi1, OMEGA_PI3)
@@ -152,13 +156,131 @@ class TestPi3Amplification:
             gc.enable()
 
 
+class SchurPhaseGate:
+    """Phase gate about the walk operator's phase-0 eigenstate, via QPE.
+
+    The gate runs phase estimation on the walk operator, kicks the phase
+    omega onto outcomes below half the phase gap, and uncomputes.  The
+    ancilla register is projected back onto |0> after each application
+    (leaked norm is tracked, bounded by the reported per-eigenvector
+    residual).  The surviving action is diagonal in the walk operator's
+    eigenbasis, so it is precomputed as one dense matrix.
+    """
+
+    def __init__(self, walk_op: np.ndarray, omega: complex, delta: float,
+                 signed_gap: float, ledger: QueryLedger | None = None, tag: str = ""):
+        if not 0 < delta < 1:
+            raise ValueError("delta must be in (0, 1)")
+        if signed_gap <= 0:
+            raise ValueError("need a positive signed spectral gap")
+        phase_gap = float(np.arccos(1.0 - signed_gap))
+        self.t = qpe_ancilla_count(phase_gap, delta)
+        self.omega = complex(omega)
+        self.delta = float(delta)
+        self.ledger = ledger
+        self.tag = tag
+        self.cost = 2 * (2**self.t - 1)
+
+        T, Z = scipy.linalg.schur(np.asarray(walk_op, complex), output="complex")
+        lam = np.diag(T)
+        phases = np.angle(lam)
+        threshold = phase_gap / 2.0
+
+        N = 2**self.t
+        k = np.arange(N)
+        kick_phase = 2.0 * np.pi * np.minimum(k, N - k) / N
+        kick = np.where(kick_phase <= threshold, self.omega, 1.0)
+
+        coeff = np.empty(len(lam), dtype=complex)
+        err = np.empty(len(lam))
+        cache: dict[float, tuple[complex, float]] = {}
+        for j, ph in enumerate(phases):
+            key = round(float(ph), 14)
+            if key not in cache:
+                alpha = _qpe_estimate_amplitudes(ph, self.t)
+                survived = np.vdot(alpha, kick * alpha)   # <0| W' D W |0>
+                ideal = self.omega if abs(ph) < 1e-12 else 1.0
+                e2 = max(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived))
+                cache[key] = (complex(survived), float(np.sqrt(e2)))
+            coeff[j], err[j] = cache[key]
+        self.eigenphases = phases
+        self.residuals = err
+        self._op = (Z * coeff) @ Z.conj().T
+        self._basis = Z
+
+    def _charge(self):
+        if self.ledger is not None:
+            self.ledger.charge(self.cost, self.tag)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        self._charge()
+        return self._op @ v
+
+    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
+        self._charge()
+        return self._op.conj().T @ v
+
+    def error_bound(self, v: np.ndarray) -> float:
+        """||gate (v x |0>) - (ideal v) x |0>|| for this input."""
+        c = self._basis.conj().T @ v
+        return float(np.sqrt(np.sum(np.abs(c) ** 2 * self.residuals**2)))
+
+
+def gaussian_torus_5x5():
+    """5 x 5 torus, radius-1 Gaussian proposal (D = 450), uniform prior,
+    L the squared torus distance to the centre cell."""
+    space = StateSpace.regular_grid((5, 5))
+    cells = np.array(np.unravel_index(np.arange(space.size), (5, 5))).T
+    dist = np.minimum(np.abs(cells - 2), 5 - np.abs(cells - 2))
+    model = TargetModel(space=space, prior=np.full(space.size, 1.0 / space.size),
+                        neg_log_lik=(dist**2).sum(axis=1).astype(float))
+    return model, ProposalKernel.gaussian(space, width=1.0, radius=1)
+
+
+def uniform_ring8(beta=0.0):
+    """ring8 at inverse temperature beta; at beta = 0 it is bipartite, so W has
+    eigenvalue -1, and at small beta one within about 2 beta of it."""
+    space = StateSpace.regular_grid((8,))
+    nll = 0.5 * (space.points[:, 0] - 3.0) ** 2
+    model = TargetModel(space=space, prior=np.full(8, 1.0 / 8.0), neg_log_lik=nll - nll.min())
+    return model.with_beta(beta), ProposalKernel.nearest_neighbor(space)
+
+
+def _irreducible(model, kernel):
+    try:
+        build_transition_matrix(model, kernel)
+    except ReducibleChainError:
+        return False
+    return True
+
+
+ORACLE_CASES = ([(f"random-{s}",) + random_instance(s) for s in range(40)]
+                + [c for c in torus_cases() if _irreducible(c[1], c[2])]
+                + [("uniform-ring8",) + uniform_ring8()]
+                + [("ring8-beta-1e-6",) + uniform_ring8(1e-6)])
+
+
 class TestQpePhaseGate:
     def build_gate(self, model, kernel, delta):
         layout = RegisterLayout.for_kernel(kernel)
         chain = build_transition_matrix(model, kernel)
-        U = build_walk_operator(model, kernel, layout)
-        gate = QpePhaseGate(U, OMEGA_PI3, delta, chain.signed_gap)
+        gate = QpePhaseGate(model, kernel, OMEGA_PI3, delta)
         return gate, layout, chain
+
+    @pytest.mark.parametrize("name,model,kernel", ORACLE_CASES,
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_schur_oracle(self, name, model, kernel):
+        gate, layout, chain = self.build_gate(model, kernel, 0.05)
+        oracle = SchurPhaseGate(build_walk_operator(model, kernel, layout), OMEGA_PI3,
+                                0.05, chain.signed_gap)
+        assert gate.t == oracle.t and gate.cost == oracle.cost
+        # nothing D x D: the basis of the invariant subspace is the largest array
+        assert gate._basis.shape[1] <= 2 * layout.space_dim - 1
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+            assert np.max(np.abs(gate.apply(v) - oracle.apply(v))) <= 1e-12
+            assert np.max(np.abs(gate.apply_inverse(v) - oracle.apply_inverse(v))) <= 1e-12
 
     @pytest.mark.parametrize("delta", [0.1, 0.05, 0.02])
     def test_residuals_within_budget(self, two_state_gap_half, delta):
@@ -177,6 +299,42 @@ class TestQpePhaseGate:
         assert np.linalg.norm(out - OMEGA_PI3 * v) <= gate.error_bound(v) + 1e-10
         assert gate.error_bound(v) <= 0.02
 
+    def test_error_bound_certifies_reflection_about_stationary_state(self):
+        # U has many phase-0 eigenvectors outside the invariant subspace; the
+        # gate kicks them, the reflection about |pi> does not
+        model, kernel = gaussian_torus_5x5()
+        gate, layout, chain = self.build_gate(model, kernel, 0.01)
+        ideal = ExactPhaseGate(encode_distribution(chain.stationary, layout), OMEGA_PI3)
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+        v /= np.linalg.norm(v)
+        for act, act_ideal in ((gate.apply, ideal.apply),
+                               (gate.apply_inverse, ideal.apply_inverse)):
+            assert np.linalg.norm(act(v) - act_ideal(v)) <= gate.error_bound(v) + 1e-10
+
+    def test_bit_equal_across_memory_alignments(self):
+        # the same inputs, or a model with the same arrays, placed at another
+        # offset mod 64 bytes must give the same gate to the last bit
+        def at_offset(a, off):
+            buf = np.empty(a.nbytes + 128, dtype=np.uint8)
+            start = (-buf.ctypes.data) % 64 + off
+            out = buf[start:start + a.nbytes].view(a.dtype)
+            out[:] = a
+            return out
+
+        model, kernel = gaussian_torus_5x5()
+        gate, layout, _ = self.build_gate(model, kernel, 0.01)
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+        out, back = gate.apply(at_offset(v, 0)), gate.apply_inverse(at_offset(v, 0))
+        for off in (8, 16, 32, 48):
+            assert np.array_equal(gate.apply(at_offset(v, off)), out)
+            assert np.array_equal(gate.apply_inverse(at_offset(v, off)), back)
+            moved = TargetModel(space=model.space, prior=at_offset(model.prior, off),
+                                neg_log_lik=at_offset(model.neg_log_lik, off))
+            assert np.array_equal(QpePhaseGate(moved, kernel, OMEGA_PI3, 0.01).apply(v),
+                                  gate.apply(v))
+
     def test_inverse_composes_to_identity_within_residual(self, ring8):
         model, kernel = ring8
         gate, layout, _ = self.build_gate(model, kernel, 0.05)
@@ -190,18 +348,17 @@ class TestQpePhaseGate:
         model, kernel = two_state_gap_half
         layout = RegisterLayout.for_kernel(kernel)
         chain = build_transition_matrix(model, kernel)
-        U = build_walk_operator(model, kernel, layout)
         ledger = QueryLedger()
-        gate = QpePhaseGate(U, OMEGA_PI3, 0.1, chain.signed_gap, ledger=ledger)
+        gate = QpePhaseGate(model, kernel, OMEGA_PI3, 0.1, ledger=ledger)
         gate.apply(encode_distribution(chain.stationary, layout))
         assert ledger.total == gate.cost == 2 * (2**gate.t - 1)
 
     def test_rejects_nonpositive_gap(self, two_state_gap_half):
+        # exp(-900) underflows: state 1 has no mass, the chain is reducible
+        # and its second unit eigenvalue leaves no signed gap
         model, kernel = two_state_gap_half
-        layout = RegisterLayout.for_kernel(kernel)
-        U = build_walk_operator(model, kernel, layout)
         with pytest.raises(ValueError):
-            QpePhaseGate(U, OMEGA_PI3, 0.1, 0.0)
+            QpePhaseGate(model.with_neg_log_lik([0.0, 900.0]), kernel, OMEGA_PI3, 0.1)
 
 
 def nae_overlap_reference(state, target, eps, delta, seed):
@@ -344,6 +501,30 @@ class TestGeneration:
         fidelity = abs(np.vdot(target, state)) ** 2
         assert fidelity >= 1.0 - 2.0 * eps
         assert ledger.total > 0
+
+    @pytest.mark.parametrize("instance", ["ring8", "gaussian-torus-5x5"])
+    def test_qpe_mode_tracks_exact_mode(self, ring8, monkeypatch, instance):
+        # each QPE gate application is within its error_bound of the exact
+        # gate on the same input; exact gates are unitary, so the errors add
+        # up, and renormalizing a stage at most doubles its share
+        model, kernel = ring8 if instance == "ring8" else gaussian_torus_5x5()
+        chain = build_transition_matrix(model, kernel)
+        schedule = qsa_schedule(model, kernel, chain.spectral_gap, eta=0.1, seed=0)
+        assert schedule.success
+        bounds = []
+
+        def tracked(method):
+            def wrapper(self, v):
+                bounds.append(self.error_bound(v))
+                return method(self, v)
+            return wrapper
+
+        exact = qsa_generate(schedule, model, kernel, eps=0.1, mode="exact")
+        monkeypatch.setattr(QpePhaseGate, "apply", tracked(QpePhaseGate.apply))
+        monkeypatch.setattr(QpePhaseGate, "apply_inverse", tracked(QpePhaseGate.apply_inverse))
+        qpe = qsa_generate(schedule, model, kernel, eps=0.1, mode="qpe")
+        assert len(bounds) > 0
+        assert np.linalg.norm(qpe - exact) <= 2.0 * sum(bounds)
 
     def test_amplification_depth_minimal(self):
         for p in (OVERLAP_GUARANTEE, 0.3, 0.8):

@@ -7,6 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from qmhlab.cli import main
+from qmhlab.markov import negation_slots
+from qmhlab.qsim import RegisterLayout
 
 
 def write_model(tmp_path):
@@ -42,6 +44,23 @@ class TestRunCommand:
         assert payload["pass"]
         assert payload["reference_block_error"] <= 1e-10
         assert (out / "eigenphases.csv").exists()
+
+    def test_verify_walk_fails_on_corrupted_negation_table(self, tmp_path, monkeypatch):
+        # the zero move is its own negation: a table that sends it to slot 1
+        # breaks the involution (S F)^2 = I
+        def corrupted(layout):
+            neg = negation_slots(layout.shape, layout.moves)
+            neg[0] = 1
+            return neg
+
+        monkeypatch.setattr(RegisterLayout, "neg_slots", corrupted)
+        out = tmp_path / "out"
+        result = run_config(tmp_path, {"experiment": "verify-walk", "output_dir": str(out)})
+        assert result.exit_code == 1
+        assert "FAIL" in result.output
+        payload = json.loads((out / "verify_walk.json").read_text())
+        assert payload["sf_squared_error"] == 1.0
+        assert not payload["pass"]
 
     def test_verify_bounds_experiment(self, tmp_path):
         out = tmp_path / "out"

@@ -9,6 +9,7 @@ from qmhlab.qsim import (
     RegisterLayout,
     _complete_unitary,
     acceptance_slots,
+    apply_core,
     basis_state,
     build_core,
     build_F,
@@ -77,6 +78,13 @@ def dense_core(model, kernel, layout):
     B = build_B(model, layout)
     prod = build_S(layout) @ build_F(layout) @ B @ V
     return V.conj().T @ B.conj().T @ prod
+
+
+def reference_images(model, layout):
+    """G A: the core applied to the reference columns |x>|0>|0>."""
+    A = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
+    A[layout.reference_indices(), np.arange(layout.space_dim)] = 1.0
+    return apply_core(model, layout, A)
 
 
 class TestRegisterLayout:
@@ -294,23 +302,36 @@ class TestCoreIdentities:
         model, kernel, layout = make_setup(17)
         chain = build_transition_matrix(model, kernel)
         U = build_walk_operator(model, kernel, layout)
-        Q = invariant_subspace(U, layout, chain)
-        # the reference states and one partner per non-unit eigenpair, orthonormal
+        Q = invariant_subspace(reference_images(model, layout), layout, chain)
+        # A O and one partner per non-unit eigenpair, orthonormal
         assert Q.shape == (layout.total_dim, 2 * layout.space_dim - 1)
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) <= 1e-9
         proj = Q @ Q.conj().T
         # U maps the subspace into itself
         assert np.linalg.norm(proj @ U @ Q - U @ Q) <= 1e-9
 
-    def test_invariant_subspace_rejects_zero_gap(self):
-        # uniform 2-ring with no stay mass: W swaps the states, eigenvalues +-1
-        space = StateSpace.regular_grid((2,))
-        model = TargetModel(space=space, prior=np.full(2, 0.5), neg_log_lik=np.zeros(2))
+    def test_invariant_subspace_of_bipartite_ring(self):
+        # uniform 8-ring, no stay mass: W has eigenvalue -1, whose A o is
+        # already a walk eigenvector (G A o = -A o) and gets no partner
+        space = StateSpace.regular_grid((8,))
+        model = TargetModel(space=space, prior=np.full(8, 0.125), neg_log_lik=np.zeros(8))
         kernel = ProposalKernel.nearest_neighbor(space)
         layout = RegisterLayout.for_kernel(kernel)
         chain = build_transition_matrix(model, kernel)
-        with pytest.raises(ValueError, match="spectral gap is zero"):
-            invariant_subspace(build_walk_operator(model, kernel, layout), layout, chain)
+        assert chain.eigenvalues[0] == pytest.approx(-1.0, abs=1e-12)
+        Q = invariant_subspace(reference_images(model, layout), layout, chain)
+        assert Q.shape == (layout.total_dim, 2 * layout.space_dim - 2)
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) <= 1e-9
+        U = build_walk_operator(model, kernel, layout)
+        assert np.linalg.norm(Q @ (Q.conj().T @ U @ Q) - U @ Q) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_apply_core_matches_dense_core(self, seed):
+        model, kernel, layout = make_setup(seed)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(layout.total_dim, 3)) + 1j * rng.normal(size=(layout.total_dim, 3))
+        G = build_core(model, kernel, layout)
+        assert np.max(np.abs(apply_core(model, layout, X) - G @ X)) <= 1e-13
 
     @pytest.mark.parametrize("seed", range(6))
     def test_walk_operator_is_row_signed_core(self, seed):
@@ -354,6 +375,16 @@ class TestPhaseGap:
         assert report.passed
         assert report.unit_multiplicity == 1
         assert len(report.eigenphases) == 2 * 64 - 1
+
+    def test_rejects_zero_gap(self):
+        # uniform 2-ring with no stay mass: W swaps the states, eigenvalues +-1
+        space = StateSpace.regular_grid((2,))
+        model = TargetModel(space=space, prior=np.full(2, 0.5), neg_log_lik=np.zeros(2))
+        kernel = ProposalKernel.nearest_neighbor(space)
+        layout = RegisterLayout.for_kernel(kernel)
+        chain = build_transition_matrix(model, kernel)
+        with pytest.raises(ValueError, match="spectral gap is zero"):
+            verify_phase_gap(build_walk_operator(model, kernel, layout), layout, chain)
 
     def test_walk_of_another_chain_does_not_pass(self):
         model, kernel, layout = make_setup(23, allow_2d=False)
