@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import ProposalKernel, TargetModel, build_transition_matrix
-from .qsim import (PARTNER_ATOL, RegisterLayout, apply_core, encode_distribution,
-                   invariant_subspace)
+from .qsim import (PARTNER_ATOL, RegisterLayout, _apply_factors, _core_factors,
+                   encode_distribution, invariant_subspace)
 
 OMEGA_PI3 = np.exp(1j * np.pi / 3)
 KEEP_THRESHOLD = np.exp(-2.0)          # schedule keeps overlaps estimated >= e^-2
@@ -69,8 +69,7 @@ class ExactPhaseGate:
         self.target = target
         self.omega = complex(omega)
         self.cost = int(cost)
-        self.ledger = ledger
-        self.tag = tag
+        self.ledger, self.tag = ledger, tag
 
     def _charge(self):
         if self.ledger is not None:
@@ -133,11 +132,11 @@ class QpePhaseGate:
         self.omega = complex(omega)
         self.ledger, self.tag = ledger, tag
         self.cost = 2 * (2**self.t - 1)
-        self._model, self._layout = model, layout
+        self._factors = _core_factors(model, layout)     # G's factors, built once
 
         A = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
         A[layout.reference_indices(), np.arange(layout.space_dim)] = 1.0
-        self._basis = invariant_subspace(apply_core(model, layout, A), layout, chain)
+        self._basis = invariant_subspace(_apply_factors(self._factors, A), layout, chain)
         gram = self._basis.conj().T @ self._basis
         if np.linalg.norm(gram - np.eye(len(gram))) > 1e-10:
             raise ValueError("invariant-subspace basis is not orthonormal")
@@ -164,7 +163,7 @@ class QpePhaseGate:
         """B^dagger v, and (v_c - G v_c) / 2: v's part outside K where U = 1."""
         w = self._basis.conj().T @ v
         v_c = v - self._basis @ w
-        return w, (v_c - apply_core(self._model, self._layout, v_c[:, None])[:, 0]) / 2.0
+        return w, (v_c - _apply_factors(self._factors, v_c[:, None])[:, 0]) / 2.0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         self._charge()
@@ -312,8 +311,7 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
     precision = 1.0 / L_max if grid_step is None else float(grid_step)
     precision = min(precision, 0.5)
     delta_nae = min(0.49, eta / (l_max * max(L_max, 1.0)))
-    if ledger is None:
-        ledger = QueryLedger()
+    ledger = QueryLedger() if ledger is None else ledger
     refl_cost = phase_gate_cost(delta_min, delta_nae)
     rng = np.random.default_rng(seed)
 

@@ -248,10 +248,8 @@ def scaling_study(M_values, methods, out_dir, rho=2.0, eps=0.1, delta=0.2,
     payload = {"records": records, "slopes": slopes}
     _write_json(payload, os.path.join(out_dir, "scaling.json"))
     with open(os.path.join(out_dir, "scaling.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "M", "seed", "sigma", "queries"])
-        for r in records:
-            w.writerow([r["method"], r["M"], r["seed"], r["sigma"], r["queries"]])
+        columns = ["method", "M", "seed", "sigma", "queries"]
+        csv.writer(fh).writerows([columns] + [[r[c] for c in columns] for r in records])
     return payload
 
 

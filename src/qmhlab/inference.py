@@ -164,11 +164,8 @@ class GwInstance:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["mode", "re_data", "im_data", "psd"])
-            for k in range(len(self.data_ft)):
-                w.writerow([k, self.data_ft[k].real, self.data_ft[k].imag,
-                            self.psd[k]])
+            csv.writer(fh).writerows([["mode", "re_data", "im_data", "psd"]] + [
+                [k, f.real, f.imag, p] for k, (f, p) in enumerate(zip(self.data_ft, self.psd))])
 
 
 def _waveform(freq: float, log_amp: float, M: int, tau: float) -> np.ndarray:
@@ -196,8 +193,7 @@ def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
     modes = slice(1, M // 2)
     psd = np.full(M // 2 + 1, noise_floor)
 
-    def ft(series):
-        return np.fft.rfft(series)
+    ft = np.fft.rfft
 
     def inner(af, bf):
         return (4.0 / M) * float(np.sum(

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 PROB_ATOL = 1e-10
@@ -305,13 +306,21 @@ def build_transition_matrix(model: TargetModel, kernel: ProposalKernel) -> Chain
     eigh of the symmetrized D W D^-1, D = diag(sqrt(pi)), gives its real
     spectrum.  Q = D^-1 O diagonalizes W, and cond(Q) = sqrt(pi_max / pi_min).
     """
-    W = kernel.matrix() * acceptance_matrix(model, kernel)
+    n, w = model.space.size, kernel.weights
+    nb = neighbour_table(model.space.shape, kernel.moves)
+    # zero for zero-weight moves; distinct moves give each (x, y) at most one value
+    flow = w * acceptance_table(model, nb, w, negation_slots(model.space.shape, kernel.moves))
+    W = np.zeros((n, n))
+    W[np.arange(n)[:, None], nb] = flow
     np.fill_diagonal(W, 0.0)
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     if np.any(W < -1e-14):
         raise ValueError("transition matrix has a negative entry")
 
-    n_comp, _ = connected_components(W > PROB_ATOL, directed=True, connection="strong")
+    # self-loops leave the strongly connected components as they are
+    x, j = np.nonzero(flow > PROB_ATOL)
+    graph = csr_array((flow[x, j], (x, nb[x, j])), shape=(n, n))
+    n_comp, _ = connected_components(graph, directed=True, connection="strong")
     if n_comp != 1:
         raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
 
@@ -362,8 +371,7 @@ class ChainSample:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "state_index"])
-            for t, s in enumerate(self.states):
-                writer.writerow([t, int(s)])
+            writer.writerows([t, int(s)] for t, s in enumerate(self.states))
 
 
 def run_mh(model: TargetModel, kernel: ProposalKernel, n_b: int, n: int, seed: int) -> ChainSample:
@@ -409,7 +417,7 @@ def mixing_bound_check(chain: ChainModel, n: int) -> tuple[float, float]:
     if not chain.is_reversible():
         raise NonReversibleChainError("mixing bound requires a reversible chain")
     Wn = np.linalg.matrix_power(chain.transition, n)
-    d_exact = max(tv_distance(Wn[x], chain.stationary) for x in range(chain.size))
+    d_exact = 0.5 * float(np.abs(Wn - chain.stationary).sum(axis=1).max())
     bound = (1.0 - chain.spectral_gap) ** n / (2.0 * np.sqrt(chain.stationary.min()))
     return float(d_exact), float(bound)
 

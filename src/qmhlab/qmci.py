@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -25,12 +26,17 @@ from .qsim import RegisterLayout, build_walk_operator
 FAITHFUL_MAX_TERMS = 16
 
 
+def _truncate(v, a: int):
+    """v's binary expansion cut below bit a (value 2^a), toward zero for either sign."""
+    step = 2.0**a
+    return np.where(v >= 0, np.floor(v / step) * step, -(np.floor(-v / step) * step))
+
+
 def round_at_bit(x: float, a: int) -> float:
     """Truncate the binary expansion of x >= 0 below bit a (value 2^a)."""
     if x < 0:
         raise ValueError("rounding is defined for nonnegative values")
-    step = 2.0**a
-    return float(np.floor(x / step) * step)
+    return float(_truncate(x, a))
 
 
 def query_charge(sigma: float, eps: float, delta: float) -> int:
@@ -56,10 +62,11 @@ class LikelihoodOracle:
         table = np.asarray(table, float)
         if table.ndim != 2:
             raise ValueError("table must be (M, n_states)")
-        self.table = table
+        self.table = table.view()           # read-only: nothing writes through it to stale the mean
+        self._mean = self.table.mean(axis=0)
+        self.table.flags.writeable = self._mean.flags.writeable = False
         self.M, self.n_states = table.shape
-        sample_std = table.std(axis=0, ddof=0)
-        if np.any(sample_std > sigma + 1e-12):
+        if np.any(table.std(axis=0, ddof=0) > sigma + 1e-12):
             raise ValueError("per-state sample std exceeds the declared sigma")
         self.sigma = float(sigma)
         self.ell0 = np.zeros(self.n_states) if ell0 is None else np.asarray(ell0, float)
@@ -72,7 +79,7 @@ class LikelihoodOracle:
         self.queries += int(n)
 
     def mean_table(self) -> np.ndarray:
-        return self.table.mean(axis=0)
+        return self._mean
 
     def full_nll(self) -> np.ndarray:
         return self.mean_table() + self.ell0 + self.const
@@ -81,8 +88,7 @@ class LikelihoodOracle:
     def from_nll(cls, L, M: int, spread: float, seed: int) -> "LikelihoodOracle":
         """Synthetic oracle: M terms per state with mean L(x) and given spread."""
         L = np.asarray(L, float)
-        rng = np.random.default_rng(seed)
-        noise = rng.normal(0.0, spread, size=(M, len(L)))
+        noise = np.random.default_rng(seed).normal(0.0, spread, size=(M, len(L)))
         noise -= noise.mean(axis=0)
         table = L[None, :] + noise
         sigma = float(table.std(axis=0, ddof=0).max()) * 1.05 + 1e-12
@@ -90,11 +96,8 @@ class LikelihoodOracle:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["term", "state", "value"])
-            for i in range(self.M):
-                for x in range(self.n_states):
-                    w.writerow([i, x, self.table[i, x]])
+            csv.writer(fh).writerows([["term", "state", "value"]] + [
+                [i, x, self.table[i, x]] for i in range(self.M) for x in range(self.n_states)])
 
 
 @dataclass(frozen=True)
@@ -109,36 +112,37 @@ class QmciResult:
     clamped: bool        # eps >= 4 sigma shortcut taken
 
 
+@cache
+def _qae_outcome_bins(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort order of the 2^t outcome values sin^2(pi k / 2^t), their distinct values, and bins."""
+    N = 2**t
+    values = np.sin(np.pi * np.arange(N) / N) ** 2
+    # outcomes k and N-k encode the same estimate
+    order = np.argsort(values)
+    uniq, inv = np.unique(np.round(values[order], 15), return_inverse=True)
+    order.flags.writeable = uniq.flags.writeable = inv.flags.writeable = False
+    return order, uniq, inv
+
+
 def _qae_outcome_distribution(amplitude_sq: float, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Values and probabilities of one t-ancilla amplitude-estimation run."""
     theta = float(np.arcsin(np.sqrt(np.clip(amplitude_sq, 0.0, 1.0))))
-    N = 2**t
     plus, minus = annealing._qpe_outcome_distributions(2.0 * theta, t)
     probs = 0.5 * (plus + minus)
     probs /= probs.sum()
-    k = np.arange(N)
-    values = np.sin(np.pi * k / N) ** 2
-    # outcomes k and N-k encode the same estimate
-    order = np.argsort(values)
-    values, probs = values[order], probs[order]
-    uniq, inv = np.unique(np.round(values, 15), return_inverse=True)
-    agg = np.zeros(len(uniq))
-    np.add.at(agg, inv, probs)
-    return uniq, agg
+    order, uniq, inv = _qae_outcome_bins(t)
+    return uniq, np.bincount(inv, weights=probs[order], minlength=len(uniq))
 
 
 def _median_distribution(values: np.ndarray, probs: np.ndarray, runs: int):
     """Distribution of the median of `runs` iid draws (odd runs)."""
     cdf = np.clip(np.cumsum(probs), 0.0, 1.0)
-    below = np.concatenate([[0.0], cdf[:-1]])
     from scipy.stats import binom
-    half = runs // 2
-    # P(median = v_j) = P(at least half+1 draws <= v_j) - P(... <= v_{j-1})
-    p_le = binom.sf(half, runs, cdf)
-    p_lt = binom.sf(half, runs, below)
-    pmf = np.maximum(p_le - p_lt, 0.0)
-    pmf /= pmf.sum()
-    return pmf
+    # P(median = v_j) = P(at least half+1 draws <= v_j) - P(... <= v_{j-1}),
+    # one tail over the CDF with 0 (nothing below v_0) in front
+    tail = binom.sf(runs // 2, runs, np.concatenate([[0.0], cdf]))
+    pmf = np.maximum(tail[1:] - tail[:-1], 0.0)
+    return pmf / pmf.sum()
 
 
 def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
@@ -153,26 +157,21 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
         raise ValueError("need eps > 0 and delta in (0, 1)")
     truth = float(oracle.mean_table()[x])
     b = int(np.floor(np.log2(eps)))
+    truncated = float(_truncate(truth, b))
     if eps >= 4.0 * oracle.sigma:
         # estimation accuracy coarser than the spread: classical shortcut
-        est = round_at_bit(truth, b) if truth >= 0 else -round_at_bit(-truth, b)
-        return QmciResult(est, eps, delta, 0, mode, True, 0.0, True)
+        return QmciResult(truncated, eps, delta, 0, mode, True, 0.0, True)
     eps_in = 2.0 ** (b - 1)
-    delta_in = delta / 4.0
     charge = query_charge(oracle.sigma, eps, delta)
     oracle.charge(charge)
 
-    def rounded(v: float) -> float:
-        return round_at_bit(v, b) if v >= 0 else -round_at_bit(-v, b)
-
     if mode == "emulated":
-        rng = np.random.default_rng([seed, x])
-        eta = rng.uniform(-1.0, 1.0)
-        est = rounded(truth + eps_in * eta)
+        eta = np.random.default_rng([seed, x]).uniform(-1.0, 1.0)
+        est = float(_truncate(truth + eps_in * eta, b))
         if abs(est - truth) > eps:
             # rounding at a bin edge can overshoot the budget; truncating the
             # true value directly always lands within 2^b <= eps
-            est = rounded(truth)
+            est = truncated
         return QmciResult(est, eps, delta, charge, mode, True, 0.0, False)
 
     if mode == "faithful":
@@ -182,18 +181,15 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
         col = oracle.table[:, x]
         lo, hi = float(col.min()), float(col.max())
         if hi - lo < 1e-15:
-            est = rounded(truth)
-            return QmciResult(est, eps, delta, charge, mode, True, 0.0, False)
+            return QmciResult(truncated, eps, delta, charge, mode, True, 0.0, False)
         a = (truth - lo) / (hi - lo)
         eps_norm = eps_in / (hi - lo)
-        t = int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2
-        t = min(t, 16)
-        runs = int(np.ceil(12.0 * np.log(1.0 / delta_in)))
+        t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
+        runs = int(np.ceil(12.0 * np.log(1.0 / (delta / 4.0))))
         runs += 1 - runs % 2
         values, probs = _qae_outcome_distribution(a, t)
         med_pmf = _median_distribution(values, probs, runs)
-        raw_values = lo + values * (hi - lo)
-        est_values = np.array([rounded(v) for v in raw_values])
+        est_values = _truncate(lo + values * (hi - lo), b)
         good = np.abs(est_values - truth) <= eps
         residual = float(med_pmf[~good].sum())
         j = int(rng.choice(len(values), p=med_pmf))
@@ -228,12 +224,11 @@ def _acceptance_table(oracle: LikelihoodOracle, model: TargetModel,
     """approx_acceptance_table's results plus the estimations' largest residual."""
     before = oracle.queries
     nll, residual = _estimate_states(oracle, eps, delta, mode, seed)
-    single = (oracle.queries - before) // max(1, oracle.n_states)
     A = acceptance_matrix(model, kernel)
     A_pert = acceptance_matrix(model.with_neg_log_lik(nll), kernel)
     T = kernel.matrix()
     n_pairs = int(np.sum((T > 0) & ~np.eye(len(T), dtype=bool)))
-    pair_charge = 4 * single
+    pair_charge = 4 * ((oracle.queries - before) // max(1, oracle.n_states))
     # charge the uncompute halves on top of the per-state estimations
     oracle.charge(max(0, n_pairs * pair_charge - (oracle.queries - before)))
     max_err = float(np.max(np.abs(A_pert - A)))
@@ -279,15 +274,10 @@ def internal_accuracy(model: TargetModel, kernel: ProposalKernel, eps: float,
     """
     if beta_grid is None:
         beta_grid = np.linspace(0.1, 1.0, 10)
-    gaps, kappas, pmins = [], [], []
-    for b in beta_grid:
-        chain = build_transition_matrix(model.with_beta(float(b)), kernel)
-        gaps.append(chain.spectral_gap)
-        kappas.append(chain.condition_number)
-        pmins.append(chain.stationary.min())
-    gap_min = min(gaps)
-    kappa_max = max(kappas)
-    p_min = min(pmins)
+    chains = (build_transition_matrix(model.with_beta(float(b)), kernel) for b in beta_grid)
+    gaps, kappas, pmins = zip(*[(c.spectral_gap, c.condition_number, c.stationary.min())
+                                for c in chains])
+    gap_min, kappa_max, p_min = min(gaps), max(kappas), min(pmins)
     T = kernel.matrix()
     col = float(np.max((T - np.diag(np.diag(T))).sum(axis=0)))
     steps = np.ceil(np.log(2.0 * np.sqrt(p_min)) / np.log(1.0 - gap_min))

@@ -153,6 +153,27 @@ def build_S(layout: RegisterLayout) -> np.ndarray:
                                  layout.neg_slots())
 
 
+def _core_factors(model: TargetModel, layout: RegisterLayout) -> tuple:
+    """G's factors for _apply_factors: V_M, the (n, k, 2, 2) coin rotations B, S F's tables."""
+    if abs(layout.weights.sum() - 1.0) > 1e-10:
+        raise ValueError("move weights do not normalize")
+    A = acceptance_slots(model, layout)
+    s, c = np.sqrt(A), np.sqrt(1.0 - A)
+    return (_complete_unitary(np.sqrt(layout.weights).astype(complex)),
+            np.array([[c, -s], [s, c]]).transpose(2, 3, 0, 1), layout.neighbours(),
+            layout.neg_slots())
+
+
+def _apply_factors(factors: tuple, X: np.ndarray) -> np.ndarray:
+    """G X for a (D, c) block from _core_factors' output; see apply_core."""
+    VM, B, nb, neg = factors
+    n, k, cols = *B.shape[:2], X.shape[1]
+    Y = B @ (VM @ X.reshape(n, k, 2 * cols)).reshape(n, k, 2, cols)
+    Y[:, :, 1] = Y[nb, neg, 1]
+    Y = B.transpose(0, 1, 3, 2) @ Y
+    return (VM.conj().T @ Y.reshape(n, k, 2 * cols)).reshape(-1, cols)
+
+
 def apply_core(model: TargetModel, layout: RegisterLayout, X: np.ndarray) -> np.ndarray:
     """G X for a (D, c) block, G = V' B' S F B V, in O(D k) per column.
 
@@ -161,18 +182,7 @@ def apply_core(model: TargetModel, layout: RegisterLayout, X: np.ndarray) -> np.
     coin rotation by 2 arcsin sqrt(A) per (state, slot), the identity where
     A = 0, and B' its transpose; S F is out[y, m', 1] = in[y + m', -m', 1].
     """
-    w = layout.weights
-    if abs(w.sum() - 1.0) > 1e-10:
-        raise ValueError("move weights do not normalize")
-    n, k, cols = layout.space_dim, layout.n_moves, X.shape[1]
-    VM = _complete_unitary(np.sqrt(w).astype(complex))
-    A = acceptance_slots(model, layout)
-    s, c = np.sqrt(A), np.sqrt(1.0 - A)
-    B = np.array([[c, -s], [s, c]]).transpose(2, 3, 0, 1)  # (n, k, 2, 2) blocks
-    Y = B @ (VM @ X.reshape(n, k, 2 * cols)).reshape(n, k, 2, cols)
-    Y[:, :, 1] = Y[layout.neighbours(), layout.neg_slots(), 1]
-    Y = B.transpose(0, 1, 3, 2) @ Y
-    return (VM.conj().T @ Y.reshape(n, k, 2 * cols)).reshape(-1, cols)
+    return _apply_factors(_core_factors(model, layout), X)
 
 
 def build_core(model: TargetModel, kernel: ProposalKernel,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qmhlab import annealing
 from qmhlab.annealing import (
     KEEP_THRESHOLD,
     NAE_ACCURACY,
@@ -29,7 +30,7 @@ from qmhlab.annealing import (
 )
 from qmhlab.markov import (ProposalKernel, ReducibleChainError, StateSpace, TargetModel,
                            build_transition_matrix)
-from qmhlab.qsim import RegisterLayout, build_walk_operator, encode_distribution
+from qmhlab.qsim import RegisterLayout, apply_core, build_walk_operator, encode_distribution
 
 from conftest import random_instance, torus_cases
 
@@ -334,6 +335,33 @@ class TestQpePhaseGate:
                                 neg_log_lik=at_offset(model.neg_log_lik, off))
             assert np.array_equal(QpePhaseGate(moved, kernel, OMEGA_PI3, 0.01).apply(v),
                                   gate.apply(v))
+
+    def test_builds_walk_factors_once(self, monkeypatch):
+        # apply, apply_inverse and error_bound reuse the factors built with the
+        # gate, and give what rebuilding them through apply_core per call gives
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return factors(*args)
+
+        factors = annealing._core_factors
+        monkeypatch.setattr(annealing, "_core_factors", counted)
+        model, kernel = gaussian_torus_5x5()
+        gate, layout, _ = self.build_gate(model, kernel, 0.01)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+            w = gate._basis.conj().T @ v
+            v_c = v - gate._basis @ w
+            p = (v_c - apply_core(model, layout, v_c[:, None])[:, 0]) / 2.0
+            assert np.array_equal(gate.apply(v), v + gate._basis @ ((gate._coeff - 1.0) * w)
+                                  + (gate.omega - 1.0) * p)
+            assert np.array_equal(gate.apply_inverse(v),
+                                  v + gate._basis @ ((np.conj(gate._coeff) - 1.0) * w)
+                                  + (np.conj(gate.omega) - 1.0) * p)
+            gate.error_bound(v)
+        assert len(built) == 1
 
     def test_inverse_composes_to_identity_within_residual(self, ring8):
         model, kernel = ring8

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from qmhlab import markov
 from qmhlab.markov import (
@@ -36,6 +37,37 @@ TORUS_IDS = [name for name, _, _ in TORUS_CASES]
 ROW_SUM_ATOL = 1e-12
 BALANCE_ATOL = 1e-10
 EIG_ATOL = 1e-9
+
+
+def dense_transition_reference(model, kernel):
+    """W as the product of the dense T and A, irreducibility from the dense W > atol mask."""
+    W = kernel.matrix() * acceptance_matrix(model, kernel)
+    np.fill_diagonal(W, 0.0)
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    n_comp, _ = connected_components(W > markov.PROB_ATOL, directed=True, connection="strong")
+    return W, n_comp
+
+
+def dense_reference_cases():
+    """Random instances, every third with zero-weight moves and every fifth with
+    half its target underflowed (reducible), then the torus cases."""
+    cases = []
+    for seed in range(60):
+        model, kernel = random_instance(seed)
+        if seed % 3 == 0:
+            drop = np.arange(len(kernel.weights)) % 4 == 1
+            drop |= drop[[kernel.moves.index(kernel.negate(m)) for m in kernel.moves]]
+            w = np.where(drop, 0.0, kernel.weights)
+            kernel = ProposalKernel(kernel.space, kernel.moves, w / w.sum())
+        if seed % 5 == 0:
+            L = model.neg_log_lik.copy()
+            L[: len(L) // 2] = 900.0
+            model = model.with_neg_log_lik(L)
+        cases.append((f"random-{seed}", model, kernel))
+    return cases + TORUS_CASES
+
+
+DENSE_CASES = dense_reference_cases()
 
 
 def uniform_model(n):
@@ -251,6 +283,21 @@ class TestTransitionMatrix:
         with pytest.raises(ReducibleChainError):
             build_transition_matrix(model, kernel)
 
+    @pytest.mark.parametrize("name,model,kernel", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
+    def test_matches_dense_product_reference(self, name, model, kernel):
+        W, n_comp = dense_transition_reference(model, kernel)
+        if n_comp != 1:
+            with pytest.raises(ReducibleChainError, match=f"\\({n_comp} strongly"):
+                build_transition_matrix(model, kernel)
+            return
+        chain = build_transition_matrix(model, kernel)
+        assert np.array_equal(chain.transition, W)
+        d = np.sqrt(model.distribution())
+        S = (d[:, None] * W) / d[None, :]
+        lam, O = np.linalg.eigh(0.5 * (S + S.T))
+        assert np.array_equal(chain.eigenvalues, lam)
+        assert np.array_equal(chain.eigenvectors, O)
+
     def test_second_eigenvalue_matches_power_iteration(self, ring8):
         model, kernel = ring8
         chain = build_transition_matrix(model, kernel)
@@ -423,6 +470,14 @@ class TestMixing:
         chain = build_transition_matrix(model, kernel)
         d_exact, bound = mixing_bound_check(chain, n)
         assert d_exact <= bound + 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_distance_matches_per_row_reference(self, seed):
+        chain = build_transition_matrix(*random_instance(seed))
+        for n in (1, 3, 17, 100):
+            Wn = np.linalg.matrix_power(chain.transition, n)
+            ref = max(tv_distance(Wn[x], chain.stationary) for x in range(chain.size))
+            assert mixing_bound_check(chain, n)[0] == ref
 
     def test_mixing_time_bound_sufficient(self, ring8):
         model, kernel = ring8

@@ -17,6 +17,13 @@ def test_perfbench_quick_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_perfbench_selftest_passes():
+    # every workload's check accepts its real output and rejects each corrupted one
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--selftest"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_trace_targets_resolve(monkeypatch):
     # --trace 1 wraps each listed function and method by name; a renamed or
     # inherited one must fail here, not on the next traced run

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmhlab import annealing
 from qmhlab.markov import (
     ProposalKernel,
     StateSpace,
@@ -13,7 +14,12 @@ from qmhlab.markov import (
 )
 from qmhlab.perturbation import tv_perturbation_bound
 from qmhlab.qmci import (
+    FAITHFUL_MAX_TERMS,
     LikelihoodOracle,
+    QmciResult,
+    _median_distribution,
+    _qae_outcome_distribution,
+    _truncate,
     approx_acceptance_table,
     approx_walk_operator,
     estimate_nll,
@@ -24,6 +30,85 @@ from qmhlab.qmci import (
     round_at_bit,
 )
 from qmhlab.qsim import RegisterLayout, verify_phase_gap
+
+
+# The per-outcome faithful estimator, kept as the reference for the array code:
+# it rounds each outcome in a Python loop, takes two binomial tails, sorts and
+# bins the outcome values on every call, and recomputes the oracle's mean.
+
+def reference_outcome_distribution(amplitude_sq: float, t: int):
+    theta = float(np.arcsin(np.sqrt(np.clip(amplitude_sq, 0.0, 1.0))))
+    N = 2**t
+    plus, minus = annealing._qpe_outcome_distributions(2.0 * theta, t)
+    probs = 0.5 * (plus + minus)
+    probs /= probs.sum()
+    k = np.arange(N)
+    values = np.sin(np.pi * k / N) ** 2
+    # outcomes k and N-k encode the same estimate
+    order = np.argsort(values)
+    values, probs = values[order], probs[order]
+    uniq, inv = np.unique(np.round(values, 15), return_inverse=True)
+    agg = np.zeros(len(uniq))
+    np.add.at(agg, inv, probs)
+    return uniq, agg
+
+
+def reference_median_distribution(values, probs, runs: int):
+    cdf = np.clip(np.cumsum(probs), 0.0, 1.0)
+    below = np.concatenate([[0.0], cdf[:-1]])
+    from scipy.stats import binom
+    half = runs // 2
+    # P(median = v_j) = P(at least half+1 draws <= v_j) - P(... <= v_{j-1})
+    p_le = binom.sf(half, runs, cdf)
+    p_lt = binom.sf(half, runs, below)
+    pmf = np.maximum(p_le - p_lt, 0.0)
+    pmf /= pmf.sum()
+    return pmf
+
+
+def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
+    truth = float(oracle.table.mean(axis=0)[x])
+    b = int(np.floor(np.log2(eps)))
+    if eps >= 4.0 * oracle.sigma:
+        est = round_at_bit(truth, b) if truth >= 0 else -round_at_bit(-truth, b)
+        return QmciResult(est, eps, delta, 0, mode, True, 0.0, True)
+    eps_in = 2.0 ** (b - 1)
+    delta_in = delta / 4.0
+    charge = query_charge(oracle.sigma, eps, delta)
+
+    def rounded(v: float) -> float:
+        return round_at_bit(v, b) if v >= 0 else -round_at_bit(-v, b)
+
+    if mode == "emulated":
+        rng = np.random.default_rng([seed, x])
+        eta = rng.uniform(-1.0, 1.0)
+        est = rounded(truth + eps_in * eta)
+        if abs(est - truth) > eps:
+            est = rounded(truth)
+        return QmciResult(est, eps, delta, charge, mode, True, 0.0, False)
+
+    assert mode == "faithful" and oracle.M <= FAITHFUL_MAX_TERMS
+    rng = np.random.default_rng([seed, x])
+    col = oracle.table[:, x]
+    lo, hi = float(col.min()), float(col.max())
+    if hi - lo < 1e-15:
+        est = rounded(truth)
+        return QmciResult(est, eps, delta, charge, mode, True, 0.0, False)
+    a = (truth - lo) / (hi - lo)
+    eps_norm = eps_in / (hi - lo)
+    t = int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2
+    t = min(t, 16)
+    runs = int(np.ceil(12.0 * np.log(1.0 / delta_in)))
+    runs += 1 - runs % 2
+    values, probs = reference_outcome_distribution(a, t)
+    med_pmf = reference_median_distribution(values, probs, runs)
+    raw_values = lo + values * (hi - lo)
+    est_values = np.array([rounded(v) for v in raw_values])
+    good = np.abs(est_values - truth) <= eps
+    residual = float(med_pmf[~good].sum())
+    j = int(rng.choice(len(values), p=med_pmf))
+    return QmciResult(float(est_values[j]), eps, delta, charge, mode,
+                      bool(good[j]), residual, False)
 
 
 def small_oracle(seed=0, M=8, n=5, lo=0.0, hi=4.0):
@@ -49,6 +134,15 @@ class TestRounding:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             round_at_bit(-0.5, -1)
+
+    def test_signed_array_truncation_matches_scalar_loop(self):
+        rng = np.random.default_rng(0)
+        v = np.concatenate([rng.uniform(-50.0, 50.0, 400), rng.normal(0.0, 1e-3, 100),
+                            [0.0, -0.0, 0.75, -0.75, 2.0**-9, -(2.0**-9)]])
+        for a in range(-12, 4):
+            loop = [round_at_bit(x, a) if x >= 0 else -round_at_bit(-x, a) for x in v]
+            assert np.array_equal(_truncate(v, a), loop)
+            assert all(float(_truncate(x, a)) == r for x, r in zip(v[:20], loop))
 
 
 class TestQueryCharge:
@@ -88,6 +182,18 @@ class TestLikelihoodOracle:
         oracle = LikelihoodOracle.from_nll(L, M=32, spread=0.5, seed=0)
         np.testing.assert_allclose(oracle.mean_table(), L, atol=1e-12)
         assert oracle.sigma >= float(oracle.table.std(axis=0, ddof=0).max())
+
+    def test_table_is_read_only_and_caller_array_stays_writable(self):
+        table = np.random.default_rng(1).uniform(0.0, 4.0, size=(6, 3))
+        oracle = LikelihoodOracle(table, sigma=4.0)
+        with pytest.raises(ValueError):
+            oracle.table[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            oracle.mean_table()[0] = 1.0
+        assert np.shares_memory(oracle.table, table)     # a view, not a copy
+        table[0, 0] = table[0, 0]
+        assert table.flags.writeable
+        assert np.array_equal(oracle.mean_table(), table.mean(axis=0))
 
     def test_csv_export(self, tmp_path):
         oracle = small_oracle(7, M=3, n=2)
@@ -165,6 +271,43 @@ class TestFaithfulMode:
         oracle = small_oracle(2)
         with pytest.raises(ValueError):
             qmci_mean(oracle, 0, 0.1, 0.1, "typo", seed=0)
+
+
+class TestFaithfulArrayCode:
+    """The array-coded faithful estimator against the per-outcome reference, bit for bit."""
+
+    AMPLITUDES = [0.0, 0.5, 1.0] + list(np.random.default_rng(3).uniform(0.0, 1.0, 3))
+
+    @pytest.mark.parametrize("t", range(1, 17))
+    def test_outcome_and_median_distributions(self, t):
+        for a in self.AMPLITUDES:
+            values, probs = _qae_outcome_distribution(a, t)
+            ref_values, ref_probs = reference_outcome_distribution(a, t)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(probs, ref_probs)
+            for runs in (1, 3, 45, 61):
+                assert np.array_equal(_median_distribution(values, probs, runs),
+                                      reference_median_distribution(values, probs, runs))
+
+    def test_results_match_reference(self):
+        rng = np.random.default_rng(5)
+        n_simulated = 0
+        for trial in range(36):
+            M, n = int(rng.integers(2, FAITHFUL_MAX_TERMS + 1)), int(rng.integers(2, 7))
+            table = rng.uniform(-1.0, rng.uniform(-0.5, 1.5), size=(M, n))
+            table[:, 0] = table[0, 0] if trial % 5 == 0 else table[:, 0]
+            oracle = LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05 + 1e-12)
+            for x in range(n):
+                # 6 to 11 amplitude-estimation ancillas, and the clamped shortcut
+                for eps in (0.1, 0.25, 0.5, 1.0, 40.0):
+                    for delta in (0.01, 0.2):
+                        for mode in ("faithful", "emulated"):
+                            before = oracle.queries
+                            res = qmci_mean(oracle, x, eps, delta, mode, seed=trial)
+                            assert res == reference_qmci_mean(oracle, x, eps, delta, mode, trial)
+                            assert oracle.queries - before == res.queries
+                            n_simulated += mode == "faithful" and not res.clamped
+        assert n_simulated >= 1000
 
 
 class TestApproxChain:
