@@ -30,6 +30,7 @@ from .qsim import (
     RegisterLayout,
     build_walk_operator,
     reference_block,
+    sf_involution,
     symmetrized_transition,
     verify_phase_gap,
 )
@@ -56,33 +57,28 @@ def _default_model():
 def experiment_verify_walk(model, kernel, out_dir, seed=0):
     chain = build_transition_matrix(model, kernel)
     layout = RegisterLayout.for_kernel(kernel)
-    # S F is the permutation |x>|m>|1> -> |x + m>|-m>|1>, an involution exactly when
-    # the tables invert each other; a permutation's (S F)^2 - I reads 0 or 1
-    nb, neg = layout.neighbours(), layout.neg_slots()
-    involution = bool(np.all(nb[nb, neg] == np.arange(layout.space_dim)[:, None])
-                      and np.all(neg[neg] == np.arange(layout.n_moves)))
+    # S F sends basis states to basis states, so max |(S F)^2 - I| reads 0 or 1
+    involution = sf_involution(layout.neighbours(), layout.neg_slots())
     payload = {"spectral_gap": chain.spectral_gap,
                "sf_squared_error": 0.0 if involution else 1.0, "pass": False}
-    if not involution:      # the walk is built from these tables: nothing more to check
-        _write_json(payload, os.path.join(out_dir, "verify_walk.json"))
-        return False, payload
-    U = build_walk_operator(model, kernel, layout)
-    # R = +1 on the reference states, so U = R G has G's reference block exactly
-    block_err = float(np.max(np.abs(reference_block(U, layout) - symmetrized_transition(chain))))
-    report = verify_phase_gap(U, layout, chain)
-    passed = report.passed and block_err <= 1e-10
-    payload.update({
-        "min_phase": report.min_nonzero_phase,
-        "phase_bound": report.phase_bound,
-        "unit_multiplicity": report.unit_multiplicity,
-        "principal_overlap": report.principal_overlap,
-        "reference_block_error": block_err,
-        "pass": bool(passed),
-    })
-    _write_json(payload, os.path.join(out_dir, "verify_walk.json"))
-    with open(os.path.join(out_dir, "eigenphases.csv"), "w", newline="") as fh:
-        csv.writer(fh).writerows([["eigenphase"]] + [[float(p)] for p in report.eigenphases])
-    return passed, payload
+    if involution:      # the walk is built from these tables: otherwise nothing more to check
+        U = build_walk_operator(model, kernel, layout)
+        # R = +1 on the reference states, so U = R G has G's reference block exactly
+        block_err = float(np.abs(reference_block(U, layout) - symmetrized_transition(chain)).max())
+        report = verify_phase_gap(U, layout, chain)
+        payload.update({
+            "min_phase": report.min_nonzero_phase,
+            "phase_bound": report.phase_bound,
+            "unit_multiplicity": report.unit_multiplicity,
+            "principal_overlap": report.principal_overlap,
+            "reference_block_error": block_err,
+            "pass": bool(report.passed and block_err <= 1e-10),
+        })
+    _write_json(payload, os.path.join(out_dir, "verify_walk.json"))     # makes out_dir
+    if involution:
+        with open(os.path.join(out_dir, "eigenphases.csv"), "w", newline="") as fh:
+            csv.writer(fh).writerows([["eigenphase"]] + [[float(p)] for p in report.eigenphases])
+    return payload["pass"], payload
 
 
 def experiment_verify_bounds(model, kernel, out_dir, seeds=(0, 1, 2, 3),

@@ -37,7 +37,6 @@ class PosteriorHandle:
     distribution: np.ndarray
     space: StateSpace
     prep_queries: int
-    tv_budget: float = 0.0
 
 
 def cdf_qmci(handle: PosteriorHandle, axis: int, a: float, eps: float,

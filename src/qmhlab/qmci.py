@@ -59,10 +59,10 @@ class LikelihoodOracle:
 
     def __init__(self, table: np.ndarray, sigma: float,
                  ell0: np.ndarray | None = None, const: float = 0.0):
-        table = np.asarray(table, float)
+        table = np.array(table, float)      # a copy: later writes by the caller cannot stale it
         if table.ndim != 2:
             raise ValueError("table must be (M, n_states)")
-        self.table = table.view()           # read-only: nothing writes through it to stale the mean
+        self.table = table
         self._mean = self.table.mean(axis=0)
         self.table.flags.writeable = self._mean.flags.writeable = False
         self.M, self.n_states = table.shape
@@ -218,21 +218,17 @@ def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
     return _estimate_states(oracle, eps, delta, mode, seed)[0]
 
 
-def _acceptance_table(oracle: LikelihoodOracle, model: TargetModel,
-                      kernel: ProposalKernel, eps: float, delta: float,
-                      seed: int, mode: str):
-    """approx_acceptance_table's results plus the estimations' largest residual."""
+def _estimate_and_charge(oracle: LikelihoodOracle, kernel: ProposalKernel, eps: float,
+                         delta: float, seed: int, mode: str):
+    """L~, its estimations' largest residual and the pair charge, all supported pairs charged."""
     before = oracle.queries
     nll, residual = _estimate_states(oracle, eps, delta, mode, seed)
-    A = acceptance_matrix(model, kernel)
-    A_pert = acceptance_matrix(model.with_neg_log_lik(nll), kernel)
-    T = kernel.matrix()
-    n_pairs = int(np.sum((T > 0) & ~np.eye(len(T), dtype=bool)))
+    # distinct nonzero torus moves reach distinct other states from every x
+    n_pairs = kernel.space.size * (np.count_nonzero(kernel.weights) - (kernel.zero_move_mass > 0))
     pair_charge = 4 * ((oracle.queries - before) // max(1, oracle.n_states))
     # charge the uncompute halves on top of the per-state estimations
     oracle.charge(max(0, n_pairs * pair_charge - (oracle.queries - before)))
-    max_err = float(np.max(np.abs(A_pert - A)))
-    return A_pert, nll, max_err, pair_charge, residual
+    return nll, residual, pair_charge
 
 
 def approx_acceptance_table(oracle: LikelihoodOracle, model: TargetModel,
@@ -243,7 +239,10 @@ def approx_acceptance_table(oracle: LikelihoodOracle, model: TargetModel,
     Each ordered supported pair consumes two mean estimations plus their
     uncomputation, so the pair charge is four single-call charges.
     """
-    return _acceptance_table(oracle, model, kernel, eps, delta, seed, mode)[:4]
+    nll, _, pair_charge = _estimate_and_charge(oracle, kernel, eps, delta, seed, mode)
+    A_pert = acceptance_matrix(model.with_neg_log_lik(nll), kernel)
+    max_err = float(np.max(np.abs(A_pert - acceptance_matrix(model, kernel))))
+    return A_pert, nll, max_err, pair_charge
 
 
 def approx_walk_operator(oracle: LikelihoodOracle, model: TargetModel,
@@ -259,7 +258,7 @@ def approx_walk_operator(oracle: LikelihoodOracle, model: TargetModel,
     apply to the perturbed chain verbatim.  The oracle is charged once, for
     the table.
     """
-    _, nll, _, _, residual = _acceptance_table(oracle, model, kernel, eps, delta, seed, mode)
+    nll, residual, _ = _estimate_and_charge(oracle, kernel, eps, delta, seed, mode)
     model_pert = model.with_neg_log_lik(nll)
     U = build_walk_operator(model_pert, kernel, layout)
     return U, model_pert, residual

@@ -6,6 +6,9 @@ on column blocks in O(D k) per column through each factor's structure (a
 Kronecker contraction, 2 x 2 coin rotations, a gather, a row sign mask), not
 as dense D x D factor products; dense U, with spectral verification of its
 phase gap against the chain's spectral gap, is that action on the identity.
+Its unitarity is certified factor by factor in O(D k + k^3), before any D x D
+array exists: V_M by its Gram matrix, S F by the table check verify-walk reports
+too, B as 2 x 2 rotations, R as a +-1 mask.
 """
 
 from __future__ import annotations
@@ -104,13 +107,6 @@ def encode_distribution(P, layout: RegisterLayout) -> np.ndarray:
     return v
 
 
-def assert_unitary(U: np.ndarray, atol: float = UNITARY_ATOL) -> None:
-    n = U.shape[0]
-    err = np.linalg.norm(U.conj().T @ U - np.eye(n))
-    if err > atol:
-        raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
-
-
 def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
     """Unitary whose first column is the given unit vector (QR completion)."""
     n = len(first_column)
@@ -153,15 +149,26 @@ def build_S(layout: RegisterLayout) -> np.ndarray:
                                  layout.neg_slots())
 
 
+def sf_involution(nb: np.ndarray, neg: np.ndarray) -> bool:
+    """Whether S F, |x>|m>|1> -> |nb[x, m]>|neg[m]>|1>, is an involution (so a permutation)."""
+    return bool(np.all(nb[nb, neg] == np.arange(len(nb))[:, None])
+                and np.all(neg[neg] == np.arange(len(neg))))
+
+
 def _core_factors(model: TargetModel, layout: RegisterLayout) -> tuple:
     """G's factors for _apply_factors: V_M, the (n, k, 2, 2) coin rotations B, S F's tables."""
     if abs(layout.weights.sum() - 1.0) > 1e-10:
         raise ValueError("move weights do not normalize")
+    nb, neg = layout.neighbours(), layout.neg_slots()
+    if not sf_involution(nb, neg):
+        raise ValueError("S F's neighbour and negation tables do not invert each other")
+    VM = _complete_unitary(np.sqrt(layout.weights).astype(complex))
+    if np.linalg.norm(VM.conj().T @ VM - np.eye(layout.n_moves)) > UNITARY_ATOL:
+        raise ValueError("V_M is not unitary")
+    # B's 2 x 2 blocks are rotations for any A in [0, 1], where acceptance_table's fmin keeps it
     A = acceptance_slots(model, layout)
     s, c = np.sqrt(A), np.sqrt(1.0 - A)
-    return (_complete_unitary(np.sqrt(layout.weights).astype(complex)),
-            np.array([[c, -s], [s, c]]).transpose(2, 3, 0, 1), layout.neighbours(),
-            layout.neg_slots())
+    return VM, np.array([[c, -s], [s, c]]).transpose(2, 3, 0, 1), nb, neg
 
 
 def _apply_factors(factors: tuple, X: np.ndarray) -> np.ndarray:
@@ -188,15 +195,14 @@ def apply_core(model: TargetModel, layout: RegisterLayout, X: np.ndarray) -> np.
 def build_core(model: TargetModel, kernel: ProposalKernel,
                layout: RegisterLayout) -> np.ndarray:
     """G as a dense matrix; Hermitian involution whose reference block conjugates W."""
-    return apply_core(model, layout, np.eye(layout.total_dim, dtype=complex))
+    factors = _core_factors(model, layout)      # certified before the D x D identity exists
+    return _apply_factors(factors, np.eye(layout.total_dim, dtype=complex))
 
 
 def build_walk_operator(model: TargetModel, kernel: ProposalKernel,
                         layout: RegisterLayout) -> np.ndarray:
     # R is diagonal with entries +-1, so R G is a row sign flip of G
-    U = layout.reflection_signs()[:, None] * build_core(model, kernel, layout)
-    assert_unitary(U)
-    return U
+    return layout.reflection_signs()[:, None] * build_core(model, kernel, layout)
 
 
 def reference_block(G: np.ndarray, layout: RegisterLayout) -> np.ndarray:

@@ -45,6 +45,27 @@ class TestRunCommand:
         assert payload["reference_block_error"] <= 1e-10
         assert (out / "eigenphases.csv").exists()
 
+    def test_verify_walk_on_8x8_gaussian_torus(self, tmp_path):
+        # 64 states x 9 move slots x 2 coin states: D = 1152, the certificate above toy size
+        model = tmp_path / "torus.json"
+        model.write_text(json.dumps({
+            "grid": {"shape": [8, 8]},
+            "prior": {"type": "uniform"},
+            "nll": {"type": "quadratic", "center": [3.0, 4.0], "scale": 0.3},
+            "proposal": {"type": "gaussian", "width": 1.0, "radius": 1},
+        }))
+        out = tmp_path / "out"
+        result = run_config(tmp_path, {
+            "experiment": "verify-walk",
+            "model": str(model),
+            "output_dir": str(out),
+        })
+        assert result.exit_code == 0, result.output
+        payload = json.loads((out / "verify_walk.json").read_text())
+        assert payload["pass"]
+        assert payload["sf_squared_error"] == 0.0
+        assert payload["reference_block_error"] <= 1e-10
+
     def test_verify_walk_fails_on_corrupted_negation_table(self, tmp_path, monkeypatch):
         # the zero move is its own negation: a table that sends it to slot 1
         # breaks the involution (S F)^2 = I

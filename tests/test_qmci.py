@@ -190,10 +190,14 @@ class TestLikelihoodOracle:
             oracle.table[0, 0] = 1.0
         with pytest.raises(ValueError):
             oracle.mean_table()[0] = 1.0
-        assert np.shares_memory(oracle.table, table)     # a view, not a copy
         table[0, 0] = table[0, 0]
         assert table.flags.writeable
         assert np.array_equal(oracle.mean_table(), table.mean(axis=0))
+        # a later write to the caller's array reaches neither the table nor its mean
+        snapshot, mean = oracle.table.copy(), oracle.mean_table().copy()
+        table[:, 0] = 5.0
+        assert np.array_equal(oracle.table, snapshot)
+        assert np.array_equal(oracle.mean_table(), mean)
 
     def test_csv_export(self, tmp_path):
         oracle = small_oracle(7, M=3, n=2)
@@ -370,6 +374,39 @@ class TestApproxChain:
         assert table_oracle.queries == walk_oracle.queries == 889_728
         assert residual == max(qmci_mean(oracle(), x, eps, delta, "faithful", 0).residual
                                for x in range(6))
+
+    @pytest.mark.parametrize("case", ["zero-weight-move", "stay-move", "aliased-torus"])
+    def test_pair_charge_matches_dense_pair_count(self, case):
+        # supported ordered pairs are the x != y with T(x, y) > 0 in the dense proposal
+        shape = (2, 3) if case == "aliased-torus" else (6,)
+        space = StateSpace.regular_grid(shape)
+        if case == "zero-weight-move":
+            kernel = ProposalKernel(space=space, moves=((1,), (5,), (2,), (4,)),
+                                    weights=np.array([0.5, 0.5, 0.0, 0.0]))
+        elif case == "stay-move":
+            kernel = ProposalKernel.nearest_neighbor(space, stay_prob=0.2)
+        else:       # offsets (+-2, 0) alias onto the zero move: a stay move with weight
+            kernel = ProposalKernel.gaussian(space, width=1.0, radius=2)
+        nll = 0.3 * np.sum((space.points - 1.0) ** 2, axis=1)
+        model = TargetModel(space=space, prior=np.full(space.size, 1.0 / space.size),
+                            neg_log_lik=nll)
+        layout = RegisterLayout.for_kernel(kernel)
+        eps, delta = 0.05, 0.1
+
+        def oracle():
+            return LikelihoodOracle.from_nll(nll, M=8, spread=0.5, seed=0)
+
+        T = kernel.matrix()
+        n_pairs = int(np.sum((T > 0) & ~np.eye(len(T), dtype=bool)))
+        estimates = oracle()
+        estimate_nll(estimates, eps, delta, "emulated", seed=0)
+        per_state = estimates.queries // space.size
+        table_oracle, walk_oracle = oracle(), oracle()
+        *_, pair_charge = approx_acceptance_table(table_oracle, model, kernel, eps, delta, seed=0)
+        approx_walk_operator(walk_oracle, model, kernel, layout, eps, delta, seed=0)
+        assert pair_charge == 4 * per_state > 0
+        assert table_oracle.queries == walk_oracle.queries == max(estimates.queries,
+                                                                  n_pairs * pair_charge)
 
     def test_internal_accuracy_guarantees_tv(self):
         oracle = small_oracle(27, n=6)

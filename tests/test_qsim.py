@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmhlab.markov import ProposalKernel, StateSpace, TargetModel, build_transition_matrix
+from qmhlab import qsim
+from qmhlab.annealing import QpePhaseGate
+from qmhlab.markov import (ProposalKernel, StateSpace, TargetModel, build_transition_matrix,
+                           negation_slots)
 from qmhlab.qsim import (
     RegisterLayout,
     _complete_unitary,
@@ -338,6 +341,55 @@ class TestCoreIdentities:
         model, kernel, layout = make_setup(seed)
         G = build_core(model, kernel, layout)
         assert np.array_equal(build_walk_operator(model, kernel, layout), build_R(layout) @ G)
+
+
+def corrupted_negation_slots(layout):
+    """The zero move, its own negation, sent to slot 1: S F is no longer an involution."""
+    neg = negation_slots(layout.shape, layout.moves)
+    neg[0] = 1
+    return neg
+
+
+class TestUnitarityCertificate:
+    """The factor-by-factor certificate stands in for a dense U^dagger U check."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_walk_operator_unitary(self, seed):
+        model, kernel, layout = make_setup(seed)
+        U = build_walk_operator(model, kernel, layout)
+        assert np.linalg.norm(U.conj().T @ U - np.eye(layout.total_dim)) <= UNITARY_ATOL
+
+    @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
+    def test_walk_operator_unitary_on_torus_cases(self, name, model, kernel):
+        layout = RegisterLayout.for_kernel(kernel)
+        U = build_walk_operator(model, kernel, layout)
+        assert np.linalg.norm(U.conj().T @ U - np.eye(layout.total_dim)) <= UNITARY_ATOL
+
+    def test_corrupted_negation_table_rejected(self, ring8, monkeypatch):
+        model, kernel = ring8
+        layout = RegisterLayout.for_kernel(kernel)
+        monkeypatch.setattr(RegisterLayout, "neg_slots", corrupted_negation_slots)
+        with pytest.raises(ValueError, match="negation tables"):
+            build_walk_operator(model, kernel, layout)
+        with pytest.raises(ValueError, match="negation tables"):
+            QpePhaseGate(model, kernel, np.exp(1j * np.pi / 3.0), 0.1)
+
+    def test_non_unitary_move_register_rejected(self, monkeypatch):
+        model, kernel, layout = make_setup(3)
+        complete = qsim._complete_unitary
+        monkeypatch.setattr(qsim, "_complete_unitary", lambda col: 1.001 * complete(col))
+        with pytest.raises(ValueError, match="V_M is not unitary"):
+            build_walk_operator(model, kernel, layout)
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["tables", "corrupted"])
+    @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
+    def test_sf_involution_matches_dense_square(self, name, model, kernel, corrupt, monkeypatch):
+        if corrupt:
+            monkeypatch.setattr(RegisterLayout, "neg_slots", corrupted_negation_slots)
+        layout = RegisterLayout.for_kernel(kernel)
+        SF = build_S(layout) @ build_F(layout)
+        dense = np.array_equal(SF @ SF, np.eye(layout.total_dim))
+        assert qsim.sf_involution(layout.neighbours(), layout.neg_slots()) == dense != corrupt
 
 
 class TestPhaseGap:
