@@ -116,7 +116,7 @@ class QpePhaseGate:
     gap, and uncomputation, with the ancillas projected back onto |0>, leave
     one coefficient per eigenphase of U (the residual bounds the leaked norm).
     On the invariant subspace K, with basis B = [A O, partners] from the
-    chain's one eigh, U has phase 0 on |pi> and +-arccos(lambda_j) on each
+    chain's eigenpairs, U has phase 0 on |pi> and +-arccos(lambda_j) on each
     other eigenvalue's plane, so the gate scales B's columns.  On K's
     complement R = -I and U = -G: U = 1 where G = -1, kicked by exactly omega.
     """
@@ -141,7 +141,8 @@ class QpePhaseGate:
         if np.linalg.norm(gram - np.eye(len(gram))) > 1e-10:
             raise ValueError("invariant-subspace basis is not orthonormal")
 
-        theta = np.arccos(np.clip(chain.eigenvalues, -1.0, 1.0))
+        lam, _ = chain.eigenpairs                        # the eigenvalues behind the basis
+        theta = np.arccos(np.clip(lam, -1.0, 1.0))
         theta[-1] = 0.0                                  # the unit eigenvalue: |pi>
         N = 2**self.t
         k = np.arange(N)
@@ -151,7 +152,7 @@ class QpePhaseGate:
         survived = (np.abs(alpha) ** 2) @ kick           # <0| W' D W |0>, +-theta alike
         ideal = np.append(np.ones(len(theta) - 1), self.omega)
         err = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived)))
-        partner = 1.0 - chain.eigenvalues[:-1] ** 2 > PARTNER_ATOL
+        partner = 1.0 - lam[:-1] ** 2 > PARTNER_ATOL
         self._coeff = np.concatenate([survived, survived[:-1][partner]])
         self.residuals = np.concatenate([err, err[:-1][partner]])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -86,17 +87,35 @@ def neighbour_table(shape, moves) -> np.ndarray:
 
     Indices are row-major over the torus grid ``shape``; each column is the
     index grid rolled back by the move, so offsets wrap around every axis.
+    Built once per (shape, moves), lists or tuples alike, and read-only.
     """
-    grid = np.arange(int(np.prod(shape))).reshape(shape)
-    axes = tuple(range(len(shape)))
-    return np.stack([np.roll(grid, tuple(-int(c) for c in m), axis=axes).ravel()
-                     for m in moves], axis=1)
+    return _neighbour_table(*_table_key(shape, moves))
 
 
 def negation_slots(shape, moves) -> np.ndarray:
-    """Index of each move's torus negation in ``moves`` (closed under negation)."""
-    slot = {tuple(m): j for j, m in enumerate(moves)}
-    return np.array([slot[tuple((-c) % n for c, n in zip(m, shape))] for m in moves])
+    """Index of each move's torus negation in ``moves`` (closed under negation); read-only."""
+    return _negation_slots(*_table_key(shape, moves))
+
+
+def _table_key(shape, moves) -> tuple:
+    return tuple(int(n) for n in shape), tuple(tuple(int(c) for c in m) for m in moves)
+
+
+@cache
+def _neighbour_table(shape, moves) -> np.ndarray:
+    grid = np.arange(int(np.prod(shape))).reshape(shape)
+    axes = tuple(range(len(shape)))
+    nb = np.stack([np.roll(grid, tuple(-c for c in m), axis=axes).ravel() for m in moves], axis=1)
+    nb.flags.writeable = False
+    return nb
+
+
+@cache
+def _negation_slots(shape, moves) -> np.ndarray:
+    slot = {m: j for j, m in enumerate(moves)}
+    neg = np.array([slot[tuple((-c) % n for c, n in zip(m, shape))] for m in moves])
+    neg.flags.writeable = False
+    return neg
 
 
 @dataclass(frozen=True)
@@ -184,6 +203,15 @@ class ProposalKernel:
                 return float(w)
         return 0.0
 
+    @property
+    def max_column_mass(self) -> float:
+        """max_y sum_{x != y} T(x, y), added in x order as T's column sums add it."""
+        off = np.array([any(m) for m in self.moves])        # the zero move stays on the diagonal
+        to = neighbour_table(self.space.shape, self.moves)[:, off]
+        mass = np.bincount(to.ravel(), np.broadcast_to(self.weights[off], to.shape).ravel(),
+                           minlength=self.space.size)
+        return float(mass.max())
+
     def matrix(self) -> np.ndarray:
         """Dense row-stochastic proposal matrix T."""
         n = self.space.size
@@ -232,13 +260,18 @@ class ProposalKernel:
 def acceptance_ratio(model: TargetModel, kernel: ProposalKernel, x: int, y: int) -> float:
     """MH acceptance probability min{1, P(y)T(y,x) / (P(x)T(x,y))}.
 
-    Computed from the unnormalized target, so the normalizer cancels.
+    Computed from the unnormalized target, so the normalizer cancels.  T(x, y)
+    is the weight of the move taking x to y, T(y, x) that of its negation.
     """
-    T = kernel.matrix()
-    if T[x, y] <= 0:
+    w = kernel.weights
+    # moves are distinct on the torus, so at most one reaches y from x
+    j = np.flatnonzero(neighbour_table(model.space.shape, kernel.moves)[x] == y)
+    if len(j) == 0 or w[j[0]] <= 0:
         raise ValueError(f"proposal probability T({x},{y}) is zero; ratio undefined")
+    j = j[0]
     p = model.unnormalized()
-    return min(1.0, (p[y] * T[y, x]) / (p[x] * T[x, y]))
+    return min(1.0, (p[y] * w[negation_slots(model.space.shape, kernel.moves)[j]])
+               / (p[x] * w[j]))
 
 
 def acceptance_table(model: TargetModel, nb: np.ndarray, weights: np.ndarray,
@@ -285,7 +318,6 @@ class ChainModel:
     transition: np.ndarray
     stationary: np.ndarray
     eigenvalues: np.ndarray          # real, ascending: the last is the unit eigenvalue
-    eigenvectors: np.ndarray         # orthonormal columns O of the symmetrized D W D^-1
     spectral_gap: float              # 1 - max(|lambda_min|, lambda_2)
     signed_gap: float                # 1 - lambda_2 (second largest eigenvalue)
     condition_number: float          # cond of the diagonalizing Q = D^-1 O
@@ -294,17 +326,36 @@ class ChainModel:
     def size(self) -> int:
         return self.space.size
 
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda, O): eigh of the symmetrized D W D^-1, run on first read; read-only.
+
+        O's orthonormal columns give Q = D^-1 O, which diagonalizes W.  lambda
+        agrees with ``eigenvalues`` to rounding, not bit for bit.
+        """
+        lam, O = np.linalg.eigh(_symmetrized(self.transition, self.stationary))
+        lam.flags.writeable = O.flags.writeable = False
+        return lam, O
+
     def is_reversible(self, atol: float = PROB_ATOL) -> bool:
         flow = self.stationary[:, None] * self.transition
         return bool(np.max(np.abs(flow - flow.T)) <= atol)
 
 
+def _symmetrized(W: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """The symmetric part of D W D^-1, D = diag(sqrt(pi))."""
+    d = np.sqrt(pi)
+    S = (d[:, None] * W) / d[None, :]
+    return 0.5 * (S + S.T)
+
+
 def build_transition_matrix(model: TargetModel, kernel: ProposalKernel) -> ChainModel:
     """Assemble W from T and the acceptance ratios, with spectrum and gap.
 
-    The proposal is negation symmetric, so the chain is reversible and one
-    eigh of the symmetrized D W D^-1, D = diag(sqrt(pi)), gives its real
-    spectrum.  Q = D^-1 O diagonalizes W, and cond(Q) = sqrt(pi_max / pi_min).
+    The proposal is negation symmetric, so the chain is reversible and the
+    eigvalsh of the symmetrized D W D^-1, D = diag(sqrt(pi)), gives its real
+    spectrum; its eigenvectors O wait for ``ChainModel.eigenpairs``.
+    Q = D^-1 O diagonalizes W, and cond(Q) = sqrt(pi_max / pi_min).
     """
     n, w = model.space.size, kernel.weights
     nb = neighbour_table(model.space.shape, kernel.moves)
@@ -317,17 +368,17 @@ def build_transition_matrix(model: TargetModel, kernel: ProposalKernel) -> Chain
     if np.any(W < -1e-14):
         raise ValueError("transition matrix has a negative entry")
 
-    # self-loops leave the strongly connected components as they are
-    x, j = np.nonzero(flow > PROB_ATOL)
-    graph = csr_array((flow[x, j], (x, nb[x, j])), shape=(n, n))
+    # self-loops leave the strongly connected components as they are; row x
+    # of the graph lists the states its supported moves reach
+    live = flow > PROB_ATOL
+    indptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
+    graph = csr_array((flow[live], nb[live], indptr), shape=(n, n))
     n_comp, _ = connected_components(graph, directed=True, connection="strong")
     if n_comp != 1:
         raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
 
     pi = model.distribution()
-    d = np.sqrt(pi)
-    S = (d[:, None] * W) / d[None, :]
-    lam, O = np.linalg.eigh(0.5 * (S + S.T))
+    lam = np.linalg.eigvalsh(_symmetrized(W, pi))
     # lam[-1] is the unit eigenvalue; a one-state chain has no other
     second = float(lam[-2]) if len(lam) > 1 else 0.0
     bottom = abs(float(lam[0])) if len(lam) > 1 else 0.0
@@ -336,7 +387,6 @@ def build_transition_matrix(model: TargetModel, kernel: ProposalKernel) -> Chain
         transition=W,
         stationary=pi,
         eigenvalues=lam,
-        eigenvectors=O,
         spectral_gap=1.0 - max(bottom, second),
         signed_gap=1.0 - second,
         condition_number=float(np.sqrt(pi.max() / pi.min())),

@@ -277,8 +277,7 @@ def internal_accuracy(model: TargetModel, kernel: ProposalKernel, eps: float,
     gaps, kappas, pmins = zip(*[(c.spectral_gap, c.condition_number, c.stationary.min())
                                 for c in chains])
     gap_min, kappa_max, p_min = min(gaps), max(kappas), min(pmins)
-    T = kernel.matrix()
-    col = float(np.max((T - np.diag(np.diag(T))).sum(axis=0)))
+    col = kernel.max_column_mass
     steps = np.ceil(np.log(2.0 * np.sqrt(p_min)) / np.log(1.0 - gap_min))
     term_tv = gap_min * eps / (8.0 * (gap_min * steps + 1.0))
     term_gap = gap_min / (16.0 * np.sqrt(col) * kappa_max)

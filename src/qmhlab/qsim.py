@@ -222,19 +222,20 @@ def invariant_subspace(GA: np.ndarray, layout: RegisterLayout,
     """Orthonormal basis [A O, partners] of span{A} + G span{A}, A the reference states.
 
     GA is G A for the core involution G = R U.  With (lambda_j, o_j) the
-    eigenpairs of G's reference block, the chain's symmetrized W, the
-    normalized partners G A o_j - lambda_j A o_j complete A O; at
-    lambda_j = -1, G A o_j = -A o_j needs none.  The span is invariant under U.
+    eigenpairs of G's reference block, the chain's symmetrized W (from
+    ``chain.eigenpairs``), the normalized partners G A o_j - lambda_j A o_j
+    complete A O; at lambda_j = -1, G A o_j = -A o_j needs none.  The span is
+    invariant under U.
     """
     ref = layout.reference_indices()
-    lam = chain.eigenvalues[:-1]
-    keep = 1.0 - lam**2 > PARTNER_ATOL
-    lam, O = lam[keep], chain.eigenvectors[:, :-1][:, keep]
-    partners = GA @ O
-    partners[ref] -= O * lam
+    lam, O = chain.eigenpairs
+    keep = 1.0 - lam[:-1] ** 2 > PARTNER_ATOL
+    lam_k, O_k = lam[:-1][keep], O[:, :-1][:, keep]
+    partners = GA @ O_k
+    partners[ref] -= O_k * lam_k
     partners /= np.linalg.norm(partners, axis=0)    # sqrt(1 - lambda^2), to rounding
     AO = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
-    AO[ref] = chain.eigenvectors
+    AO[ref] = O
     return np.hstack([AO, partners])
 
 

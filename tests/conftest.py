@@ -26,6 +26,17 @@ def random_instance(seed, max_points=16, allow_2d=True):
     return model, kernel
 
 
+def count_linalg_calls(monkeypatch, *names):
+    """Wrap the named np.linalg solvers to count their calls; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def torus_shift(shape, idx, offset):
     """Scalar reference for the neighbour table: idx moved by offset on the torus."""
     mi = np.unravel_index(idx, shape)

@@ -32,7 +32,7 @@ from qmhlab.markov import (ProposalKernel, ReducibleChainError, StateSpace, Targ
                            build_transition_matrix)
 from qmhlab.qsim import RegisterLayout, apply_core, build_walk_operator, encode_distribution
 
-from conftest import random_instance, torus_cases
+from conftest import count_linalg_calls, random_instance, torus_cases
 
 PI3_ATOL = 1e-9
 
@@ -362,6 +362,18 @@ class TestQpePhaseGate:
                                   + (np.conj(gate.omega) - 1.0) * p)
             gate.error_bound(v)
         assert len(built) == 1
+
+    def test_one_eigh_per_chain(self, monkeypatch):
+        # the gate's chain takes its values-only spectrum, then one eigh for
+        # the basis and coefficients; applying the gate solves nothing more
+        model, kernel = gaussian_torus_5x5()
+        calls = count_linalg_calls(monkeypatch, "eigh", "eigvalsh")
+        gate = QpePhaseGate(model, kernel, OMEGA_PI3, 0.01)
+        assert calls == {"eigh": 1, "eigvalsh": 1}
+        v = np.ones(len(gate._basis), dtype=complex)
+        gate.apply_inverse(gate.apply(v))
+        gate.error_bound(v)
+        assert calls == {"eigh": 1, "eigvalsh": 1}
 
     def test_inverse_composes_to_identity_within_residual(self, ring8):
         model, kernel = ring8

@@ -70,7 +70,7 @@ class TestRunCommand:
         # the zero move is its own negation: a table that sends it to slot 1
         # breaks the involution (S F)^2 = I
         def corrupted(layout):
-            neg = negation_slots(layout.shape, layout.moves)
+            neg = negation_slots(layout.shape, layout.moves).copy()    # the cached table is read-only
             neg[0] = 1
             return neg
 

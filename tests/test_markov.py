@@ -1,5 +1,6 @@
 """Transition-matrix construction, spectral data, sampling, and mixing bounds."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from qmhlab import markov
+from qmhlab.annealing import phase_gate_cost, qpe_ancilla_count
 from qmhlab.markov import (
     ChainModel,
     ProposalKernel,
@@ -21,6 +23,7 @@ from qmhlab.markov import (
     mcmc_expectation,
     mixing_bound_check,
     mixing_time_bound,
+    negation_slots,
     neighbour_table,
     run_mh,
     spectral_gap,
@@ -29,7 +32,7 @@ from qmhlab.markov import (
 
 from qmhlab.inference import synth_gw_instance
 
-from conftest import random_instance, torus_cases, torus_shift
+from conftest import count_linalg_calls, random_instance, torus_cases, torus_shift
 
 TORUS_CASES = torus_cases()
 TORUS_IDS = [name for name, _, _ in TORUS_CASES]
@@ -99,6 +102,19 @@ class TestStateSpace:
         ref = [[torus_shift(shape, x, m) for m in kernel.moves] for x in range(model.space.size)]
         assert np.array_equal(nb, ref)
 
+    def test_tables_built_once_per_grid_and_read_only(self):
+        nb = neighbour_table((5,), [(1,), (-1,)])
+        assert neighbour_table([5], ((1,), (-1,))) is nb
+        assert neighbour_table((np.int64(5),), [[1], [-1]]) is nb
+        assert neighbour_table((5,), [(-1,), (1,)]) is not nb
+        neg = negation_slots((5,), [(1,), (4,)])
+        assert negation_slots([5], [[1], [4]]) is neg
+        assert neg.tolist() == [1, 0]
+        for table in (nb, neg):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
     def test_rejects_duplicate_axis_values(self):
         with pytest.raises(ValueError):
             StateSpace(shape=(2,), axes=(np.array([1.0, 1.0]),))
@@ -165,6 +181,11 @@ class TestProposalKernel:
                 T[x, torus_shift(space.shape, x, m)] += w
         assert np.array_equal(kernel.matrix(), T)
 
+    @pytest.mark.parametrize("name,model,kernel", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
+    def test_max_column_mass_matches_dense_matrix(self, name, model, kernel):
+        T = kernel.matrix()
+        assert kernel.max_column_mass == float(np.max((T - np.diag(np.diag(T))).sum(axis=0)))
+
     def test_nearest_neighbor_stay_mass(self):
         space = StateSpace.regular_grid((6,))
         kernel = ProposalKernel.nearest_neighbor(space, stay_prob=0.4)
@@ -227,6 +248,19 @@ class TestAcceptance:
                 if T[x, y] > 0 and x != y:
                     assert A[x, y] == pytest.approx(
                         acceptance_ratio(model, kernel, x, y), abs=1e-14)
+
+    @pytest.mark.parametrize("name,model,kernel", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
+    def test_ratio_matches_dense_proposal_reference(self, name, model, kernel):
+        # the formula acceptance_ratio replaced: T(x, y) read off a dense T
+        T = kernel.matrix()
+        p = model.unnormalized()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x, y in zip(*np.nonzero(T)):
+                ref = min(1.0, (p[y] * T[y, x]) / (p[x] * T[x, y]))
+                assert acceptance_ratio(model, kernel, x, y) == ref
+        for x, y in list(zip(*np.nonzero(T == 0)))[:20]:
+            with pytest.raises(ValueError, match="is zero"):
+                acceptance_ratio(model, kernel, x, y)
 
     def test_uniform_target_accepts_everything(self):
         model = uniform_model(8)
@@ -294,9 +328,11 @@ class TestTransitionMatrix:
         assert np.array_equal(chain.transition, W)
         d = np.sqrt(model.distribution())
         S = (d[:, None] * W) / d[None, :]
-        lam, O = np.linalg.eigh(0.5 * (S + S.T))
-        assert np.array_equal(chain.eigenvalues, lam)
-        assert np.array_equal(chain.eigenvectors, O)
+        S = 0.5 * (S + S.T)
+        assert np.array_equal(chain.eigenvalues, np.linalg.eigvalsh(S))
+        lam, O = np.linalg.eigh(S)
+        assert np.array_equal(chain.eigenpairs[0], lam)
+        assert np.array_equal(chain.eigenpairs[1], O)
 
     def test_second_eigenvalue_matches_power_iteration(self, ring8):
         model, kernel = ring8
@@ -320,9 +356,9 @@ class TestTransitionMatrix:
         # the nonsymmetric solver never sees the symmetrized D W D^-1
         np.testing.assert_allclose(chain.eigenvalues, np.sort(np.linalg.eigvals(W).real),
                                    atol=1e-12)
-        Q = chain.eigenvectors / np.sqrt(chain.stationary)[:, None]
-        np.testing.assert_allclose(np.linalg.solve(Q, W @ Q), np.diag(chain.eigenvalues),
-                                   atol=1e-12)
+        lam, O = chain.eigenpairs
+        Q = O / np.sqrt(chain.stationary)[:, None]
+        np.testing.assert_allclose(np.linalg.solve(Q, W @ Q), np.diag(lam), atol=1e-12)
         assert chain.condition_number >= 1.0
         assert chain.condition_number == pytest.approx(np.linalg.cond(Q), rel=1e-12)
 
@@ -347,6 +383,51 @@ class TestTransitionMatrix:
                 assert np.ceil(2.0 / (chain.signed_gap * eps**2)) == np.ceil(
                     2.0 / (signed * eps**2))
                 assert chain.condition_number == pytest.approx(kappa, rel=1e-12)
+
+
+def eigh_gaps(chain):
+    """The spectral and signed gaps from the eigh eigenvalues, as they were taken before."""
+    lam = chain.eigenpairs[0]
+    second = float(lam[-2]) if len(lam) > 1 else 0.0
+    bottom = abs(float(lam[0])) if len(lam) > 1 else 0.0
+    return 1.0 - max(bottom, second), 1.0 - second
+
+
+class TestSpectrumOnDemand:
+    """Chains take their values-only spectrum; eigenvectors wait for a reader."""
+
+    def test_build_runs_eigvalsh_once_and_eigh_never(self, monkeypatch):
+        calls = count_linalg_calls(monkeypatch, "eigh", "eigvalsh")
+        chain = build_transition_matrix(*random_instance(4))
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+        lam, O = chain.eigenpairs
+        assert chain.eigenpairs[1] is O
+        assert calls == {"eigh": 1, "eigvalsh": 1}
+        for a in (lam, O):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_gaps_and_integer_costs_match_eigh(self):
+        chains = [build_transition_matrix(*random_instance(seed)) for seed in range(200)]
+        for M in (256, 512, 1024, 2048, 4096):
+            for s in (0, 1, 2):
+                inst = synth_gw_instance(0.1, 0.0, M, 2.0, s, grid_shape=(8, 8))
+                kernel = ProposalKernel.nearest_neighbor(inst.space)
+                chains += [build_transition_matrix(inst.model.with_beta(float(b)), kernel)
+                           for b in np.linspace(0.1, 1.0, 10)]
+        assert len(chains) == 350
+        for chain in chains:
+            gap, signed = eigh_gaps(chain)
+            assert abs(chain.spectral_gap - gap) <= 1e-14
+            assert abs(chain.signed_gap - signed) <= 1e-14
+            for delta in (1e-4, 0.01, 0.1):
+                assert phase_gate_cost(chain.signed_gap, delta) == phase_gate_cost(signed, delta)
+                assert qpe_ancilla_count(float(np.arccos(1.0 - chain.signed_gap)), delta) \
+                    == qpe_ancilla_count(float(np.arccos(1.0 - signed)), delta)
+            for eps in (0.01, 0.05, 0.25):
+                assert mixing_time_bound(chain, eps) == mixing_time_bound(
+                    dataclasses.replace(chain, spectral_gap=gap), eps)
 
 
 def diagonalizer_reference(W, pi):

@@ -26,7 +26,7 @@ from qmhlab.qsim import (
     verify_phase_gap,
 )
 
-from conftest import random_instance, torus_cases, torus_shift
+from conftest import count_linalg_calls, random_instance, torus_cases, torus_shift
 
 TORUS_CASES = torus_cases()
 TORUS_IDS = [name for name, _, _ in TORUS_CASES]
@@ -345,7 +345,7 @@ class TestCoreIdentities:
 
 def corrupted_negation_slots(layout):
     """The zero move, its own negation, sent to slot 1: S F is no longer an involution."""
-    neg = negation_slots(layout.shape, layout.moves)
+    neg = negation_slots(layout.shape, layout.moves).copy()    # the cached table is read-only
     neg[0] = 1
     return neg
 
@@ -413,6 +413,18 @@ class TestPhaseGap:
         assert report.unit_multiplicity == 1
         assert report.principal_overlap >= 1.0 - 1e-9
         assert report.min_nonzero_phase >= report.phase_bound - PHASE_ATOL
+
+    def test_one_eigh_per_chain(self, monkeypatch):
+        model, kernel, layout = make_setup(5)
+        U = build_walk_operator(model, kernel, layout)
+        calls = count_linalg_calls(monkeypatch, "eigh")
+        chain = build_transition_matrix(model, kernel)
+        assert calls["eigh"] == 0
+        first = verify_phase_gap(U, layout, chain)
+        assert calls["eigh"] == 1
+        # a second report on the same chain reuses its eigenpairs
+        assert np.array_equal(verify_phase_gap(U, layout, chain).eigenphases, first.eigenphases)
+        assert calls["eigh"] == 1
 
     def test_sharply_peaked_ring_passes(self):
         # 64-ring with L = 0.05 (x - 32)^2, 51 nats deep: the images of the
