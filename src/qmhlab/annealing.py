@@ -22,6 +22,7 @@ OMEGA_PI3 = np.exp(1j * np.pi / 3)
 KEEP_THRESHOLD = np.exp(-2.0)          # schedule keeps overlaps estimated >= e^-2
 OVERLAP_GUARANTEE = 9.0 / (10.0 * np.e**2)
 NAE_ACCURACY = 1.0 / (10.0 * np.e**2)
+GATE_DELTA = 0.01                      # QPE failure weight of each synthesized phase gate
 
 
 class QueryLedger:
@@ -36,9 +37,6 @@ class QueryLedger:
             raise ValueError("charge must be nonnegative")
         self.total += int(n)
         self.by_tag[tag] = self.by_tag.get(tag, 0) + int(n)
-
-    def stage_total(self, tag: str) -> int:
-        return self.by_tag.get(tag, 0)
 
 
 def qpe_ancilla_count(phase_gap: float, delta: float) -> int:
@@ -96,17 +94,25 @@ def _qpe_outcome_distributions(phase: float, t: int) -> tuple[np.ndarray, np.nda
     return plus / plus.sum(), minus / minus.sum()
 
 
-def _sample_qpe_outcomes(phase: float, t: int, runs: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Outcomes k of `runs` phase estimations on an even mix of the +-phase eigenvectors.
+def sample_half_angles(theta: float, eps: float, delta: float,
+                       rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Estimates pi m / 2^t of the angle theta, one per run, and the reflections spent.
 
-    Each run spends two uniforms: the first picks the eigenvector, the second
-    the outcome by inverse CDF, as ``rng.choice(2**t, p=dist)`` does.
+    Each of ceil(12 ln(1/delta)) runs is phase estimation with
+    t = ceil(log2(2 pi / eps)) + 3 ancillas on an even mix of the two-reflection
+    rotation's eigenvectors (eigenphases +-2 theta).  A run spends two uniforms:
+    the first picks the eigenvector, the second the outcome k by inverse CDF, as
+    ``rng.choice(2**t, p=dist)`` does; m = min(k, 2^t - k).
     """
-    plus, minus = (np.cumsum(d) for d in _qpe_outcome_distributions(phase, t))
+    t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
+    N = 2**t
+    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
+    plus, minus = (np.cumsum(d) for d in _qpe_outcome_distributions(2.0 * theta, t))
     u = rng.random((runs, 2))
-    return np.where(u[:, 0] < 0.5, (plus / plus[-1]).searchsorted(u[:, 1], side="right"),
-                    (minus / minus[-1]).searchsorted(u[:, 1], side="right"))
+    k = np.where(u[:, 0] < 0.5, (plus / plus[-1]).searchsorted(u[:, 1], side="right"),
+                 (minus / minus[-1]).searchsorted(u[:, 1], side="right"))
+    # each Grover step is two reflections; QPE uses 2^t - 1 steps per run
+    return np.pi * np.minimum(k, N - k) / N, runs * (N - 1) * 2
 
 
 class QpePhaseGate:
@@ -243,20 +249,15 @@ def nae_overlap(state: np.ndarray, target: np.ndarray, eps: float, delta: float,
                           state / np.linalg.norm(state)))
     theta = float(np.arccos(np.clip(overlap, 0.0, 1.0)))
 
-    t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
-    N = 2**t
-    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
-    k = _sample_qpe_outcomes(2.0 * theta, t, runs, rng)
-    phi = 2.0 * np.pi * np.minimum(k, N - k) / N
+    half_angles, reflections = sample_half_angles(theta, eps, delta, rng)
     # float_power calls pow like a scalar ** 2; an array ** 2 squares (last bit differs)
-    estimates = np.float_power(np.cos(phi / 2.0), 2)
+    estimates = np.float_power(np.cos(half_angles), 2)
     estimate = float(np.median(estimates))
     agree = int(np.sum(np.abs(estimates - estimate) <= eps))
-    flag = 1 if 2 * agree >= runs else 0
+    flag = 1 if 2 * agree >= len(estimates) else 0
 
     if ledger is not None:
-        # each Grover step is two reflections; QPE uses 2^t - 1 steps per run
-        ledger.charge(runs * (N - 1) * 2 * reflection_cost, tag)
+        ledger.charge(reflections * reflection_cost, tag)
     return estimate, flag, state
 
 
@@ -268,7 +269,6 @@ class AnnealingSchedule:
     overlaps: tuple[float, ...]
     success: bool
     l_max: int
-    mode: str
     seed: int
     queries: int
 
@@ -292,25 +292,25 @@ def stage_count_limit(mean_nll: float) -> int:
 
 
 def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
-                 eta: float, seed: int, grid_step: float | None = None,
+                 eta: float, seed: int,
                  ledger: QueryLedger | None = None) -> AnnealingSchedule:
     """Search the temperature ladder by overlap-thresholded binary search.
 
     Each candidate overlap |<P_beta|P_beta'>|^2 is estimated nondestructively
     to accuracy 1/(10 e^2) with per-call failure budget eta/(l_max L_max);
     a step is kept when the estimate is at least e^-2, so true kept overlaps
-    are at least 9/(10 e^2).  Failure is reported as success=False.
+    are at least 9/(10 e^2).  The search resolves beta to min(1/L_max, 1/2).
+    Failure is reported as success=False.
     """
     L = model.neg_log_lik
     mean_nll = float(np.dot(model.prior, L))
     l_max = stage_count_limit(mean_nll)
     if mean_nll == 0:
         return AnnealingSchedule(betas=(0.0, 1.0), overlaps=(1.0,), success=True,
-                                 l_max=l_max, mode="exact", seed=seed,
+                                 l_max=l_max, seed=seed,
                                  queries=0)
     L_max = float(L.max())
-    precision = 1.0 / L_max if grid_step is None else float(grid_step)
-    precision = min(precision, 0.5)
+    precision = min(1.0 / L_max, 0.5)
     delta_nae = min(0.49, eta / (l_max * max(L_max, 1.0)))
     ledger = QueryLedger() if ledger is None else ledger
     refl_cost = phase_gate_cost(delta_min, delta_nae)
@@ -327,7 +327,7 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
 
     def result(success):
         return AnnealingSchedule(betas=tuple(betas), overlaps=tuple(overlaps), success=success,
-                                 l_max=l_max, mode="exact", seed=seed,
+                                 l_max=l_max, seed=seed,
                                  queries=ledger.total - start_queries)
 
     start_queries = ledger.total
@@ -369,14 +369,13 @@ def amplification_depth(p: float, stage_eps: float) -> int:
 
 def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
                  kernel: ProposalKernel, eps: float, mode: str = "exact",
-                 gate_delta: float = 0.01,
                  ledger: QueryLedger | None = None) -> np.ndarray:
     """Walk the schedule with pi/3 amplification, stage accuracy eps / #stages.
 
     exact mode uses oracle phase gates about the known intermediate states
     (charged at the synthesized-gate rate); qpe mode synthesizes each gate
     from the walk operator of the chain at that temperature, once per
-    temperature.
+    temperature.  Each gate's QPE has failure weight GATE_DELTA.
     """
     if not schedule.success:
         raise ValueError("cannot generate from a failed schedule")
@@ -388,7 +387,7 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
     stage_eps = eps / n_stages
 
     def qpe_gate(beta):
-        return QpePhaseGate(model.with_beta(beta), kernel, OMEGA_PI3, gate_delta,
+        return QpePhaseGate(model.with_beta(beta), kernel, OMEGA_PI3, GATE_DELTA,
                             ledger=ledger, tag="generate")
 
     for i in range(n_stages):
@@ -400,7 +399,7 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
             t1 = encode_distribution(model.with_beta(b1).distribution(), layout)
             t2 = encode_distribution(model.with_beta(b2).distribution(), layout)
             chain2 = build_transition_matrix(model.with_beta(b2), kernel)
-            cost = phase_gate_cost(chain2.signed_gap, gate_delta)
+            cost = phase_gate_cost(chain2.signed_gap, GATE_DELTA)
             R1 = ExactPhaseGate(t1, OMEGA_PI3, cost=cost, ledger=ledger, tag="generate")
             R2 = ExactPhaseGate(t2, OMEGA_PI3, cost=cost, ledger=ledger, tag="generate")
         elif mode == "qpe":

@@ -35,8 +35,7 @@ from .qsim import (
     verify_phase_gap,
 )
 
-EXPERIMENTS = ("verify-walk", "verify-bounds", "anneal", "qmci-pipeline",
-               "credible-interval", "gw-scaling")
+CI_ALPHA, CI_EPS = 0.5, 0.05        # the scaling study's credible query
 
 
 def _write_json(payload, path):
@@ -54,7 +53,7 @@ def _default_model():
     return model, kernel
 
 
-def experiment_verify_walk(model, kernel, out_dir, seed=0):
+def experiment_verify_walk(model, kernel, out_dir):
     chain = build_transition_matrix(model, kernel)
     layout = RegisterLayout.for_kernel(kernel)
     # S F sends basis states to basis states, so max |(S F)^2 - I| reads 0 or 1
@@ -173,8 +172,9 @@ def experiment_credible_interval(model, kernel, out_dir, seed=0, axis=0,
     return passed, payload
 
 
-def scaling_study(M_values, methods, out_dir, rho=2.0, eps=0.1, delta=0.2,
-                  seeds=(0, 1, 2), alpha=0.5, ci_eps=0.05):
+def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
+                  methods=("proposed", "exact-qsa", "classical-mh"), rho=2.0, eps=0.1,
+                  delta=0.2, seeds=(0, 1, 2)):
     """Measured oracle-query totals for credible-interval estimation vs M.
 
     proposed: annealed preparation with mean-estimation gates; exact-qsa:
@@ -209,10 +209,10 @@ def scaling_study(M_values, methods, out_dir, rho=2.0, eps=0.1, delta=0.2,
             return inference.credible_bound_search(ci_query, handle, seed).queries
         if method == "classical-mh":
             chain = build_transition_matrix(inst.model, kernel)
-            n_b = mixing_time_bound(chain, ci_eps)
-            n = int(np.ceil(2.0 / (chain.signed_gap * ci_eps**2)))
+            n_b = mixing_time_bound(chain, CI_EPS)
+            n = int(np.ceil(2.0 / (chain.signed_gap * CI_EPS**2)))
             sample = run_mh(inst.model, kernel, n_b, n, seed)
-            inference.classical_credible(sample, inst.space, 0, alpha)
+            inference.classical_credible(sample, inst.space, 0, CI_ALPHA)
             return (n_b + n) * M
         raise ValueError(f"unknown method {method!r}")
 
@@ -224,7 +224,7 @@ def scaling_study(M_values, methods, out_dir, rho=2.0, eps=0.1, delta=0.2,
             kernel = ProposalKernel.nearest_neighbor(inst.space)
             if eps_internal is None:
                 eps_internal = qmci.internal_accuracy(inst.model, kernel, eps)
-            ci_query = inference.CredibleQuery(axis=0, alpha=alpha, eps=ci_eps,
+            ci_query = inference.CredibleQuery(axis=0, alpha=CI_ALPHA, eps=CI_EPS,
                                                delta=delta, side="upper")
             for method in methods:
                 total = measure(method, inst, kernel, int(seed), eps_internal,
@@ -249,53 +249,37 @@ def scaling_study(M_values, methods, out_dir, rho=2.0, eps=0.1, delta=0.2,
     return payload
 
 
+# experiment -> (runner, the config keys it reads); absent keys take the runner's default
+RUNNERS = {
+    "verify-walk": (experiment_verify_walk, ()),
+    "verify-bounds": (experiment_verify_bounds, ("seeds", "eps_values")),
+    "anneal": (experiment_anneal, ("seed", "eps", "mode")),
+    "qmci-pipeline": (experiment_qmci_pipeline, ("seed", "eps", "delta", "M", "spread")),
+    "credible-interval": (experiment_credible_interval,
+                          ("seed", "axis", "alpha", "eps", "delta")),
+    "gw-scaling": (scaling_study, ("M_values", "methods", "rho", "eps", "delta", "seeds")),
+}
+
+
 def _run_config(cfg, out_dir):
     exp = cfg.get("experiment")
-    if exp not in EXPERIMENTS:
+    if exp not in RUNNERS:
         raise click.ClickException(
-            f"unknown experiment {exp!r}; choose from {', '.join(EXPERIMENTS)}")
+            f"unknown experiment {exp!r}; choose from {', '.join(RUNNERS)}")
+    runner, keys = RUNNERS[exp]
+    kwargs = {k: cfg[k] for k in keys if k in cfg}
     if exp == "gw-scaling":          # builds its own GW instances
-        _scaling_from_config(cfg, out_dir)
+        click.echo(json.dumps(runner(out_dir, **kwargs)["slopes"], indent=2))
         return True
-    seed = int(cfg.get("seed", 0))
     if "model" in cfg:
         model, kernel, model_seed = load_model(cfg["model"])
-        seed = int(cfg.get("seed", model_seed))
+        if "seed" in keys:           # a config seed overrides the model file's
+            kwargs.setdefault("seed", model_seed)
     else:
         model, kernel = _default_model()
-
-    if exp == "verify-walk":
-        passed, _ = experiment_verify_walk(model, kernel, out_dir, seed)
-    elif exp == "verify-bounds":
-        passed, _ = experiment_verify_bounds(
-            model, kernel, out_dir,
-            seeds=cfg.get("seeds", [0, 1, 2, 3]),
-            eps_values=cfg.get("eps_values", [0.01, 0.05, 0.1]))
-    elif exp == "anneal":
-        passed, _ = experiment_anneal(model, kernel, out_dir, seed,
-                                      eps=cfg.get("eps", 0.1),
-                                      mode=cfg.get("mode", "exact"))
-    elif exp == "qmci-pipeline":
-        passed, _ = experiment_qmci_pipeline(
-            model, kernel, out_dir, seed, eps=cfg.get("eps", 0.2),
-            delta=cfg.get("delta", 0.1), M=cfg.get("M", 64),
-            spread=cfg.get("spread", 0.5))
-    elif exp == "credible-interval":
-        passed, _ = experiment_credible_interval(
-            model, kernel, out_dir, seed, axis=cfg.get("axis", 0),
-            alpha=cfg.get("alpha", 0.5), eps=cfg.get("eps", 0.05),
-            delta=cfg.get("delta", 0.1))
-    return passed
-
-
-def _scaling_from_config(cfg, out_dir):
-    """Run the scaling study a gw-scaling config describes and print its slopes."""
-    payload = scaling_study(
-        cfg.get("M_values", [256, 512, 1024, 2048, 4096]),
-        cfg.get("methods", ["proposed", "exact-qsa", "classical-mh"]),
-        out_dir, rho=cfg.get("rho", 2.0), eps=cfg.get("eps", 0.1),
-        delta=cfg.get("delta", 0.2), seeds=cfg.get("seeds", [0, 1, 2]))
-    click.echo(json.dumps(payload["slopes"], indent=2))
+    if "seed" in kwargs:
+        kwargs["seed"] = int(kwargs["seed"])
+    return runner(model, kernel, out_dir, **kwargs)[0]
 
 
 def _load_config(path):
@@ -348,5 +332,10 @@ def verify_cmd(suite, out):
               required=True)
 def scaling_cmd(config_path):
     """Run the query-scaling study described by a JSON config file."""
-    _scaling_from_config(*_load_config(config_path))
+    cfg, out_dir = _load_config(config_path)
+    _run_config({**cfg, "experiment": "gw-scaling"}, out_dir)
     sys.exit(0)
+
+
+if __name__ == "__main__":
+    main()

@@ -9,7 +9,6 @@ negative log-likelihood is an average of per-mode terms.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,11 @@ import numpy as np
 from . import annealing
 from .markov import ChainSample, StateSpace, TargetModel
 from .qmci import LikelihoodOracle
+
+GW_FREQ_SPAN = 0.02          # the GW grid's half-widths in frequency and log-amplitude
+GW_LOG_AMP_SPAN = 0.6
+GW_NOISE_FLOOR = 1.0         # one-sided noise PSD, flat
+GW_SIGMA_MARGIN = 1.05       # declared sigma over the largest measured term spread
 
 
 def cdf_exact(P, space: StateSpace, axis: int, a: float) -> float:
@@ -49,19 +53,14 @@ def cdf_qmci(handle: PosteriorHandle, axis: int, a: float, eps: float,
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must be in (0, 1)")
-    rng = np.random.default_rng(seed)
     amp = cdf_exact(handle.distribution, handle.space, axis, a)
     theta = float(np.arcsin(np.sqrt(np.clip(amp, 0.0, 1.0))))
-    t = int(np.ceil(np.log2(2.0 * np.pi / (eps / 3.0)))) + 3
-    N = 2**t
-    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
-    k = annealing._sample_qpe_outcomes(2.0 * theta, t, runs, rng)
+    rng = np.random.default_rng(seed)
+    half_angles, reflections = annealing.sample_half_angles(theta, eps / 3.0, delta, rng)
     # float_power, like nae_overlap's, keeps the bits of a scalar ** 2
-    estimates = np.float_power(np.sin(np.pi * np.minimum(k, N - k) / N), 2)
-    estimate = float(np.median(estimates))
-    # two preparations per Grover step (reflection about the prepared state)
-    queries = runs * (N - 1) * 2 * handle.prep_queries
-    return estimate, queries
+    estimates = np.float_power(np.sin(half_angles), 2)
+    # one preparation per reflection about the prepared state
+    return float(np.median(estimates)), reflections * handle.prep_queries
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,6 @@ class CredibleResult:
     found: bool
     iterations: int
     queries: int
-
-    @property
-    def no_output(self) -> bool:
-        return not self.found
 
 
 def credible_bound_search(query: CredibleQuery, handle: PosteriorHandle,
@@ -157,8 +152,6 @@ class GwInstance:
     data_ft: np.ndarray
     psd: np.ndarray
     M: int
-    rho: float
-    gamma: float
     sigma: float
 
     def to_csv(self, path) -> None:
@@ -173,10 +166,7 @@ def _waveform(freq: float, log_amp: float, M: int, tau: float) -> np.ndarray:
 
 
 def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
-                      seed: int, grid_shape=(4, 4), freq_span=0.02,
-                      log_amp_span=0.6, noise_floor: float = 1.0,
-                      sigma_margin: float = 1.05,
-                      noiseless: bool = False) -> GwInstance:
+                      seed: int, grid_shape=(4, 4), noiseless: bool = False) -> GwInstance:
     """Build the synthetic instance at series length M and signal strength rho.
 
     The injected template is rescaled so its matched-filter norm (h*|h*)
@@ -188,9 +178,8 @@ def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
         raise ValueError("rho must be positive")
     rng = np.random.default_rng(seed)
     tau = 64.0                          # fixed damping time, independent of M
-    n_modes = M // 2 - 1
     modes = slice(1, M // 2)
-    psd = np.full(M // 2 + 1, noise_floor)
+    psd = np.full(M // 2 + 1, GW_NOISE_FLOOR)
 
     ft = np.fft.rfft
 
@@ -203,20 +192,19 @@ def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
     scale = rho / norm
     h_true = h_true * scale
 
-    # white noise whose per-mode FT variance is M * noise_floor / 2
-    noise = np.zeros(M) if noiseless else rng.normal(0.0, np.sqrt(noise_floor / 2.0), size=M)
+    # white noise whose per-mode FT variance is M * GW_NOISE_FLOOR / 2
+    noise = np.zeros(M) if noiseless else rng.normal(0.0, np.sqrt(GW_NOISE_FLOOR / 2.0), size=M)
     s = h_true + noise
     s_ft = ft(s)
 
-    freqs = np.linspace(true_freq - freq_span, true_freq + freq_span, grid_shape[0])
-    log_amps = np.linspace(true_log_amp - log_amp_span, true_log_amp + log_amp_span,
+    freqs = np.linspace(true_freq - GW_FREQ_SPAN, true_freq + GW_FREQ_SPAN, grid_shape[0])
+    log_amps = np.linspace(true_log_amp - GW_LOG_AMP_SPAN, true_log_amp + GW_LOG_AMP_SPAN,
                            grid_shape[1])
     space = StateSpace(shape=tuple(grid_shape), axes=(freqs, log_amps))
     n = space.size
 
     table = np.zeros((M, n))
     ell0 = np.zeros(n)
-    gamma = 0.0
     for x in range(n):
         i, j = space.multi_index(x)
         hf = ft(_waveform(freqs[i], log_amps[j], M, tau) * scale)
@@ -224,17 +212,16 @@ def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
         terms = -8.0 * (hf[modes].conj() * s_ft[modes]).real / psd[modes]
         table[modes, x] = terms
         ell0[x] = inner(hf, hf)
-        gamma = max(gamma, float(np.abs(hf[modes]).max()) / np.sqrt(noise_floor))
 
     L_unshifted = table.mean(axis=0) + ell0
     const = -float(L_unshifted.min())
-    sigma = float(table.std(axis=0, ddof=0).max()) * sigma_margin
+    sigma = float(table.std(axis=0, ddof=0).max()) * GW_SIGMA_MARGIN
     oracle = LikelihoodOracle(table, sigma, ell0=ell0, const=const)
 
     prior = np.full(n, 1.0 / n)
     model = TargetModel(space=space, prior=prior, neg_log_lik=oracle.full_nll())
     return GwInstance(space=space, oracle=oracle, model=model, data_ft=s_ft,
-                      psd=psd, M=M, rho=rho, gamma=gamma, sigma=sigma)
+                      psd=psd, M=M, sigma=sigma)
 
 
 def gw_identity_error(inst: GwInstance) -> float:
@@ -244,17 +231,12 @@ def gw_identity_error(inst: GwInstance) -> float:
     return float(np.max(np.abs(inst.model.neg_log_lik - direct)))
 
 
-def sigma_scaling(M_values, rho: float, seed: int, **kwargs) -> dict:
+def sigma_scaling(M_values, rho: float, seed: int) -> dict:
     """Measured sigma at each M with the fitted log-log slope."""
     sigmas = []
     for M in M_values:
-        inst = synth_gw_instance(0.1, 0.0, int(M), rho, seed, **kwargs)
+        inst = synth_gw_instance(0.1, 0.0, int(M), rho, seed)
         sigmas.append(inst.sigma)
     slope = float(np.polyfit(np.log(np.asarray(M_values, float)),
                              np.log(sigmas), 1)[0])
     return {"M": list(M_values), "sigma": sigmas, "slope": slope}
-
-
-def write_report(payload: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)

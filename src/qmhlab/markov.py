@@ -263,15 +263,13 @@ def acceptance_ratio(model: TargetModel, kernel: ProposalKernel, x: int, y: int)
     Computed from the unnormalized target, so the normalizer cancels.  T(x, y)
     is the weight of the move taking x to y, T(y, x) that of its negation.
     """
-    w = kernel.weights
+    nb = neighbour_table(model.space.shape, kernel.moves)
     # moves are distinct on the torus, so at most one reaches y from x
-    j = np.flatnonzero(neighbour_table(model.space.shape, kernel.moves)[x] == y)
-    if len(j) == 0 or w[j[0]] <= 0:
+    j = np.flatnonzero(nb[x] == y)
+    if len(j) == 0 or kernel.weights[j[0]] <= 0:
         raise ValueError(f"proposal probability T({x},{y}) is zero; ratio undefined")
-    j = j[0]
-    p = model.unnormalized()
-    return min(1.0, (p[y] * w[negation_slots(model.space.shape, kernel.moves)[j]])
-               / (p[x] * w[j]))
+    neg = negation_slots(model.space.shape, kernel.moves)
+    return float(acceptance_table(model, nb, kernel.weights, neg)[x, j[0]])
 
 
 def acceptance_table(model: TargetModel, nb: np.ndarray, weights: np.ndarray,
@@ -337,9 +335,9 @@ class ChainModel:
         lam.flags.writeable = O.flags.writeable = False
         return lam, O
 
-    def is_reversible(self, atol: float = PROB_ATOL) -> bool:
+    def is_reversible(self) -> bool:
         flow = self.stationary[:, None] * self.transition
-        return bool(np.max(np.abs(flow - flow.T)) <= atol)
+        return bool(np.max(np.abs(flow - flow.T)) <= PROB_ATOL)
 
 
 def _symmetrized(W: np.ndarray, pi: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ deterministic per-state likelihood perturbation of size eps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,8 +165,3 @@ def verification_record(instance_id, model: TargetModel, kernel: ProposalKernel,
         "tv_bound": tv_bound,
         "pass": bool(a_ok and g_ok and tv_ok),
     }
-
-
-def write_report(records, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"records": list(records)}, fh, indent=2)

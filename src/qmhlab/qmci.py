@@ -264,16 +264,15 @@ def approx_walk_operator(oracle: LikelihoodOracle, model: TargetModel,
     return U, model_pert, residual
 
 
-def internal_accuracy(model: TargetModel, kernel: ProposalKernel, eps: float,
-                      beta_grid=None) -> float:
+def internal_accuracy(model: TargetModel, kernel: ProposalKernel, eps: float) -> float:
     """Likelihood accuracy eps'' guaranteeing TV(P~, P) <= eps along the anneal.
 
     min of: the TV-drift inversion at the worst spectral gap, the
-    gap-preservation cap, and half the mean log-likelihood.
+    gap-preservation cap, and half the mean log-likelihood; the worst case
+    is taken over beta = 0.1, 0.2, ..., 1.
     """
-    if beta_grid is None:
-        beta_grid = np.linspace(0.1, 1.0, 10)
-    chains = (build_transition_matrix(model.with_beta(float(b)), kernel) for b in beta_grid)
+    chains = (build_transition_matrix(model.with_beta(float(b)), kernel)
+              for b in np.linspace(0.1, 1.0, 10))
     gaps, kappas, pmins = zip(*[(c.spectral_gap, c.condition_number, c.stationary.min())
                                 for c in chains])
     gap_min, kappa_max, p_min = min(gaps), max(kappas), min(pmins)
@@ -293,7 +292,6 @@ class PipelineResult:
     state: np.ndarray
     schedule: "annealing.AnnealingSchedule"
     model_pert: TargetModel
-    layout: RegisterLayout
     eps_internal: float
     walk_applications: int
     oracle_queries: int
@@ -303,7 +301,6 @@ class PipelineResult:
 def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
                   kernel: ProposalKernel, eps: float, delta: float, seed: int,
                   mode: str = "emulated", gate_mode: str = "exact",
-                  grid_step: float | None = None,
                   eps_internal: float | None = None) -> PipelineResult:
     """End-to-end annealed preparation of the QMCI-perturbed posterior.
 
@@ -320,13 +317,11 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
     chain_pert = build_transition_matrix(model_pert, kernel)
     ledger = QueryLedger()
     schedule = qsa_schedule(model_pert, kernel, chain_pert.spectral_gap,
-                            eta=delta / 2.0, seed=seed, grid_step=grid_step,
-                            ledger=ledger)
+                            eta=delta / 2.0, seed=seed, ledger=ledger)
     if not schedule.success:
         raise RuntimeError("temperature schedule search failed")
     state = qsa_generate(schedule, model_pert, kernel, eps=min(0.1, eps / 2.0),
                          mode=gate_mode, ledger=ledger)
-    layout = RegisterLayout.for_kernel(kernel)
 
     # each walk-operator application spends one acceptance evaluation: two
     # mean estimations and their uncomputation
@@ -335,7 +330,7 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
     oracle.charge(ledger.total * per_gate)
     tv = tv_distance(model_pert.distribution(), model.distribution())
     return PipelineResult(
-        state=state, schedule=schedule, model_pert=model_pert, layout=layout,
-        eps_internal=eps_in, walk_applications=ledger.total,
-        oracle_queries=oracle.queries - before, tv_realized=tv,
+        state=state, schedule=schedule, model_pert=model_pert, eps_internal=eps_in,
+        walk_applications=ledger.total, oracle_queries=oracle.queries - before,
+        tv_realized=tv,
     )

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -11,15 +14,15 @@ from qmhlab.markov import negation_slots
 from qmhlab.qsim import RegisterLayout
 
 
-def write_model(tmp_path):
+def write_model(tmp_path, seed=0):
     cfg = {
         "grid": {"shape": [8]},
         "prior": {"type": "uniform"},
         "nll": {"type": "quadratic", "center": [3.0], "scale": 0.5},
         "proposal": {"type": "nearest"},
-        "seed": 0,
+        "seed": seed,
     }
-    path = tmp_path / "model.json"
+    path = tmp_path / f"model{seed}.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -28,6 +31,26 @@ def run_config(tmp_path, cfg):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     return CliRunner().invoke(main, ["run", str(cfg_path)])
+
+
+# the defaults each experiment's optional config keys had when the CLI spelled them out
+SPELLED_OUT_DEFAULTS = {
+    "verify-walk": {},
+    "verify-bounds": {"seeds": [0, 1, 2, 3], "eps_values": [0.01, 0.05, 0.1]},
+    "anneal": {"seed": 0, "eps": 0.1, "mode": "exact"},
+    "qmci-pipeline": {"seed": 0, "eps": 0.2, "delta": 0.1, "M": 64, "spread": 0.5},
+    "credible-interval": {"seed": 0, "axis": 0, "alpha": 0.5, "eps": 0.05, "delta": 0.1},
+    "gw-scaling": {"M_values": [256, 512, 1024, 2048, 4096],
+                   "methods": ["proposed", "exact-qsa", "classical-mh"],
+                   "rho": 2.0, "eps": 0.1, "delta": 0.2, "seeds": [0, 1, 2]},
+}
+
+
+def report_bytes(tmp_path, name, cfg):
+    """Exit code, stdout and every report file of one run, with its own output_dir."""
+    out = tmp_path / name
+    result = run_config(tmp_path, {**cfg, "output_dir": str(out)})
+    return result.exit_code, result.output, {f.name: f.read_bytes() for f in out.iterdir()}
 
 
 class TestRunCommand:
@@ -121,6 +144,37 @@ class TestRunCommand:
         result = run_config(tmp_path, {"experiment": "frobnicate"})
         assert result.exit_code != 0
         assert "frobnicate" in result.output
+
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "frobnicate"}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "qmhlab.cli", "run", str(cfg_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "frobnicate" in proc.stderr
+
+    @pytest.mark.parametrize("experiment", sorted(SPELLED_OUT_DEFAULTS))
+    def test_absent_keys_take_the_spelled_out_defaults(self, tmp_path, experiment):
+        bare = report_bytes(tmp_path, "bare", {"experiment": experiment})
+        spelled = report_bytes(tmp_path, "spelled",
+                               {"experiment": experiment, **SPELLED_OUT_DEFAULTS[experiment]})
+        assert bare[0] == 0, bare[1]
+        assert bare[2]
+        assert bare == spelled
+
+    def test_config_seed_overrides_model_file_seed(self, tmp_path):
+        def report(name, **cfg):
+            return report_bytes(tmp_path, name, {"experiment": "qmci-pipeline", **cfg})
+
+        seed4, seed0 = write_model(tmp_path, seed=4), write_model(tmp_path, seed=0)
+        from_file = report("file", model=seed4)
+        assert from_file[0] == 0, from_file[1]
+        assert from_file == report("same", model=seed4, seed=4)
+        assert from_file != report("default", model=seed0)
+        assert report("override", model=seed4, seed=0) == report("file0", model=seed0)
 
     def test_malformed_json_reports_location(self, tmp_path):
         cfg_path = tmp_path / "broken.json"

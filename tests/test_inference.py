@@ -146,7 +146,7 @@ class TestCredibleSearch:
                                  prep_queries=1)
         query = CredibleQuery(axis=0, alpha=0.5, eps=0.05, delta=0.1)
         res = credible_bound_search(query, handle, seed=0)
-        assert res.no_output
+        assert not res.found
         assert res.value is None
 
     def test_classical_baseline_brackets_mass(self):

@@ -15,7 +15,6 @@ from qmhlab.perturbation import (
     tv_perturbation_bound,
     tv_perturbation_check,
     verification_record,
-    write_report,
 )
 
 from conftest import random_instance
@@ -170,13 +169,10 @@ class TestTvBound:
 
 
 class TestReporting:
-    def test_record_and_write(self, tmp_path):
+    def test_record_and_write(self):
         model, kernel = random_instance(61)
         rec = verification_record("inst-0", model, kernel, 0.05, seed=0)
         assert rec["pass"]
         assert rec["acceptance_diff"] <= rec["acceptance_bound"]
         assert rec["tv"] <= rec["tv_bound"]
         assert rec["gap_pert"] >= rec["gap_bound"] - BOUND_SLACK
-        path = tmp_path / "report.json"
-        write_report([rec], path)
-        assert "inst-0" in path.read_text()
