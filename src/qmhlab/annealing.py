@@ -269,7 +269,6 @@ class AnnealingSchedule:
     overlaps: tuple[float, ...]
     success: bool
     l_max: int
-    seed: int
     queries: int
 
     def __post_init__(self):
@@ -307,8 +306,7 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
     l_max = stage_count_limit(mean_nll)
     if mean_nll == 0:
         return AnnealingSchedule(betas=(0.0, 1.0), overlaps=(1.0,), success=True,
-                                 l_max=l_max, seed=seed,
-                                 queries=0)
+                                 l_max=l_max, queries=0)
     L_max = float(L.max())
     precision = min(1.0 / L_max, 0.5)
     delta_nae = min(0.49, eta / (l_max * max(L_max, 1.0)))
@@ -327,8 +325,7 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
 
     def result(success):
         return AnnealingSchedule(betas=tuple(betas), overlaps=tuple(overlaps), success=success,
-                                 l_max=l_max, seed=seed,
-                                 queries=ledger.total - start_queries)
+                                 l_max=l_max, queries=ledger.total - start_queries)
 
     start_queries = ledger.total
     betas = [0.0]

@@ -8,7 +8,6 @@ negative log-likelihood is an average of per-mode terms.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,15 +148,8 @@ class GwInstance:
     space: StateSpace
     oracle: LikelihoodOracle
     model: TargetModel
-    data_ft: np.ndarray
-    psd: np.ndarray
     M: int
     sigma: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows([["mode", "re_data", "im_data", "psd"]] + [
-                [k, f.real, f.imag, p] for k, (f, p) in enumerate(zip(self.data_ft, self.psd))])
 
 
 def _waveform(freq: float, log_amp: float, M: int, tau: float) -> np.ndarray:
@@ -220,8 +212,7 @@ def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
 
     prior = np.full(n, 1.0 / n)
     model = TargetModel(space=space, prior=prior, neg_log_lik=oracle.full_nll())
-    return GwInstance(space=space, oracle=oracle, model=model, data_ft=s_ft,
-                      psd=psd, M=M, sigma=sigma)
+    return GwInstance(space=space, oracle=oracle, model=model, M=M, sigma=sigma)
 
 
 def gw_identity_error(inst: GwInstance) -> float:
@@ -229,14 +220,3 @@ def gw_identity_error(inst: GwInstance) -> float:
     o = inst.oracle
     direct = o.table.mean(axis=0) + o.ell0 + o.const
     return float(np.max(np.abs(inst.model.neg_log_lik - direct)))
-
-
-def sigma_scaling(M_values, rho: float, seed: int) -> dict:
-    """Measured sigma at each M with the fitted log-log slope."""
-    sigmas = []
-    for M in M_values:
-        inst = synth_gw_instance(0.1, 0.0, int(M), rho, seed)
-        sigmas.append(inst.sigma)
-    slope = float(np.polyfit(np.log(np.asarray(M_values, float)),
-                             np.log(sigmas), 1)[0])
-    return {"M": list(M_values), "sigma": sigmas, "slope": slope}

@@ -8,7 +8,6 @@ annealing) builds on the exact transition matrices computed here.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -78,9 +77,6 @@ class StateSpace:
     def multi_index(self, idx: int) -> tuple[int, ...]:
         return tuple(int(k) for k in np.unravel_index(idx, self.shape))
 
-    def flat_index(self, multi) -> int:
-        return int(np.ravel_multi_index([m % n for m, n in zip(multi, self.shape)], self.shape))
-
 
 def neighbour_table(shape, moves) -> np.ndarray:
     """(n, k) table whose entry [x, j] is the index reached from x by moves[j].
@@ -132,6 +128,8 @@ class TargetModel:
         nll = np.asarray(self.neg_log_lik, float)
         if prior.shape != (self.space.size,) or nll.shape != (self.space.size,):
             raise ValueError("prior/L length must match the state space")
+        if not (np.all(np.isfinite(prior)) and np.all(np.isfinite(nll))):
+            raise ValueError("prior and L must be finite")
         if np.any(prior <= 0):
             raise ValueError("prior must be strictly positive")
         if abs(prior.sum() - 1.0) > 1e-12:
@@ -142,7 +140,8 @@ class TargetModel:
         object.__setattr__(self, "neg_log_lik", nll)
 
     def unnormalized(self) -> np.ndarray:
-        return self.prior * np.exp(-self.beta * self.neg_log_lik)
+        """prior * exp(-beta (L - min L)): the shift keeps the largest weight from underflowing."""
+        return self.prior * np.exp(-self.beta * (self.neg_log_lik - self.neg_log_lik.min()))
 
     def distribution(self) -> np.ndarray:
         p = self.unnormalized()
@@ -172,6 +171,8 @@ class ProposalKernel:
         w = np.asarray(self.weights, float)
         if len(self.moves) != len(w):
             raise ValueError("moves/weights length mismatch")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("proposal weights must be finite")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("proposal weights must sum to 1")
         if np.any(w < 0):
@@ -255,21 +256,6 @@ class ProposalKernel:
         ms = tuple(sorted(merged))
         w = np.array([merged[m] for m in ms])
         return cls(space=space, moves=ms, weights=w / w.sum())
-
-
-def acceptance_ratio(model: TargetModel, kernel: ProposalKernel, x: int, y: int) -> float:
-    """MH acceptance probability min{1, P(y)T(y,x) / (P(x)T(x,y))}.
-
-    Computed from the unnormalized target, so the normalizer cancels.  T(x, y)
-    is the weight of the move taking x to y, T(y, x) that of its negation.
-    """
-    nb = neighbour_table(model.space.shape, kernel.moves)
-    # moves are distinct on the torus, so at most one reaches y from x
-    j = np.flatnonzero(nb[x] == y)
-    if len(j) == 0 or kernel.weights[j[0]] <= 0:
-        raise ValueError(f"proposal probability T({x},{y}) is zero; ratio undefined")
-    neg = negation_slots(model.space.shape, kernel.moves)
-    return float(acceptance_table(model, nb, kernel.weights, neg)[x, j[0]])
 
 
 def acceptance_table(model: TargetModel, nb: np.ndarray, weights: np.ndarray,
@@ -405,7 +391,6 @@ class ChainSample:
     states: np.ndarray
     burn_in: int
     n_samples: int
-    seed: int
 
     def __post_init__(self):
         if len(self.states) != self.burn_in + self.n_samples:
@@ -414,12 +399,6 @@ class ChainSample:
     @property
     def kept(self) -> np.ndarray:
         return self.states[self.burn_in:]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "state_index"])
-            writer.writerows([t, int(s)] for t, s in enumerate(self.states))
 
 
 def run_mh(model: TargetModel, kernel: ProposalKernel, n_b: int, n: int, seed: int) -> ChainSample:
@@ -453,7 +432,7 @@ def run_mh(model: TargetModel, kernel: ProposalKernel, n_b: int, n: int, seed: i
                 x = nb_flat[i]
             states.append(x)
         out[start:start + len(states)] = states
-    return ChainSample(states=out, burn_in=n_b, n_samples=n, seed=seed)
+    return ChainSample(states=out, burn_in=n_b, n_samples=n)
 
 
 def mixing_bound_check(chain: ChainModel, n: int) -> tuple[float, float]:
@@ -517,24 +496,3 @@ def load_model(path) -> tuple[TargetModel, ProposalKernel, int]:
     model = TargetModel(space=space, prior=prior, neg_log_lik=nll,
                         beta=float(cfg.get("beta", 1.0)))
     return model, kernel, int(cfg.get("seed", 0))
-
-
-def mcmc_expectation(sample: ChainSample, f, chain: ChainModel,
-                     initial: np.ndarray | None = None) -> tuple[float, float]:
-    """Empirical mean of f over kept samples and its RMSE bound.
-
-    The bound is 2 ||f||_inf^2 / (n Delta') plus the burn-in decay term
-    4 ||P0/pi - 1||_inf^(1/2) ||f||_inf^2 (1-Delta)^nb / (n^2 Delta^2),
-    returned as its square root.
-    """
-    fvals = np.array([f(x) for x in range(chain.size)], float)
-    est = float(fvals[sample.kept].mean())
-    f_inf = float(np.abs(fvals).max())
-    p0 = chain.stationary if initial is None else np.asarray(initial, float)
-    ratio_inf = float(np.abs(p0 / chain.stationary - 1.0).max())
-    n = sample.n_samples
-    delta = chain.spectral_gap
-    delta_p = chain.signed_gap
-    e2 = 2.0 * f_inf**2 / (n * delta_p)
-    e2 += 4.0 * np.sqrt(ratio_inf) * f_inf**2 * (1.0 - delta) ** sample.burn_in / (n**2 * delta**2)
-    return est, float(np.sqrt(e2))

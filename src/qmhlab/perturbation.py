@@ -84,38 +84,6 @@ def spectral_gap_perturbation_check(chain: ChainModel, chain_pert: ChainModel,
     return gap_pert, bound, gap_pert >= bound - 1e-12
 
 
-def bauer_fike_check(B: np.ndarray, B_pert: np.ndarray):
-    """Each eigenvalue of B has a B~ eigenvalue within cond(Q) * ||B - B~||_2.
-
-    Greedy nearest-eigenvalue matching; B must be numerically diagonalizable.
-    """
-    B = np.asarray(B, complex)
-    B_pert = np.asarray(B_pert, complex)
-    lam, Q = np.linalg.eig(B)
-    kappa = float(np.linalg.cond(Q))
-    if kappa > 1e12:
-        raise ValueError("matrix is numerically defective (eigenvector condition > 1e12)")
-    lam_pert = np.linalg.eig(B_pert)[0]
-    disp = max(float(np.min(np.abs(lam_pert - lv))) for lv in lam)
-    bound = kappa * float(np.linalg.norm(B - B_pert, 2))
-    return disp, bound
-
-
-def transition_shift_norms(chain: ChainModel, chain_pert: ChainModel, eps: float):
-    """||dW||_2 by SVD plus the looser sqrt(||dW||_1 ||dW||_inf) route, with 16 eps caps."""
-    dW = chain_pert.transition - chain.transition
-    direct = float(np.linalg.norm(dW, 2))
-    norm1 = float(np.abs(dW).sum(axis=0).max())
-    norminf = float(np.abs(dW).sum(axis=1).max())
-    holder = float(np.sqrt(norm1 * norminf))
-    return {
-        "norm2_svd": direct,
-        "norm2_holder": holder,
-        "norm_inf": norminf,
-        "norm_inf_cap": 16.0 * eps,
-    }
-
-
 def tv_perturbation_bound(chain: ChainModel, eps: float) -> float:
     """8 eps (ceil(log(2 sqrt(pi_min)) / log(1 - Delta)) + 1/Delta).
 

@@ -11,7 +11,6 @@ full annealing pipeline with oracle-query totals.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cache
 
@@ -48,6 +47,15 @@ def query_charge(sigma: float, eps: float, delta: float) -> int:
     r = sigma / eps
     poly = np.ceil(6.9 * r * (1.0 + max(0.0, np.log2(r)) ** 1.5))
     return int(poly) * int(np.ceil(12.0 * np.log(1.0 / delta)))
+
+
+def estimation_charge(oracle: LikelihoodOracle, eps: float, delta: float) -> int:
+    """Queries one qmci_mean call on oracle charges at (eps, delta).
+
+    Zero when eps >= 4 sigma: the accuracy is coarser than the spread and the
+    classical shortcut answers; otherwise query_charge, which is at least 1.
+    """
+    return 0 if eps >= 4.0 * oracle.sigma else query_charge(oracle.sigma, eps, delta)
 
 
 class LikelihoodOracle:
@@ -94,19 +102,11 @@ class LikelihoodOracle:
         sigma = float(table.std(axis=0, ddof=0).max()) * 1.05 + 1e-12
         return cls(table, sigma)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows([["term", "state", "value"]] + [
-                [i, x, self.table[i, x]] for i in range(self.M) for x in range(self.n_states)])
-
 
 @dataclass(frozen=True)
 class QmciResult:
     estimate: float
-    eps: float
-    delta: float
     queries: int
-    mode: str
     success: bool
     residual: float      # bad-branch probability mass (faithful mode)
     clamped: bool        # eps >= 4 sigma shortcut taken
@@ -158,11 +158,10 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
     truth = float(oracle.mean_table()[x])
     b = int(np.floor(np.log2(eps)))
     truncated = float(_truncate(truth, b))
-    if eps >= 4.0 * oracle.sigma:
-        # estimation accuracy coarser than the spread: classical shortcut
-        return QmciResult(truncated, eps, delta, 0, mode, True, 0.0, True)
+    charge = estimation_charge(oracle, eps, delta)
+    if charge == 0:     # the classical shortcut
+        return QmciResult(truncated, 0, True, 0.0, True)
     eps_in = 2.0 ** (b - 1)
-    charge = query_charge(oracle.sigma, eps, delta)
     oracle.charge(charge)
 
     if mode == "emulated":
@@ -172,7 +171,7 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
             # rounding at a bin edge can overshoot the budget; truncating the
             # true value directly always lands within 2^b <= eps
             est = truncated
-        return QmciResult(est, eps, delta, charge, mode, True, 0.0, False)
+        return QmciResult(est, charge, True, 0.0, False)
 
     if mode == "faithful":
         if oracle.M > FAITHFUL_MAX_TERMS:
@@ -181,7 +180,7 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
         col = oracle.table[:, x]
         lo, hi = float(col.min()), float(col.max())
         if hi - lo < 1e-15:
-            return QmciResult(truncated, eps, delta, charge, mode, True, 0.0, False)
+            return QmciResult(truncated, charge, True, 0.0, False)
         a = (truth - lo) / (hi - lo)
         eps_norm = eps_in / (hi - lo)
         t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
@@ -193,8 +192,7 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
         good = np.abs(est_values - truth) <= eps
         residual = float(med_pmf[~good].sum())
         j = int(rng.choice(len(values), p=med_pmf))
-        return QmciResult(float(est_values[j]), eps, delta, charge, mode,
-                          bool(good[j]), residual, False)
+        return QmciResult(float(est_values[j]), charge, bool(good[j]), residual, False)
 
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -221,14 +219,13 @@ def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
 def _estimate_and_charge(oracle: LikelihoodOracle, kernel: ProposalKernel, eps: float,
                          delta: float, seed: int, mode: str):
     """L~, its estimations' largest residual and the pair charge, all supported pairs charged."""
-    before = oracle.queries
     nll, residual = _estimate_states(oracle, eps, delta, mode, seed)
+    charge = estimation_charge(oracle, eps, delta)
     # distinct nonzero torus moves reach distinct other states from every x
     n_pairs = kernel.space.size * (np.count_nonzero(kernel.weights) - (kernel.zero_move_mass > 0))
-    pair_charge = 4 * ((oracle.queries - before) // max(1, oracle.n_states))
     # charge the uncompute halves on top of the per-state estimations
-    oracle.charge(max(0, n_pairs * pair_charge - (oracle.queries - before)))
-    return nll, residual, pair_charge
+    oracle.charge(max(0, n_pairs * 4 * charge - oracle.n_states * charge))
+    return nll, residual, 4 * charge
 
 
 def approx_acceptance_table(oracle: LikelihoodOracle, model: TargetModel,
@@ -310,7 +307,6 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
     """
     eps_in = internal_accuracy(model, kernel, eps) if eps_internal is None \
         else float(eps_internal)
-    before = oracle.queries
     nll = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
     model_pert = model.with_neg_log_lik(nll)
 
@@ -325,12 +321,11 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
 
     # each walk-operator application spends one acceptance evaluation: two
     # mean estimations and their uncomputation
-    per_gate = 4 * query_charge(oracle.sigma, eps_in, delta / 4.0) \
-        if eps_in < 4.0 * oracle.sigma else 0
-    oracle.charge(ledger.total * per_gate)
+    charge = estimation_charge(oracle, eps_in, delta / 4.0)
+    oracle.charge(ledger.total * 4 * charge)
     tv = tv_distance(model_pert.distribution(), model.distribution())
     return PipelineResult(
         state=state, schedule=schedule, model_pert=model_pert, eps_internal=eps_in,
-        walk_applications=ledger.total, oracle_queries=oracle.queries - before,
-        tv_realized=tv,
+        walk_applications=ledger.total,
+        oracle_queries=(oracle.n_states + 4 * ledger.total) * charge, tv_realized=tv,
     )

@@ -91,12 +91,6 @@ class RegisterLayout:
         return signs
 
 
-def basis_state(layout: RegisterLayout, x: int, m: int = 0, c: int = 0) -> np.ndarray:
-    v = np.zeros(layout.total_dim, dtype=complex)
-    v[layout.index(x, m, c)] = 1.0
-    return v
-
-
 def encode_distribution(P, layout: RegisterLayout) -> np.ndarray:
     """|P> = sum_x sqrt(P(x)) |x>|0>|0>."""
     P = np.asarray(P, float)

@@ -503,13 +503,13 @@ class TestScheduleSearch:
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ValueError):
             AnnealingSchedule(betas=(0.0, 0.5), overlaps=(0.9,), success=True,
-                              l_max=3, seed=0, queries=0)
+                              l_max=3, queries=0)
         with pytest.raises(ValueError):
             AnnealingSchedule(betas=(0.0, 0.6, 0.4, 1.0), overlaps=(0.9, 0.9, 0.9),
-                              success=True, l_max=5, seed=0, queries=0)
+                              success=True, l_max=5, queries=0)
         with pytest.raises(ValueError):
             AnnealingSchedule(betas=(0.0, 1.0), overlaps=(0.01,), success=True,
-                              l_max=3, seed=0, queries=0)
+                              l_max=3, queries=0)
 
     def test_queries_scale_inverse_sqrt_gap(self, ring8):
         # reflection cost per gate tracks 1/sqrt(delta_min) through the QPE
@@ -577,6 +577,6 @@ class TestGeneration:
     def test_failed_schedule_rejected(self, ring8):
         model, kernel = ring8
         bad = AnnealingSchedule(betas=(0.0,), overlaps=(), success=False,
-                                l_max=3, seed=0, queries=0)
+                                l_max=3, queries=0)
         with pytest.raises(ValueError):
             qsa_generate(bad, model, kernel, eps=0.1)

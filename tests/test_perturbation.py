@@ -8,10 +8,8 @@ from qmhlab.markov import build_transition_matrix, tv_distance
 from qmhlab.perturbation import (
     PerturbedLikelihood,
     acceptance_error_check,
-    bauer_fike_check,
     perturb_likelihood,
     spectral_gap_perturbation_check,
-    transition_shift_norms,
     tv_perturbation_bound,
     tv_perturbation_check,
     verification_record,
@@ -92,54 +90,6 @@ class TestSpectralGapBound:
         _, bound, ok = spectral_gap_perturbation_check(chain, chain, kernel, 0.0)
         assert ok
         assert bound == pytest.approx(chain.spectral_gap)
-
-
-class TestBauerFike:
-    def test_diagonal_shift_saturates(self):
-        B = np.diag([1.0, 2.0, 3.0])
-        disp, bound = bauer_fike_check(B, B + 0.01 * np.eye(3))
-        assert disp == pytest.approx(0.01, abs=1e-12)
-        assert bound == pytest.approx(0.01, abs=1e-12)
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_random_symmetric(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 8))
-        B = rng.normal(size=(n, n))
-        B = 0.5 * (B + B.T)
-        E = 0.01 * rng.normal(size=(n, n))
-        disp, bound = bauer_fike_check(B, B + 0.5 * (E + E.T))
-        assert disp <= bound + 1e-10
-
-    def test_transition_matrices(self):
-        model, kernel = random_instance(41)
-        pert = perturb_likelihood(model.neg_log_lik, 0.05, seed=5)
-        W = build_transition_matrix(model, kernel).transition
-        Wp = build_transition_matrix(
-            model.with_neg_log_lik(pert.perturbed), kernel).transition
-        disp, bound = bauer_fike_check(W, Wp)
-        assert disp <= bound + 1e-10
-
-    def test_defective_matrix_rejected(self):
-        B = np.array([[1.0, 1.0], [0.0, 1.0]])     # Jordan block
-        with pytest.raises(ValueError):
-            bauer_fike_check(B, B + 1e-3)
-
-
-class TestTransitionShiftNorms:
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=25, deadline=None)
-    def test_norm_chain(self, seed):
-        model, kernel = random_instance(seed)
-        eps = 0.1
-        pert = perturb_likelihood(model.neg_log_lik, eps, seed=seed + 3)
-        chain = build_transition_matrix(model, kernel)
-        chain_pert = build_transition_matrix(
-            model.with_neg_log_lik(pert.perturbed), kernel)
-        norms = transition_shift_norms(chain, chain_pert, pert.eps)
-        assert norms["norm2_svd"] <= norms["norm2_holder"] + 1e-12
-        assert norms["norm_inf"] <= norms["norm_inf_cap"] + 1e-12
 
 
 class TestTvBound:

@@ -71,7 +71,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     b = int(np.floor(np.log2(eps)))
     if eps >= 4.0 * oracle.sigma:
         est = round_at_bit(truth, b) if truth >= 0 else -round_at_bit(-truth, b)
-        return QmciResult(est, eps, delta, 0, mode, True, 0.0, True)
+        return QmciResult(est, 0, True, 0.0, True)
     eps_in = 2.0 ** (b - 1)
     delta_in = delta / 4.0
     charge = query_charge(oracle.sigma, eps, delta)
@@ -85,7 +85,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
         est = rounded(truth + eps_in * eta)
         if abs(est - truth) > eps:
             est = rounded(truth)
-        return QmciResult(est, eps, delta, charge, mode, True, 0.0, False)
+        return QmciResult(est, charge, True, 0.0, False)
 
     assert mode == "faithful" and oracle.M <= FAITHFUL_MAX_TERMS
     rng = np.random.default_rng([seed, x])
@@ -93,7 +93,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     lo, hi = float(col.min()), float(col.max())
     if hi - lo < 1e-15:
         est = rounded(truth)
-        return QmciResult(est, eps, delta, charge, mode, True, 0.0, False)
+        return QmciResult(est, charge, True, 0.0, False)
     a = (truth - lo) / (hi - lo)
     eps_norm = eps_in / (hi - lo)
     t = int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2
@@ -107,8 +107,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     good = np.abs(est_values - truth) <= eps
     residual = float(med_pmf[~good].sum())
     j = int(rng.choice(len(values), p=med_pmf))
-    return QmciResult(float(est_values[j]), eps, delta, charge, mode,
-                      bool(good[j]), residual, False)
+    return QmciResult(float(est_values[j]), charge, bool(good[j]), residual, False)
 
 
 def small_oracle(seed=0, M=8, n=5, lo=0.0, hi=4.0):
@@ -199,14 +198,6 @@ class TestLikelihoodOracle:
         assert np.array_equal(oracle.table, snapshot)
         assert np.array_equal(oracle.mean_table(), mean)
 
-    def test_csv_export(self, tmp_path):
-        oracle = small_oracle(7, M=3, n=2)
-        path = tmp_path / "oracle.csv"
-        oracle.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "term,state,value"
-        assert len(rows) == 1 + 3 * 2
-
 
 class TestEmulatedMode:
     def test_error_within_eps_exhaustively(self):
@@ -237,10 +228,11 @@ class TestEmulatedMode:
 
     def test_coarse_eps_clamps_to_zero_queries(self):
         oracle = small_oracle(17)
-        res = qmci_mean(oracle, 1, 4.0 * oracle.sigma, 0.1, "emulated", seed=0)
+        eps = 4.0 * oracle.sigma
+        res = qmci_mean(oracle, 1, eps, 0.1, "emulated", seed=0)
         assert res.clamped
         assert res.queries == 0
-        assert abs(res.estimate - oracle.mean_table()[1]) <= res.eps
+        assert abs(res.estimate - oracle.mean_table()[1]) <= eps
 
 
 class TestFaithfulMode:
@@ -267,9 +259,10 @@ class TestFaithfulMode:
     def test_constant_column_is_exact(self):
         table = np.tile(np.array([1.0, 2.0]), (4, 1))
         oracle = LikelihoodOracle(table, sigma=1e-6)
-        res = qmci_mean(oracle, 1, eps=0.25e-6, delta=0.1, mode="faithful", seed=0)
+        eps = 0.25e-6
+        res = qmci_mean(oracle, 1, eps=eps, delta=0.1, mode="faithful", seed=0)
         assert res.success
-        assert abs(res.estimate - 2.0) <= res.eps
+        assert abs(res.estimate - 2.0) <= eps
 
     def test_unknown_mode_rejected(self):
         oracle = small_oracle(2)

@@ -13,7 +13,6 @@ from qmhlab.qsim import (
     _complete_unitary,
     acceptance_slots,
     apply_core,
-    basis_state,
     build_core,
     build_F,
     build_S,
@@ -36,6 +35,13 @@ BLOCK_ATOL = 1e-10
 SF_ATOL = 1e-12
 PHASE_ATOL = 1e-8
 CORE_ATOL = 1e-14
+
+
+def basis_state(layout, x, m=0, c=0):
+    """|x>|m>|c> as a column of the register product."""
+    v = np.zeros(layout.total_dim, dtype=complex)
+    v[layout.index(x, m, c)] = 1.0
+    return v
 
 
 def make_setup(seed, allow_2d=True):
@@ -123,12 +129,6 @@ class TestRegisterLayout:
 
 
 class TestStates:
-    def test_basis_state_single_amplitude(self):
-        _, _, layout = make_setup(3)
-        v = basis_state(layout, 1, 0, 1)
-        assert np.count_nonzero(v) == 1
-        assert v[layout.index(1, 0, 1)] == 1.0
-
     def test_encode_decode_round_trip(self):
         model, _, layout = make_setup(5)
         P = model.distribution()

@@ -1,0 +1,74 @@
+"""Every definition in the library has a caller, or a stated reason to stay.
+
+A module-level function or class, or a public method, of ``src/qmhlab`` must be
+named somewhere in ``src/qmhlab`` or ``perfbench`` outside its own definition,
+as a name, an attribute or an import alias.  Tests do not count as callers, so
+code only tests reach must be listed in KEPT with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "qmhlab").glob("*.py"))
+CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+
+KEPT = {
+    "run_cmd": "click command of the qmh-lab entry point",
+    "verify_cmd": "click command of the qmh-lab entry point",
+    "scaling_cmd": "click command of the qmh-lab entry point",
+    "build_F": "dense reference factor for the core-operator identities (criterion 02)",
+    "build_S": "dense reference factor for the core-operator identities (criterion 02)",
+    "round_at_bit": "scalar truncation the QMCI contracts are stated in (criterion 06)",
+    "gw_identity_error": "likelihood-structure identity of the signal instance (criterion 10)",
+    "pi3_overlap_bound": "closed-form pi/3 amplification bound (criterion 03)",
+    "ProposalKernel.matrix": "dense proposal T, the reference the neighbour tables are checked against",
+    "apply_core": "column action of the core operator, checked against build_core",
+    "QpePhaseGate.error_bound": "certified distance of the QPE gate to the ideal phase gate",
+    "decode_distribution": "reads the distribution off a prepared state, for the credible bound",
+}
+
+
+def _definitions(path):
+    """(qualified name, first line, last line) of each checked definition in path."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+
+
+def _uses(path):
+    """(name, line) of each name, attribute and import alias in path."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for name in (node.name.split(".")[-1], node.asname):
+                if name:
+                    yield name, node.lineno
+
+
+def unreferenced():
+    uses = {path: list(_uses(path)) for path in CALLERS}
+    dead = []
+    for path in LIBRARY:
+        for qualname, first, last in _definitions(path):
+            name = qualname.split(".")[-1]
+            called = any(used == name and not (where == path and first <= line <= last)
+                         for where, found in uses.items() for used, line in found)
+            if not called:
+                dead.append(f"{path.stem}.{qualname}")
+    return dead
+
+
+def test_every_definition_has_a_caller_or_a_reason():
+    dead = unreferenced()
+    unkept = [d for d in dead if d.split(".", 1)[1] not in KEPT]
+    assert not unkept, f"no caller in src/qmhlab or perfbench: {unkept}"
+    stale = set(KEPT) - {d.split(".", 1)[1] for d in dead}
+    assert not stale, f"KEPT lists names that are gone or now called: {stale}"
