@@ -5,7 +5,8 @@ chain's walk operator from its eigendecomposition), pi/3 amplitude
 amplification, nondestructive overlap estimation, and the temperature-schedule
 search with staged state generation.
 All quantum measurements are simulated by sampling from exactly computed
-outcome distributions; walk-operator applications are charged to a ledger.
+outcome distributions: phase estimation's is the closed-form Fejer law, so no
+circuit or FFT is simulated.  Walk-operator applications are charged to a ledger.
 """
 
 from __future__ import annotations
@@ -82,16 +83,33 @@ class ExactPhaseGate:
         return v + (np.conj(self.omega) - 1.0) * np.vdot(self.target, v) * self.target
 
 
-def _qpe_estimate_amplitudes(phase, t: int) -> np.ndarray:
-    """Outcome amplitudes (last axis) of t-ancilla phase estimation at fixed eigenphase(s)."""
-    N = 2**t
-    return np.fft.fft(np.exp(1j * np.multiply.outer(phase, np.arange(N)))) / N
+# pi = PI_HI + PI_LO to about 1e-26; PI_HI has 33 significant bits, so k/N * PI_HI
+# is exact for k < 2^20 and phase/2 - pi k/N keeps its digits near the law's peaks
+PI_HI = float.fromhex("0x1.921fb544p+1")
+PI_LO = float.fromhex("0x1.0b4611a626331p-33")
+
+
+def _qpe_outcome_law(phase, t: int, k: np.ndarray) -> np.ndarray:
+    """|alpha_k(phase)|^2 of t-ancilla phase estimation, outcomes k on the last axis.
+
+    The Fejer law (sin(N x) / (N sin x))^2 with N = 2^t and x = phase/2 - pi k/N,
+    1 where sin x = 0; accurate to rounding for phase in [0, 2 pi).
+    """
+    N, f = 2**t, k / 2**t
+    x = np.subtract.outer(np.asarray(phase, float) / 2.0, PI_HI * f) - PI_LO * f
+    s = np.sin(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s == 0.0, 1.0, (np.sin(N * x) / (N * s)) ** 2)
 
 
 def _qpe_outcome_distributions(phase: float, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized t-ancilla phase-estimation outcome distributions at +phase and -phase."""
-    plus, minus = np.abs(_qpe_estimate_amplitudes(np.array([phase, -phase]), t)) ** 2
-    return plus / plus.sum(), minus / minus.sum()
+    """Normalized t-ancilla phase-estimation outcome distributions at +phase and -phase.
+
+    The -phase one is the +phase one mirrored: minus[k] = plus[-k mod 2^t].
+    """
+    plus = _qpe_outcome_law(phase, t, np.arange(2**t))
+    plus /= plus.sum()
+    return plus, np.roll(plus[::-1], 1)
 
 
 def sample_half_angles(theta: float, eps: float, delta: float,
@@ -152,10 +170,9 @@ class QpePhaseGate:
         theta[-1] = 0.0                                  # the unit eigenvalue: |pi>
         N = 2**self.t
         k = np.arange(N)
-        kick = np.where(2.0 * np.pi * np.minimum(k, N - k) / N <= phase_gap / 2.0,
-                        self.omega, 1.0)
-        alpha = _qpe_estimate_amplitudes(theta, self.t)
-        survived = (np.abs(alpha) ** 2) @ kick           # <0| W' D W |0>, +-theta alike
+        kicked = k[2.0 * np.pi * np.minimum(k, N - k) / N <= phase_gap / 2.0]
+        # <0| W' D W |0>, +-theta alike: the law sums to 1, omega - 1 extra on the kicked k
+        survived = 1.0 + (self.omega - 1.0) * _qpe_outcome_law(theta, self.t, kicked).sum(-1)
         ideal = np.append(np.ones(len(theta) - 1), self.omega)
         err = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived)))
         partner = 1.0 - lam[:-1] ** 2 > PARTNER_ATOL
@@ -315,13 +332,10 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
     rng = np.random.default_rng(seed)
 
     def estimate(b1, b2):
-        est, _, _ = nae_overlap(encode_vec(b1), encode_vec(b2), NAE_ACCURACY, delta_nae,
-                                seed=int(rng.integers(2**63)), ledger=ledger,
-                                reflection_cost=refl_cost, tag="schedule")
-        return est
-
-    def encode_vec(b):
-        return np.sqrt(model.with_beta(b).distribution()).astype(complex)
+        state, target = (np.sqrt(model.with_beta(b).distribution()).astype(complex)
+                         for b in (b1, b2))
+        return nae_overlap(state, target, NAE_ACCURACY, delta_nae, seed=int(rng.integers(2**63)),
+                           ledger=ledger, reflection_cost=refl_cost, tag="schedule")[0]
 
     def result(success):
         return AnnealingSchedule(betas=tuple(betas), overlaps=tuple(overlaps), success=success,

@@ -232,14 +232,12 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
                 records.append({"method": method, "M": int(M), "seed": int(seed),
                                 "sigma": inst.sigma, "queries": int(total)})
 
+    logM = np.log(np.asarray(M_values, dtype=float))
     slopes = {}
     for method in methods:
-        means = []
-        for M in M_values:
-            qs = [r["queries"] for r in records
-                  if r["method"] == method and r["M"] == int(M)]
-            means.append(float(np.mean([float(q) for q in qs])))
-        logM = np.log(np.asarray(M_values, dtype=float))
+        means = [float(np.mean([float(r["queries"]) for r in records
+                                if r["method"] == method and r["M"] == int(M)]))
+                 for M in M_values]
         slopes[method] = float(np.polyfit(logM, np.log(means), 1)[0])
     payload = {"records": records, "slopes": slopes}
     _write_json(payload, os.path.join(out_dir, "scaling.json"))

@@ -208,6 +208,7 @@ def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
     L_unshifted = table.mean(axis=0) + ell0
     const = -float(L_unshifted.min())
     sigma = float(table.std(axis=0, ddof=0).max()) * GW_SIGMA_MARGIN
+    table.flags.writeable = False                    # handed over: the oracle adopts it
     oracle = LikelihoodOracle(table, sigma, ell0=ell0, const=const)
 
     prior = np.full(n, 1.0 / n)

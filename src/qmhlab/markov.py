@@ -198,11 +198,8 @@ class ProposalKernel:
 
     @property
     def zero_move_mass(self) -> float:
-        zero = tuple(0 for _ in self.space.shape)
-        for m, w in zip(self.moves, self.weights):
-            if m == zero:
-                return float(w)
-        return 0.0
+        # moves are distinct, so this sums at most one weight
+        return float(sum(w for m, w in zip(self.moves, self.weights) if not any(m)))
 
     @property
     def max_column_mass(self) -> float:
@@ -224,14 +221,10 @@ class ProposalKernel:
     @classmethod
     def nearest_neighbor(cls, space: StateSpace, stay_prob: float = 0.0) -> "ProposalKernel":
         """Symmetric +-1 steps along each axis, optional self-loop mass."""
-        d = space.dimension
-        moves: list[tuple[int, ...]] = []
-        for i in range(d):
-            for s in (1, -1):
-                off = [0] * d
-                off[i] = s
-                moves.append(tuple(off))
-        moves = list(dict.fromkeys(tuple(c % n for c, n in zip(m, space.shape)) for m in moves))
+        steps = [s * np.eye(space.dimension, dtype=int)[i]
+                 for i in range(space.dimension) for s in (1, -1)]
+        moves = list(dict.fromkeys(tuple(int(c) % n for c, n in zip(m, space.shape))
+                                   for m in steps))
         w = np.full(len(moves), (1.0 - stay_prob) / len(moves))
         if stay_prob > 0:
             moves.append(tuple(0 for _ in space.shape))
@@ -243,16 +236,11 @@ class ProposalKernel:
         """Discretized isotropic normal over offsets in [-radius, radius]^d \\ {0}."""
         d = space.dimension
         offs = np.indices(tuple(2 * radius + 1 for _ in range(d))).reshape(d, -1).T - radius
-        moves, weights = [], []
-        for off in offs:
-            if not np.any(off):
-                continue
-            moves.append(tuple(int(c) % n for c, n in zip(off, space.shape)))
-            weights.append(np.exp(-float(np.dot(off, off)) / (2.0 * width**2)))
         # torus wrapping can alias distinct offsets onto one move; merge mass
         merged: dict[tuple[int, ...], float] = {}
-        for m, w in zip(moves, weights):
-            merged[m] = merged.get(m, 0.0) + w
+        for off in offs[np.any(offs, axis=1)]:
+            m = tuple(int(c) % n for c, n in zip(off, space.shape))
+            merged[m] = merged.get(m, 0.0) + np.exp(-float(np.dot(off, off)) / (2.0 * width**2))
         ms = tuple(sorted(merged))
         w = np.array([merged[m] for m in ms])
         return cls(space=space, moves=ms, weights=w / w.sum())
@@ -366,15 +354,9 @@ def build_transition_matrix(model: TargetModel, kernel: ProposalKernel) -> Chain
     # lam[-1] is the unit eigenvalue; a one-state chain has no other
     second = float(lam[-2]) if len(lam) > 1 else 0.0
     bottom = abs(float(lam[0])) if len(lam) > 1 else 0.0
-    return ChainModel(
-        space=model.space,
-        transition=W,
-        stationary=pi,
-        eigenvalues=lam,
-        spectral_gap=1.0 - max(bottom, second),
-        signed_gap=1.0 - second,
-        condition_number=float(np.sqrt(pi.max() / pi.min())),
-    )
+    return ChainModel(space=model.space, transition=W, stationary=pi, eigenvalues=lam,
+                      spectral_gap=1.0 - max(bottom, second), signed_gap=1.0 - second,
+                      condition_number=float(np.sqrt(pi.max() / pi.min())))
 
 
 def spectral_gap(chain: ChainModel) -> float:

@@ -4,9 +4,12 @@ A LikelihoodOracle holds the term table ell(i, x) whose per-state mean
 L_sum(x) feeds the MH target.  qmci_mean estimates that mean either by a
 faithful amplitude-estimation simulation (small M) or by an emulated
 deterministic perturbation with the same accuracy contract and query
-accounting.  On top sit the approximate acceptance table, the approximate
-walk operator (exactly the walk operator of the perturbed chain), and the
-full annealing pipeline with oracle-query totals.
+accounting.  The faithful mode samples the median of its runs from that
+median's exact law: the closed-form phase-estimation outcome law, folded onto
+the estimate values, under one incomplete-beta binomial tail.  On top sit the
+approximate acceptance table, the approximate walk operator (exactly the walk
+operator of the perturbed chain), and the full annealing pipeline with
+oracle-query totals.
 """
 
 from __future__ import annotations
@@ -63,11 +66,15 @@ class LikelihoodOracle:
 
     The modeled negative log-likelihood is
     L(x) = L_sum(x) + ell0(x) + const, with L_sum the mean over the M terms.
+    A float table that is read-only and owns its data is adopted as it is;
+    any other is copied, so later writes by the caller cannot stale it.
     """
 
     def __init__(self, table: np.ndarray, sigma: float,
                  ell0: np.ndarray | None = None, const: float = 0.0):
-        table = np.array(table, float)      # a copy: later writes by the caller cannot stale it
+        if not (isinstance(table, np.ndarray) and table.dtype == float
+                and table.flags.owndata and not table.flags.writeable):
+            table = np.array(table, float)
         if table.ndim != 2:
             raise ValueError("table must be (M, n_states)")
         self.table = table
@@ -109,7 +116,6 @@ class QmciResult:
     queries: int
     success: bool
     residual: float      # bad-branch probability mass (faithful mode)
-    clamped: bool        # eps >= 4 sigma shortcut taken
 
 
 @cache
@@ -137,10 +143,11 @@ def _qae_outcome_distribution(amplitude_sq: float, t: int) -> tuple[np.ndarray, 
 def _median_distribution(values: np.ndarray, probs: np.ndarray, runs: int):
     """Distribution of the median of `runs` iid draws (odd runs)."""
     cdf = np.clip(np.cumsum(probs), 0.0, 1.0)
-    from scipy.stats import binom
-    # P(median = v_j) = P(at least half+1 draws <= v_j) - P(... <= v_{j-1}),
-    # one tail over the CDF with 0 (nothing below v_0) in front
-    tail = binom.sf(runs // 2, runs, np.concatenate([[0.0], cdf]))
+    from scipy.special import betainc     # here: only faithful mode pays its 3.6 MB import
+    h = runs // 2
+    # P(median = v_j) = P(at least h+1 draws <= v_j) - P(... <= v_{j-1}), one
+    # binomial tail (the incomplete beta) over the CDF with 0 (nothing below v_0) in front
+    tail = betainc(h + 1, runs - h, np.concatenate([[0.0], cdf]))
     pmf = np.maximum(tail[1:] - tail[:-1], 0.0)
     return pmf / pmf.sum()
 
@@ -160,7 +167,7 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
     truncated = float(_truncate(truth, b))
     charge = estimation_charge(oracle, eps, delta)
     if charge == 0:     # the classical shortcut
-        return QmciResult(truncated, 0, True, 0.0, True)
+        return QmciResult(truncated, 0, True, 0.0)
     eps_in = 2.0 ** (b - 1)
     oracle.charge(charge)
 
@@ -171,7 +178,7 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
             # rounding at a bin edge can overshoot the budget; truncating the
             # true value directly always lands within 2^b <= eps
             est = truncated
-        return QmciResult(est, charge, True, 0.0, False)
+        return QmciResult(est, charge, True, 0.0)
 
     if mode == "faithful":
         if oracle.M > FAITHFUL_MAX_TERMS:
@@ -180,7 +187,7 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
         col = oracle.table[:, x]
         lo, hi = float(col.min()), float(col.max())
         if hi - lo < 1e-15:
-            return QmciResult(truncated, charge, True, 0.0, False)
+            return QmciResult(truncated, charge, True, 0.0)
         a = (truth - lo) / (hi - lo)
         eps_norm = eps_in / (hi - lo)
         t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
@@ -192,7 +199,7 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
         good = np.abs(est_values - truth) <= eps
         residual = float(med_pmf[~good].sum())
         j = int(rng.choice(len(values), p=med_pmf))
-        return QmciResult(float(est_values[j]), charge, bool(good[j]), residual, False)
+        return QmciResult(float(est_values[j]), charge, bool(good[j]), residual)
 
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -272,14 +272,9 @@ def verify_phase_gap(U: np.ndarray, layout: RegisterLayout,
     min_phase = float(nonzero.min()) if len(nonzero) else np.pi
     bound = float(np.arccos(1.0 - chain.spectral_gap))
     passed = mult == 1 and overlap >= 1.0 - 1e-9 and min_phase >= bound - 1e-8
-    return PhaseGapReport(
-        eigenphases=np.sort(phases),
-        min_nonzero_phase=min_phase,
-        unit_multiplicity=mult,
-        principal_overlap=overlap,
-        phase_bound=bound,
-        passed=passed,
-    )
+    return PhaseGapReport(eigenphases=np.sort(phases), min_nonzero_phase=min_phase,
+                          unit_multiplicity=mult, principal_overlap=overlap,
+                          phase_bound=bound, passed=passed)
 
 
 def decode_distribution(state: np.ndarray, layout: RegisterLayout) -> np.ndarray:

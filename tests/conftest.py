@@ -26,6 +26,16 @@ def random_instance(seed, max_points=16, allow_2d=True):
     return model, kernel
 
 
+def qpe_estimate_amplitudes(phase, t: int) -> np.ndarray:
+    """Outcome amplitudes (last axis) of t-ancilla phase estimation at fixed eigenphase(s).
+
+    The inverse QFT of the phase register e^{i phase j}, j < 2^t, as one FFT: the
+    oracle the closed-form outcome law is checked against.
+    """
+    N = 2**t
+    return np.fft.fft(np.exp(1j * np.multiply.outer(phase, np.arange(N)))) / N
+
+
 def count_linalg_calls(monkeypatch, *names):
     """Wrap the named np.linalg solvers to count their calls; returns the live counts."""
     calls = dict.fromkeys(names, 0)

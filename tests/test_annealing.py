@@ -17,7 +17,6 @@ from qmhlab.annealing import (
     ExactPhaseGate,
     QpePhaseGate,
     QueryLedger,
-    _qpe_estimate_amplitudes,
     amplification_depth,
     nae_overlap,
     phase_gate_cost,
@@ -32,7 +31,7 @@ from qmhlab.markov import (ProposalKernel, ReducibleChainError, StateSpace, Targ
                            build_transition_matrix)
 from qmhlab.qsim import RegisterLayout, apply_core, build_walk_operator, encode_distribution
 
-from conftest import count_linalg_calls, random_instance, torus_cases
+from conftest import count_linalg_calls, qpe_estimate_amplitudes, random_instance, torus_cases
 
 PI3_ATOL = 1e-9
 
@@ -157,6 +156,50 @@ class TestPi3Amplification:
             gc.enable()
 
 
+def law_test_phases(t):
+    """Random phases in [0, 2 pi), 0, pi, +-1e-13 and grid phases 2 pi j / 2^t."""
+    rng = np.random.default_rng(t)
+    N = 2**t
+    grid = 2.0 * np.pi * np.unique(np.concatenate([[1, N // 2, N - 1], rng.integers(0, N, 8)])) / N
+    return np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 24), [0.0, np.pi, 1e-13, -1e-13], grid])
+
+
+# largest |closed form - FFT| over law_test_phases(t), measured at 1.1e-15 (t <= 5),
+# 1.1e-14 (t <= 8) and 3.7e-14 (t <= 16), times about 3; the FFT's own error dominates,
+# as the closed form is within 3.3e-16 of a 40-digit reference at t = 9 to 16
+LAW_ATOL = {t: 3e-15 if t <= 5 else 3e-14 if t <= 8 else 1e-13 for t in range(1, 17)}
+
+
+class TestOutcomeLaw:
+    @pytest.mark.parametrize("t", range(1, 17))
+    def test_matches_fft_oracle(self, t):
+        phases = law_test_phases(t)
+        law = annealing._qpe_outcome_law(phases, t, np.arange(2**t))
+        oracle = np.abs(qpe_estimate_amplitudes(phases, t)) ** 2
+        assert np.max(np.abs(law - oracle)) <= LAW_ATOL[t]
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 9, 13, 16])
+    def test_minus_phase_is_the_mirror(self, t):
+        N = 2**t
+        for phase in law_test_phases(t)[::4]:
+            plus, minus = annealing._qpe_outcome_distributions(phase, t)
+            assert np.array_equal(minus, plus[-np.arange(N) % N])
+            oracle = np.abs(qpe_estimate_amplitudes(-phase, t)) ** 2
+            assert np.max(np.abs(minus - oracle / oracle.sum())) <= LAW_ATOL[t]
+
+    def test_matches_high_precision_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        t, N = 12, 2**12
+        with mpmath.workdps(40):
+            for phase in (0.7, 2.0 * np.pi * 1234 / N + 1e-9, 5.4):
+                ref = []
+                for k in range(N):
+                    x = mpmath.mpf(phase) / 2 - mpmath.pi * k / N
+                    ref.append(float((mpmath.sin(N * x) / (N * mpmath.sin(x))) ** 2))
+                law = annealing._qpe_outcome_law(phase, t, np.arange(N))
+                assert np.max(np.abs(law - np.array(ref))) <= 1e-15
+
+
 class SchurPhaseGate:
     """Phase gate about the walk operator's phase-0 eigenstate, via QPE.
 
@@ -198,7 +241,7 @@ class SchurPhaseGate:
         for j, ph in enumerate(phases):
             key = round(float(ph), 14)
             if key not in cache:
-                alpha = _qpe_estimate_amplitudes(ph, self.t)
+                alpha = qpe_estimate_amplitudes(ph, self.t)
                 survived = np.vdot(alpha, kick * alpha)   # <0| W' D W |0>
                 ideal = self.omega if abs(ph) < 1e-12 else 1.0
                 e2 = max(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived))
@@ -282,6 +325,20 @@ class TestQpePhaseGate:
             v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
             assert np.max(np.abs(gate.apply(v) - oracle.apply(v))) <= 1e-12
             assert np.max(np.abs(gate.apply_inverse(v) - oracle.apply_inverse(v))) <= 1e-12
+
+    @pytest.mark.parametrize("name,model,kernel", ORACLE_CASES[::4],
+                             ids=[c[0] for c in ORACLE_CASES[::4]])
+    def test_kicked_window_matches_full_law(self, name, model, kernel):
+        gate, _, chain = self.build_gate(model, kernel, 0.05)
+        lam, _ = chain.eigenpairs
+        theta = np.arccos(np.clip(lam, -1.0, 1.0))
+        theta[-1] = 0.0
+        N = 2**gate.t
+        k = np.arange(N)
+        phase_gap = np.arccos(1.0 - chain.signed_gap)
+        kick = np.where(2.0 * np.pi * np.minimum(k, N - k) / N <= phase_gap / 2.0, OMEGA_PI3, 1.0)
+        full = annealing._qpe_outcome_law(theta, gate.t, k) @ kick
+        assert np.max(np.abs(gate._coeff[:len(theta)] - full)) <= 1e-14
 
     @pytest.mark.parametrize("delta", [0.1, 0.05, 0.02])
     def test_residuals_within_budget(self, two_state_gap_half, delta):
@@ -411,8 +468,8 @@ def nae_overlap_reference(state, target, eps, delta, seed):
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
     runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
-    dist_plus = np.abs(_qpe_estimate_amplitudes(2.0 * theta, t)) ** 2
-    dist_minus = np.abs(_qpe_estimate_amplitudes(-2.0 * theta, t)) ** 2
+    dist_plus = np.abs(qpe_estimate_amplitudes(2.0 * theta, t)) ** 2
+    dist_minus = np.abs(qpe_estimate_amplitudes(-2.0 * theta, t)) ** 2
     dist_plus /= dist_plus.sum()
     dist_minus /= dist_minus.sum()
 

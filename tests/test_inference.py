@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from qmhlab.annealing import _qpe_estimate_amplitudes
 from qmhlab.inference import (
     CredibleQuery,
     GwInstance,
@@ -23,6 +22,8 @@ from qmhlab.markov import (
     mixing_time_bound,
     run_mh,
 )
+
+from conftest import qpe_estimate_amplitudes
 
 IDENTITY_ATOL = 1e-9
 
@@ -44,8 +45,8 @@ def cdf_qmci_reference(handle, axis, a, eps, delta, seed):
     t = int(np.ceil(np.log2(2.0 * np.pi / (eps / 3.0)))) + 3
     N = 2**t
     runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
-    dist_p = np.abs(_qpe_estimate_amplitudes(2.0 * theta, t)) ** 2
-    dist_m = np.abs(_qpe_estimate_amplitudes(-2.0 * theta, t)) ** 2
+    dist_p = np.abs(qpe_estimate_amplitudes(2.0 * theta, t)) ** 2
+    dist_m = np.abs(qpe_estimate_amplitudes(-2.0 * theta, t)) ** 2
     dist_p /= dist_p.sum()
     dist_m /= dist_m.sum()
     estimates = np.empty(runs)
@@ -184,6 +185,20 @@ class TestGwInstance:
         L = inst.oracle.full_nll()
         center = int(np.ravel_multi_index((2, 2), inst.space.shape))
         assert int(np.argmin(L)) == center
+
+    def test_oracle_adopts_the_fresh_table(self, monkeypatch):
+        from qmhlab import inference, qmci
+        handed = []
+
+        class Recording(qmci.LikelihoodOracle):
+            def __init__(self, table, *args, **kwargs):
+                handed.append(table)
+                super().__init__(table, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "LikelihoodOracle", Recording)
+        inst = synth_gw_instance(0.1, 0.0, 256, rho=2.0, seed=0)
+        assert inst.oracle.table is handed[0]
+        assert not inst.oracle.table.flags.writeable
 
     def test_sigma_bound_holds_on_table(self):
         inst = synth_gw_instance(0.1, 0.0, 256, rho=2.0, seed=3)

@@ -1,5 +1,10 @@
 """Mean estimation of likelihood tables and the annealing pipeline on top."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,7 +76,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     b = int(np.floor(np.log2(eps)))
     if eps >= 4.0 * oracle.sigma:
         est = round_at_bit(truth, b) if truth >= 0 else -round_at_bit(-truth, b)
-        return QmciResult(est, 0, True, 0.0, True)
+        return QmciResult(est, 0, True, 0.0)
     eps_in = 2.0 ** (b - 1)
     delta_in = delta / 4.0
     charge = query_charge(oracle.sigma, eps, delta)
@@ -85,7 +90,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
         est = rounded(truth + eps_in * eta)
         if abs(est - truth) > eps:
             est = rounded(truth)
-        return QmciResult(est, charge, True, 0.0, False)
+        return QmciResult(est, charge, True, 0.0)
 
     assert mode == "faithful" and oracle.M <= FAITHFUL_MAX_TERMS
     rng = np.random.default_rng([seed, x])
@@ -93,7 +98,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     lo, hi = float(col.min()), float(col.max())
     if hi - lo < 1e-15:
         est = rounded(truth)
-        return QmciResult(est, charge, True, 0.0, False)
+        return QmciResult(est, charge, True, 0.0)
     a = (truth - lo) / (hi - lo)
     eps_norm = eps_in / (hi - lo)
     t = int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2
@@ -107,7 +112,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     good = np.abs(est_values - truth) <= eps
     residual = float(med_pmf[~good].sum())
     j = int(rng.choice(len(values), p=med_pmf))
-    return QmciResult(float(est_values[j]), charge, bool(good[j]), residual, False)
+    return QmciResult(float(est_values[j]), charge, bool(good[j]), residual)
 
 
 def small_oracle(seed=0, M=8, n=5, lo=0.0, hi=4.0):
@@ -198,6 +203,24 @@ class TestLikelihoodOracle:
         assert np.array_equal(oracle.table, snapshot)
         assert np.array_equal(oracle.mean_table(), mean)
 
+    def test_adopts_read_only_table_that_owns_its_data(self):
+        table = np.random.default_rng(2).uniform(0.0, 4.0, size=(6, 3))
+        table.flags.writeable = False
+        oracle = LikelihoodOracle(table, sigma=4.0)
+        assert oracle.table is table
+        assert np.array_equal(oracle.mean_table(), table.mean(axis=0))
+
+    def test_copies_every_other_table(self):
+        base = np.random.default_rng(3).uniform(0.0, 4.0, size=(6, 4))
+        view = base[:, :3]
+        view.flags.writeable = False                 # read-only, but base can still write
+        ints = np.arange(12).reshape(4, 3)
+        ints.flags.writeable = False
+        for table in (base, view, ints, base.tolist()):
+            oracle = LikelihoodOracle(table, sigma=10.0)
+            assert not np.shares_memory(oracle.table, np.asarray(table))
+            assert oracle.table.dtype == float and not oracle.table.flags.writeable
+
 
 class TestEmulatedMode:
     def test_error_within_eps_exhaustively(self):
@@ -230,7 +253,6 @@ class TestEmulatedMode:
         oracle = small_oracle(17)
         eps = 4.0 * oracle.sigma
         res = qmci_mean(oracle, 1, eps, 0.1, "emulated", seed=0)
-        assert res.clamped
         assert res.queries == 0
         assert abs(res.estimate - oracle.mean_table()[1]) <= eps
 
@@ -270,6 +292,42 @@ class TestFaithfulMode:
             qmci_mean(oracle, 0, 0.1, 0.1, "typo", seed=0)
 
 
+class TestMedianTail:
+    @pytest.mark.parametrize("runs", [1, 3, 23, 45, 61, 101])
+    def test_incomplete_beta_is_the_binomial_tail(self, runs):
+        from scipy.special import betainc
+        from scipy.stats import binom
+        rng = np.random.default_rng(runs)
+        h = runs // 2
+        for cdf in (np.linspace(0.0, 1.0, 1001), np.sort(rng.uniform(0.0, 1.0, 20000)),
+                    np.clip(np.cumsum(np.append(0.0, rng.dirichlet(np.ones(50)))), 0.0, 1.0)):
+            assert np.array_equal(betainc(h + 1, runs - h, cdf), binom.sf(h, runs, cdf))
+
+    def test_faithful_estimation_and_qpe_gate_leave_scipy_stats_unimported(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from qmhlab import annealing, qmci\n"
+            "from qmhlab.markov import ProposalKernel, StateSpace, TargetModel\n"
+            "table = np.random.default_rng(0).uniform(0.0, 4.0, size=(8, 5))\n"
+            "oracle = qmci.LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05)\n"
+            "assert qmci.qmci_mean(oracle, 0, 0.1, 0.1, 'faithful', seed=0).queries > 0\n"
+            "space = StateSpace.regular_grid((6,))\n"
+            "model = TargetModel(space=space, prior=np.full(6, 1 / 6),\n"
+            "                    neg_log_lik=np.linspace(0.0, 1.0, 6))\n"
+            "annealing.QpePhaseGate(model, ProposalKernel.nearest_neighbor(space),\n"
+            "                       annealing.OMEGA_PI3, 0.05)\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+
 class TestFaithfulArrayCode:
     """The array-coded faithful estimator against the per-outcome reference, bit for bit."""
 
@@ -303,7 +361,7 @@ class TestFaithfulArrayCode:
                             res = qmci_mean(oracle, x, eps, delta, mode, seed=trial)
                             assert res == reference_qmci_mean(oracle, x, eps, delta, mode, trial)
                             assert oracle.queries - before == res.queries
-                            n_simulated += mode == "faithful" and not res.clamped
+                            n_simulated += mode == "faithful" and res.queries != 0
         assert n_simulated >= 1000
 
 
