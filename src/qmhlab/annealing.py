@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import ProposalKernel, TargetModel, build_transition_matrix
-from .qsim import (PARTNER_ATOL, RegisterLayout, _apply_factors, _core_factors,
-                   encode_distribution, invariant_subspace)
+from .qsim import (RegisterLayout, _apply_factors, _core_factors, encode_distribution,
+                   invariant_subspace)
 
 OMEGA_PI3 = np.exp(1j * np.pi / 3)
 KEEP_THRESHOLD = np.exp(-2.0)          # schedule keeps overlaps estimated >= e^-2
@@ -155,17 +155,17 @@ class QpePhaseGate:
         self.t = qpe_ancilla_count(phase_gap, delta)
         self.omega = complex(omega)
         self.ledger, self.tag = ledger, tag
-        self.cost = 2 * (2**self.t - 1)
+        self.cost = phase_gate_cost(chain.signed_gap, delta)
         self._factors = _core_factors(model, layout)     # G's factors, built once
 
         A = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
         A[layout.reference_indices(), np.arange(layout.space_dim)] = 1.0
-        self._basis = invariant_subspace(_apply_factors(self._factors, A), layout, chain)
+        self._basis, pair = invariant_subspace(_apply_factors(self._factors, A), layout, chain)
         gram = self._basis.conj().T @ self._basis
         if np.linalg.norm(gram - np.eye(len(gram))) > 1e-10:
             raise ValueError("invariant-subspace basis is not orthonormal")
 
-        lam, _ = chain.eigenpairs                        # the eigenvalues behind the basis
+        lam, _ = chain.eigenpairs                        # pair indexes these per column
         theta = np.arccos(np.clip(lam, -1.0, 1.0))
         theta[-1] = 0.0                                  # the unit eigenvalue: |pi>
         N = 2**self.t
@@ -175,9 +175,7 @@ class QpePhaseGate:
         survived = 1.0 + (self.omega - 1.0) * _qpe_outcome_law(theta, self.t, kicked).sum(-1)
         ideal = np.append(np.ones(len(theta) - 1), self.omega)
         err = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived)))
-        partner = 1.0 - lam[:-1] ** 2 > PARTNER_ATOL
-        self._coeff = np.concatenate([survived, survived[:-1][partner]])
-        self.residuals = np.concatenate([err, err[:-1][partner]])
+        self._coeff, self.residuals = survived[pair], err[pair]
 
     def _charge(self):
         if self.ledger is not None:
@@ -250,14 +248,14 @@ def pi3_overlap_bound(p: float, m: int) -> float:
 
 def nae_overlap(state: np.ndarray, target: np.ndarray, eps: float, delta: float,
                 seed: int, ledger: QueryLedger | None = None,
-                reflection_cost: int = 1, tag: str = "nae"):
+                reflection_cost: int = 1, tag: str = "nae") -> float:
     """Estimate |<target|state>|^2 to accuracy eps, restoring the state.
 
     Simulates phase estimation on the two-reflection rotation: the input
     splits evenly between the rotation's two eigenvectors with eigenphases
     +-2 theta, cos(theta) = |<target|state>|.  Outcomes are sampled from the
     exact estimator distribution and aggregated by median over
-    ceil(12 ln(1/delta)) runs.  Returns (estimate, flag, restored state).
+    ceil(12 ln(1/delta)) runs.
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must be in (0, 1)")
@@ -270,12 +268,9 @@ def nae_overlap(state: np.ndarray, target: np.ndarray, eps: float, delta: float,
     # float_power calls pow like a scalar ** 2; an array ** 2 squares (last bit differs)
     estimates = np.float_power(np.cos(half_angles), 2)
     estimate = float(np.median(estimates))
-    agree = int(np.sum(np.abs(estimates - estimate) <= eps))
-    flag = 1 if 2 * agree >= len(estimates) else 0
-
     if ledger is not None:
         ledger.charge(reflections * reflection_cost, tag)
-    return estimate, flag, state
+    return estimate
 
 
 @dataclass
@@ -335,7 +330,7 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
         state, target = (np.sqrt(model.with_beta(b).distribution()).astype(complex)
                          for b in (b1, b2))
         return nae_overlap(state, target, NAE_ACCURACY, delta_nae, seed=int(rng.integers(2**63)),
-                           ledger=ledger, reflection_cost=refl_cost, tag="schedule")[0]
+                           ledger=ledger, reflection_cost=refl_cost, tag="schedule")
 
     def result(success):
         return AnnealingSchedule(betas=tuple(betas), overlaps=tuple(overlaps), success=success,

@@ -171,17 +171,12 @@ def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
     rng = np.random.default_rng(seed)
     tau = 64.0                          # fixed damping time, independent of M
     modes = slice(1, M // 2)
-    psd = np.full(M // 2 + 1, GW_NOISE_FLOOR)
-
     ft = np.fft.rfft
 
-    def inner(af, bf):
-        return (4.0 / M) * float(np.sum(
-            (af[modes].conj() * bf[modes]).real / psd[modes]))
-
     h_true = _waveform(true_freq, true_log_amp, M, tau)
-    norm = np.sqrt(inner(ft(h_true), ft(h_true)))
-    scale = rho / norm
+    h_ft = ft(h_true)[modes]
+    # (a|b) = (4/M) sum over the modes of Re(a* b) / S_n, with a flat S_n = GW_NOISE_FLOOR
+    scale = rho / np.sqrt((4.0 / M) * float(np.sum((h_ft.conj() * h_ft).real / GW_NOISE_FLOOR)))
     h_true = h_true * scale
 
     # white noise whose per-mode FT variance is M * GW_NOISE_FLOOR / 2
@@ -197,13 +192,11 @@ def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
 
     table = np.zeros((M, n))
     ell0 = np.zeros(n)
-    for x in range(n):
-        i, j = space.multi_index(x)
-        hf = ft(_waveform(freqs[i], log_amps[j], M, tau) * scale)
+    for x, (i, j) in enumerate(np.ndindex(*grid_shape)):
+        hf = ft(_waveform(freqs[i], log_amps[j], M, tau) * scale)[modes]
         # mean over all M slots of the per-mode terms equals -2 (h|s)
-        terms = -8.0 * (hf[modes].conj() * s_ft[modes]).real / psd[modes]
-        table[modes, x] = terms
-        ell0[x] = inner(hf, hf)
+        table[modes, x] = -8.0 * (hf.conj() * s_ft[modes]).real / GW_NOISE_FLOOR
+        ell0[x] = (4.0 / M) * float(np.sum((hf.conj() * hf).real / GW_NOISE_FLOOR))
 
     L_unshifted = table.mean(axis=0) + ell0
     const = -float(L_unshifted.min())

@@ -74,9 +74,6 @@ class StateSpace:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def multi_index(self, idx: int) -> tuple[int, ...]:
-        return tuple(int(k) for k in np.unravel_index(idx, self.shape))
-
 
 def neighbour_table(shape, moves) -> np.ndarray:
     """(n, k) table whose entry [x, j] is the index reached from x by moves[j].
@@ -89,7 +86,7 @@ def neighbour_table(shape, moves) -> np.ndarray:
 
 
 def negation_slots(shape, moves) -> np.ndarray:
-    """Index of each move's torus negation in ``moves`` (closed under negation); read-only."""
+    """Index of each move's torus negation in ``moves``; raises if one is absent; read-only."""
     return _negation_slots(*_table_key(shape, moves))
 
 
@@ -109,7 +106,9 @@ def _neighbour_table(shape, moves) -> np.ndarray:
 @cache
 def _negation_slots(shape, moves) -> np.ndarray:
     slot = {m: j for j, m in enumerate(moves)}
-    neg = np.array([slot[tuple((-c) % n for c, n in zip(m, shape))] for m in moves])
+    neg = np.array([slot.get(tuple((-c) % n for c, n in zip(m, shape)), -1) for m in moves])
+    if np.any(neg < 0):
+        raise ValueError(f"move set not closed under negation: {moves[np.argmax(neg < 0)]}")
     neg.flags.writeable = False
     return neg
 
@@ -177,24 +176,13 @@ class ProposalKernel:
             raise ValueError("proposal weights must sum to 1")
         if np.any(w < 0):
             raise ValueError("proposal weights must be nonnegative")
-        canon = [self._canon(m) for m in self.moves]
+        canon = tuple(tuple(int(c) % n for c, n in zip(m, self.space.shape)) for m in self.moves)
         if len(set(canon)) != len(canon):
             raise ValueError("duplicate moves")
-        lookup = {m: i for i, m in enumerate(canon)}
-        for i, m in enumerate(canon):
-            j = lookup.get(self.negate(m))
-            if j is None:
-                raise ValueError(f"move set not closed under negation: {m}")
-            if abs(w[i] - w[j]) > 1e-12:
-                raise ValueError("proposal weights must be symmetric under negation")
-        object.__setattr__(self, "moves", tuple(canon))
+        if np.any(np.abs(w - w[negation_slots(self.space.shape, canon)]) > 1e-12):
+            raise ValueError("proposal weights must be symmetric under negation")
+        object.__setattr__(self, "moves", canon)
         object.__setattr__(self, "weights", w)
-
-    def _canon(self, move) -> tuple[int, ...]:
-        return tuple(int(c) % n for c, n in zip(move, self.space.shape))
-
-    def negate(self, move) -> tuple[int, ...]:
-        return tuple((-c) % n for c, n in zip(move, self.space.shape))
 
     @property
     def zero_move_mass(self) -> float:
@@ -253,23 +241,22 @@ def acceptance_table(model: TargetModel, nb: np.ndarray, weights: np.ndarray,
     T(x, y) is the weight of move j and T(y, x) that of its negation neg[j].
     fmin, like min(1.0, r), reads 1 for the inf and nan of an underflowed
     target; the zero move, its own negation, gets r = 1 or nan, hence 1.
-    Columns of zero-weight moves are meaningless.
+    Columns of zero-weight moves, never proposed, read 0.
     """
     p = model.unnormalized()
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.fmin(1.0, (p[nb] * weights[neg]) / (p[:, None] * weights))
+        return np.where(weights > 0, np.fmin(1.0, (p[nb] * weights[neg]) / (p[:, None] * weights)),
+                        0.0)
 
 
 def acceptance_matrix(model: TargetModel, kernel: ProposalKernel) -> np.ndarray:
     """A(x, y) for all pairs with T(x, y) > 0; zero elsewhere."""
     n = model.space.size
     nb = neighbour_table(model.space.shape, kernel.moves)
-    live = kernel.weights > 0
-    acc = acceptance_table(model, nb, kernel.weights,
-                           negation_slots(model.space.shape, kernel.moves))
     A = np.zeros((n, n))
     # moves are distinct on the torus, so each (x, y) gets at most one value
-    A[np.arange(n)[:, None], nb[:, live]] = acc[:, live]
+    A[np.arange(n)[:, None], nb] = acceptance_table(
+        model, nb, kernel.weights, negation_slots(model.space.shape, kernel.moves))
     return A
 
 
@@ -289,7 +276,6 @@ class ChainModel:
     space: StateSpace
     transition: np.ndarray
     stationary: np.ndarray
-    eigenvalues: np.ndarray          # real, ascending: the last is the unit eigenvalue
     spectral_gap: float              # 1 - max(|lambda_min|, lambda_2)
     signed_gap: float                # 1 - lambda_2 (second largest eigenvalue)
     condition_number: float          # cond of the diagonalizing Q = D^-1 O
@@ -303,7 +289,7 @@ class ChainModel:
         """(lambda, O): eigh of the symmetrized D W D^-1, run on first read; read-only.
 
         O's orthonormal columns give Q = D^-1 O, which diagonalizes W.  lambda
-        agrees with ``eigenvalues`` to rounding, not bit for bit.
+        agrees with the eigvalsh behind the gaps to rounding, not bit for bit.
         """
         lam, O = np.linalg.eigh(_symmetrized(self.transition, self.stationary))
         lam.flags.writeable = O.flags.writeable = False
@@ -354,16 +340,9 @@ def build_transition_matrix(model: TargetModel, kernel: ProposalKernel) -> Chain
     # lam[-1] is the unit eigenvalue; a one-state chain has no other
     second = float(lam[-2]) if len(lam) > 1 else 0.0
     bottom = abs(float(lam[0])) if len(lam) > 1 else 0.0
-    return ChainModel(space=model.space, transition=W, stationary=pi, eigenvalues=lam,
+    return ChainModel(space=model.space, transition=W, stationary=pi,
                       spectral_gap=1.0 - max(bottom, second), signed_gap=1.0 - second,
                       condition_number=float(np.sqrt(pi.max() / pi.min())))
-
-
-def spectral_gap(chain: ChainModel) -> float:
-    """Delta = 1 - |lambda_1|; raises if the chain does not mix."""
-    if chain.spectral_gap <= 0:
-        raise ValueError("spectral gap is zero (chain has a second unit-modulus eigenvalue)")
-    return chain.spectral_gap
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import (ChainModel, ProposalKernel, TargetModel, acceptance_table,
-                     negation_slots, neighbour_table, spectral_gap)
+                     negation_slots, neighbour_table)
 
 UNITARY_ATOL = 1e-10
 PARTNER_ATOL = 1e-12        # 1 - lambda^2 at or below this: A o is itself a walk eigenvector
@@ -30,8 +30,8 @@ class RegisterLayout:
     """Index bookkeeping for the R_S x R_M x R_C product space.
 
     The move alphabet always carries the zero move at slot 0 (the reference
-    state of R_M), with weight 0 when the proposal never stays put.  It is
-    closed under torus negation.
+    state of R_M), with weight 0 when the proposal never stays put; the rest
+    are the kernel's moves, distinct and closed under torus negation.
     """
 
     space_dim: int
@@ -40,15 +40,8 @@ class RegisterLayout:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        zero = tuple(0 for _ in self.shape)
-        if self.moves[0] != zero:
+        if any(self.moves[0]):
             raise ValueError("move alphabet must start with the zero move")
-        if len(set(self.moves)) != len(self.moves):
-            raise ValueError("duplicate moves in alphabet")
-        lookup = set(self.moves)
-        for m in self.moves:
-            if tuple((-c) % n for c, n in zip(m, self.shape)) not in lookup:
-                raise ValueError("move alphabet not closed under negation")
         if self.total_dim > MAX_TOTAL_DIM:
             raise ValueError(f"total dimension {self.total_dim} exceeds {MAX_TOTAL_DIM}")
 
@@ -113,14 +106,6 @@ def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
     return Q
 
 
-def acceptance_slots(model: TargetModel, layout: RegisterLayout) -> np.ndarray:
-    """A(x, x+m) for each supported (x, slot), 1 on the zero move; zero-weight slots get 0."""
-    w = layout.weights
-    A = acceptance_table(model, layout.neighbours(), w, layout.neg_slots())
-    A[:, w == 0] = 0.0
-    return A
-
-
 def _coin_one_permutation(layout: RegisterLayout, to_state, to_slot) -> np.ndarray:
     """Dense permutation: identity on R_C = |0>, |x>|m>|1> -> |to_state>|to_slot>|1>."""
     x = np.arange(layout.space_dim)[:, None]
@@ -160,7 +145,7 @@ def _core_factors(model: TargetModel, layout: RegisterLayout) -> tuple:
     if np.linalg.norm(VM.conj().T @ VM - np.eye(layout.n_moves)) > UNITARY_ATOL:
         raise ValueError("V_M is not unitary")
     # B's 2 x 2 blocks are rotations for any A in [0, 1], where acceptance_table's fmin keeps it
-    A = acceptance_slots(model, layout)
+    A = acceptance_table(model, nb, layout.weights, neg)
     s, c = np.sqrt(A), np.sqrt(1.0 - A)
     return VM, np.array([[c, -s], [s, c]]).transpose(2, 3, 0, 1), nb, neg
 
@@ -212,8 +197,9 @@ def symmetrized_transition(chain: ChainModel) -> np.ndarray:
 
 
 def invariant_subspace(GA: np.ndarray, layout: RegisterLayout,
-                       chain: ChainModel) -> np.ndarray:
-    """Orthonormal basis [A O, partners] of span{A} + G span{A}, A the reference states.
+                       chain: ChainModel) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis [A O, partners] of span{A} + G span{A}, A the reference states,
+    and the index into ``chain.eigenpairs`` of the eigenpair behind each column.
 
     GA is G A for the core involution G = R U.  With (lambda_j, o_j) the
     eigenpairs of G's reference block, the chain's symmetrized W (from
@@ -230,7 +216,8 @@ def invariant_subspace(GA: np.ndarray, layout: RegisterLayout,
     partners /= np.linalg.norm(partners, axis=0)    # sqrt(1 - lambda^2), to rounding
     AO = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
     AO[ref] = O
-    return np.hstack([AO, partners])
+    pair = np.concatenate([np.arange(len(lam)), np.flatnonzero(keep)])
+    return np.hstack([AO, partners]), pair
 
 
 @dataclass(frozen=True)
@@ -251,9 +238,10 @@ def verify_phase_gap(U: np.ndarray, layout: RegisterLayout,
     stationary state, and every other eigenphase theta obeys
     |theta| >= arccos(1 - Delta) - 1e-8.
     """
-    spectral_gap(chain)                 # an eigenvalue -1 breaks the phase-gap claim
-    Q = invariant_subspace(layout.reflection_signs()[:, None] * U[:, layout.reference_indices()],
-                           layout, chain)
+    if chain.spectral_gap <= 0:         # an eigenvalue -1 breaks the phase-gap claim
+        raise ValueError("spectral gap is zero (chain has a second unit-modulus eigenvalue)")
+    GA = layout.reflection_signs()[:, None] * U[:, layout.reference_indices()]
+    Q, _ = invariant_subspace(GA, layout, chain)
     U_sub = Q.conj().T @ U @ Q
     if np.linalg.norm(U_sub.conj().T @ U_sub - np.eye(U_sub.shape[0])) > 1e-8:
         raise ValueError("subspace is not invariant under the walk operator")

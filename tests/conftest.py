@@ -53,6 +53,11 @@ def torus_shift(shape, idx, offset):
     return int(np.ravel_multi_index([(a + o) % n for a, o, n in zip(mi, offset, shape)], shape))
 
 
+def torus_negate(shape, move):
+    """Scalar reference for the negation table: the move's negation, reduced onto the torus."""
+    return tuple((-c) % n for c, n in zip(move, shape))
+
+
 def _torus_model(shape, L=None, seed=0):
     space = StateSpace.regular_grid(shape)
     rng = np.random.default_rng(seed)

@@ -175,7 +175,7 @@ class TestGwInstance:
         # ell0 there is rho^2, so L is minimized at the injection
         truth_x = None
         for x in range(inst.space.size):
-            i, j = inst.space.multi_index(x)
+            i, j = np.unravel_index(x, inst.space.shape)
             if np.isclose(inst.space.axes[0][i], 0.1) and np.isclose(
                     inst.space.axes[1][j], 0.0):
                 truth_x = x

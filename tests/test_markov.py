@@ -17,6 +17,7 @@ from qmhlab.markov import (
     StateSpace,
     TargetModel,
     acceptance_matrix,
+    acceptance_table,
     build_transition_matrix,
     load_model,
     mixing_bound_check,
@@ -24,13 +25,13 @@ from qmhlab.markov import (
     negation_slots,
     neighbour_table,
     run_mh,
-    spectral_gap,
     tv_distance,
 )
 
 from qmhlab.inference import synth_gw_instance
 
-from conftest import count_linalg_calls, random_instance, torus_cases, torus_shift
+from conftest import (count_linalg_calls, random_instance, torus_cases, torus_negate,
+                      torus_shift)
 
 TORUS_CASES = torus_cases()
 TORUS_IDS = [name for name, _, _ in TORUS_CASES]
@@ -57,7 +58,8 @@ def dense_reference_cases():
         model, kernel = random_instance(seed)
         if seed % 3 == 0:
             drop = np.arange(len(kernel.weights)) % 4 == 1
-            drop |= drop[[kernel.moves.index(kernel.negate(m)) for m in kernel.moves]]
+            drop |= drop[[kernel.moves.index(torus_negate(kernel.space.shape, m))
+                          for m in kernel.moves]]
             w = np.where(drop, 0.0, kernel.weights)
             kernel = ProposalKernel(kernel.space, kernel.moves, w / w.sum())
         if seed % 5 == 0:
@@ -84,7 +86,8 @@ class TestStateSpace:
         assert pts.shape == (12, 2)
         assert len({tuple(p) for p in pts}) == 12
         for i in range(space.size):
-            assert np.ravel_multi_index(space.multi_index(i), space.shape) == i
+            mi = np.unravel_index(i, space.shape)
+            assert tuple(pts[i]) == tuple(ax[k] for ax, k in zip(space.axes, mi))
 
     def test_shift_wraps_torus(self):
         nb = neighbour_table((5,), [(1,), (-1,)])
@@ -173,14 +176,20 @@ class TestProposalKernel:
 
     def test_rejects_asymmetric_weights(self):
         space = StateSpace.regular_grid((5,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symmetric under negation"):
             ProposalKernel(space=space, moves=((1,), (4,)),
                            weights=np.array([0.7, 0.3]))
 
     def test_rejects_move_set_not_closed_under_negation(self):
         space = StateSpace.regular_grid((5,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"not closed under negation: \(1,\)"):
             ProposalKernel(space=space, moves=((1,),), weights=np.array([1.0]))
+
+    def test_rejects_moves_equal_on_the_torus(self):
+        # 6 = 1 mod 5: the two offsets are one move
+        space = StateSpace.regular_grid((5,))
+        with pytest.raises(ValueError, match="duplicate moves"):
+            ProposalKernel(space=space, moves=((1,), (6,)), weights=np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
     def test_matrix_matches_scalar_loop(self, name, model, kernel):
@@ -254,7 +263,7 @@ class TestAcceptance:
         A = acceptance_matrix(model, kernel)
         p, n = model.unnormalized(), model.space.size
         for (m,), w in zip(kernel.moves, kernel.weights):
-            w_back = kernel.weights[kernel.moves.index(kernel.negate((m,)))]
+            w_back = kernel.weights[kernel.moves.index(torus_negate(model.space.shape, (m,)))]
             for x in range(n):
                 y = (x + m) % n
                 if w > 0 and x != y:
@@ -277,6 +286,20 @@ class TestAcceptance:
         kernel = ProposalKernel.nearest_neighbor(model.space)
         A = acceptance_matrix(model, kernel)
         assert np.all(A[kernel.matrix() > 0] == 1.0)
+
+    @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
+    def test_table_reads_zero_on_zero_weight_moves(self, name, model, kernel):
+        # a zero weight makes the ratio inf or nan, which fmin alone would read as 1
+        nb = neighbour_table(model.space.shape, kernel.moves)
+        neg = negation_slots(model.space.shape, kernel.moves)
+        full = acceptance_table(model, nb, kernel.weights, neg)
+        for j in range(len(kernel.moves)):
+            w = kernel.weights.copy()
+            w[j] = 0.0
+            acc = acceptance_table(model, nb, w, neg)
+            assert np.all(acc[:, j] == 0.0)
+            same = (np.arange(len(w)) != j) & (neg != j)
+            assert np.array_equal(acc[:, same], full[:, same])
 
 
 class TestTvDistance:
@@ -304,7 +327,6 @@ class TestTransitionMatrix:
         np.testing.assert_allclose(chain.transition,
                                    [[0.75, 0.25], [0.25, 0.75]], atol=1e-14)
         assert chain.spectral_gap == pytest.approx(0.5, abs=EIG_ATOL)
-        assert spectral_gap(chain) == pytest.approx(0.5, abs=EIG_ATOL)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -339,7 +361,9 @@ class TestTransitionMatrix:
         d = np.sqrt(model.distribution())
         S = (d[:, None] * W) / d[None, :]
         S = 0.5 * (S + S.T)
-        assert np.array_equal(chain.eigenvalues, np.linalg.eigvalsh(S))
+        ev = np.linalg.eigvalsh(S)
+        assert chain.signed_gap == 1.0 - ev[-2]
+        assert chain.spectral_gap == 1.0 - max(abs(ev[0]), ev[-2])
         lam, O = np.linalg.eigh(S)
         assert np.array_equal(chain.eigenpairs[0], lam)
         assert np.array_equal(chain.eigenpairs[1], O)
@@ -364,9 +388,8 @@ class TestTransitionMatrix:
         chain = build_transition_matrix(model, kernel)
         W = chain.transition
         # the nonsymmetric solver never sees the symmetrized D W D^-1
-        np.testing.assert_allclose(chain.eigenvalues, np.sort(np.linalg.eigvals(W).real),
-                                   atol=1e-12)
         lam, O = chain.eigenpairs
+        np.testing.assert_allclose(lam, np.sort(np.linalg.eigvals(W).real), atol=1e-12)
         Q = O / np.sqrt(chain.stationary)[:, None]
         np.testing.assert_allclose(np.linalg.solve(Q, W @ Q), np.diag(lam), atol=1e-12)
         assert chain.condition_number >= 1.0
@@ -477,7 +500,7 @@ def run_mh_reference(model, kernel, n_b, n, seed):
     p = model.unnormalized()
     weights = kernel.weights
     moves = kernel.moves
-    neg = [kernel.negate(m) for m in moves]
+    neg = [torus_negate(model.space.shape, m) for m in moves]
     w_of = {m: float(w) for m, w in zip(moves, weights)}
 
     x = int(rng.choice(model.space.size, p=model.prior))

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from qmhlab import qsim
 from qmhlab.annealing import QpePhaseGate
-from qmhlab.markov import (ProposalKernel, StateSpace, TargetModel, build_transition_matrix,
-                           negation_slots)
+from qmhlab.markov import (ProposalKernel, StateSpace, TargetModel, acceptance_table,
+                           build_transition_matrix, negation_slots)
 from qmhlab.qsim import (
     RegisterLayout,
     _complete_unitary,
-    acceptance_slots,
     apply_core,
     build_core,
     build_F,
@@ -25,7 +24,8 @@ from qmhlab.qsim import (
     verify_phase_gap,
 )
 
-from conftest import count_linalg_calls, random_instance, torus_cases, torus_shift
+from conftest import (count_linalg_calls, random_instance, torus_cases, torus_negate,
+                      torus_shift)
 
 TORUS_CASES = torus_cases()
 TORUS_IDS = [name for name, _, _ in TORUS_CASES]
@@ -60,6 +60,11 @@ def build_V(kernel, layout):
         raise ValueError("move weights do not normalize")
     VM = _complete_unitary(np.sqrt(w).astype(complex))
     return np.kron(np.eye(layout.space_dim), np.kron(VM, np.eye(2)))
+
+
+def acceptance_slots(model, layout):
+    """A(x, x+m) for each (x, slot) of the layout; 0 on zero-weight slots."""
+    return acceptance_table(model, layout.neighbours(), layout.weights, layout.neg_slots())
 
 
 def build_B(model, layout):
@@ -199,7 +204,7 @@ class TestOperatorsUnitary:
             return torus_shift(layout.shape, x, layout.moves[m])
 
         def negate_slot(m):
-            return layout.moves.index(tuple((-c) % d for c, d in zip(layout.moves[m], layout.shape)))
+            return layout.moves.index(torus_negate(layout.shape, layout.moves[m]))
 
         def slots():
             A = np.zeros((n, k))
@@ -305,13 +310,23 @@ class TestCoreIdentities:
         model, kernel, layout = make_setup(17)
         chain = build_transition_matrix(model, kernel)
         U = build_walk_operator(model, kernel, layout)
-        Q = invariant_subspace(reference_images(model, layout), layout, chain)
+        Q, pair = invariant_subspace(reference_images(model, layout), layout, chain)
         # A O and one partner per non-unit eigenpair, orthonormal
-        assert Q.shape == (layout.total_dim, 2 * layout.space_dim - 1)
+        n = layout.space_dim
+        assert Q.shape == (layout.total_dim, 2 * n - 1)
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) <= 1e-9
         proj = Q @ Q.conj().T
         # U maps the subspace into itself
         assert np.linalg.norm(proj @ U @ Q - U @ Q) <= 1e-9
+        # pair names each column's eigenpair: U turns the plane of A o_j and its
+        # partner by the eigenphases +-arccos(lambda_j)
+        assert np.array_equal(pair, np.concatenate([np.arange(n), np.arange(n - 1)]))
+        lam, _ = chain.eigenpairs
+        for c in range(n, 2 * n - 1):
+            plane = Q[:, [pair[c], c]]
+            phases = np.sort(np.angle(np.linalg.eigvals(plane.conj().T @ U @ plane)))
+            theta = np.arccos(lam[pair[c]])
+            np.testing.assert_allclose(phases, [-theta, theta], atol=1e-9)
 
     def test_invariant_subspace_of_bipartite_ring(self):
         # uniform 8-ring, no stay mass: W has eigenvalue -1, whose A o is
@@ -321,9 +336,10 @@ class TestCoreIdentities:
         kernel = ProposalKernel.nearest_neighbor(space)
         layout = RegisterLayout.for_kernel(kernel)
         chain = build_transition_matrix(model, kernel)
-        assert chain.eigenvalues[0] == pytest.approx(-1.0, abs=1e-12)
-        Q = invariant_subspace(reference_images(model, layout), layout, chain)
+        assert chain.eigenpairs[0][0] == pytest.approx(-1.0, abs=1e-12)
+        Q, pair = invariant_subspace(reference_images(model, layout), layout, chain)
         assert Q.shape == (layout.total_dim, 2 * layout.space_dim - 2)
+        assert np.array_equal(pair[layout.space_dim:], np.arange(1, layout.space_dim - 1))
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) <= 1e-9
         U = build_walk_operator(model, kernel, layout)
         assert np.linalg.norm(Q @ (Q.conj().T @ U @ Q) - U @ Q) <= 1e-9

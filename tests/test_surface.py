@@ -2,8 +2,10 @@
 
 A module-level function or class, or a public method, of ``src/qmhlab`` must be
 named somewhere in ``src/qmhlab`` or ``perfbench`` outside its own definition,
-as a name, an attribute or an import alias.  Tests do not count as callers, so
-code only tests reach must be listed in KEPT with the reason it stays.
+as a name, an attribute or an import alias.  A field of a library dataclass
+must be read as an attribute there.  Tests do not count as callers or readers,
+so code and fields only tests reach must be listed in KEPT with the reason
+they stay.
 """
 
 import ast
@@ -53,6 +55,24 @@ def _uses(path):
                     yield name, node.lineno
 
 
+def _fields(path):
+    """Qualified name of each field the dataclasses in path declare."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}"
+
+
+def unread_fields():
+    reads = {node.attr for path in CALLERS for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.stem}.{field}" for path in LIBRARY for field in _fields(path)
+            if field.split(".")[-1] not in reads]
+
+
 def unreferenced():
     uses = {path: list(_uses(path)) for path in CALLERS}
     dead = []
@@ -70,5 +90,10 @@ def test_every_definition_has_a_caller_or_a_reason():
     dead = unreferenced()
     unkept = [d for d in dead if d.split(".", 1)[1] not in KEPT]
     assert not unkept, f"no caller in src/qmhlab or perfbench: {unkept}"
-    stale = set(KEPT) - {d.split(".", 1)[1] for d in dead}
-    assert not stale, f"KEPT lists names that are gone or now called: {stale}"
+    stale = set(KEPT) - {d.split(".", 1)[1] for d in dead + unread_fields()}
+    assert not stale, f"KEPT lists names that are gone or now used: {stale}"
+
+
+def test_every_dataclass_field_is_read_or_kept():
+    unkept = [f for f in unread_fields() if f.split(".", 1)[1] not in KEPT]
+    assert not unkept, f"field read nowhere in src/qmhlab or perfbench: {unkept}"
