@@ -214,32 +214,22 @@ def pi3_amplify(R1, R2, m: int, start: np.ndarray) -> np.ndarray:
     """
     if m < 0:
         raise ValueError("recursion depth must be nonnegative")
-    return _amplify_forward(R1, R2, m, start)
+    return _amplify(R1, R2, m, start, False)
 
 
-# module-level rather than closures over R1 and R2: mutually recursive inner
-# functions form a reference cycle that keeps both gates (a D x (2n - 1)
-# basis each for QPE gates) alive until the cyclic collector runs
-def _amplify_forward(R1, R2, depth: int, v: np.ndarray) -> np.ndarray:
-    """U_depth v."""
+# module-level rather than a closure over R1 and R2: a recursive inner function
+# forms a reference cycle that keeps both gates (a D x (2n - 1) basis each for
+# QPE gates) alive until the cyclic collector runs
+def _amplify(R1, R2, depth: int, v: np.ndarray, inverse: bool) -> np.ndarray:
+    """U_depth v, or U_depth^-1 v: the same recursion with inverted gates in mirrored order."""
     if depth == 0:
         return v
-    v = _amplify_forward(R1, R2, depth - 1, v)
-    v = R2.apply(v)
-    v = _amplify_backward(R1, R2, depth - 1, v)
-    v = R1.apply(v)
-    return _amplify_forward(R1, R2, depth - 1, v)
-
-
-def _amplify_backward(R1, R2, depth: int, v: np.ndarray) -> np.ndarray:
-    """U_depth^-1 v."""
-    if depth == 0:
-        return v
-    v = _amplify_backward(R1, R2, depth - 1, v)
-    v = R1.apply_inverse(v)
-    v = _amplify_forward(R1, R2, depth - 1, v)
-    v = R2.apply_inverse(v)
-    return _amplify_backward(R1, R2, depth - 1, v)
+    first, second = (R1.apply_inverse, R2.apply_inverse) if inverse else (R2.apply, R1.apply)
+    v = _amplify(R1, R2, depth - 1, v, inverse)
+    v = first(v)
+    v = _amplify(R1, R2, depth - 1, v, not inverse)
+    v = second(v)
+    return _amplify(R1, R2, depth - 1, v, inverse)
 
 
 def pi3_overlap_bound(p: float, m: int) -> float:

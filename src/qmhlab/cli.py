@@ -142,8 +142,9 @@ def experiment_qmci_pipeline(model, kernel, out_dir, seed=0, eps=0.2,
 
 def experiment_credible_interval(model, kernel, out_dir, seed=0, axis=0,
                                  alpha=0.5, eps=0.05, delta=0.1):
-    handle = inference.PosteriorHandle(distribution=model.distribution(),
-                                       space=model.space, prep_queries=1)
+    P = model.distribution()
+    handle = inference.PosteriorHandle(distribution=P, space=model.space, prep_queries=1)
+    tails = [inference.cdf_exact(P, model.space, axis, v) for v in model.space.axes[axis]]
     results = {}
     passed = True
     for side in ("upper", "lower"):
@@ -151,12 +152,9 @@ def experiment_credible_interval(model, kernel, out_dir, seed=0, axis=0,
                                     delta=delta, side=side)
         r = inference.credible_bound_search(q, handle, seed)
         target = alpha / 2.0 if side == "upper" else 1.0 - alpha / 2.0
-        tails = [inference.cdf_exact(model.distribution(), model.space, axis, v)
-                 for v in model.space.axes[axis]]
         premise = any(abs(t - target) <= eps / 3.0 for t in tails)
         if r.found:
-            ok = abs(inference.cdf_exact(model.distribution(), model.space,
-                                         axis, r.value) - target) <= eps
+            ok = abs(inference.cdf_exact(P, model.space, axis, r.value) - target) <= eps
         else:
             # no output is the contracted outcome when no grid point sits
             # close enough to the target tail mass

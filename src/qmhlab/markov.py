@@ -8,6 +8,7 @@ annealing) builds on the exact transition matrices computed here.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -147,7 +148,10 @@ class TargetModel:
         return p / p.sum()
 
     def with_beta(self, beta: float) -> "TargetModel":
-        return TargetModel(self.space, self.prior, self.neg_log_lik, beta=float(beta))
+        """The same model at another beta, sharing the checked prior and L arrays."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "beta", float(beta))
+        return twin
 
     def with_neg_log_lik(self, nll) -> "TargetModel":
         return TargetModel(self.space, self.prior, np.asarray(nll, float), beta=self.beta)
@@ -183,11 +187,6 @@ class ProposalKernel:
             raise ValueError("proposal weights must be symmetric under negation")
         object.__setattr__(self, "moves", canon)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def zero_move_mass(self) -> float:
-        # moves are distinct, so this sums at most one weight
-        return float(sum(w for m, w in zip(self.moves, self.weights) if not any(m)))
 
     @property
     def max_column_mass(self) -> float:
@@ -280,10 +279,6 @@ class ChainModel:
     signed_gap: float                # 1 - lambda_2 (second largest eigenvalue)
     condition_number: float          # cond of the diagonalizing Q = D^-1 O
 
-    @property
-    def size(self) -> int:
-        return self.space.size
-
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(lambda, O): eigh of the symmetrized D W D^-1, run on first read; read-only.
@@ -351,11 +346,6 @@ class ChainSample:
 
     states: np.ndarray
     burn_in: int
-    n_samples: int
-
-    def __post_init__(self):
-        if len(self.states) != self.burn_in + self.n_samples:
-            raise ValueError("trajectory length must be burn_in + n_samples")
 
     @property
     def kept(self) -> np.ndarray:
@@ -393,7 +383,7 @@ def run_mh(model: TargetModel, kernel: ProposalKernel, n_b: int, n: int, seed: i
                 x = nb_flat[i]
             states.append(x)
         out[start:start + len(states)] = states
-    return ChainSample(states=out, burn_in=n_b, n_samples=n)
+    return ChainSample(states=out, burn_in=n_b)
 
 
 def mixing_bound_check(chain: ChainModel, n: int) -> tuple[float, float]:
@@ -402,6 +392,8 @@ def mixing_bound_check(chain: ChainModel, n: int) -> tuple[float, float]:
     The sup over initial distributions is attained at a point mass, so d(n)
     is a max over rows of W^n.
     """
+    if n < 0:
+        raise ValueError("need n >= 0 steps")
     if not chain.is_reversible():
         raise NonReversibleChainError("mixing bound requires a reversible chain")
     Wn = np.linalg.matrix_power(chain.transition, n)
@@ -412,6 +404,8 @@ def mixing_bound_check(chain: ChainModel, n: int) -> tuple[float, float]:
 
 def mixing_time_bound(chain: ChainModel, eps: float) -> int:
     """log(1 / (eps * pi_min)) / Delta upper bound on t_mix(eps)."""
+    if eps <= 0:
+        raise ValueError("need eps > 0")
     return int(np.ceil(np.log(1.0 / (eps * chain.stationary.min())) / chain.spectral_gap))
 
 

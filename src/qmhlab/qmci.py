@@ -119,15 +119,12 @@ class QmciResult:
 
 
 @cache
-def _qae_outcome_bins(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort order of the 2^t outcome values sin^2(pi k / 2^t), their distinct values, and bins."""
+def _qae_outcome_values(t: int) -> np.ndarray:
+    """sin^2(pi m / 2^t), m = 0..2^(t-1): the estimate outcomes m and 2^t - m share; read-only."""
     N = 2**t
-    values = np.sin(np.pi * np.arange(N) / N) ** 2
-    # outcomes k and N-k encode the same estimate
-    order = np.argsort(values)
-    uniq, inv = np.unique(np.round(values[order], 15), return_inverse=True)
-    order.flags.writeable = uniq.flags.writeable = inv.flags.writeable = False
-    return order, uniq, inv
+    values = np.round(np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2, 15)
+    values.flags.writeable = False
+    return values
 
 
 def _qae_outcome_distribution(amplitude_sq: float, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,11 +133,13 @@ def _qae_outcome_distribution(amplitude_sq: float, t: int) -> tuple[np.ndarray, 
     plus, minus = annealing._qpe_outcome_distributions(2.0 * theta, t)
     probs = 0.5 * (plus + minus)
     probs /= probs.sum()
-    order, uniq, inv = _qae_outcome_bins(t)
-    return uniq, np.bincount(inv, weights=probs[order], minlength=len(uniq))
+    h = len(probs) // 2         # fold outcome N - m onto outcome m
+    folded = probs[:h + 1].copy()
+    folded[1:h] += probs[:h:-1]
+    return _qae_outcome_values(t), folded
 
 
-def _median_distribution(values: np.ndarray, probs: np.ndarray, runs: int):
+def _median_distribution(probs: np.ndarray, runs: int):
     """Distribution of the median of `runs` iid draws (odd runs)."""
     cdf = np.clip(np.cumsum(probs), 0.0, 1.0)
     from scipy.special import betainc     # here: only faithful mode pays its 3.6 MB import
@@ -162,12 +161,18 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
     """
     if eps <= 0 or not 0 < delta < 1:
         raise ValueError("need eps > 0 and delta in (0, 1)")
+    if mode not in ("emulated", "faithful"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not 0 <= x < oracle.n_states:
+        raise ValueError(f"state index {x} outside 0..{oracle.n_states - 1}")
     truth = float(oracle.mean_table()[x])
     b = int(np.floor(np.log2(eps)))
     truncated = float(_truncate(truth, b))
     charge = estimation_charge(oracle, eps, delta)
     if charge == 0:     # the classical shortcut
         return QmciResult(truncated, 0, True, 0.0)
+    if mode == "faithful" and oracle.M > FAITHFUL_MAX_TERMS:
+        raise ValueError(f"faithful mode limited to M <= {FAITHFUL_MAX_TERMS}")
     eps_in = 2.0 ** (b - 1)
     oracle.charge(charge)
 
@@ -180,56 +185,46 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
             est = truncated
         return QmciResult(est, charge, True, 0.0)
 
-    if mode == "faithful":
-        if oracle.M > FAITHFUL_MAX_TERMS:
-            raise ValueError(f"faithful mode limited to M <= {FAITHFUL_MAX_TERMS}")
-        rng = np.random.default_rng([seed, x])
-        col = oracle.table[:, x]
-        lo, hi = float(col.min()), float(col.max())
-        if hi - lo < 1e-15:
-            return QmciResult(truncated, charge, True, 0.0)
-        a = (truth - lo) / (hi - lo)
-        eps_norm = eps_in / (hi - lo)
-        t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
-        runs = int(np.ceil(12.0 * np.log(1.0 / (delta / 4.0))))
-        runs += 1 - runs % 2
-        values, probs = _qae_outcome_distribution(a, t)
-        med_pmf = _median_distribution(values, probs, runs)
-        est_values = _truncate(lo + values * (hi - lo), b)
-        good = np.abs(est_values - truth) <= eps
-        residual = float(med_pmf[~good].sum())
-        j = int(rng.choice(len(values), p=med_pmf))
-        return QmciResult(float(est_values[j]), charge, bool(good[j]), residual)
-
-    raise ValueError(f"unknown mode {mode!r}")
+    rng = np.random.default_rng([seed, x])
+    col = oracle.table[:, x]
+    lo, hi = float(col.min()), float(col.max())
+    if hi - lo < 1e-15:
+        return QmciResult(truncated, charge, True, 0.0)
+    a = (truth - lo) / (hi - lo)
+    eps_norm = eps_in / (hi - lo)
+    t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
+    runs = int(np.ceil(12.0 * np.log(1.0 / (delta / 4.0))))
+    runs += 1 - runs % 2
+    values, probs = _qae_outcome_distribution(a, t)
+    med_pmf = _median_distribution(probs, runs)
+    est_values = _truncate(lo + values * (hi - lo), b)
+    good = np.abs(est_values - truth) <= eps
+    residual = float(med_pmf[~good].sum())
+    j = int(rng.choice(len(values), p=med_pmf))
+    return QmciResult(float(est_values[j]), charge, bool(good[j]), residual)
 
 
-def _estimate_states(oracle: LikelihoodOracle, eps: float, delta: float,
-                     mode: str, seed: int) -> tuple[np.ndarray, float]:
-    """L~ clipped at zero, and the largest bad-branch mass of its estimations."""
+def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
+                 mode: str, seed: int) -> tuple[np.ndarray, float]:
+    """Perturbed negative log-likelihood table L~, clipped at zero, and its largest residual.
+
+    One qmci_mean per state; emulated mode makes L~ a fixed deterministic
+    function, so the perturbed chain is well-defined.  The residual is the
+    largest bad-branch mass of those estimations (0 in emulated mode).
+    """
     results = [qmci_mean(oracle, x, eps, delta, mode, seed) for x in range(oracle.n_states)]
     est = np.array([r.estimate for r in results])
     nll = np.maximum(0.0, est + oracle.ell0 + oracle.const)
     return nll, max(r.residual for r in results)
 
 
-def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
-                 mode: str, seed: int) -> np.ndarray:
-    """Full perturbed negative log-likelihood table L~, clipped at zero.
-
-    One qmci_mean per state; emulated mode makes this a fixed deterministic
-    function, so the perturbed chain is well-defined.
-    """
-    return _estimate_states(oracle, eps, delta, mode, seed)[0]
-
-
 def _estimate_and_charge(oracle: LikelihoodOracle, kernel: ProposalKernel, eps: float,
                          delta: float, seed: int, mode: str):
     """L~, its estimations' largest residual and the pair charge, all supported pairs charged."""
-    nll, residual = _estimate_states(oracle, eps, delta, mode, seed)
+    nll, residual = estimate_nll(oracle, eps, delta, mode, seed)
     charge = estimation_charge(oracle, eps, delta)
     # distinct nonzero torus moves reach distinct other states from every x
-    n_pairs = kernel.space.size * (np.count_nonzero(kernel.weights) - (kernel.zero_move_mass > 0))
+    n_pairs = kernel.space.size * sum(any(m) for m, w in zip(kernel.moves, kernel.weights) if w > 0)
     # charge the uncompute halves on top of the per-state estimations
     oracle.charge(max(0, n_pairs * 4 * charge - oracle.n_states * charge))
     return nll, residual, 4 * charge
@@ -314,7 +309,7 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
     """
     eps_in = internal_accuracy(model, kernel, eps) if eps_internal is None \
         else float(eps_internal)
-    nll = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
+    nll, _ = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
     model_pert = model.with_neg_log_lik(nll)
 
     chain_pert = build_transition_matrix(model_pert, kernel)

@@ -128,6 +128,25 @@ class TestPi3Amplification:
         R2 = ExactPhaseGate(phi2, OMEGA_PI3)
         np.testing.assert_allclose(pi3_amplify(R1, R2, 0, phi1), phi1, atol=1e-14)
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_inverse_recursion_undoes_forward(self, m):
+        rng = np.random.default_rng(m)
+
+        def unit():
+            v = rng.normal(size=6) + 1j * rng.normal(size=6)
+            return v / np.linalg.norm(v)
+
+        R1, R2, v = ExactPhaseGate(unit(), OMEGA_PI3), ExactPhaseGate(unit(), OMEGA_PI3), unit()
+        forward = annealing._amplify(R1, R2, m, v, False)
+        assert np.max(np.abs(annealing._amplify(R1, R2, m, forward, True) - v)) <= 1e-12
+        # against the dense recursion U_{m+1} = U_m R1 U_m^-1 R2 U_m
+        G1, G2 = (np.eye(6) + (OMEGA_PI3 - 1.0) * np.outer(R.target, R.target.conj())
+                  for R in (R1, R2))
+        U = np.eye(6, dtype=complex)
+        for _ in range(m):
+            U = U @ G1 @ np.linalg.inv(U) @ G2 @ U
+        assert np.max(np.abs(forward - U @ v)) <= 1e-12
+
     def test_query_count_grows_threefold_per_level(self):
         phi1, phi2 = overlap_pair(0.5)
         counts = []

@@ -133,6 +133,22 @@ class TestTargetModel:
         np.testing.assert_allclose(model.with_beta(0.0).distribution(),
                                    model.prior, atol=1e-14)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 2.5])
+    def test_with_beta_shares_arrays_and_matches_fresh_model(self, beta, monkeypatch):
+        model, _ = random_instance(7)
+        checks = []
+        check = TargetModel.__post_init__
+        monkeypatch.setattr(TargetModel, "__post_init__", lambda m: checks.append(check(m)))
+        twin = model.with_beta(beta)
+        assert checks == []             # the arrays were checked when the model was built
+        model.with_neg_log_lik(model.neg_log_lik + 1.0)
+        assert len(checks) == 1         # a new array is checked
+        assert twin.prior is model.prior and twin.neg_log_lik is model.neg_log_lik
+        assert twin.beta == beta and model.beta == 1.0
+        fresh = TargetModel(space=model.space, prior=model.prior.copy(),
+                            neg_log_lik=model.neg_log_lik.copy(), beta=beta)
+        assert np.array_equal(twin.distribution(), fresh.distribution())
+
     def test_rejects_negative_nll(self):
         space = StateSpace.regular_grid((4,))
         with pytest.raises(ValueError):
@@ -208,7 +224,7 @@ class TestProposalKernel:
     def test_nearest_neighbor_stay_mass(self):
         space = StateSpace.regular_grid((6,))
         kernel = ProposalKernel.nearest_neighbor(space, stay_prob=0.4)
-        assert kernel.zero_move_mass == pytest.approx(0.4)
+        assert dict(zip(kernel.moves, kernel.weights))[(0,)] == pytest.approx(0.4)
 
 
 def acceptance_matrix_reference(model, kernel):
@@ -376,7 +392,7 @@ class TestTransitionMatrix:
         v0 = d / np.linalg.norm(d)
         # deflate the principal eigenvector, then power-iterate
         M = S - np.outer(v0, v0)
-        v = np.ones(chain.size) / np.sqrt(chain.size)
+        v = np.ones(len(chain.stationary)) / np.sqrt(len(chain.stationary))
         for _ in range(20000):
             v = M @ v
             v /= np.linalg.norm(v)
@@ -581,8 +597,24 @@ class TestMixing:
         chain = build_transition_matrix(*random_instance(seed))
         for n in (1, 3, 17, 100):
             Wn = np.linalg.matrix_power(chain.transition, n)
-            ref = max(tv_distance(Wn[x], chain.stationary) for x in range(chain.size))
+            ref = max(tv_distance(Wn[x], chain.stationary) for x in range(len(chain.stationary)))
             assert mixing_bound_check(chain, n)[0] == ref
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_step_count_rejected(self, ring8, n):
+        model, _ = ring8
+        kernel = ProposalKernel.nearest_neighbor(model.space, stay_prob=0.2)
+        chain = build_transition_matrix(model, kernel)
+        with pytest.raises(ValueError, match="n >= 0"):
+            mixing_bound_check(chain, n)
+        d0, bound0 = mixing_bound_check(chain, 0)       # zero steps stays valid
+        assert 0.0 < d0 < 1.0 and d0 <= bound0
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_nonpositive_accuracy_rejected(self, ring8, eps):
+        chain = build_transition_matrix(*ring8)
+        with pytest.raises(ValueError, match="eps > 0"):
+            mixing_time_bound(chain, eps)
 
     def test_mixing_time_bound_sufficient(self, ring8):
         model, kernel = ring8

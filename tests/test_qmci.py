@@ -28,6 +28,7 @@ from qmhlab.qmci import (
     approx_acceptance_table,
     approx_walk_operator,
     estimate_nll,
+    estimation_charge,
     internal_accuracy,
     qmci_mean,
     qsa_with_qmci,
@@ -38,10 +39,24 @@ from qmhlab.qsim import RegisterLayout, verify_phase_gap
 
 
 # The per-outcome faithful estimator, kept as the reference for the array code:
-# it rounds each outcome in a Python loop, takes two binomial tails, sorts and
-# bins the outcome values on every call, and recomputes the oracle's mean.
+# it folds the outcome law in a Python loop, takes two binomial tails, rounds
+# each outcome in a Python loop, and recomputes the oracle's mean.
 
 def reference_outcome_distribution(amplitude_sq: float, t: int):
+    theta = float(np.arcsin(np.sqrt(np.clip(amplitude_sq, 0.0, 1.0))))
+    N = 2**t
+    plus, minus = annealing._qpe_outcome_distributions(2.0 * theta, t)
+    probs = 0.5 * (plus + minus)
+    probs /= probs.sum()
+    values = np.round(np.sin(np.pi * np.arange(N) / N) ** 2, 15)[:N // 2 + 1]
+    # outcomes m and N-m encode the same estimate; 0 and N/2 have no partner
+    agg = [probs[m] + probs[N - m] if 0 < m < N // 2 else probs[m] for m in range(N // 2 + 1)]
+    return values, np.array(agg)
+
+
+def rounding_keyed_outcome_distribution(amplitude_sq: float, t: int):
+    """The fold the library used before outcomes were paired by index: values
+    rounded to 15 decimals and merged where equal, which leaves some k and N-k apart."""
     theta = float(np.arcsin(np.sqrt(np.clip(amplitude_sq, 0.0, 1.0))))
     N = 2**t
     plus, minus = annealing._qpe_outcome_distributions(2.0 * theta, t)
@@ -58,7 +73,7 @@ def reference_outcome_distribution(amplitude_sq: float, t: int):
     return uniq, agg
 
 
-def reference_median_distribution(values, probs, runs: int):
+def reference_median_distribution(probs, runs: int):
     cdf = np.clip(np.cumsum(probs), 0.0, 1.0)
     below = np.concatenate([[0.0], cdf[:-1]])
     from scipy.stats import binom
@@ -106,7 +121,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     runs = int(np.ceil(12.0 * np.log(1.0 / delta_in)))
     runs += 1 - runs % 2
     values, probs = reference_outcome_distribution(a, t)
-    med_pmf = reference_median_distribution(values, probs, runs)
+    med_pmf = reference_median_distribution(probs, runs)
     raw_values = lo + values * (hi - lo)
     est_values = np.array([rounded(v) for v in raw_values])
     good = np.abs(est_values - truth) <= eps
@@ -292,6 +307,34 @@ class TestFaithfulMode:
             qmci_mean(oracle, 0, 0.1, 0.1, "typo", seed=0)
 
 
+class TestRejectBeforeCharge:
+    """A rejected call raises ValueError and charges nothing, on the shortcut path too."""
+
+    @staticmethod
+    def oracle():
+        return LikelihoodOracle.from_nll(np.linspace(0, 3, 8), M=64, spread=0.5, seed=0)
+
+    @pytest.mark.parametrize("eps", [0.01, 2.5], ids=["estimated", "shortcut"])
+    @pytest.mark.parametrize("x,mode", [(0, "bogus"), (-1, "emulated"), (8, "emulated"),
+                                        (-1, "faithful"), (8, "faithful")])
+    def test_bad_mode_or_state_index(self, eps, x, mode):
+        oracle = self.oracle()
+        assert (estimation_charge(oracle, eps, 0.1) == 0) == (eps == 2.5)
+        with pytest.raises(ValueError):
+            qmci_mean(oracle, x, eps, 0.1, mode, seed=0)
+        assert oracle.queries == 0
+
+    def test_faithful_term_cap(self):
+        oracle = self.oracle()
+        assert oracle.M > FAITHFUL_MAX_TERMS
+        with pytest.raises(ValueError, match="faithful mode limited"):
+            qmci_mean(oracle, 0, 0.01, 0.1, "faithful", seed=0)
+        assert oracle.queries == 0
+        # the shortcut needs no amplitude estimation, so the cap does not apply
+        res = qmci_mean(oracle, 7, 2.5, 0.1, "faithful", seed=0)
+        assert (res.estimate, res.queries, oracle.queries) == (2.0, 0, 0)
+
+
 class TestMedianTail:
     @pytest.mark.parametrize("runs", [1, 3, 23, 45, 61, 101])
     def test_incomplete_beta_is_the_binomial_tail(self, runs):
@@ -341,8 +384,24 @@ class TestFaithfulArrayCode:
             assert np.array_equal(values, ref_values)
             assert np.array_equal(probs, ref_probs)
             for runs in (1, 3, 45, 61):
-                assert np.array_equal(_median_distribution(values, probs, runs),
-                                      reference_median_distribution(values, probs, runs))
+                assert np.array_equal(_median_distribution(probs, runs),
+                                      reference_median_distribution(probs, runs))
+
+    @pytest.mark.parametrize("t", range(1, 17))
+    def test_one_bin_per_pair_and_rounding_keyed_fold_summed(self, t):
+        # the rounding-keyed fold left some pairs k, N-k in neighbouring bins
+        # whose values differ in the 15th decimal; summed, its law is the index fold's
+        for a in self.AMPLITUDES:
+            values, probs = _qae_outcome_distribution(a, t)
+            assert len(values) == len(probs) == 2 ** (t - 1) + 1
+            assert np.all(np.diff(values) > 0)
+            old_values, old_probs = rounding_keyed_outcome_distribution(a, t)
+            group = np.concatenate([[0], np.cumsum(np.diff(old_values) > 1e-12)])
+            summed = np.zeros(group[-1] + 1)
+            np.add.at(summed, group, old_probs)
+            assert np.array_equal(summed, probs)
+            first = np.concatenate([[True], np.diff(group) > 0])
+            assert np.max(np.abs(old_values[first] - values)) <= 2e-15
 
     def test_results_match_reference(self):
         rng = np.random.default_rng(5)
@@ -465,7 +524,7 @@ class TestApproxChain:
         eps = 0.2
         eps_in = internal_accuracy(model, kernel, eps)
         assert 0.0 < eps_in <= 0.25
-        nll = estimate_nll(oracle, eps_in, 0.05, "emulated", seed=0)
+        nll, _ = estimate_nll(oracle, eps_in, 0.05, "emulated", seed=0)
         tv = tv_distance(model.distribution(),
                          model.with_neg_log_lik(nll).distribution())
         assert tv <= eps

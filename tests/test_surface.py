@@ -5,10 +5,12 @@ named somewhere in ``src/qmhlab`` or ``perfbench`` outside its own definition,
 as a name, an attribute or an import alias.  A field of a library dataclass
 must be read as an attribute there.  Tests do not count as callers or readers,
 so code and fields only tests reach must be listed in KEPT with the reason
-they stay.
+they stay.  The README's `src/` line count, which the roadmap tracks, matches
+the sources.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,3 +99,10 @@ def test_every_definition_has_a_caller_or_a_reason():
 def test_every_dataclass_field_is_read_or_kept():
     unkept = [f for f in unread_fields() if f.split(".", 1)[1] not in KEPT]
     assert not unkept, f"field read nowhere in src/qmhlab or perfbench: {unkept}"
+
+
+def test_readme_states_src_line_count():
+    stated = re.search(r"`src/` is ([\d,]+) lines of Python", (ROOT / "README.md").read_text())
+    assert stated, "README.md states no `src/` line count"
+    lines = sum(len(path.read_text().splitlines()) for path in LIBRARY)
+    assert int(stated.group(1).replace(",", "")) == lines
