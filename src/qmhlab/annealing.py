@@ -292,7 +292,7 @@ def stage_count_limit(mean_nll: float) -> int:
     return max(1, int(np.ceil(np.sqrt(mean_nll * max(np.log(mean_nll), 1.0)))))
 
 
-def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
+def qsa_schedule(model: TargetModel, kernel: ProposalKernel, signed_gap: float,
                  eta: float, seed: int,
                  ledger: QueryLedger | None = None) -> AnnealingSchedule:
     """Search the temperature ladder by overlap-thresholded binary search.
@@ -313,7 +313,7 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, delta_min: float,
     precision = min(1.0 / L_max, 0.5)
     delta_nae = min(0.49, eta / (l_max * max(L_max, 1.0)))
     ledger = QueryLedger() if ledger is None else ledger
-    refl_cost = phase_gate_cost(delta_min, delta_nae)
+    refl_cost = phase_gate_cost(signed_gap, delta_nae)
     rng = np.random.default_rng(seed)
 
     def estimate(b1, b2):
@@ -368,13 +368,16 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
                  ledger: QueryLedger | None = None) -> np.ndarray:
     """Walk the schedule with pi/3 amplification, stage accuracy eps / #stages.
 
-    exact mode uses oracle phase gates about the known intermediate states
-    (charged at the synthesized-gate rate); qpe mode synthesizes each gate
-    from the walk operator of the chain at that temperature, once per
-    temperature.  Each gate's QPE has failure weight GATE_DELTA.
+    exact mode uses oracle phase gates about the known intermediate states,
+    each charged at the synthesized-gate rate of its own temperature's chain;
+    qpe mode synthesizes each gate from the walk operator of the chain at that
+    temperature.  Either way a gate is built once per temperature, and each
+    gate's QPE has failure weight GATE_DELTA.
     """
     if not schedule.success:
         raise ValueError("cannot generate from a failed schedule")
+    if mode not in ("exact", "qpe"):
+        raise ValueError(f"unknown gate mode {mode!r}")
     layout = RegisterLayout.for_kernel(kernel)
     n_stages = len(schedule.betas) - 1
     state = encode_distribution(model.with_beta(0.0).distribution(), layout)
@@ -382,28 +385,23 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
         return state
     stage_eps = eps / n_stages
 
-    def qpe_gate(beta):
-        return QpePhaseGate(model.with_beta(beta), kernel, OMEGA_PI3, GATE_DELTA,
-                            ledger=ledger, tag="generate")
+    def gate(beta):
+        model_b = model.with_beta(beta)
+        if mode == "qpe":
+            return QpePhaseGate(model_b, kernel, OMEGA_PI3, GATE_DELTA, ledger=ledger,
+                                tag="generate")
+        cost = phase_gate_cost(build_transition_matrix(model_b, kernel).signed_gap, GATE_DELTA)
+        return ExactPhaseGate(encode_distribution(model_b.distribution(), layout), OMEGA_PI3,
+                              cost=cost, ledger=ledger, tag="generate")
 
     for i in range(n_stages):
         b1, b2 = schedule.betas[i], schedule.betas[i + 1]
         p = max(OVERLAP_GUARANTEE,
                 min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
         m = amplification_depth(p, stage_eps)
-        if mode == "exact":
-            t1 = encode_distribution(model.with_beta(b1).distribution(), layout)
-            t2 = encode_distribution(model.with_beta(b2).distribution(), layout)
-            chain2 = build_transition_matrix(model.with_beta(b2), kernel)
-            cost = phase_gate_cost(chain2.signed_gap, GATE_DELTA)
-            R1 = ExactPhaseGate(t1, OMEGA_PI3, cost=cost, ledger=ledger, tag="generate")
-            R2 = ExactPhaseGate(t2, OMEGA_PI3, cost=cost, ledger=ledger, tag="generate")
-        elif mode == "qpe":
-            # stage i's R2 is stage i+1's R1: same temperature, same gate
-            R1 = qpe_gate(b1) if i == 0 else R2
-            R2 = qpe_gate(b2)
-        else:
-            raise ValueError(f"unknown gate mode {mode!r}")
+        # stage i's R2 is stage i+1's R1: same temperature, same gate
+        R1 = gate(b1) if i == 0 else R2
+        R2 = gate(b2)
         state = pi3_amplify(R1, R2, m, state)
         norm = np.linalg.norm(state)
         if norm > 0:

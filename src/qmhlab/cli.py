@@ -100,7 +100,7 @@ def experiment_verify_bounds(model, kernel, out_dir, seeds=(0, 1, 2, 3),
 def experiment_anneal(model, kernel, out_dir, seed=0, eps=0.1, mode="exact"):
     chain = build_transition_matrix(model, kernel)
     ledger = annealing.QueryLedger()
-    schedule = annealing.qsa_schedule(model, kernel, chain.spectral_gap,
+    schedule = annealing.qsa_schedule(model, kernel, chain.signed_gap,
                                       eta=0.1, seed=seed, ledger=ledger)
     payload = {
         "betas": list(schedule.betas), "overlaps": list(schedule.overlaps),
@@ -196,7 +196,7 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
             chain = build_transition_matrix(inst.model, kernel)
             ledger = annealing.QueryLedger()
             schedule = annealing.qsa_schedule(inst.model, kernel,
-                                              chain.spectral_gap, eta=delta,
+                                              chain.signed_gap, eta=delta,
                                               seed=seed, ledger=ledger)
             if schedule.success:
                 annealing.qsa_generate(schedule, inst.model, kernel,

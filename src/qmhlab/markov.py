@@ -3,13 +3,17 @@
 State spaces are regular periodic grids in R^d, so moves and proposal
 probabilities are translation invariant and the move set is closed under
 negation.  Everything downstream (walk operators, perturbation checks,
-annealing) builds on the exact transition matrices computed here.
+annealing) builds on the exact transition matrices computed here.  A chain
+keeps what it derives on first need: its eigenpairs, its reversibility
+verdict, and the squarings W^(2^j) behind its matrix powers, so mixing checks
+at several step counts share one squaring ladder and one reversibility check.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -291,8 +295,45 @@ class ChainModel:
         return lam, O
 
     def is_reversible(self) -> bool:
+        """Detailed balance pi(x) W(x, y) = pi(y) W(y, x) to PROB_ATOL, checked once per chain."""
+        return self._reversible
+
+    @cached_property
+    def _reversible(self) -> bool:
         flow = self.stationary[:, None] * self.transition
         return bool(np.max(np.abs(flow - flow.T)) <= PROB_ATOL)
+
+    def power(self, n: int) -> np.ndarray:
+        """W^n, bit for bit np.linalg.matrix_power(W, n): its products in its order.
+
+        The squarings W^(2^j) are made on first need and kept on the chain,
+        read-only, so calls at several n share one ladder of them: floor(log2 n)
+        D x D arrays for the largest n asked, 7.7 MB at D = 400 and n = 64.  The
+        set bits of n, least significant first, each multiply the result on the
+        right, except for n = 3, which is (W W) W.
+        """
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError("need n >= 0 steps")
+        if n == 0:
+            return np.eye(len(self.stationary))
+        ladder = self._ladder
+        while len(ladder) < n.bit_length():
+            square = ladder[-1] @ ladder[-1]
+            square.flags.writeable = False
+            ladder.append(square)
+        if n == 3:
+            return ladder[1] @ ladder[0]
+        result = None
+        for j, z in enumerate(ladder[:n.bit_length()]):
+            if n >> j & 1:
+                result = z if result is None else result @ z
+        return result
+
+    @cached_property
+    def _ladder(self) -> list[np.ndarray]:
+        """W, W^2, W^4, ...: W and the squarings made so far."""
+        return [self.transition]
 
 
 def _symmetrized(W: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -392,11 +433,9 @@ def mixing_bound_check(chain: ChainModel, n: int) -> tuple[float, float]:
     The sup over initial distributions is attained at a point mass, so d(n)
     is a max over rows of W^n.
     """
-    if n < 0:
-        raise ValueError("need n >= 0 steps")
     if not chain.is_reversible():
         raise NonReversibleChainError("mixing bound requires a reversible chain")
-    Wn = np.linalg.matrix_power(chain.transition, n)
+    Wn = chain.power(n)
     d_exact = 0.5 * float(np.abs(Wn - chain.stationary).sum(axis=1).max())
     bound = (1.0 - chain.spectral_gap) ** n / (2.0 * np.sqrt(chain.stationary.min()))
     return float(d_exact), float(bound)

@@ -151,6 +151,35 @@ def _median_distribution(probs: np.ndarray, runs: int):
     return pmf / pmf.sum()
 
 
+def _check_request(eps: float, delta: float, mode: str) -> None:
+    if eps <= 0 or not 0 < delta < 1:
+        raise ValueError("need eps > 0 and delta in (0, 1)")
+    if mode not in ("emulated", "faithful"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _emulated_means(oracle: LikelihoodOracle, states: list[int] | np.ndarray, eps: float,
+                    seed: int, shortcut: bool) -> np.ndarray:
+    """Emulated estimates of L_sum at states, or the classical shortcut's when shortcut.
+
+    The shortcut truncates the true mean at bit b = floor(log2 eps).  Emulated
+    mode adds eps' = 2^(b-1) times one uniform in [-1, 1) drawn from
+    default_rng([seed, x]) for each state x, then truncates at bit b; that
+    uniform is uniform(-1, 1)'s -1 + 2 random(), so L~ is a fixed function of
+    (x, seed).
+    """
+    truth = oracle.mean_table()[states]
+    b = int(np.floor(np.log2(eps)))
+    truncated = _truncate(truth, b)
+    if shortcut:
+        return truncated
+    eta = -1.0 + 2.0 * np.array([np.random.default_rng([seed, x]).random() for x in states])
+    est = _truncate(truth + 2.0 ** (b - 1) * eta, b)
+    # rounding at a bin edge can overshoot the budget; truncating the true
+    # value directly always lands within 2^b <= eps
+    return np.where(np.abs(est - truth) > eps, truncated, est)
+
+
 def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
               mode: str, seed: int) -> QmciResult:
     """Estimate L_sum(x) to accuracy eps with failure weight delta.
@@ -159,39 +188,27 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
     internal accuracy eps' = 2^(b-1) and budget delta' = delta/4, and charge
     the same query count.  Emulated mode is deterministic per (x, seed).
     """
-    if eps <= 0 or not 0 < delta < 1:
-        raise ValueError("need eps > 0 and delta in (0, 1)")
-    if mode not in ("emulated", "faithful"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_request(eps, delta, mode)
     if not 0 <= x < oracle.n_states:
         raise ValueError(f"state index {x} outside 0..{oracle.n_states - 1}")
-    truth = float(oracle.mean_table()[x])
-    b = int(np.floor(np.log2(eps)))
-    truncated = float(_truncate(truth, b))
     charge = estimation_charge(oracle, eps, delta)
-    if charge == 0:     # the classical shortcut
-        return QmciResult(truncated, 0, True, 0.0)
-    if mode == "faithful" and oracle.M > FAITHFUL_MAX_TERMS:
+    if mode == "emulated" or charge == 0:
+        oracle.charge(charge)
+        est = _emulated_means(oracle, [x], eps, seed, shortcut=charge == 0)
+        return QmciResult(float(est[0]), charge, True, 0.0)
+    if oracle.M > FAITHFUL_MAX_TERMS:
         raise ValueError(f"faithful mode limited to M <= {FAITHFUL_MAX_TERMS}")
-    eps_in = 2.0 ** (b - 1)
     oracle.charge(charge)
 
-    if mode == "emulated":
-        eta = np.random.default_rng([seed, x]).uniform(-1.0, 1.0)
-        est = float(_truncate(truth + eps_in * eta, b))
-        if abs(est - truth) > eps:
-            # rounding at a bin edge can overshoot the budget; truncating the
-            # true value directly always lands within 2^b <= eps
-            est = truncated
-        return QmciResult(est, charge, True, 0.0)
-
+    truth = float(oracle.mean_table()[x])
+    b = int(np.floor(np.log2(eps)))
     rng = np.random.default_rng([seed, x])
     col = oracle.table[:, x]
     lo, hi = float(col.min()), float(col.max())
     if hi - lo < 1e-15:
-        return QmciResult(truncated, charge, True, 0.0)
+        return QmciResult(float(_truncate(truth, b)), charge, True, 0.0)
     a = (truth - lo) / (hi - lo)
-    eps_norm = eps_in / (hi - lo)
+    eps_norm = 2.0 ** (b - 1) / (hi - lo)
     t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
     runs = int(np.ceil(12.0 * np.log(1.0 / (delta / 4.0))))
     runs += 1 - runs % 2
@@ -208,14 +225,24 @@ def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
                  mode: str, seed: int) -> tuple[np.ndarray, float]:
     """Perturbed negative log-likelihood table L~, clipped at zero, and its largest residual.
 
-    One qmci_mean per state; emulated mode makes L~ a fixed deterministic
-    function, so the perturbed chain is well-defined.  The residual is the
-    largest bad-branch mass of those estimations (0 in emulated mode).
+    Emulated mode, and the classical shortcut of either mode, estimate the
+    whole table in one array pass and charge it once, n_states single-call
+    charges; emulated L~ is a fixed deterministic function, so the perturbed
+    chain is well-defined.  Faithful mode runs one qmci_mean per state.  The
+    residual is the largest bad-branch mass of those estimations (0 unless
+    faithful).
     """
-    results = [qmci_mean(oracle, x, eps, delta, mode, seed) for x in range(oracle.n_states)]
-    est = np.array([r.estimate for r in results])
-    nll = np.maximum(0.0, est + oracle.ell0 + oracle.const)
-    return nll, max(r.residual for r in results)
+    _check_request(eps, delta, mode)
+    charge = estimation_charge(oracle, eps, delta)
+    if mode == "emulated" or charge == 0:
+        oracle.charge(oracle.n_states * charge)
+        est = _emulated_means(oracle, np.arange(oracle.n_states), eps, seed, shortcut=charge == 0)
+        residual = 0.0
+    else:
+        results = [qmci_mean(oracle, x, eps, delta, mode, seed) for x in range(oracle.n_states)]
+        est = np.array([r.estimate for r in results])
+        residual = max(r.residual for r in results)
+    return np.maximum(0.0, est + oracle.ell0 + oracle.const), residual
 
 
 def _estimate_and_charge(oracle: LikelihoodOracle, kernel: ProposalKernel, eps: float,
@@ -314,7 +341,7 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
 
     chain_pert = build_transition_matrix(model_pert, kernel)
     ledger = QueryLedger()
-    schedule = qsa_schedule(model_pert, kernel, chain_pert.spectral_gap,
+    schedule = qsa_schedule(model_pert, kernel, chain_pert.signed_gap,
                             eta=delta / 2.0, seed=seed, ledger=ledger)
     if not schedule.success:
         raise RuntimeError("temperature schedule search failed")

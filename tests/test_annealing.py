@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qmhlab import annealing
+from qmhlab import annealing, cli
 from qmhlab.annealing import (
+    GATE_DELTA,
     KEEP_THRESHOLD,
     NAE_ACCURACY,
     OMEGA_PI3,
@@ -27,8 +28,10 @@ from qmhlab.annealing import (
     qsa_schedule,
     stage_count_limit,
 )
+from qmhlab.inference import synth_gw_instance
 from qmhlab.markov import (ProposalKernel, ReducibleChainError, StateSpace, TargetModel,
                            build_transition_matrix)
+from qmhlab.qmci import LikelihoodOracle, qsa_with_qmci
 from qmhlab.qsim import RegisterLayout, apply_core, build_walk_operator, encode_distribution
 
 from conftest import count_linalg_calls, qpe_estimate_amplitudes, random_instance, torus_cases
@@ -581,7 +584,7 @@ class TestScheduleSearch:
                               l_max=3, queries=0)
 
     def test_queries_scale_inverse_sqrt_gap(self, ring8):
-        # reflection cost per gate tracks 1/sqrt(delta_min) through the QPE
+        # reflection cost per gate tracks 1/sqrt(signed gap) through the QPE
         # register size; fitted log-log slope is -0.5 up to bit quantization
         model, kernel = ring8
         gaps = [0.5, 0.25, 0.125]
@@ -592,6 +595,29 @@ class TestScheduleSearch:
             totals.append(schedule.queries)
         slope = np.polyfit(np.log(gaps), np.log(np.asarray(totals, float)), 1)[0]
         assert -0.7 <= slope <= -0.3
+
+    def test_reflections_priced_at_the_signed_gap(self, monkeypatch, tmp_path):
+        # an 8-ring without a stay move has an eigenvalue near -1: spectral gap
+        # 0.074, signed gap 0.263, which phase_gate_cost is defined on; the
+        # spectral gap would price each reflection at 16,382 (pipeline) and 2,046 (cli)
+        space = StateSpace.regular_grid((8,))
+        L = 0.05 * space.points[:, 0]
+        model = TargetModel(space=space, prior=np.full(8, 1.0 / 8.0), neg_log_lik=L)
+        kernel = ProposalKernel.nearest_neighbor(space)
+        costs = []
+        nae = annealing.nae_overlap
+
+        def recorded(*args, **kwargs):
+            costs.append(kwargs["reflection_cost"])
+            return nae(*args, **kwargs)
+
+        monkeypatch.setattr(annealing, "nae_overlap", recorded)
+        oracle = LikelihoodOracle.from_nll(L, M=64, spread=0.5, seed=0)
+        qsa_with_qmci(oracle, model, kernel, eps=0.2, delta=0.02, seed=0)
+        assert costs and set(costs) == {8190}
+        costs.clear()
+        cli.experiment_anneal(model, kernel, str(tmp_path))
+        assert costs and set(costs) == {1022}
 
 
 class TestGeneration:
@@ -634,6 +660,40 @@ class TestGeneration:
         qpe = qsa_generate(schedule, model, kernel, eps=0.1, mode="qpe")
         assert len(bounds) > 0
         assert np.linalg.norm(qpe - exact) <= 2.0 * sum(bounds)
+
+    @pytest.mark.parametrize("instance", ["gw-8x8", "ring8-three-stages"])
+    def test_exact_gates_charged_at_their_own_temperature(self, ring8, monkeypatch, instance):
+        # one gate per temperature, each at its own chain's rate; on the 8x8 GW
+        # instance the one stage's R1 sits at beta = 0 (signed gap 0.146, 8,190
+        # walk applications per gate) and its R2 at beta = 1 (0.025, 16,382)
+        if instance == "gw-8x8":
+            inst = synth_gw_instance(0.1, 0.0, 256, 2.0, 0, grid_shape=(8, 8))
+            model, kernel = inst.model, ProposalKernel.nearest_neighbor(inst.space)
+            betas = (0.0, 1.0)
+        else:
+            model, kernel = ring8
+            betas = (0.0, 0.3, 0.6, 1.0)
+        gates = []
+
+        class Recorded(ExactPhaseGate):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                gates.append(self)
+
+        monkeypatch.setattr(annealing, "ExactPhaseGate", Recorded)
+        n = len(betas) - 1
+        schedule = AnnealingSchedule(betas=betas, overlaps=(0.5,) * n, success=True, l_max=n,
+                                     queries=0)
+        ledger = QueryLedger()
+        qsa_generate(schedule, model, kernel, eps=0.1 * n, mode="exact", ledger=ledger)
+        rates = [phase_gate_cost(build_transition_matrix(model.with_beta(b), kernel).signed_gap,
+                                 GATE_DELTA) for b in betas]
+        assert [g.cost for g in gates] == rates
+        assert instance != "gw-8x8" or rates == [8190, 16382]
+        # U_m applies each of its two gates (3^m - 1) / 2 times
+        m = amplification_depth(0.5 - NAE_ACCURACY, 0.1)
+        assert ledger.total == sum((3**m - 1) // 2 * (c1 + c2)
+                                   for c1, c2 in zip(rates, rates[1:])) > 0
 
     def test_amplification_depth_minimal(self):
         for p in (OVERLAP_GUARANTEE, 0.3, 0.8):

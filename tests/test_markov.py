@@ -12,6 +12,8 @@ from qmhlab import markov
 from qmhlab.annealing import phase_gate_cost, qpe_ancilla_count
 from qmhlab.markov import (
     ChainModel,
+    NonReversibleChainError,
+    ChainModel,
     ProposalKernel,
     ReducibleChainError,
     StateSpace,
@@ -599,6 +601,43 @@ class TestMixing:
             Wn = np.linalg.matrix_power(chain.transition, n)
             ref = max(tv_distance(Wn[x], chain.stationary) for x in range(len(chain.stationary)))
             assert mixing_bound_check(chain, n)[0] == ref
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_power_is_matrix_power_bit_for_bit(self, seed):
+        # one chain answers n = 0..130 (2 and 3 are numpy's special cases), in
+        # shuffled order, from one squaring ladder
+        chain = build_transition_matrix(*random_instance(seed))
+        for n in np.random.default_rng(seed).permutation(131).tolist():
+            assert np.array_equal(chain.power(n),
+                                  np.linalg.matrix_power(chain.transition, n)), n
+
+    def test_ladder_arrays_are_read_only(self, ring8):
+        chain = build_transition_matrix(*ring8)
+        chain.power(100)
+        assert all(not W.flags.writeable for W in (chain.power(2), chain.power(64)))
+        with pytest.raises(ValueError, match="read-only"):
+            chain.power(4)[0, 0] = 0.0
+        assert np.array_equal(chain.power(4), np.linalg.matrix_power(chain.transition, 4))
+
+    def test_call_order_does_not_change_results(self):
+        steps = [1, 2, 3, 4, 5, 16, 17, 64, 100]
+        for seed in range(6):
+            up = build_transition_matrix(*random_instance(seed))
+            down = build_transition_matrix(*random_instance(seed))
+            ascending = [mixing_bound_check(up, n) for n in steps]
+            descending = [mixing_bound_check(down, n) for n in reversed(steps)]
+            assert ascending == descending[::-1]
+
+    def test_non_reversible_chain_rejected_on_every_call(self):
+        # a lazy walk round a 3-cycle: uniform pi, no detailed balance
+        W = 0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1)
+        chain = ChainModel(space=StateSpace.regular_grid((3,)), transition=W,
+                           stationary=np.full(3, 1.0 / 3.0), spectral_gap=0.25,
+                           signed_gap=0.25, condition_number=1.0)
+        for n in (1, 4):
+            assert not chain.is_reversible()
+            with pytest.raises(NonReversibleChainError):
+                mixing_bound_check(chain, n)
 
     @pytest.mark.parametrize("n", [-1, -3])
     def test_negative_step_count_rejected(self, ring8, n):

@@ -272,6 +272,26 @@ class TestEmulatedMode:
         assert abs(res.estimate - oracle.mean_table()[1]) <= eps
 
 
+    @pytest.mark.parametrize("mode", ["emulated", "faithful"])
+    def test_table_pass_matches_per_state_estimates(self, mode):
+        # estimate_nll equals one qmci_mean per state, clipped after the offsets,
+        # and charges as much; eps = 40 is the classical shortcut
+        rng = np.random.default_rng(3)
+        for trial in range(12):
+            M, n = int(rng.integers(2, FAITHFUL_MAX_TERMS + 1)), int(rng.integers(2, 13))
+            table = rng.uniform(-1.0, 3.0, size=(M, n))
+            sigma = float(table.std(axis=0).max()) * 1.05 + 1e-12
+            ell0, const = rng.uniform(-0.5, 0.5, n), float(rng.uniform(-0.5, 0.5))
+            for eps in (0.01, 0.1, 0.3, 40.0):
+                whole, single = (LikelihoodOracle(table, sigma, ell0, const) for _ in range(2))
+                nll, residual = estimate_nll(whole, eps, 0.1, mode, seed=trial)
+                results = [qmci_mean(single, x, eps, 0.1, mode, seed=trial) for x in range(n)]
+                expected = np.maximum(0.0, np.array([r.estimate for r in results]) + ell0 + const)
+                assert np.array_equal(nll, expected)
+                assert residual == max(r.residual for r in results)
+                assert whole.queries == single.queries == sum(r.queries for r in results)
+
+
 class TestFaithfulMode:
     def test_success_statistics(self):
         oracle = small_oracle(0, M=8, n=4)
@@ -322,6 +342,17 @@ class TestRejectBeforeCharge:
         assert (estimation_charge(oracle, eps, 0.1) == 0) == (eps == 2.5)
         with pytest.raises(ValueError):
             qmci_mean(oracle, x, eps, 0.1, mode, seed=0)
+        assert oracle.queries == 0
+
+    @pytest.mark.parametrize("eps,delta,mode", [
+        (0.0, 0.1, "emulated"), (-0.1, 0.1, "emulated"), (0.01, 0.0, "emulated"),
+        (0.01, 1.0, "faithful"), (0.01, 0.1, "bogus"), (2.5, 0.1, "bogus"),
+        (0.01, 0.1, "faithful")])
+    def test_bad_table_estimation_request(self, eps, delta, mode):
+        # the last case is faithful mode past its term cap (M = 64)
+        oracle = self.oracle()
+        with pytest.raises(ValueError):
+            estimate_nll(oracle, eps, delta, mode, seed=0)
         assert oracle.queries == 0
 
     def test_faithful_term_cap(self):
