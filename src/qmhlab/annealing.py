@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import ProposalKernel, TargetModel, build_transition_matrix
+from .markov import ProposalKernel, TargetModel, build_transition_matrix, chain_ladder
 from .qsim import (RegisterLayout, _apply_factors, _core_factors, encode_distribution,
                    invariant_subspace)
 
@@ -369,10 +369,11 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
     """Walk the schedule with pi/3 amplification, stage accuracy eps / #stages.
 
     exact mode uses oracle phase gates about the known intermediate states,
-    each charged at the synthesized-gate rate of its own temperature's chain;
-    qpe mode synthesizes each gate from the walk operator of the chain at that
-    temperature.  Either way a gate is built once per temperature, and each
-    gate's QPE has failure weight GATE_DELTA.
+    each charged at the synthesized-gate rate of its own temperature's chain
+    (the schedule's chains are built as one ladder); qpe mode synthesizes each
+    gate from the walk operator of the chain at that temperature.  Either way a
+    gate is built once per temperature, and each gate's QPE has failure weight
+    GATE_DELTA.
     """
     if not schedule.success:
         raise ValueError("cannot generate from a failed schedule")
@@ -384,24 +385,26 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
     if n_stages == 0:
         return state
     stage_eps = eps / n_stages
+    # the whole schedule is known, so exact mode builds its chains as one ladder
+    gaps = [c.signed_gap for c in chain_ladder(model, kernel, schedule.betas)] \
+        if mode == "exact" else None
 
-    def gate(beta):
-        model_b = model.with_beta(beta)
+    def gate(i):
+        model_b = model.with_beta(schedule.betas[i])
         if mode == "qpe":
             return QpePhaseGate(model_b, kernel, OMEGA_PI3, GATE_DELTA, ledger=ledger,
                                 tag="generate")
-        cost = phase_gate_cost(build_transition_matrix(model_b, kernel).signed_gap, GATE_DELTA)
         return ExactPhaseGate(encode_distribution(model_b.distribution(), layout), OMEGA_PI3,
-                              cost=cost, ledger=ledger, tag="generate")
+                              cost=phase_gate_cost(gaps[i], GATE_DELTA), ledger=ledger,
+                              tag="generate")
 
     for i in range(n_stages):
-        b1, b2 = schedule.betas[i], schedule.betas[i + 1]
         p = max(OVERLAP_GUARANTEE,
                 min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
         m = amplification_depth(p, stage_eps)
         # stage i's R2 is stage i+1's R1: same temperature, same gate
-        R1 = gate(b1) if i == 0 else R2
-        R2 = gate(b2)
+        R1 = gate(i) if i == 0 else R2
+        R2 = gate(i + 1)
         state = pi3_amplify(R1, R2, m, state)
         norm = np.linalg.norm(state)
         if norm > 0:

@@ -215,20 +215,20 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
         raise ValueError(f"unknown method {method!r}")
 
     records = []
-    eps_internal = None
     for M in M_values:
         for seed in seeds:
             inst = inference.synth_gw_instance(0.1, 0.0, int(M), rho, int(seed))
             kernel = ProposalKernel.nearest_neighbor(inst.space)
-            if eps_internal is None:
-                eps_internal = qmci.internal_accuracy(inst.model, kernel, eps)
+            # each instance is prepared at the likelihood accuracy its own anneal certifies
+            eps_internal = qmci.internal_accuracy(inst.model, kernel, eps)
             ci_query = inference.CredibleQuery(axis=0, alpha=CI_ALPHA, eps=CI_EPS,
                                                delta=delta, side="upper")
             for method in methods:
                 total = measure(method, inst, kernel, int(seed), eps_internal,
                                 ci_query)
                 records.append({"method": method, "M": int(M), "seed": int(seed),
-                                "sigma": inst.sigma, "queries": int(total)})
+                                "sigma": inst.sigma, "eps_internal": eps_internal,
+                                "queries": int(total)})
 
     logM = np.log(np.asarray(M_values, dtype=float))
     slopes = {}
@@ -240,7 +240,7 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
     payload = {"records": records, "slopes": slopes}
     _write_json(payload, os.path.join(out_dir, "scaling.json"))
     with open(os.path.join(out_dir, "scaling.csv"), "w", newline="") as fh:
-        columns = ["method", "M", "seed", "sigma", "queries"]
+        columns = ["method", "M", "seed", "sigma", "eps_internal", "queries"]
         csv.writer(fh).writerows([columns] + [[r[c] for c in columns] for r in records])
     return payload
 

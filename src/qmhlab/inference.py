@@ -25,8 +25,7 @@ GW_SIGMA_MARGIN = 1.05       # declared sigma over the largest measured term spr
 def cdf_exact(P, space: StateSpace, axis: int, a: float) -> float:
     """Tail mass Phi_P(a) = P({x : x_axis > a}) by enumeration."""
     P = np.asarray(P, float)
-    coords = space.points[:, axis]
-    return float(P[coords > a].sum())
+    return float(P[space.coordinates(axis, np.arange(space.size)) > a].sum())
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def credible_bound_search(query: CredibleQuery, handle: PosteriorHandle,
 def classical_credible(sample: ChainSample, space: StateSpace, axis: int,
                        alpha: float) -> tuple[float, float]:
     """Empirical equal-tailed interval from post-burn-in chain samples."""
-    vals = space.points[sample.kept, axis]
+    vals = space.coordinates(axis, sample.kept)
     lower = float(np.percentile(vals, 100.0 * alpha / 2.0))
     upper = float(np.percentile(vals, 100.0 * (1.0 - alpha / 2.0)))
     return lower, upper

@@ -3,10 +3,15 @@
 State spaces are regular periodic grids in R^d, so moves and proposal
 probabilities are translation invariant and the move set is closed under
 negation.  Everything downstream (walk operators, perturbation checks,
-annealing) builds on the exact transition matrices computed here.  A chain
-keeps what it derives on first need: its eigenpairs, its reversibility
-verdict, and the squarings W^(2^j) behind its matrix powers, so mixing checks
-at several step counts share one squaring ladder and one reversibility check.
+annealing) builds on the exact transition matrices computed here.  Chains are
+built as temperature ladders: the chains of one model and kernel at a list of
+beta are assembled, checked and given their values-only spectrum as stacked
+arrays, a byte-bounded chunk at a time, with one eigvalsh per chunk; a single
+chain is the one-temperature ladder.  Irreducibility is read once per proposal
+support whenever every supported move's flow is live.  A chain keeps what it
+derives on first need: its eigenpairs, its reversibility verdict, and the
+squarings W^(2^j) behind its matrix powers, so mixing checks at several step
+counts share one squaring ladder and one reversibility check.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from scipy.sparse.csgraph import connected_components
 
 PROB_ATOL = 1e-10
 _MH_CHUNK = 8192             # run_mh steps per bulk draw of uniforms
+_LADDER_BYTES = 2**21        # transition-matrix bytes per chain_ladder chunk
 
 
 class ReducibleChainError(ValueError):
@@ -78,6 +84,10 @@ class StateSpace:
         """(size, d) array of grid points, row-major index order."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def coordinates(self, axis: int, states) -> np.ndarray:
+        """points[states, axis], read off the state indices without building points."""
+        return np.asarray(self.axes[axis])[np.unravel_index(states, self.shape)[axis]]
 
 
 def neighbour_table(shape, moves) -> np.ndarray:
@@ -192,9 +202,9 @@ class ProposalKernel:
         object.__setattr__(self, "moves", canon)
         object.__setattr__(self, "weights", w)
 
-    @property
+    @cached_property
     def max_column_mass(self) -> float:
-        """max_y sum_{x != y} T(x, y), added in x order as T's column sums add it."""
+        """max_y sum_{x != y} T(x, y), added in x order as T's column sums add it; computed once."""
         off = np.array([any(m) for m in self.moves])        # the zero move stays on the diagonal
         to = neighbour_table(self.space.shape, self.moves)[:, off]
         mass = np.bincount(to.ravel(), np.broadcast_to(self.weights[off], to.shape).ravel(),
@@ -246,10 +256,14 @@ def acceptance_table(model: TargetModel, nb: np.ndarray, weights: np.ndarray,
     target; the zero move, its own negation, gets r = 1 or nan, hence 1.
     Columns of zero-weight moves, never proposed, read 0.
     """
-    p = model.unnormalized()
+    return _acceptance(model.unnormalized(), nb, weights, neg)
+
+
+def _acceptance(p: np.ndarray, nb: np.ndarray, weights: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """acceptance_table from the unnormalized target p; leading axes of p stack temperatures."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(weights > 0, np.fmin(1.0, (p[nb] * weights[neg]) / (p[:, None] * weights)),
-                        0.0)
+        return np.where(weights > 0, np.fmin(1.0, (p[..., nb] * weights[neg])
+                                             / (p[..., :, None] * weights)), 0.0)
 
 
 def acceptance_matrix(model: TargetModel, kernel: ProposalKernel) -> np.ndarray:
@@ -337,48 +351,102 @@ class ChainModel:
 
 
 def _symmetrized(W: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """The symmetric part of D W D^-1, D = diag(sqrt(pi))."""
+    """The symmetric part of D W D^-1, D = diag(sqrt(pi)); leading axes stack chains."""
     d = np.sqrt(pi)
-    S = (d[:, None] * W) / d[None, :]
-    return 0.5 * (S + S.T)
+    S = d[..., :, None] * W
+    S /= d[..., None, :]
+    S += np.swapaxes(S, -1, -2)          # numpy buffers the overlapping transpose
+    S *= 0.5
+    return S
 
 
 def build_transition_matrix(model: TargetModel, kernel: ProposalKernel) -> ChainModel:
     """Assemble W from T and the acceptance ratios, with spectrum and gap.
 
-    The proposal is negation symmetric, so the chain is reversible and the
-    eigvalsh of the symmetrized D W D^-1, D = diag(sqrt(pi)), gives its real
+    The one-temperature case of ``chain_ladder``, at model.beta.
+    """
+    return _ladder_chunk(model, kernel, [model.beta])[0]
+
+
+def chain_ladder(model: TargetModel, kernel: ProposalKernel, betas):
+    """The chains of model at each beta in turn, as build_transition_matrix builds them.
+
+    The proposal is negation symmetric, so each chain is reversible and the
+    eigvalsh of its symmetrized D W D^-1, D = diag(sqrt(pi)), gives its real
     spectrum; its eigenvectors O wait for ``ChainModel.eigenpairs``.
     Q = D^-1 O diagonalizes W, and cond(Q) = sqrt(pi_max / pi_min).
+
+    Temperatures are stacked a chunk at a time, as many as keep the chunk's
+    transition matrices within _LADDER_BYTES (one at least): one assembly, one
+    round of checks and one eigvalsh per chunk.  Every chain of a chunk is
+    checked before any is handed out, so a bad temperature raises there.  A
+    chain's W is a view into its chunk: a caller that keeps only the scalars of
+    the chains it is handed holds one chunk at a time.
     """
+    betas = [float(b) for b in betas]
+    per_chunk = max(1, _LADDER_BYTES // (8 * model.space.size**2))
+    for start in range(0, len(betas), per_chunk):
+        yield from _ladder_chunk(model, kernel, betas[start:start + per_chunk])
+
+
+def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> list[ChainModel]:
+    models = [model.with_beta(b) for b in betas]
     n, w = model.space.size, kernel.weights
-    nb = neighbour_table(model.space.shape, kernel.moves)
+    shape, moves = model.space.shape, kernel.moves
+    nb = neighbour_table(shape, moves)
     # zero for zero-weight moves; distinct moves give each (x, y) at most one value
-    flow = w * acceptance_table(model, nb, w, negation_slots(model.space.shape, kernel.moves))
-    W = np.zeros((n, n))
-    W[np.arange(n)[:, None], nb] = flow
-    np.fill_diagonal(W, 0.0)
-    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    if np.any(W < -1e-14):
-        raise ValueError("transition matrix has a negative entry")
+    flow = w * _acceptance(np.stack([m.unnormalized() for m in models]), nb, w,
+                           negation_slots(shape, moves))
+    W = np.zeros((len(models), n, n))
+    W[:, np.arange(n)[:, None], nb] = flow
+    diagonal = (slice(None), np.arange(n), np.arange(n))
+    W[diagonal] = 0.0
+    W[diagonal] = 1.0 - W.sum(axis=2)
 
-    # self-loops leave the strongly connected components as they are; row x
-    # of the graph lists the states its supported moves reach
+    # every chain is checked before the stack's one eigvalsh, which a bad one could fail;
+    # self-loops leave the strongly connected components as they are, so while every
+    # supported move's flow is live the graph is the proposal's support graph
     live = flow > PROB_ATOL
-    indptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
-    graph = csr_array((flow[live], nb[live], indptr), shape=(n, n))
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    if n_comp != 1:
-        raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
+    supported = w > 0
+    support = _table_key(shape, moves) + (tuple(np.flatnonzero(supported).tolist()),)
+    negative = np.any(W < -1e-14, axis=(1, 2))
+    on_support = live[:, :, supported].all(axis=(1, 2))
+    for b in range(len(models)):
+        if negative[b]:
+            raise ValueError("transition matrix has a negative entry")
+        n_comp = _support_components(*support) if on_support[b] else _strong_components(nb, live[b])
+        if n_comp != 1:
+            raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
 
-    pi = model.distribution()
+    pi = np.stack([m.distribution() for m in models])
     lam = np.linalg.eigvalsh(_symmetrized(W, pi))
-    # lam[-1] is the unit eigenvalue; a one-state chain has no other
-    second = float(lam[-2]) if len(lam) > 1 else 0.0
-    bottom = abs(float(lam[0])) if len(lam) > 1 else 0.0
-    return ChainModel(space=model.space, transition=W, stationary=pi,
-                      spectral_gap=1.0 - max(bottom, second), signed_gap=1.0 - second,
-                      condition_number=float(np.sqrt(pi.max() / pi.min())))
+    kappa = np.sqrt(pi.max(axis=1) / pi.min(axis=1))
+    chains = []
+    for b in range(len(models)):
+        # lam[b, -1] is the unit eigenvalue; a one-state chain has no other
+        second = float(lam[b, -2]) if n > 1 else 0.0
+        bottom = abs(float(lam[b, 0])) if n > 1 else 0.0
+        chains.append(ChainModel(space=model.space, transition=W[b], stationary=pi[b],
+                                 spectral_gap=1.0 - max(bottom, second), signed_gap=1.0 - second,
+                                 condition_number=float(kappa[b])))
+    return chains
+
+
+def _strong_components(nb: np.ndarray, live: np.ndarray) -> int:
+    """Strongly connected components of the graph whose row x lists nb[x, live[x]]."""
+    n = len(nb)
+    indptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
+    graph = csr_array((np.ones(indptr[-1]), nb[live], indptr), shape=(n, n))
+    return connected_components(graph, directed=True, connection="strong")[0]
+
+
+@cache
+def _support_components(shape, moves, supported) -> int:
+    """_strong_components of the proposal's support graph, the moves in slots supported."""
+    nb = _neighbour_table(shape, moves)
+    live = np.zeros(nb.shape, bool)
+    live[:, list(supported)] = True
+    return _strong_components(nb, live)
 
 
 @dataclass(frozen=True)

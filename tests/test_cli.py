@@ -1,5 +1,6 @@
 """Command-line runner: configs, reports, and exit statuses."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qmhlab.cli import main
-from qmhlab.markov import negation_slots
+from qmhlab.cli import main, scaling_study
+from qmhlab.inference import synth_gw_instance
+from qmhlab.markov import ProposalKernel, negation_slots
+from qmhlab.qmci import internal_accuracy
 from qmhlab.qsim import RegisterLayout
 
 
@@ -228,3 +231,16 @@ class TestScalingCommand:
         # doubling M doubles the per-step cost exactly for the classical chain
         assert payload["slopes"]["classical-mh"] == pytest.approx(1.0, abs=0.01)
         assert (tmp_path / "out" / "scaling.csv").exists()
+
+    def test_each_instance_is_prepared_at_its_own_eps_internal(self, tmp_path):
+        payload = scaling_study(str(tmp_path), M_values=(64, 128), methods=("classical-mh",),
+                                seeds=(0, 2))
+        for r in payload["records"]:
+            inst = synth_gw_instance(0.1, 0.0, r["M"], 2.0, r["seed"])
+            kernel = ProposalKernel.nearest_neighbor(inst.space)
+            assert r["eps_internal"] == internal_accuracy(inst.model, kernel, 0.1)
+        assert len({r["eps_internal"] for r in payload["records"]}) == 4
+        with open(tmp_path / "scaling.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["eps_internal"]) for row in rows] == \
+            [r["eps_internal"] for r in payload["records"]]

@@ -15,6 +15,7 @@ from qmhlab.inference import (
     synth_gw_instance,
 )
 from qmhlab.markov import (
+    ChainSample,
     ProposalKernel,
     StateSpace,
     TargetModel,
@@ -78,6 +79,25 @@ class TestCdf:
         assert cdf_exact(P, space, 0, 1.5) == pytest.approx(0.7)
         assert cdf_exact(P, space, 0, 3.0) == pytest.approx(0.0)
         assert cdf_exact(P, space, 0, -1.0) == pytest.approx(1.0)
+
+    def test_axis_reads_match_the_points_meshgrid(self):
+        rng = np.random.default_rng(5)
+        for shape in ((7,), (3, 5), (2, 3, 4)):
+            axes = tuple(np.sort(rng.uniform(-2.0, 2.0, n)) for n in shape)
+            space = StateSpace(shape=shape, axes=axes)
+            points = space.points
+            P = rng.dirichlet(np.ones(space.size))
+            sample = ChainSample(states=rng.integers(0, space.size, 300), burn_in=40)
+            for axis in range(len(shape)):
+                assert np.array_equal(space.coordinates(axis, np.arange(space.size)),
+                                      points[:, axis])
+                for a in np.r_[-3.0, axes[axis], 3.0]:
+                    assert cdf_exact(P, space, axis, a) == \
+                        float(P[points[:, axis] > a].sum())
+                vals = points[sample.kept, axis]
+                assert classical_credible(sample, space, axis, 0.3) == \
+                    (float(np.percentile(vals, 100.0 * 0.3 / 2.0)),
+                     float(np.percentile(vals, 100.0 * (1.0 - 0.3 / 2.0))))
 
     def test_qmci_estimate_accuracy(self):
         model = posterior_16()

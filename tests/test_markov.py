@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,136 @@ class TestSpectrumOnDemand:
             for eps in (0.01, 0.05, 0.25):
                 assert mixing_time_bound(chain, eps) == mixing_time_bound(
                     dataclasses.replace(chain, spectral_gap=gap), eps)
+
+
+def chain_fields(chain):
+    return (chain.transition, chain.stationary, chain.spectral_gap, chain.signed_gap,
+            chain.condition_number)
+
+
+def check_ladder(model, kernel, betas):
+    """Each chain of the ladder is its single build, bit for bit; when a single build
+    raises, the ladder raises the first such error, message and all.  True when the
+    chains were built."""
+    singles = []
+    for beta in betas:
+        try:
+            singles.append(build_transition_matrix(model.with_beta(beta), kernel))
+        except ReducibleChainError as exc:
+            with pytest.raises(ReducibleChainError, match=f"^{re.escape(str(exc))}$"):
+                list(markov.chain_ladder(model, kernel, betas))
+            return False
+    ladder = list(markov.chain_ladder(model, kernel, betas))
+    assert len(ladder) == len(betas)
+    for chain, single in zip(ladder, singles):
+        for got, want in zip(chain_fields(chain), chain_fields(single)):
+            assert np.array_equal(got, want)
+    return True
+
+
+def uphill_ring():
+    """An 8-ring whose +-2 uphill flows underflow PROB_ATOL at beta = 1 but not at
+    beta = 0.5, while its +-1 flows stay live: irreducible, not on the support graph."""
+    space = StateSpace.regular_grid((8,))
+    L = 12.0 * np.minimum(np.arange(8), 8 - np.arange(8))
+    model = TargetModel(space=space, prior=np.full(8, 1.0 / 8.0), neg_log_lik=L)
+    return model, ProposalKernel.gaussian(space, width=1.2, radius=2)
+
+
+class TestChainLadder:
+    """One stacked build per chunk of temperatures, chain for chain the single build."""
+
+    BETAS = [0.0, 0.1, 0.35, 0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("name,model,kernel", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
+    def test_matches_single_builds_on_dense_cases(self, name, model, kernel):
+        built = check_ladder(model, kernel, self.BETAS)
+        # random 1-D and 2-D instances, zero-weight moves, and the cases reducible at
+        # beta = 1, which raise in their ladder too
+        assert built or dense_transition_reference(model, kernel)[1] != 1
+
+    def test_grids_and_kernels(self):
+        for shape in ((9,), (4, 5)):
+            space = StateSpace.regular_grid(shape)
+            L = np.random.default_rng(len(shape)).uniform(0.0, 4.0, space.size)
+            model = TargetModel(space, np.full(space.size, 1.0 / space.size), L - L.min())
+            for kernel in (ProposalKernel.nearest_neighbor(space),
+                           ProposalKernel.nearest_neighbor(space, stay_prob=0.2),
+                           ProposalKernel.gaussian(space, width=1.0, radius=2)):
+                assert check_ladder(model, kernel, self.BETAS)
+
+    def test_one_state_space(self):
+        model = uniform_model(1)
+        kernel = ProposalKernel.nearest_neighbor(model.space)
+        assert check_ladder(model, kernel, self.BETAS)
+        chain = next(markov.chain_ladder(model, kernel, [1.0]))
+        assert chain.transition.tolist() == [[1.0]]
+        assert chain.spectral_gap == chain.signed_gap == 1.0
+
+    def test_underflowed_temperature_reads_its_own_live_graph(self, monkeypatch):
+        model, kernel = uphill_ring()
+        W = kernel.weights * acceptance_table(
+            model, neighbour_table((8,), kernel.moves), kernel.weights,
+            negation_slots((8,), kernel.moves))
+        assert 0.0 < W.min() <= markov.PROB_ATOL
+        assert dense_transition_reference(model, kernel)[1] == 1
+        markov._support_components.cache_clear()
+        calls = []
+        real = markov.connected_components
+        monkeypatch.setattr(markov, "connected_components",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert check_ladder(model, kernel, [0.0, 0.5, 1.0])
+        # the support graph's count, once; then beta = 1 in the ladder and its single build
+        assert len(calls) == 3
+
+    def test_support_graph_count_is_cached_per_support(self, monkeypatch):
+        model, kernel = random_instance(7)
+        list(markov.chain_ladder(model, kernel, self.BETAS[:3]))
+        calls = []
+        real = markov.connected_components
+        monkeypatch.setattr(markov, "connected_components",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        list(markov.chain_ladder(model, kernel, self.BETAS[:3]))
+        build_transition_matrix(model, kernel)
+        assert calls == []
+
+    def test_reducible_support_graph_raises_todays_message(self):
+        # +-2 steps on a 6-ring reach only the states of one parity
+        space = StateSpace.regular_grid((6,))
+        model = TargetModel(space, np.full(6, 1.0 / 6.0), np.arange(6.0))
+        kernel = ProposalKernel(space, ((2,), (4,)), np.array([0.5, 0.5]))
+        assert dense_transition_reference(model, kernel)[1] == 2
+        for betas in ([0.0], [1.0, 0.0]):
+            with pytest.raises(ReducibleChainError,
+                               match=r"^chain is reducible \(2 strongly connected components\)$"):
+                list(markov.chain_ladder(model, kernel, betas))
+        assert not check_ladder(model, kernel, self.BETAS)
+
+    def test_checks_run_before_the_stacked_eigvalsh(self, monkeypatch):
+        # beta = 0 is fine; beta = 1 underflows the uphill flows into the ring's top
+        # states, so the ladder must raise before the stack reaches eigvalsh
+        space = StateSpace.regular_grid((8,))
+        model = TargetModel(space, np.full(8, 1.0 / 8.0),
+                            30.0 * np.minimum(np.arange(8), 8 - np.arange(8)))
+        kernel = ProposalKernel.nearest_neighbor(space)
+        build_transition_matrix(model.with_beta(0.0), kernel)
+        calls = count_linalg_calls(monkeypatch, "eigvalsh")
+        with pytest.raises(ReducibleChainError):
+            list(markov.chain_ladder(model, kernel, [0.0, 1.0]))
+        assert calls == {"eigvalsh": 0}
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 6])
+    def test_one_eigvalsh_per_chunk(self, monkeypatch, per_chunk):
+        model, kernel = random_instance(11, allow_2d=False)
+        n = model.space.size
+        monkeypatch.setattr(markov, "_LADDER_BYTES", per_chunk * 8 * n * n)
+        calls = count_linalg_calls(monkeypatch, "eigvalsh")
+        ladder = list(markov.chain_ladder(model, kernel, self.BETAS))
+        assert calls == {"eigvalsh": -(-len(self.BETAS) // per_chunk)}
+        for beta, chain in zip(self.BETAS, ladder):
+            want = build_transition_matrix(model.with_beta(beta), kernel)
+            for got, ref in zip(chain_fields(chain), chain_fields(want)):
+                assert np.array_equal(got, ref)
 
 
 def diagonalizer_reference(W, pi):

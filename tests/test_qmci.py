@@ -3,13 +3,15 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmhlab import annealing
+from qmhlab import annealing, markov
+from qmhlab.inference import synth_gw_instance
 from qmhlab.markov import (
     ProposalKernel,
     StateSpace,
@@ -36,6 +38,8 @@ from qmhlab.qmci import (
     round_at_bit,
 )
 from qmhlab.qsim import RegisterLayout, verify_phase_gap
+
+from conftest import count_linalg_calls
 
 
 # The per-outcome faithful estimator, kept as the reference for the array code:
@@ -561,6 +565,61 @@ class TestApproxChain:
         assert tv <= eps
         chain = build_transition_matrix(model, kernel)
         assert tv_perturbation_bound(chain, eps_in) <= eps + 1e-12
+
+
+def internal_accuracy_reference(model, kernel, eps):
+    """internal_accuracy with one build_transition_matrix per temperature."""
+    chains = [build_transition_matrix(model.with_beta(float(b)), kernel)
+              for b in np.linspace(0.1, 1.0, 10)]
+    gap_min = min(c.spectral_gap for c in chains)
+    kappa_max = max(c.condition_number for c in chains)
+    p_min = min(c.stationary.min() for c in chains)
+    steps = np.ceil(np.log(2.0 * np.sqrt(p_min)) / np.log(1.0 - gap_min))
+    terms = [gap_min * eps / (8.0 * (gap_min * steps + 1.0)),
+             gap_min / (16.0 * np.sqrt(kernel.max_column_mass) * kappa_max)]
+    mean_nll = float(np.dot(model.prior, model.neg_log_lik))
+    if mean_nll > 0:
+        terms.append(mean_nll / 2.0)
+    return float(min(terms))
+
+
+class TestInternalAccuracyLadder:
+    """internal_accuracy builds its ten temperatures as one chain ladder."""
+
+    def test_matches_per_beta_reference_on_gw_ladder(self):
+        for M in (256, 512, 1024, 2048, 4096):
+            for s in (0, 1, 2):
+                inst = synth_gw_instance(0.1, 0.0, M, 2.0, s, grid_shape=(8, 8))
+                kernel = ProposalKernel.nearest_neighbor(inst.space)
+                for eps in (0.05, 0.1):
+                    assert internal_accuracy(inst.model, kernel, eps) == \
+                        internal_accuracy_reference(inst.model, kernel, eps)
+
+    @pytest.mark.parametrize("per_chunk,calls", [(None, 1), (1, 10), (3, 4), (5, 2)])
+    def test_one_eigvalsh_per_stacked_chunk(self, monkeypatch, per_chunk, calls):
+        inst = synth_gw_instance(0.1, 0.0, 256, 2.0, 0, grid_shape=(8, 8))
+        kernel = ProposalKernel.nearest_neighbor(inst.space)
+        want = internal_accuracy_reference(inst.model, kernel, 0.1)
+        if per_chunk is not None:
+            monkeypatch.setattr(markov, "_LADDER_BYTES", per_chunk * 8 * inst.space.size**2)
+        counted = count_linalg_calls(monkeypatch, "eigvalsh")
+        assert internal_accuracy(inst.model, kernel, 0.1) == want
+        assert counted == {"eigvalsh": calls}
+
+    def test_peak_memory_is_one_chain_build(self):
+        space = StateSpace.regular_grid((24, 24))
+        L = np.random.default_rng(3).uniform(0.0, 2.0, space.size)
+        model = TargetModel(space, np.full(space.size, 1.0 / space.size), L - L.min())
+        kernel = ProposalKernel.nearest_neighbor(space)
+        build_transition_matrix(model, kernel)          # neighbour tables and caches
+        peaks = []
+        for run in (lambda: build_transition_matrix(model, kernel),
+                    lambda: internal_accuracy(model, kernel, 0.1)):
+            tracemalloc.start()
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestPipeline:
