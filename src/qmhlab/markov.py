@@ -7,11 +7,14 @@ annealing) builds on the exact transition matrices computed here.  Chains are
 built as temperature ladders: the chains of one model and kernel at a list of
 beta are assembled, checked and given their values-only spectrum as stacked
 arrays, a byte-bounded chunk at a time, with one eigvalsh per chunk; a single
-chain is the one-temperature ladder.  Irreducibility is read once per proposal
-support whenever every supported move's flow is live.  A chain keeps what it
-derives on first need: its eigenpairs, its reversibility verdict, and the
-squarings W^(2^j) behind its matrix powers, so mixing checks at several step
-counts share one squaring ladder and one reversibility check.
+chain is the one-temperature ladder.  Irreducibility is decided with NumPy, by a
+forward and a backward reach from state 0 over the live moves of the neighbour
+table, once per proposal support whenever every supported move's flow is live;
+SciPy's sparse graphs load only to count a reducible chain's components for its
+error message.  A chain keeps what it derives on first need: its eigenpairs, its
+reversibility verdict, and the squarings W^(2^j) behind its matrix powers, so
+mixing checks at several step counts share one squaring ladder and one
+reversibility check.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 PROB_ATOL = 1e-10
 _MH_CHUNK = 8192             # run_mh steps per bulk draw of uniforms
@@ -393,10 +394,9 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
     models = [model.with_beta(b) for b in betas]
     n, w = model.space.size, kernel.weights
     shape, moves = model.space.shape, kernel.moves
-    nb = neighbour_table(shape, moves)
+    nb, neg = neighbour_table(shape, moves), negation_slots(shape, moves)
     # zero for zero-weight moves; distinct moves give each (x, y) at most one value
-    flow = w * _acceptance(np.stack([m.unnormalized() for m in models]), nb, w,
-                           negation_slots(shape, moves))
+    flow = w * _acceptance(np.stack([m.unnormalized() for m in models]), nb, w, neg)
     W = np.zeros((len(models), n, n))
     W[:, np.arange(n)[:, None], nb] = flow
     diagonal = (slice(None), np.arange(n), np.arange(n))
@@ -404,8 +404,8 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
     W[diagonal] = 1.0 - W.sum(axis=2)
 
     # every chain is checked before the stack's one eigvalsh, which a bad one could fail;
-    # self-loops leave the strongly connected components as they are, so while every
-    # supported move's flow is live the graph is the proposal's support graph
+    # self-loops leave irreducibility as it is, so while every supported move's flow
+    # is live the graph is the proposal's support graph
     live = flow > PROB_ATOL
     supported = w > 0
     support = _table_key(shape, moves) + (tuple(np.flatnonzero(supported).tolist()),)
@@ -414,8 +414,10 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
     for b in range(len(models)):
         if negative[b]:
             raise ValueError("transition matrix has a negative entry")
-        n_comp = _support_components(*support) if on_support[b] else _strong_components(nb, live[b])
-        if n_comp != 1:
+        irreducible = (_support_irreducible(*support) if on_support[b]
+                       else _irreducible(nb, live[b], neg))
+        if not irreducible:
+            n_comp = _strong_components(nb, live[b])
             raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
 
     pi = np.stack([m.distribution() for m in models])
@@ -432,21 +434,48 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
     return chains
 
 
+def _irreducible(nb: np.ndarray, live: np.ndarray, neg: np.ndarray) -> bool:
+    """Whether the graph whose row x lists nb[x, live[x]] is strongly connected.
+
+    It is iff state 0 reaches every state and every state reaches state 0.  The
+    edge x -> y = nb[x, j] reverses to y -> x = nb[y, neg[j]], so the reversed
+    graph's row y is live in slot i where live[nb[y, i], neg[i]] is.
+    """
+    return _reaches_all(nb, live) and _reaches_all(nb, live[nb, neg])
+
+
+def _reaches_all(nb: np.ndarray, live: np.ndarray) -> bool:
+    """Whether state 0 reaches every state along the edges x -> nb[x, j] with live[x, j]."""
+    reached = np.zeros(len(nb), bool)
+    reached[0] = True
+    frontier = np.zeros(1, np.intp)
+    while frontier.size:
+        step = nb[frontier][live[frontier]]
+        frontier = np.unique(step[~reached[step]])
+        reached[frontier] = True
+    return bool(reached.all())
+
+
+@cache
+def _support_irreducible(shape, moves, supported) -> bool:
+    """_irreducible on the proposal's support graph, the moves in slots supported."""
+    nb = _neighbour_table(shape, moves)
+    live = np.zeros(nb.shape, bool)
+    live[:, list(supported)] = True
+    return _irreducible(nb, live, _negation_slots(shape, moves))
+
+
 def _strong_components(nb: np.ndarray, live: np.ndarray) -> int:
-    """Strongly connected components of the graph whose row x lists nb[x, live[x]]."""
+    """Strongly connected components of the graph whose row x lists nb[x, live[x]].
+
+    Counted for a reducible chain's message only, so SciPy loads only then.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
     n = len(nb)
     indptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
     graph = csr_array((np.ones(indptr[-1]), nb[live], indptr), shape=(n, n))
     return connected_components(graph, directed=True, connection="strong")[0]
-
-
-@cache
-def _support_components(shape, moves, supported) -> int:
-    """_strong_components of the proposal's support graph, the moves in slots supported."""
-    nb = _neighbour_table(shape, moves)
-    live = np.zeros(nb.shape, bool)
-    live[:, list(supported)] = True
-    return _strong_components(nb, live)
 
 
 @dataclass(frozen=True)

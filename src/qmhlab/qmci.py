@@ -142,7 +142,9 @@ def _qae_outcome_distribution(amplitude_sq: float, t: int) -> tuple[np.ndarray, 
 def _median_distribution(probs: np.ndarray, runs: int):
     """Distribution of the median of `runs` iid draws (odd runs)."""
     cdf = np.clip(np.cumsum(probs), 0.0, 1.0)
-    from scipy.special import betainc     # here: only faithful mode pays its 3.6 MB import
+    # imported here, so only faithful mode pays for SciPy: 0.2 s and 24 MB of RSS on top
+    # of NumPy, measured on a 2-core Xeon
+    from scipy.special import betainc
     h = runs // 2
     # P(median = v_j) = P(at least h+1 draws <= v_j) - P(... <= v_{j-1}), one
     # binomial tail (the incomplete beta) over the CDF with 0 (nothing below v_0) in front

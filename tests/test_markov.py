@@ -507,6 +507,14 @@ def check_ladder(model, kernel, betas):
     return True
 
 
+def count_reach_calls(monkeypatch):
+    """A list that gains one entry per irreducibility verdict markov computes."""
+    calls = []
+    real = markov._irreducible
+    monkeypatch.setattr(markov, "_irreducible", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 def uphill_ring():
     """An 8-ring whose +-2 uphill flows underflow PROB_ATOL at beta = 1 but not at
     beta = 0.5, while its +-1 flows stay live: irreducible, not on the support graph."""
@@ -553,22 +561,16 @@ class TestChainLadder:
             negation_slots((8,), kernel.moves))
         assert 0.0 < W.min() <= markov.PROB_ATOL
         assert dense_transition_reference(model, kernel)[1] == 1
-        markov._support_components.cache_clear()
-        calls = []
-        real = markov.connected_components
-        monkeypatch.setattr(markov, "connected_components",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        markov._support_irreducible.cache_clear()
+        calls = count_reach_calls(monkeypatch)
         assert check_ladder(model, kernel, [0.0, 0.5, 1.0])
-        # the support graph's count, once; then beta = 1 in the ladder and its single build
+        # the support graph's verdict, once; then beta = 1 in the ladder and its single build
         assert len(calls) == 3
 
     def test_support_graph_count_is_cached_per_support(self, monkeypatch):
         model, kernel = random_instance(7)
         list(markov.chain_ladder(model, kernel, self.BETAS[:3]))
-        calls = []
-        real = markov.connected_components
-        monkeypatch.setattr(markov, "connected_components",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        calls = count_reach_calls(monkeypatch)
         list(markov.chain_ladder(model, kernel, self.BETAS[:3]))
         build_transition_matrix(model, kernel)
         assert calls == []
@@ -610,6 +612,70 @@ class TestChainLadder:
             want = build_transition_matrix(model.with_beta(beta), kernel)
             for got, ref in zip(chain_fields(chain), chain_fields(want)):
                 assert np.array_equal(got, ref)
+
+
+def scipy_irreducible(nb, live):
+    """SciPy's verdict on the graph whose row x lists nb[x, live[x]]: one strong component."""
+    n = len(nb)
+    adjacency = np.zeros((n, n), bool)
+    adjacency[np.nonzero(live)[0], nb[live]] = True
+    return connected_components(adjacency, directed=True, connection="strong")[0] == 1
+
+
+class TestIrreducibility:
+    """The NumPy reaches' verdict is SciPy's, on seeded random live masks."""
+
+    SHAPES = [(1,), (2,), (9,), (4, 5), (3, 4, 3)]     # a one-state space first
+    DENSITIES = (0.1, 0.3, 0.7, 0.95, 1.0)
+
+    @staticmethod
+    def tables(shape, radii=(1, 2)):
+        """(neighbour table, negation slots) of the nearest-neighbour kernel and Gaussian ones."""
+        space = StateSpace.regular_grid(shape)
+        for kernel in [ProposalKernel.nearest_neighbor(space)] + [
+                ProposalKernel.gaussian(space, width=1.0, radius=r) for r in radii]:
+            yield neighbour_table(shape, kernel.moves), negation_slots(shape, kernel.moves)
+
+    @staticmethod
+    def verdict(nb, neg, live):
+        got = markov._irreducible(nb, live, neg)
+        assert got == scipy_irreducible(nb, live)
+        return got
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_random_masks(self, shape):
+        rng = np.random.default_rng(shape)
+        verdicts = {self.verdict(nb, neg, rng.random(nb.shape) < p)
+                    for nb, neg in self.tables(shape) for p in self.DENSITIES for _ in range(25)}
+        assert verdicts == ({True} if shape == (1,) else {True, False})
+
+    @pytest.mark.parametrize("shape", SHAPES[2:], ids=str)
+    def test_zero_weight_moves(self, shape):
+        rng = np.random.default_rng(shape)
+        verdicts = set()
+        # radius 2 keeps moves enough to span the torus once these are dropped
+        for nb, neg in list(self.tables(shape, radii=(2,)))[1:]:
+            dead = np.arange(nb.shape[1]) % 4 == 1
+            dead |= dead[neg]                       # weights are negation symmetric
+            for p in self.DENSITIES:
+                for _ in range(25):
+                    verdicts.add(self.verdict(nb, neg, (rng.random(nb.shape) < p) & ~dead))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("shape", SHAPES[1:], ids=str)
+    def test_underflowed_half(self, shape):
+        # every in-flow to half the states dead, as when L underflows there; with
+        # state 0 in that half the forward reach still covers every state, so the
+        # backward reach alone finds the chain reducible
+        rng = np.random.default_rng(shape)
+        for nb, neg in self.tables(shape):
+            n = len(nb)
+            first = np.arange(n) < (n + 1) // 2
+            for half in [first] + [rng.permutation(n) < n // 2 for _ in range(6)]:
+                inflow = half[nb] & ~half[:, None]
+                for p in (0.95, 1.0):
+                    assert not self.verdict(nb, neg, (rng.random(nb.shape) < p) & ~inflow)
+            assert markov._reaches_all(nb, ~(first[nb] & ~first[:, None]))
 
 
 def diagonalizer_reference(W, pi):

@@ -1,5 +1,6 @@
 """Mean estimation of likelihood tables and the annealing pipeline on top."""
 
+import json
 import os
 import subprocess
 import sys
@@ -370,6 +371,17 @@ class TestRejectBeforeCharge:
         assert (res.estimate, res.queries, oracle.queries) == (2.0, 0, 0)
 
 
+def run_fresh(code: str) -> str:
+    """Standard output of code run in a fresh interpreter that imports qmhlab from src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 class TestMedianTail:
     @pytest.mark.parametrize("runs", [1, 3, 23, 45, 61, 101])
     def test_incomplete_beta_is_the_binomial_tail(self, runs):
@@ -397,13 +409,45 @@ class TestMedianTail:
             "                       annealing.OMEGA_PI3, 0.05)\n"
             "print('scipy.stats' in sys.modules)\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert run_fresh(code).strip() == "False"
+
+    def test_numpy_alone_until_faithful_estimation(self):
+        # every layer on a small GW instance, then one faithful estimation, which
+        # alone loads SciPy, for betainc, and none of its sparse graphs or linalg
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from qmhlab import annealing, inference, markov, perturbation, qmci, qsim\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "inst = inference.synth_gw_instance(0.1, 0.0, 64, 2.0, 0, grid_shape=(4, 4))\n"
+            "model, kernel = inst.model, markov.ProposalKernel.nearest_neighbor(inst.space)\n"
+            "res = qmci.qsa_with_qmci(inst.oracle, model, kernel, 0.1, 0.2, 0)\n"
+            "handle = inference.PosteriorHandle(res.model_pert.distribution(), inst.space,\n"
+            "                                   res.oracle_queries)\n"
+            "query = inference.CredibleQuery(axis=0, alpha=0.5, eps=0.05, delta=0.2,\n"
+            "                                side='upper')\n"
+            "inference.credible_bound_search(query, handle, 0)\n"
+            "chain = markov.build_transition_matrix(model, kernel)\n"
+            "markov.run_mh(model, kernel, 10, 100, 0)\n"
+            "markov.mixing_bound_check(chain, 4)\n"
+            "pert = perturbation.perturb_likelihood(model.neg_log_lik, 0.05, 0)\n"
+            "chain_pert = markov.build_transition_matrix(\n"
+            "    model.with_neg_log_lik(pert.perturbed), kernel)\n"
+            "assert perturbation.acceptance_error_check(model, kernel, pert)[2]\n"
+            "assert perturbation.spectral_gap_perturbation_check(\n"
+            "    chain, chain_pert, kernel, pert.eps)[2]\n"
+            "assert perturbation.tv_perturbation_check(model, kernel, pert)[2]\n"
+            "print(json.dumps(scipy_modules()))\n"
+            "table = np.random.default_rng(0).uniform(0.0, 4.0, size=(8, 5))\n"
+            "oracle = qmci.LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05)\n"
+            "assert qmci.qmci_mean(oracle, 0, 0.1, 0.1, 'faithful', seed=0).queries > 0\n"
+            "print(json.dumps(scipy_modules()))\n"
+        )
+        emulated, faithful = (json.loads(line) for line in run_fresh(code).splitlines())
+        assert emulated == []
+        assert "scipy.special" in faithful
+        assert not [m for m in faithful if m.startswith(("scipy.sparse", "scipy.linalg"))]
 
 
 class TestFaithfulArrayCode:
