@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import ProposalKernel, TargetModel, build_transition_matrix, chain_ladder
-from .qsim import (RegisterLayout, _apply_factors, _core_factors, encode_distribution,
-                   invariant_subspace)
+from .qsim import RegisterLayout, WalkOperator, encode_distribution, invariant_subspace
 
 OMEGA_PI3 = np.exp(1j * np.pi / 3)
 KEEP_THRESHOLD = np.exp(-2.0)          # schedule keeps overlaps estimated >= e^-2
@@ -156,11 +155,9 @@ class QpePhaseGate:
         self.omega = complex(omega)
         self.ledger, self.tag = ledger, tag
         self.cost = phase_gate_cost(chain.signed_gap, delta)
-        self._factors = _core_factors(model, layout)     # G's factors, built once
-
-        A = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
-        A[layout.reference_indices(), np.arange(layout.space_dim)] = 1.0
-        self._basis, pair = invariant_subspace(_apply_factors(self._factors, A), layout, chain)
+        self._walk = WalkOperator(model, layout)         # built once per gate
+        self._basis, pair = invariant_subspace(self._walk.core(layout.reference_states()),
+                                               layout, chain)
         gram = self._basis.conj().T @ self._basis
         if np.linalg.norm(gram - np.eye(len(gram))) > 1e-10:
             raise ValueError("invariant-subspace basis is not orthonormal")
@@ -185,7 +182,7 @@ class QpePhaseGate:
         """B^dagger v, and (v_c - G v_c) / 2: v's part outside K where U = 1."""
         w = self._basis.conj().T @ v
         v_c = v - self._basis @ w
-        return w, (v_c - _apply_factors(self._factors, v_c[:, None])[:, 0]) / 2.0
+        return w, (v_c - self._walk.core(v_c[:, None])[:, 0]) / 2.0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         self._charge()

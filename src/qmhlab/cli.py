@@ -28,8 +28,8 @@ from .markov import (
 )
 from .qsim import (
     RegisterLayout,
-    build_walk_operator,
-    reference_block,
+    WalkOperator,
+    encode_distribution,
     sf_involution,
     symmetrized_transition,
     verify_phase_gap,
@@ -61,10 +61,11 @@ def experiment_verify_walk(model, kernel, out_dir):
     payload = {"spectral_gap": chain.spectral_gap,
                "sf_squared_error": 0.0 if involution else 1.0, "pass": False}
     if involution:      # the walk is built from these tables: otherwise nothing more to check
-        U = build_walk_operator(model, kernel, layout)
-        # R = +1 on the reference states, so U = R G has G's reference block exactly
-        block_err = float(np.abs(reference_block(U, layout) - symmetrized_transition(chain)).max())
-        report = verify_phase_gap(U, layout, chain)
+        walk = WalkOperator(model, layout)
+        # G's reference block: the reference rows of its images of the reference states
+        GA = walk.core(layout.reference_states())[layout.reference_indices()]
+        block_err = float(np.abs(GA - symmetrized_transition(chain)).max())
+        report = verify_phase_gap(walk, layout, chain)
         payload.update({
             "min_phase": report.min_nonzero_phase,
             "phase_bound": report.phase_bound,
@@ -112,7 +113,6 @@ def experiment_anneal(model, kernel, out_dir, seed=0, eps=0.1, mode="exact"):
         state = annealing.qsa_generate(schedule, model, kernel, eps=eps,
                                        mode=mode, ledger=ledger)
         layout = RegisterLayout.for_kernel(kernel)
-        from .qsim import encode_distribution
         target = encode_distribution(model.distribution(), layout)
         fidelity = float(np.abs(np.vdot(target, state)) ** 2)
         payload["final_fidelity"] = fidelity
@@ -268,7 +268,10 @@ def _run_config(cfg, out_dir):
         click.echo(json.dumps(runner(out_dir, **kwargs)["slopes"], indent=2))
         return True
     if "model" in cfg:
-        model, kernel, model_seed = load_model(cfg["model"])
+        try:
+            model, kernel, model_seed = load_model(cfg["model"])
+        except (OSError, ValueError) as exc:     # json.JSONDecodeError is a ValueError
+            raise click.ClickException(f"model file {cfg['model']}: {exc}") from None
         if "seed" in keys:           # a config seed overrides the model file's
             kwargs.setdefault("seed", model_seed)
     else:

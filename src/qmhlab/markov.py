@@ -548,42 +548,46 @@ def mixing_time_bound(chain: ChainModel, eps: float) -> int:
 def load_model(path) -> tuple[TargetModel, ProposalKernel, int]:
     """Read a model definition file: grid, prior, L table or formula, proposal.
 
-    Returns the target model, the proposal kernel, and the declared seed.
+    Returns the target model, the proposal kernel, and the declared seed.  A
+    missing entry raises ValueError naming its key.
     """
     with open(path) as fh:
         cfg = json.load(fh)
-    grid = cfg["grid"]
-    space = StateSpace.regular_grid(grid["shape"], grid.get("low"), grid.get("high"))
-    n = space.size
+    try:
+        grid = cfg["grid"]
+        space = StateSpace.regular_grid(grid["shape"], grid.get("low"), grid.get("high"))
+        n = space.size
 
-    prior_cfg = cfg.get("prior", {"type": "uniform"})
-    if prior_cfg["type"] == "uniform":
-        prior = np.full(n, 1.0 / n)
-    elif prior_cfg["type"] == "table":
-        prior = np.asarray(prior_cfg["values"], float)
-    else:
-        raise ValueError(f"unknown prior type {prior_cfg['type']!r}")
+        prior_cfg = cfg.get("prior", {"type": "uniform"})
+        if prior_cfg["type"] == "uniform":
+            prior = np.full(n, 1.0 / n)
+        elif prior_cfg["type"] == "table":
+            prior = np.asarray(prior_cfg["values"], float)
+        else:
+            raise ValueError(f"unknown prior type {prior_cfg['type']!r}")
 
-    nll_cfg = cfg["nll"]
-    if nll_cfg["type"] == "table":
-        nll = np.asarray(nll_cfg["values"], float)
-    elif nll_cfg["type"] == "quadratic":
-        center = np.asarray(nll_cfg["center"], float)
-        scale = float(nll_cfg.get("scale", 1.0))
-        nll = scale * np.sum((space.points - center) ** 2, axis=1)
-    else:
-        raise ValueError(f"unknown nll type {nll_cfg['type']!r}")
-    nll = nll - nll.min()
+        nll_cfg = cfg["nll"]
+        if nll_cfg["type"] == "table":
+            nll = np.asarray(nll_cfg["values"], float)
+        elif nll_cfg["type"] == "quadratic":
+            center = np.asarray(nll_cfg["center"], float)
+            scale = float(nll_cfg.get("scale", 1.0))
+            nll = scale * np.sum((space.points - center) ** 2, axis=1)
+        else:
+            raise ValueError(f"unknown nll type {nll_cfg['type']!r}")
+        nll = nll - nll.min()
 
-    prop_cfg = cfg.get("proposal", {"type": "nearest"})
-    if prop_cfg["type"] == "nearest":
-        kernel = ProposalKernel.nearest_neighbor(space, prop_cfg.get("stay_prob", 0.0))
-    elif prop_cfg["type"] == "gaussian":
-        kernel = ProposalKernel.gaussian(space, prop_cfg.get("width", 1.0),
-                                         prop_cfg.get("radius", 2))
-    else:
-        raise ValueError(f"unknown proposal type {prop_cfg['type']!r}")
+        prop_cfg = cfg.get("proposal", {"type": "nearest"})
+        if prop_cfg["type"] == "nearest":
+            kernel = ProposalKernel.nearest_neighbor(space, prop_cfg.get("stay_prob", 0.0))
+        elif prop_cfg["type"] == "gaussian":
+            kernel = ProposalKernel.gaussian(space, prop_cfg.get("width", 1.0),
+                                             prop_cfg.get("radius", 2))
+        else:
+            raise ValueError(f"unknown proposal type {prop_cfg['type']!r}")
 
-    model = TargetModel(space=space, prior=prior, neg_log_lik=nll,
-                        beta=float(cfg.get("beta", 1.0)))
-    return model, kernel, int(cfg.get("seed", 0))
+        model = TargetModel(space=space, prior=prior, neg_log_lik=nll,
+                            beta=float(cfg.get("beta", 1.0)))
+        return model, kernel, int(cfg.get("seed", 0))
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc.args[0]!r}") from None

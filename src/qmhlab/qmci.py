@@ -23,7 +23,7 @@ from . import annealing
 from .annealing import QueryLedger, qsa_generate, qsa_schedule
 from .markov import (ProposalKernel, TargetModel, acceptance_matrix, build_transition_matrix,
                      chain_ladder, tv_distance)
-from .qsim import RegisterLayout, build_walk_operator
+from .qsim import RegisterLayout, WalkOperator
 
 FAITHFUL_MAX_TERMS = 16
 
@@ -277,10 +277,10 @@ def approx_walk_operator(oracle: LikelihoodOracle, model: TargetModel,
                          kernel: ProposalKernel, layout: RegisterLayout,
                          eps: float, delta: float, seed: int,
                          mode: str = "emulated"):
-    """Walk operator built from the QMCI acceptance table.
+    """Walk operator (a WalkOperator) built from the QMCI acceptance table.
 
     In emulated mode this is exactly the walk operator of the perturbed
-    chain (no residual branch in the matrix; delta is tracked analytically).
+    chain (no residual branch in the operator; delta is tracked analytically).
     In faithful mode the realized bad-branch mass of the estimations behind
     the table is reported, still without injection, so the spectral claims
     apply to the perturbed chain verbatim.  The oracle is charged once, for
@@ -288,8 +288,7 @@ def approx_walk_operator(oracle: LikelihoodOracle, model: TargetModel,
     """
     nll, residual, _ = _estimate_and_charge(oracle, kernel, eps, delta, seed, mode)
     model_pert = model.with_neg_log_lik(nll)
-    U = build_walk_operator(model_pert, kernel, layout)
-    return U, model_pert, residual
+    return WalkOperator(model_pert, layout), model_pert, residual
 
 
 def internal_accuracy(model: TargetModel, kernel: ProposalKernel, eps: float) -> float:

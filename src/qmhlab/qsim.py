@@ -1,14 +1,14 @@
 """Dense tensor-product register simulator and the quantum walk operator.
 
 Registers: R_S (state, dim |Omega|), R_M (move alphabet, slot 0 reserved for
-the zero move), R_C (coin, dim 2).  The walk operator U = R V' B' S F B V acts
-on column blocks in O(D k) per column through each factor's structure (a
-Kronecker contraction, 2 x 2 coin rotations, a gather, a row sign mask), not
-as dense D x D factor products; dense U, with spectral verification of its
-phase gap against the chain's spectral gap, is that action on the identity.
-Its unitarity is certified factor by factor in O(D k + k^3), before any D x D
-array exists: V_M by its Gram matrix, S F by the table check verify-walk reports
-too, B as 2 x 2 rotations, R as a +-1 mask.
+the zero move), R_C (coin, dim 2).  ``WalkOperator`` keeps the walk operator
+U = R V' B' S F B V as its factors and acts on column blocks in O(D k) per
+column through each one's structure (a Kronecker contraction, 2 x 2 coin
+rotations, a gather, a row sign mask).  Verifying its phase gap against the
+chain's spectral gap reads U only through U @ X; dense U, that action on the
+identity, is a test oracle.  Its unitarity is certified factor by factor in
+O(D k + k^3): V_M by its Gram matrix, S F by the table check verify-walk
+reports too, B as 2 x 2 rotations, R as a +-1 mask.
 """
 
 from __future__ import annotations
@@ -77,6 +77,12 @@ class RegisterLayout:
         """Index of each reference state |x>|0>|0>, in state order."""
         return self.index(np.arange(self.space_dim), 0, 0)
 
+    def reference_states(self) -> np.ndarray:
+        """A: the (total_dim, space_dim) block whose columns are the reference states."""
+        A = np.zeros((self.total_dim, self.space_dim), dtype=complex)
+        A[self.reference_indices(), np.arange(self.space_dim)] = 1.0
+        return A
+
     def reflection_signs(self) -> np.ndarray:
         """Diagonal of R = 2 Lambda_0 - I: +1 on the reference states, -1 elsewhere."""
         signs = -np.ones(self.total_dim)
@@ -106,88 +112,62 @@ def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _coin_one_permutation(layout: RegisterLayout, to_state, to_slot) -> np.ndarray:
-    """Dense permutation: identity on R_C = |0>, |x>|m>|1> -> |to_state>|to_slot>|1>."""
-    x = np.arange(layout.space_dim)[:, None]
-    m = np.arange(layout.n_moves)[None, :]
-    stay = layout.index(x, m, 0).ravel()
-    P = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    P[stay, stay] = 1.0
-    P[layout.index(to_state, to_slot, 1).ravel(), layout.index(x, m, 1).ravel()] = 1.0
-    return P
-
-
-def build_F(layout: RegisterLayout) -> np.ndarray:
-    """State shift: adds the move to R_S (mod the torus) when R_C = |1>."""
-    return _coin_one_permutation(layout, layout.neighbours(), np.arange(layout.n_moves))
-
-
-def build_S(layout: RegisterLayout) -> np.ndarray:
-    """Move negation on R_M when R_C = |1>."""
-    return _coin_one_permutation(layout, np.arange(layout.space_dim)[:, None],
-                                 layout.neg_slots())
-
-
 def sf_involution(nb: np.ndarray, neg: np.ndarray) -> bool:
     """Whether S F, |x>|m>|1> -> |nb[x, m]>|neg[m]>|1>, is an involution (so a permutation)."""
     return bool(np.all(nb[nb, neg] == np.arange(len(nb))[:, None])
                 and np.all(neg[neg] == np.arange(len(neg))))
 
 
-def _core_factors(model: TargetModel, layout: RegisterLayout) -> tuple:
-    """G's factors for _apply_factors: V_M, the (n, k, 2, 2) coin rotations B, S F's tables."""
-    if abs(layout.weights.sum() - 1.0) > 1e-10:
-        raise ValueError("move weights do not normalize")
-    nb, neg = layout.neighbours(), layout.neg_slots()
-    if not sf_involution(nb, neg):
-        raise ValueError("S F's neighbour and negation tables do not invert each other")
-    VM = _complete_unitary(np.sqrt(layout.weights).astype(complex))
-    if np.linalg.norm(VM.conj().T @ VM - np.eye(layout.n_moves)) > UNITARY_ATOL:
-        raise ValueError("V_M is not unitary")
-    # B's 2 x 2 blocks are rotations for any A in [0, 1], where acceptance_table's fmin keeps it
-    A = acceptance_table(model, nb, layout.weights, neg)
-    s, c = np.sqrt(A), np.sqrt(1.0 - A)
-    return VM, np.array([[c, -s], [s, c]]).transpose(2, 3, 0, 1), nb, neg
+class WalkOperator:
+    """The walk operator U = R G of a chain, G = V' B' S F B V, kept as its factors.
 
-
-def _apply_factors(factors: tuple, X: np.ndarray) -> np.ndarray:
-    """G X for a (D, c) block from _core_factors' output; see apply_core."""
-    VM, B, nb, neg = factors
-    n, k, cols = *B.shape[:2], X.shape[1]
-    Y = B @ (VM @ X.reshape(n, k, 2 * cols)).reshape(n, k, 2, cols)
-    Y[:, :, 1] = Y[nb, neg, 1]
-    Y = B.transpose(0, 1, 3, 2) @ Y
-    return (VM.conj().T @ Y.reshape(n, k, 2 * cols)).reshape(-1, cols)
-
-
-def apply_core(model: TargetModel, layout: RegisterLayout, X: np.ndarray) -> np.ndarray:
-    """G X for a (D, c) block, G = V' B' S F B V, in O(D k) per column.
-
-    The factors act on X's columns as an (n, k, 2, c) array over (state, slot,
-    coin, column): V is V_M (first column sqrt(w)) on the slot axis, B a 2 x 2
-    coin rotation by 2 arcsin sqrt(A) per (state, slot), the identity where
-    A = 0, and B' its transpose; S F is out[y, m', 1] = in[y + m', -m', 1].
+    Construction certifies unitarity factor by factor.  The factors act on a
+    (D, c) block's columns as an (n, k, 2, c) array over (state, slot, coin,
+    column), in O(D k) per column: V is V_M (first column sqrt(w)) on the slot
+    axis, B a 2 x 2 coin rotation by 2 arcsin sqrt(A) per (state, slot), the
+    identity where A = 0, and B' its transpose; S F is
+    out[y, m', 1] = in[y + m', -m', 1]; R is a +-1 row mask.
     """
-    return _apply_factors(_core_factors(model, layout), X)
+
+    def __init__(self, model: TargetModel, layout: RegisterLayout):
+        if abs(layout.weights.sum() - 1.0) > 1e-10:
+            raise ValueError("move weights do not normalize")
+        self._nb, self._neg = layout.neighbours(), layout.neg_slots()
+        if not sf_involution(self._nb, self._neg):
+            raise ValueError("S F's neighbour and negation tables do not invert each other")
+        self._VM = _complete_unitary(np.sqrt(layout.weights).astype(complex))
+        if np.linalg.norm(self._VM.conj().T @ self._VM - np.eye(layout.n_moves)) > UNITARY_ATOL:
+            raise ValueError("V_M is not unitary")
+        # B's 2 x 2 blocks are rotations for any A in [0, 1], where acceptance_table's fmin keeps it
+        A = acceptance_table(model, self._nb, layout.weights, self._neg)
+        s, c = np.sqrt(A), np.sqrt(1.0 - A)
+        self._B = np.array([[c, -s], [s, c]]).transpose(2, 3, 0, 1)
+        self._signs = layout.reflection_signs()[:, None]
+
+    def core(self, X: np.ndarray) -> np.ndarray:
+        """G X for a (D, c) block."""
+        VM, B = self._VM, self._B
+        n, k, cols = *B.shape[:2], X.shape[1]
+        Y = B @ (VM @ X.reshape(n, k, 2 * cols)).reshape(n, k, 2, cols)
+        Y[:, :, 1] = Y[self._nb, self._neg, 1]
+        Y = B.transpose(0, 1, 3, 2) @ Y
+        return (VM.conj().T @ Y.reshape(n, k, 2 * cols)).reshape(-1, cols)
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        """U X = R G X for a (D, c) block: R is diagonal with entries +-1, a row sign flip."""
+        return self._signs * self.core(X)
 
 
 def build_core(model: TargetModel, kernel: ProposalKernel,
                layout: RegisterLayout) -> np.ndarray:
-    """G as a dense matrix; Hermitian involution whose reference block conjugates W."""
-    factors = _core_factors(model, layout)      # certified before the D x D identity exists
-    return _apply_factors(factors, np.eye(layout.total_dim, dtype=complex))
+    """Dense G, a test oracle: Hermitian involution whose reference block conjugates W."""
+    return WalkOperator(model, layout).core(np.eye(layout.total_dim, dtype=complex))
 
 
 def build_walk_operator(model: TargetModel, kernel: ProposalKernel,
                         layout: RegisterLayout) -> np.ndarray:
-    # R is diagonal with entries +-1, so R G is a row sign flip of G
-    return layout.reflection_signs()[:, None] * build_core(model, kernel, layout)
-
-
-def reference_block(G: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """The |Omega| x |Omega| block of G on the reference states |x>|0>|0>."""
-    idx = layout.reference_indices()
-    return G[np.ix_(idx, idx)]
+    """Dense U, a test oracle."""
+    return WalkOperator(model, layout) @ np.eye(layout.total_dim, dtype=complex)
 
 
 def symmetrized_transition(chain: ChainModel) -> np.ndarray:
@@ -230,9 +210,10 @@ class PhaseGapReport:
     passed: bool
 
 
-def verify_phase_gap(U: np.ndarray, layout: RegisterLayout,
+def verify_phase_gap(U: WalkOperator | np.ndarray, layout: RegisterLayout,
                      chain: ChainModel) -> PhaseGapReport:
-    """Diagonalize U on its invariant subspace and check the phase-gap claims.
+    """Diagonalize U, read only through U @ X, on its invariant subspace and check
+    the phase-gap claims.
 
     Asserted: eigenvalue 1 is simple there, its eigenvector is the encoded
     stationary state, and every other eigenphase theta obeys
@@ -240,9 +221,10 @@ def verify_phase_gap(U: np.ndarray, layout: RegisterLayout,
     """
     if chain.spectral_gap <= 0:         # an eigenvalue -1 breaks the phase-gap claim
         raise ValueError("spectral gap is zero (chain has a second unit-modulus eigenvalue)")
-    GA = layout.reflection_signs()[:, None] * U[:, layout.reference_indices()]
+    # R R = I, so G A = R (U A)
+    GA = layout.reflection_signs()[:, None] * (U @ layout.reference_states())
     Q, _ = invariant_subspace(GA, layout, chain)
-    U_sub = Q.conj().T @ U @ Q
+    U_sub = Q.conj().T @ (U @ Q)
     if np.linalg.norm(U_sub.conj().T @ U_sub - np.eye(U_sub.shape[0])) > 1e-8:
         raise ValueError("subspace is not invariant under the walk operator")
     lam, vecs = np.linalg.eig(U_sub)

@@ -26,6 +26,31 @@ def random_instance(seed, max_points=16, allow_2d=True):
     return model, kernel
 
 
+# Dense D x D factors of the walk's shift-negation S F, as test oracles
+
+
+def coin_one_permutation(layout, to_state, to_slot) -> np.ndarray:
+    """Dense D x D permutation: identity on R_C = |0>, |x>|m>|1> -> |to_state>|to_slot>|1>."""
+    x = np.arange(layout.space_dim)[:, None]
+    m = np.arange(layout.n_moves)[None, :]
+    stay = layout.index(x, m, 0).ravel()
+    P = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    P[stay, stay] = 1.0
+    P[layout.index(to_state, to_slot, 1).ravel(), layout.index(x, m, 1).ravel()] = 1.0
+    return P
+
+
+def build_F(layout) -> np.ndarray:
+    """State shift: adds the move to R_S (mod the torus) when R_C = |1>."""
+    return coin_one_permutation(layout, layout.neighbours(), np.arange(layout.n_moves))
+
+
+def build_S(layout) -> np.ndarray:
+    """Move negation on R_M when R_C = |1>."""
+    return coin_one_permutation(layout, np.arange(layout.space_dim)[:, None],
+                                layout.neg_slots())
+
+
 def qpe_estimate_amplitudes(phase, t: int) -> np.ndarray:
     """Outcome amplitudes (last axis) of t-ancilla phase estimation at fixed eigenphase(s).
 

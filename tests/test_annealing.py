@@ -32,7 +32,7 @@ from qmhlab.inference import synth_gw_instance
 from qmhlab.markov import (ProposalKernel, ReducibleChainError, StateSpace, TargetModel,
                            build_transition_matrix)
 from qmhlab.qmci import LikelihoodOracle, qsa_with_qmci
-from qmhlab.qsim import RegisterLayout, apply_core, build_walk_operator, encode_distribution
+from qmhlab.qsim import RegisterLayout, WalkOperator, build_walk_operator, encode_distribution
 
 from conftest import count_linalg_calls, qpe_estimate_amplitudes, random_instance, torus_cases
 
@@ -416,24 +416,25 @@ class TestQpePhaseGate:
                                   gate.apply(v))
 
     def test_builds_walk_factors_once(self, monkeypatch):
-        # apply, apply_inverse and error_bound reuse the factors built with the
-        # gate, and give what rebuilding them through apply_core per call gives
+        # apply, apply_inverse and error_bound reuse the walk operator built
+        # with the gate, and give what a separately built operator's core gives
         built = []
 
-        def counted(*args):
-            built.append(args)
-            return factors(*args)
+        class Counted(WalkOperator):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
 
-        factors = annealing._core_factors
-        monkeypatch.setattr(annealing, "_core_factors", counted)
+        monkeypatch.setattr(annealing, "WalkOperator", Counted)
         model, kernel = gaussian_torus_5x5()
         gate, layout, _ = self.build_gate(model, kernel, 0.01)
+        walk = WalkOperator(model, layout)          # not the counted class
         rng = np.random.default_rng(0)
         for _ in range(3):
             v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
             w = gate._basis.conj().T @ v
             v_c = v - gate._basis @ w
-            p = (v_c - apply_core(model, layout, v_c[:, None])[:, 0]) / 2.0
+            p = (v_c - walk.core(v_c[:, None])[:, 0]) / 2.0
             assert np.array_equal(gate.apply(v), v + gate._basis @ ((gate._coeff - 1.0) * w)
                                   + (gate.omega - 1.0) * p)
             assert np.array_equal(gate.apply_inverse(v),

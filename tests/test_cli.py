@@ -186,6 +186,34 @@ class TestRunCommand:
         assert result.exit_code != 0
         assert "parse error" in result.output
 
+    @pytest.mark.parametrize("case,detail", [
+        ("no-grid", "missing key 'grid'"),
+        ("no-nll", "missing key 'nll'"),
+        ("short-table", "length must match"),
+        ("malformed-json", "line 1 column"),
+        ("no-file", "No such file"),
+    ], ids=["no-grid", "no-nll", "short-table", "malformed-json", "no-file"])
+    def test_bad_model_file_is_an_error_message(self, tmp_path, case, detail):
+        model = {"grid": {"shape": [8]}, "nll": {"type": "table", "values": [0.0] * 8}}
+        if case == "no-grid":
+            del model["grid"]
+        elif case == "no-nll":
+            del model["nll"]
+        elif case == "short-table":
+            model["nll"]["values"] = [0.0] * 7
+        path = tmp_path / "model.json"
+        if case != "no-file":
+            path.write_text('{"grid": {"shape": [8]},' if case == "malformed-json"
+                            else json.dumps(model))
+        result = run_config(tmp_path, {"experiment": "verify-walk", "model": str(path),
+                                       "output_dir": str(tmp_path / "out")})
+        # a ClickException exits through SystemExit; an escaped error would be the exception
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"model file {path}: " in result.output
+        assert detail in result.output
+        assert "Traceback" not in result.output
+
     def test_reports_deterministic(self, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -1,31 +1,30 @@
 """Walk-operator construction and its spectral identities."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmhlab import qsim
+from qmhlab import cli, qmci, qsim
 from qmhlab.annealing import QpePhaseGate
 from qmhlab.markov import (ProposalKernel, StateSpace, TargetModel, acceptance_table,
                            build_transition_matrix, negation_slots)
 from qmhlab.qsim import (
     RegisterLayout,
+    WalkOperator,
     _complete_unitary,
-    apply_core,
     build_core,
-    build_F,
-    build_S,
     build_walk_operator,
     decode_distribution,
     encode_distribution,
     invariant_subspace,
-    reference_block,
     symmetrized_transition,
     verify_phase_gap,
 )
 
-from conftest import (count_linalg_calls, random_instance, torus_cases, torus_negate,
-                      torus_shift)
+from conftest import (build_F, build_S, count_linalg_calls, random_instance, torus_cases,
+                      torus_negate, torus_shift)
 
 TORUS_CASES = torus_cases()
 TORUS_IDS = [name for name, _, _ in TORUS_CASES]
@@ -50,7 +49,7 @@ def make_setup(seed, allow_2d=True):
     return model, kernel, layout
 
 
-# Dense D x D reference factors: build_core applies them through their structure
+# Dense D x D reference factors: WalkOperator applies them through their structure
 
 
 def build_V(kernel, layout):
@@ -96,9 +95,7 @@ def dense_core(model, kernel, layout):
 
 def reference_images(model, layout):
     """G A: the core applied to the reference columns |x>|0>|0>."""
-    A = np.zeros((layout.total_dim, layout.space_dim), dtype=complex)
-    A[layout.reference_indices(), np.arange(layout.space_dim)] = 1.0
-    return apply_core(model, layout, A)
+    return WalkOperator(model, layout).core(layout.reference_states())
 
 
 class TestRegisterLayout:
@@ -302,8 +299,8 @@ class TestCoreIdentities:
         model, kernel, layout = make_setup(seed)
         chain = build_transition_matrix(model, kernel)
         G = build_core(model, kernel, layout)
-        err = np.max(np.abs(reference_block(G, layout)
-                            - symmetrized_transition(chain)))
+        ref = layout.reference_indices()
+        err = np.max(np.abs(G[np.ix_(ref, ref)] - symmetrized_transition(chain)))
         assert err <= BLOCK_ATOL
 
     def test_invariant_subspace_closed_under_walk(self):
@@ -350,7 +347,7 @@ class TestCoreIdentities:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(layout.total_dim, 3)) + 1j * rng.normal(size=(layout.total_dim, 3))
         G = build_core(model, kernel, layout)
-        assert np.max(np.abs(apply_core(model, layout, X) - G @ X)) <= 1e-13
+        assert np.max(np.abs(WalkOperator(model, layout).core(X) - G @ X)) <= 1e-13
 
     @pytest.mark.parametrize("seed", range(6))
     def test_walk_operator_is_row_signed_core(self, seed):
@@ -483,3 +480,80 @@ class TestPhaseGap:
         U = build_walk_operator(model, kernel, layout)
         v = encode_distribution(chain.stationary, layout)
         assert np.linalg.norm(U @ v - v) <= 1e-9
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_factored_and_dense_reports_agree(self, seed):
+        model, kernel, layout = make_setup(seed)
+        chain = build_transition_matrix(model, kernel)
+        factored = verify_phase_gap(WalkOperator(model, layout), layout, chain)
+        dense = verify_phase_gap(build_walk_operator(model, kernel, layout), layout, chain)
+        assert (factored.passed, factored.unit_multiplicity) == (dense.passed,
+                                                                  dense.unit_multiplicity)
+        assert np.max(np.abs(factored.eigenphases - dense.eigenphases)) <= 1e-12
+        assert abs(factored.min_nonzero_phase - dense.min_nonzero_phase) <= 1e-12
+        assert abs(factored.principal_overlap - dense.principal_overlap) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [23, 4, 9])
+    def test_walk_of_another_chain_same_verdict_factored_and_dense(self, seed):
+        model, kernel, layout = make_setup(seed, allow_2d=False)
+        chain = build_transition_matrix(model, kernel)
+        other = model.with_neg_log_lik(model.neg_log_lik[::-1])
+
+        def verdict(U):
+            try:
+                return verify_phase_gap(U, layout, chain).passed
+            except ValueError as exc:
+                return str(exc)
+
+        dense = verdict(build_walk_operator(other, kernel, layout))
+        assert dense is not True
+        assert verdict(WalkOperator(other, layout)) == dense
+
+
+class TestNoDenseWalkAtRunTime:
+    """Every runtime path applies the walk through its factors; the dense builders
+    are test oracles, so replacing them with a refusal changes no result."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_dense_builders(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a runtime path built a dense walk operator")
+
+        # the qsim functions and every binding a library module imported of them
+        for module in [m for name, m in sys.modules.items() if name.startswith("qmhlab.")]:
+            for name in ("build_walk_operator", "build_core"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+
+    def test_verify_walk_experiment(self, tmp_path):
+        space = StateSpace.regular_grid((8, 8))
+        nll = 0.3 * np.sum((space.points - [3.0, 4.0]) ** 2, axis=1)
+        model = TargetModel(space=space, prior=np.full(64, 1.0 / 64.0), neg_log_lik=nll)
+        kernel = ProposalKernel.gaussian(space, width=1.0, radius=1)
+        passed, payload = cli.experiment_verify_walk(model, kernel, str(tmp_path))
+        assert passed
+        assert payload["reference_block_error"] <= BLOCK_ATOL
+
+    def test_qsa_with_qmci_qpe_gates(self):
+        space = StateSpace.regular_grid((6,))
+        nll = 0.3 * (space.points[:, 0] - 2.0) ** 2
+        model = TargetModel(space=space, prior=np.full(6, 1.0 / 6.0), neg_log_lik=nll)
+        kernel = ProposalKernel.nearest_neighbor(space, stay_prob=0.2)
+        oracle = qmci.LikelihoodOracle.from_nll(nll, M=16, spread=0.5, seed=0)
+        result = qmci.qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0, gate_mode="qpe")
+        layout = RegisterLayout.for_kernel(kernel)
+        target = encode_distribution(result.model_pert.distribution(), layout)
+        assert abs(np.vdot(target, result.state)) ** 2 >= 0.8
+
+    def test_faithful_walk_verified(self):
+        space = StateSpace.regular_grid((5, 5))
+        nll = 0.3 * np.sum((space.points - 2.0) ** 2, axis=1)
+        model = TargetModel(space=space, prior=np.full(25, 1.0 / 25.0), neg_log_lik=nll)
+        kernel = ProposalKernel.gaussian(space, width=1.0, radius=1)
+        layout = RegisterLayout.for_kernel(kernel)
+        oracle = qmci.LikelihoodOracle.from_nll(nll, M=16, spread=0.5, seed=0)
+        U, model_pert, _ = qmci.approx_walk_operator(oracle, model, kernel, layout, 0.1, 0.1,
+                                                     seed=0, mode="faithful")
+        report = verify_phase_gap(U, layout, build_transition_matrix(model_pert, kernel))
+        assert report.passed

@@ -21,13 +21,11 @@ KEPT = {
     "run_cmd": "click command of the qmh-lab entry point",
     "verify_cmd": "click command of the qmh-lab entry point",
     "scaling_cmd": "click command of the qmh-lab entry point",
-    "build_F": "dense reference factor for the core-operator identities (criterion 02)",
-    "build_S": "dense reference factor for the core-operator identities (criterion 02)",
+    "build_core": "dense core G, the oracle of the core-operator identities (criterion 02)",
     "round_at_bit": "scalar truncation the QMCI contracts are stated in (criterion 06)",
     "gw_identity_error": "likelihood-structure identity of the signal instance (criterion 10)",
     "pi3_overlap_bound": "closed-form pi/3 amplification bound (criterion 03)",
     "ProposalKernel.matrix": "dense proposal T, the reference the neighbour tables are checked against",
-    "apply_core": "column action of the core operator, checked against build_core",
     "QpePhaseGate.error_bound": "certified distance of the QPE gate to the ideal phase gate",
     "decode_distribution": "reads the distribution off a prepared state, for the credible bound",
 }
