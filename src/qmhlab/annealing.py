@@ -111,25 +111,36 @@ def _qpe_outcome_distributions(phase: float, t: int) -> tuple[np.ndarray, np.nda
     return plus, np.roll(plus[::-1], 1)
 
 
-def sample_half_angles(theta: float, eps: float, delta: float,
-                       rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Estimates pi m / 2^t of the angle theta, one per run, and the reflections spent.
+def sample_folded_outcomes(theta: float, t: int, runs: int, rng: np.random.Generator):
+    """Outcomes m = min(k, 2^t - k), estimating theta as pi m / 2^t, of `runs` runs.
 
-    Each of ceil(12 ln(1/delta)) runs is phase estimation with
-    t = ceil(log2(2 pi / eps)) + 3 ancillas on an even mix of the two-reflection
-    rotation's eigenvectors (eigenphases +-2 theta).  A run spends two uniforms:
-    the first picks the eigenvector, the second the outcome k by inverse CDF, as
-    ``rng.choice(2**t, p=dist)`` does; m = min(k, 2^t - k).
+    A run is t-ancilla phase estimation on an even mix of the two-reflection
+    rotation's eigenvectors (eigenphases +-2 theta).  It spends two uniforms: the
+    first picks the eigenvector, the second the outcome k by inverse CDF, as
+    ``rng.choice(2**t, p=dist)`` does.  Also returned: a function that builds
+    the one-run CDF of m, P(m <= j) for j = 0..2^(t-1).
     """
-    t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
-    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
-    plus, minus = (np.cumsum(d) for d in _qpe_outcome_distributions(2.0 * theta, t))
+    laws = _qpe_outcome_distributions(2.0 * theta, t)
+    plus, minus = (np.cumsum(d) for d in laws)
     u = rng.random((runs, 2))
     k = np.where(u[:, 0] < 0.5, (plus / plus[-1]).searchsorted(u[:, 1], side="right"),
                  (minus / minus[-1]).searchsorted(u[:, 1], side="right"))
+    # either eigenvector gives m the same law; outcome N - j folds onto j
+    return np.minimum(k, N - k), lambda: np.cumsum(
+        laws[0][:N // 2 + 1] + np.concatenate([[0.0], laws[0][:N // 2:-1], [0.0]]))
+
+
+def sample_half_angles(theta: float, eps: float, delta: float,
+                       rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Estimates pi m / 2^t of the angle theta, one per run of sample_folded_outcomes's
+    ceil(12 ln(1/delta)) with t = ceil(log2(2 pi / eps)) + 3, and the reflections spent."""
+    t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
+    N = 2**t
+    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
+    m, _ = sample_folded_outcomes(theta, t, runs, rng)
     # each Grover step is two reflections; QPE uses 2^t - 1 steps per run
-    return np.pi * np.minimum(k, N - k) / N, runs * (N - 1) * 2
+    return np.pi * m / N, runs * (N - 1) * 2
 
 
 class QpePhaseGate:

@@ -183,14 +183,11 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
     def measure(method, inst, kernel, seed, eps_internal, ci_query):
         M = inst.M
         if method == "proposed":
-            oracle = inst.oracle
-            before = oracle.queries
-            res = qmci.qsa_with_qmci(oracle, inst.model, kernel, eps, delta,
+            res = qmci.qsa_with_qmci(inst.oracle, inst.model, kernel, eps, delta,
                                      seed, eps_internal=eps_internal)
-            prep = oracle.queries - before
             handle = inference.PosteriorHandle(
                 distribution=res.model_pert.distribution(),
-                space=inst.space, prep_queries=prep)
+                space=inst.space, prep_queries=res.oracle_queries)
             return inference.credible_bound_search(ci_query, handle, seed).queries
         if method == "exact-qsa":
             chain = build_transition_matrix(inst.model, kernel)
@@ -298,7 +295,7 @@ def main():
 
 
 @main.command("run")
-@click.argument("config", type=click.Path(exists=True))
+@click.argument("config", type=click.Path(exists=True, dir_okay=False))
 def run_cmd(config):
     """Run the experiment described by a JSON config file."""
     cfg, out_dir = _load_config(config)
@@ -327,7 +324,7 @@ def verify_cmd(suite, out):
 
 
 @main.command("scaling")
-@click.option("--config", "config_path", type=click.Path(exists=True),
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 def scaling_cmd(config_path):
     """Run the query-scaling study described by a JSON config file."""

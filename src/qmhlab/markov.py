@@ -10,11 +10,10 @@ arrays, a byte-bounded chunk at a time, with one eigvalsh per chunk; a single
 chain is the one-temperature ladder.  Irreducibility is decided with NumPy, by a
 forward and a backward reach from state 0 over the live moves of the neighbour
 table, once per proposal support whenever every supported move's flow is live;
-SciPy's sparse graphs load only to count a reducible chain's components for its
-error message.  A chain keeps what it derives on first need: its eigenpairs, its
-reversibility verdict, and the squarings W^(2^j) behind its matrix powers, so
-mixing checks at several step counts share one squaring ladder and one
-reversibility check.
+the same reaches count a reducible chain's components for its error message.
+A chain keeps what it derives on first need: its eigenpairs, its reversibility
+verdict, and the squarings W^(2^j) behind its matrix powers, so mixing checks at
+several step counts share one squaring ladder and one reversibility check.
 """
 
 from __future__ import annotations
@@ -417,7 +416,7 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
         irreducible = (_support_irreducible(*support) if on_support[b]
                        else _irreducible(nb, live[b], neg))
         if not irreducible:
-            n_comp = _strong_components(nb, live[b])
+            n_comp = _strong_components(nb, live[b], neg)
             raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
 
     pi = np.stack([m.distribution() for m in models])
@@ -446,14 +445,19 @@ def _irreducible(nb: np.ndarray, live: np.ndarray, neg: np.ndarray) -> bool:
 
 def _reaches_all(nb: np.ndarray, live: np.ndarray) -> bool:
     """Whether state 0 reaches every state along the edges x -> nb[x, j] with live[x, j]."""
+    return bool(_reach(nb, live, 0).all())
+
+
+def _reach(nb: np.ndarray, live: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the states start reaches along the edges x -> nb[x, j] with live[x, j]."""
     reached = np.zeros(len(nb), bool)
-    reached[0] = True
-    frontier = np.zeros(1, np.intp)
+    reached[start] = True
+    frontier = np.array([start], np.intp)
     while frontier.size:
         step = nb[frontier][live[frontier]]
         frontier = np.unique(step[~reached[step]])
         reached[frontier] = True
-    return bool(reached.all())
+    return reached
 
 
 @cache
@@ -465,17 +469,15 @@ def _support_irreducible(shape, moves, supported) -> bool:
     return _irreducible(nb, live, _negation_slots(shape, moves))
 
 
-def _strong_components(nb: np.ndarray, live: np.ndarray) -> int:
-    """Strongly connected components of the graph whose row x lists nb[x, live[x]].
-
-    Counted for a reducible chain's message only, so SciPy loads only then.
-    """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-    n = len(nb)
-    indptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
-    graph = csr_array((np.ones(indptr[-1]), nb[live], indptr), shape=(n, n))
-    return connected_components(graph, directed=True, connection="strong")[0]
+def _strong_components(nb: np.ndarray, live: np.ndarray, neg: np.ndarray) -> int:
+    """Strong components of the graph whose row x lists nb[x, live[x]], for a reducible
+    chain's message: each is the set of states its first state reaches and is reached from."""
+    left, count = np.ones(len(nb), bool), 0
+    while left.any():
+        first = int(np.argmax(left))
+        left &= ~(_reach(nb, live, first) & _reach(nb, live[nb, neg], first))
+        count += 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -549,16 +551,25 @@ def load_model(path) -> tuple[TargetModel, ProposalKernel, int]:
     """Read a model definition file: grid, prior, L table or formula, proposal.
 
     Returns the target model, the proposal kernel, and the declared seed.  A
-    missing entry raises ValueError naming its key.
+    missing or wrongly typed entry raises ValueError naming it.
     """
     with open(path) as fh:
         cfg = json.load(fh)
+
+    def entry(key, default=None):
+        value = cfg[key] if default is None else cfg.get(key, default)
+        if not isinstance(value, dict):
+            raise ValueError(f"entry {key!r} must be an object, not {type(value).__name__}")
+        return value
+
+    if not isinstance(cfg, dict):
+        raise ValueError(f"holds a {type(cfg).__name__}, not an object")
     try:
-        grid = cfg["grid"]
+        grid = entry("grid")
         space = StateSpace.regular_grid(grid["shape"], grid.get("low"), grid.get("high"))
         n = space.size
 
-        prior_cfg = cfg.get("prior", {"type": "uniform"})
+        prior_cfg = entry("prior", {"type": "uniform"})
         if prior_cfg["type"] == "uniform":
             prior = np.full(n, 1.0 / n)
         elif prior_cfg["type"] == "table":
@@ -566,7 +577,7 @@ def load_model(path) -> tuple[TargetModel, ProposalKernel, int]:
         else:
             raise ValueError(f"unknown prior type {prior_cfg['type']!r}")
 
-        nll_cfg = cfg["nll"]
+        nll_cfg = entry("nll")
         if nll_cfg["type"] == "table":
             nll = np.asarray(nll_cfg["values"], float)
         elif nll_cfg["type"] == "quadratic":
@@ -577,7 +588,7 @@ def load_model(path) -> tuple[TargetModel, ProposalKernel, int]:
             raise ValueError(f"unknown nll type {nll_cfg['type']!r}")
         nll = nll - nll.min()
 
-        prop_cfg = cfg.get("proposal", {"type": "nearest"})
+        prop_cfg = entry("proposal", {"type": "nearest"})
         if prop_cfg["type"] == "nearest":
             kernel = ProposalKernel.nearest_neighbor(space, prop_cfg.get("stay_prob", 0.0))
         elif prop_cfg["type"] == "gaussian":
@@ -591,3 +602,5 @@ def load_model(path) -> tuple[TargetModel, ProposalKernel, int]:
         return model, kernel, int(cfg.get("seed", 0))
     except KeyError as exc:
         raise ValueError(f"missing key {exc.args[0]!r}") from None
+    except TypeError as exc:        # a wrongly typed value inside an entry
+        raise ValueError(f"wrongly typed entry: {exc}") from None

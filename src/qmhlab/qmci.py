@@ -4,18 +4,17 @@ A LikelihoodOracle holds the term table ell(i, x) whose per-state mean
 L_sum(x) feeds the MH target.  qmci_mean estimates that mean either by a
 faithful amplitude-estimation simulation (small M) or by an emulated
 deterministic perturbation with the same accuracy contract and query
-accounting.  The faithful mode samples the median of its runs from that
-median's exact law: the closed-form phase-estimation outcome law, folded onto
-the estimate values, under one incomplete-beta binomial tail.  On top sit the
-approximate acceptance table, the approximate walk operator (exactly the walk
-operator of the perturbed chain), and the full annealing pipeline with
-oracle-query totals.
+accounting.  The faithful mode draws its runs from annealing's
+amplitude-estimation sampler, as overlap and CDF estimation do, and reports
+the median run's estimate; its bad-branch mass is two binomial tails at the
+sampler's one-run CDF.  On top sit the approximate acceptance table, the
+approximate walk operator (exactly the walk operator of the perturbed chain),
+and the full annealing pipeline with oracle-query totals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -118,39 +117,18 @@ class QmciResult:
     residual: float      # bad-branch probability mass (faithful mode)
 
 
-@cache
-def _qae_outcome_values(t: int) -> np.ndarray:
-    """sin^2(pi m / 2^t), m = 0..2^(t-1): the estimate outcomes m and 2^t - m share; read-only."""
-    N = 2**t
-    values = np.round(np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2, 15)
-    values.flags.writeable = False
-    return values
-
-
-def _qae_outcome_distribution(amplitude_sq: float, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and probabilities of one t-ancilla amplitude-estimation run."""
-    theta = float(np.arcsin(np.sqrt(np.clip(amplitude_sq, 0.0, 1.0))))
-    plus, minus = annealing._qpe_outcome_distributions(2.0 * theta, t)
-    probs = 0.5 * (plus + minus)
-    probs /= probs.sum()
-    h = len(probs) // 2         # fold outcome N - m onto outcome m
-    folded = probs[:h + 1].copy()
-    folded[1:h] += probs[:h:-1]
-    return _qae_outcome_values(t), folded
-
-
-def _median_distribution(probs: np.ndarray, runs: int):
-    """Distribution of the median of `runs` iid draws (odd runs)."""
-    cdf = np.clip(np.cumsum(probs), 0.0, 1.0)
-    # imported here, so only faithful mode pays for SciPy: 0.2 s and 24 MB of RSS on top
-    # of NumPy, measured on a 2-core Xeon
-    from scipy.special import betainc
-    h = runs // 2
-    # P(median = v_j) = P(at least h+1 draws <= v_j) - P(... <= v_{j-1}), one
-    # binomial tail (the incomplete beta) over the CDF with 0 (nothing below v_0) in front
-    tail = betainc(h + 1, runs - h, np.concatenate([[0.0], cdf]))
-    pmf = np.maximum(tail[1:] - tail[:-1], 0.0)
-    return pmf / pmf.sum()
+def _binomial_sf(k: int, n: int, p: float) -> float:
+    """P(X > k) for X ~ Binomial(n, p), summed term by term: the terms run outward
+    from the mode, taken as 1, by their ratios and are divided by their sum, so
+    nothing over- or underflows at large n and a tiny tail keeps its digits."""
+    if not 0.0 < p < 1.0:
+        return float(p >= 1.0 and k < n)
+    ratio = (n - np.arange(n)) / np.arange(1, n + 1) * (p / (1.0 - p))   # term j+1 over term j
+    mode = min(int((n + 1) * p), n)
+    terms = np.ones(n + 1)
+    terms[mode + 1:] = np.cumprod(ratio[mode:])
+    terms[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    return float(terms[k + 1:].sum() / terms.sum())
 
 
 def _check_request(eps: float, delta: float, mode: str) -> None:
@@ -204,23 +182,25 @@ def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
 
     truth = float(oracle.mean_table()[x])
     b = int(np.floor(np.log2(eps)))
-    rng = np.random.default_rng([seed, x])
-    col = oracle.table[:, x]
-    lo, hi = float(col.min()), float(col.max())
+    lo, hi = float(oracle.table[:, x].min()), float(oracle.table[:, x].max())
     if hi - lo < 1e-15:
         return QmciResult(float(_truncate(truth, b)), charge, True, 0.0)
-    a = (truth - lo) / (hi - lo)
+    theta = float(np.arcsin(np.sqrt(np.clip((truth - lo) / (hi - lo), 0.0, 1.0))))
     eps_norm = 2.0 ** (b - 1) / (hi - lo)
     t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
-    runs = int(np.ceil(12.0 * np.log(1.0 / (delta / 4.0))))
-    runs += 1 - runs % 2
-    values, probs = _qae_outcome_distribution(a, t)
-    med_pmf = _median_distribution(probs, runs)
-    est_values = _truncate(lo + values * (hi - lo), b)
-    good = np.abs(est_values - truth) <= eps
-    residual = float(med_pmf[~good].sum())
-    j = int(rng.choice(len(values), p=med_pmf))
-    return QmciResult(float(est_values[j]), charge, bool(good[j]), residual)
+    runs = int(np.ceil(12.0 * np.log(1.0 / (delta / 4.0)))) | 1     # odd: one run is the median
+    m, cdf = annealing.sample_folded_outcomes(theta, t, runs, np.random.default_rng([seed, x]))
+    median = int(np.median(m))
+    # outcome m estimates sin^2(pi m / 2^t); the estimates rise with m, so the
+    # good outcomes form one range [g0, g1] (empty when t = 16 cannot resolve eps)
+    values = np.round(np.sin(np.pi * np.arange(2 ** (t - 1) + 1) / 2**t) ** 2, 15)
+    est = _truncate(lo + values * (hi - lo), b)
+    good = np.flatnonzero(np.abs(est - truth) <= eps)
+    g0, g1 = (good[0], good[-1]) if good.size else (len(est), len(est) - 1)
+    # the median misses [g0, g1] when over half the runs land below g0, or above g1
+    below, h = np.append(0.0, cdf()), runs // 2           # below[j] = P(m < j)
+    residual = _binomial_sf(h, runs, below[g0]) + _binomial_sf(h, runs, 1.0 - below[g1 + 1])
+    return QmciResult(float(est[median]), charge, bool(g0 <= median <= g1), residual)
 
 
 def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
@@ -337,6 +317,7 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
     """
     eps_in = internal_accuracy(model, kernel, eps) if eps_internal is None \
         else float(eps_internal)
+    queries_before = oracle.queries
     nll, _ = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
     model_pert = model.with_neg_log_lik(nll)
 
@@ -351,11 +332,8 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
 
     # each walk-operator application spends one acceptance evaluation: two
     # mean estimations and their uncomputation
-    charge = estimation_charge(oracle, eps_in, delta / 4.0)
-    oracle.charge(ledger.total * 4 * charge)
-    tv = tv_distance(model_pert.distribution(), model.distribution())
+    oracle.charge(ledger.total * 4 * estimation_charge(oracle, eps_in, delta / 4.0))
     return PipelineResult(
         state=state, schedule=schedule, model_pert=model_pert, eps_internal=eps_in,
-        walk_applications=ledger.total,
-        oracle_queries=(oracle.n_states + 4 * ledger.total) * charge, tv_realized=tv,
-    )
+        walk_applications=ledger.total, oracle_queries=oracle.queries - queries_before,
+        tv_realized=tv_distance(model_pert.distribution(), model.distribution()))

@@ -505,6 +505,33 @@ def nae_overlap_reference(state, target, eps, delta, seed):
     return float(np.median(estimates))
 
 
+def sample_half_angles_before_the_sampler(theta, eps, delta, rng):
+    """sample_half_angles as it was before its draw moved into sample_folded_outcomes."""
+    t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
+    N = 2**t
+    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
+    plus, minus = (np.cumsum(d) for d in annealing._qpe_outcome_distributions(2.0 * theta, t))
+    u = rng.random((runs, 2))
+    k = np.where(u[:, 0] < 0.5, (plus / plus[-1]).searchsorted(u[:, 1], side="right"),
+                 (minus / minus[-1]).searchsorted(u[:, 1], side="right"))
+    # each Grover step is two reflections; QPE uses 2^t - 1 steps per run
+    return np.pi * np.minimum(k, N - k) / N, runs * (N - 1) * 2
+
+
+def test_half_angles_are_the_body_before_the_sampler():
+    rng = np.random.default_rng(13)
+    for seed in range(200):
+        theta = float(rng.choice([0.0, np.pi / 2, rng.uniform(0.0, np.pi / 2)]))
+        eps = float(rng.choice([0.3, 0.1, NAE_ACCURACY, 0.02, 0.004]))
+        delta = float(rng.uniform(0.01, 0.45))
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        angles, reflections = annealing.sample_half_angles(theta, eps, delta, gen)
+        ref_angles, ref_reflections = sample_half_angles_before_the_sampler(
+            theta, eps, delta, ref_gen)
+        assert np.array_equal(angles, ref_angles) and reflections == ref_reflections
+        assert gen.random() == ref_gen.random()        # the same uniforms spent
+
+
 class TestNaeOverlap:
     def test_matches_per_run_reference(self):
         rng = np.random.default_rng(7)

@@ -192,7 +192,11 @@ class TestRunCommand:
         ("short-table", "length must match"),
         ("malformed-json", "line 1 column"),
         ("no-file", "No such file"),
-    ], ids=["no-grid", "no-nll", "short-table", "malformed-json", "no-file"])
+        ("grid-list", "entry 'grid' must be an object, not list"),
+        ("nll-string", "entry 'nll' must be an object, not str"),
+        ("proposal-int", "entry 'proposal' must be an object, not int"),
+    ], ids=["no-grid", "no-nll", "short-table", "malformed-json", "no-file",
+            "grid-list", "nll-string", "proposal-int"])
     def test_bad_model_file_is_an_error_message(self, tmp_path, case, detail):
         model = {"grid": {"shape": [8]}, "nll": {"type": "table", "values": [0.0] * 8}}
         if case == "no-grid":
@@ -201,6 +205,12 @@ class TestRunCommand:
             del model["nll"]
         elif case == "short-table":
             model["nll"]["values"] = [0.0] * 7
+        elif case == "grid-list":
+            model["grid"] = [8]
+        elif case == "nll-string":
+            model["nll"] = "table"
+        elif case == "proposal-int":
+            model["proposal"] = 5
         path = tmp_path / "model.json"
         if case != "no-file":
             path.write_text('{"grid": {"shape": [8]},' if case == "malformed-json"
@@ -212,6 +222,17 @@ class TestRunCommand:
         assert result.exit_code == 1
         assert f"model file {path}: " in result.output
         assert detail in result.output
+        assert "Traceback" not in result.output
+        assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [["run"], ["scaling", "--config"]], ids=["run", "scaling"])
+    def test_directory_config_is_a_usage_error(self, tmp_path, command):
+        # click rejects it as it rejects a missing file: a usage error, exit code 2
+        result = CliRunner().invoke(main, command + [str(tmp_path)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "is a directory" in errors[0]
         assert "Traceback" not in result.output
 
     def test_reports_deterministic(self, tmp_path):

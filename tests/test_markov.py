@@ -614,16 +614,16 @@ class TestChainLadder:
                 assert np.array_equal(got, ref)
 
 
-def scipy_irreducible(nb, live):
-    """SciPy's verdict on the graph whose row x lists nb[x, live[x]]: one strong component."""
+def scipy_components(nb, live):
+    """SciPy's count of strong components of the graph whose row x lists nb[x, live[x]]."""
     n = len(nb)
     adjacency = np.zeros((n, n), bool)
     adjacency[np.nonzero(live)[0], nb[live]] = True
-    return connected_components(adjacency, directed=True, connection="strong")[0] == 1
+    return connected_components(adjacency, directed=True, connection="strong")[0]
 
 
 class TestIrreducibility:
-    """The NumPy reaches' verdict is SciPy's, on seeded random live masks."""
+    """The NumPy reaches' verdict and component count are SciPy's, on seeded random live masks."""
 
     SHAPES = [(1,), (2,), (9,), (4, 5), (3, 4, 3)]     # a one-state space first
     DENSITIES = (0.1, 0.3, 0.7, 0.95, 1.0)
@@ -639,7 +639,9 @@ class TestIrreducibility:
     @staticmethod
     def verdict(nb, neg, live):
         got = markov._irreducible(nb, live, neg)
-        assert got == scipy_irreducible(nb, live)
+        count = scipy_components(nb, live)
+        assert got == (count == 1)
+        assert markov._strong_components(nb, live, neg) == count
         return got
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)

@@ -25,8 +25,7 @@ from qmhlab.qmci import (
     FAITHFUL_MAX_TERMS,
     LikelihoodOracle,
     QmciResult,
-    _median_distribution,
-    _qae_outcome_distribution,
+    _binomial_sf,
     _truncate,
     approx_acceptance_table,
     approx_walk_operator,
@@ -92,11 +91,15 @@ def reference_median_distribution(probs, runs: int):
 
 
 def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
+    """The estimator's result and, for a simulated faithful call, its law: the
+    rounded estimate per folded outcome, the median's law over them and the
+    good-outcome mask (None otherwise).  The faithful draw is one value from
+    that law, as the library drew it before the median was taken of sampled runs."""
     truth = float(oracle.table.mean(axis=0)[x])
     b = int(np.floor(np.log2(eps)))
     if eps >= 4.0 * oracle.sigma:
         est = round_at_bit(truth, b) if truth >= 0 else -round_at_bit(-truth, b)
-        return QmciResult(est, 0, True, 0.0)
+        return QmciResult(est, 0, True, 0.0), None
     eps_in = 2.0 ** (b - 1)
     delta_in = delta / 4.0
     charge = query_charge(oracle.sigma, eps, delta)
@@ -110,7 +113,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
         est = rounded(truth + eps_in * eta)
         if abs(est - truth) > eps:
             est = rounded(truth)
-        return QmciResult(est, charge, True, 0.0)
+        return QmciResult(est, charge, True, 0.0), None
 
     assert mode == "faithful" and oracle.M <= FAITHFUL_MAX_TERMS
     rng = np.random.default_rng([seed, x])
@@ -118,7 +121,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     lo, hi = float(col.min()), float(col.max())
     if hi - lo < 1e-15:
         est = rounded(truth)
-        return QmciResult(est, charge, True, 0.0)
+        return QmciResult(est, charge, True, 0.0), None
     a = (truth - lo) / (hi - lo)
     eps_norm = eps_in / (hi - lo)
     t = int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2
@@ -132,7 +135,8 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     good = np.abs(est_values - truth) <= eps
     residual = float(med_pmf[~good].sum())
     j = int(rng.choice(len(values), p=med_pmf))
-    return QmciResult(float(est_values[j]), charge, bool(good[j]), residual)
+    return (QmciResult(float(est_values[j]), charge, bool(good[j]), residual),
+            (est_values, med_pmf, good))
 
 
 def small_oracle(seed=0, M=8, n=5, lo=0.0, hi=4.0):
@@ -383,15 +387,17 @@ def run_fresh(code: str) -> str:
 
 
 class TestMedianTail:
-    @pytest.mark.parametrize("runs", [1, 3, 23, 45, 61, 101])
+    @pytest.mark.parametrize("runs", [1, 3, 23, 45, 61, 101, 10001])
     def test_incomplete_beta_is_the_binomial_tail(self, runs):
-        from scipy.special import betainc
+        # P(X > h) summed term by term is binom.sf, the incomplete beta I_p(h+1, runs-h),
+        # also at runs = 10001, where comb(runs, j) * p^j would overflow
         from scipy.stats import binom
         rng = np.random.default_rng(runs)
         h = runs // 2
         for cdf in (np.linspace(0.0, 1.0, 1001), np.sort(rng.uniform(0.0, 1.0, 20000)),
                     np.clip(np.cumsum(np.append(0.0, rng.dirichlet(np.ones(50)))), 0.0, 1.0)):
-            assert np.array_equal(betainc(h + 1, runs - h, cdf), binom.sf(h, runs, cdf))
+            got = np.array([_binomial_sf(h, runs, p) for p in cdf])
+            assert np.max(np.abs(got - binom.sf(h, runs, cdf))) <= 1e-13
 
     def test_faithful_estimation_and_qpe_gate_leave_scipy_stats_unimported(self):
         code = (
@@ -412,8 +418,8 @@ class TestMedianTail:
         assert run_fresh(code).strip() == "False"
 
     def test_numpy_alone_until_faithful_estimation(self):
-        # every layer on a small GW instance, then one faithful estimation, which
-        # alone loads SciPy, for betainc, and none of its sparse graphs or linalg
+        # every layer on a small GW instance, a reducible chain's error message, then
+        # one faithful estimation: none of them loads SciPy
         code = (
             "import json, sys\n"
             "import numpy as np\n"
@@ -438,6 +444,13 @@ class TestMedianTail:
             "assert perturbation.spectral_gap_perturbation_check(\n"
             "    chain, chain_pert, kernel, pert.eps)[2]\n"
             "assert perturbation.tv_perturbation_check(model, kernel, pert)[2]\n"
+            "space = markov.StateSpace.regular_grid((6,))\n"
+            "parity = markov.ProposalKernel(space, ((2,), (4,)), np.array([0.5, 0.5]))\n"
+            "try:\n"
+            "    markov.build_transition_matrix(\n"
+            "        markov.TargetModel(space, np.full(6, 1 / 6), np.zeros(6)), parity)\n"
+            "except markov.ReducibleChainError as exc:\n"
+            "    assert '2 strongly connected components' in str(exc)\n"
             "print(json.dumps(scipy_modules()))\n"
             "table = np.random.default_rng(0).uniform(0.0, 4.0, size=(8, 5))\n"
             "oracle = qmci.LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05)\n"
@@ -445,44 +458,63 @@ class TestMedianTail:
             "print(json.dumps(scipy_modules()))\n"
         )
         emulated, faithful = (json.loads(line) for line in run_fresh(code).splitlines())
-        assert emulated == []
-        assert "scipy.special" in faithful
-        assert not [m for m in faithful if m.startswith(("scipy.sparse", "scipy.linalg"))]
+        assert emulated == faithful == []
+
+
+def fold_cdf(a: float, t: int) -> np.ndarray:
+    """The sampler's one-run CDF of the folded outcome at amplitude a, t ancillas."""
+    theta = float(np.arcsin(np.sqrt(a)))
+    _, cdf = annealing.sample_folded_outcomes(theta, t, 1, np.random.default_rng(0))
+    return cdf()
 
 
 class TestFaithfulArrayCode:
-    """The array-coded faithful estimator against the per-outcome reference, bit for bit."""
+    """The faithful estimator's sampler and tails against the per-outcome reference laws."""
 
     AMPLITUDES = [0.0, 0.5, 1.0] + list(np.random.default_rng(3).uniform(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("t", range(1, 17))
     def test_outcome_and_median_distributions(self, t):
+        # the fold CDF is the reference law's cumsum; the median's CDF, one binomial tail
+        # at it, is the reference median law's cumsum, checked around the law's peak
+        N = 2**t
         for a in self.AMPLITUDES:
-            values, probs = _qae_outcome_distribution(a, t)
-            ref_values, ref_probs = reference_outcome_distribution(a, t)
-            assert np.array_equal(values, ref_values)
-            assert np.array_equal(probs, ref_probs)
+            cdf = fold_cdf(a, t)
+            _, probs = reference_outcome_distribution(a, t)
+            assert len(cdf) == N // 2 + 1
+            assert np.max(np.abs(cdf - np.cumsum(probs))) <= 1e-13
+            peak = int(round(N * np.arcsin(np.sqrt(a)) / np.pi))
+            points = np.unique(np.clip(np.concatenate([np.linspace(0, N // 2, 9).astype(int),
+                                                       np.arange(peak - 4, peak + 5)]),
+                                       0, N // 2))
             for runs in (1, 3, 45, 61):
-                assert np.array_equal(_median_distribution(probs, runs),
-                                      reference_median_distribution(probs, runs))
+                median_cdf = np.cumsum(reference_median_distribution(probs, runs))
+                got = [_binomial_sf(runs // 2, runs, cdf[j]) for j in points]
+                assert np.max(np.abs(got - median_cdf[points])) <= 1e-12
 
     @pytest.mark.parametrize("t", range(1, 17))
     def test_one_bin_per_pair_and_rounding_keyed_fold_summed(self, t):
-        # the rounding-keyed fold left some pairs k, N-k in neighbouring bins
-        # whose values differ in the 15th decimal; summed, its law is the index fold's
+        # the rounding-keyed fold left some pairs k, N-k in neighbouring bins whose
+        # values differ in the 15th decimal; summed, its law is the sampler's fold, and
+        # the estimate values sin^2(pi m / N) rise strictly with m
+        N = 2**t
+        values = np.round(np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2, 15)
+        assert np.all(np.diff(values) > 0)
         for a in self.AMPLITUDES:
-            values, probs = _qae_outcome_distribution(a, t)
-            assert len(values) == len(probs) == 2 ** (t - 1) + 1
-            assert np.all(np.diff(values) > 0)
+            cdf = fold_cdf(a, t)
             old_values, old_probs = rounding_keyed_outcome_distribution(a, t)
             group = np.concatenate([[0], np.cumsum(np.diff(old_values) > 1e-12)])
             summed = np.zeros(group[-1] + 1)
             np.add.at(summed, group, old_probs)
-            assert np.array_equal(summed, probs)
+            assert len(summed) == len(cdf)
+            assert np.max(np.abs(np.cumsum(summed) - cdf)) <= 1e-13
             first = np.concatenate([[True], np.diff(group) > 0])
             assert np.max(np.abs(old_values[first] - values)) <= 2e-15
 
     def test_results_match_reference(self):
+        # bit for bit where nothing is drawn; a simulated faithful call draws a median
+        # of runs, so its estimate is one of the law's values, good exactly when the
+        # law says so, and its residual is the law's bad mass
         rng = np.random.default_rng(5)
         n_simulated = 0
         for trial in range(36):
@@ -497,10 +529,41 @@ class TestFaithfulArrayCode:
                         for mode in ("faithful", "emulated"):
                             before = oracle.queries
                             res = qmci_mean(oracle, x, eps, delta, mode, seed=trial)
-                            assert res == reference_qmci_mean(oracle, x, eps, delta, mode, trial)
+                            ref, law = reference_qmci_mean(oracle, x, eps, delta, mode, trial)
                             assert oracle.queries - before == res.queries
-                            n_simulated += mode == "faithful" and res.queries != 0
+                            if law is None:
+                                assert res == ref
+                                continue
+                            est_values, med_pmf, good = law
+                            assert res.queries == ref.queries
+                            assert abs(res.residual - med_pmf[~good].sum()) <= 1e-12
+                            at = np.flatnonzero(est_values == res.estimate)
+                            assert at.size and res.success == good[at[0]]
+                            n_simulated += 1
         assert n_simulated >= 1000
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_medians_follow_reference_median_law(self, seed):
+        # pooled chi-square over three (t, a, runs) of the medians of sampled runs
+        from scipy.stats import chi2
+        rng = np.random.default_rng(seed)
+        stat, dof = 0.0, 0
+        for t, a, runs in ((5, 0.05, 3), (6, 0.3, 45), (8, 0.71, 61)):
+            m, _ = annealing.sample_folded_outcomes(float(np.arcsin(np.sqrt(a))), t,
+                                                    20_000 * runs, rng)
+            medians = np.median(m.reshape(-1, runs), axis=1).astype(int)
+            expected = 20_000 * reference_median_distribution(
+                reference_outcome_distribution(a, t)[1], runs)
+            observed = np.bincount(medians, minlength=len(expected))
+            # pool the bins expecting fewer than 5 into their neighbours toward the mode
+            keep = expected >= 5
+            cell = np.cumsum(keep) - 1
+            cell[:np.argmax(keep)] = 0
+            exp_cells = np.bincount(cell, expected)
+            obs_cells = np.bincount(cell, observed)
+            stat += float(np.sum((obs_cells - exp_cells) ** 2 / exp_cells))
+            dof += len(exp_cells) - 1
+        assert chi2.sf(stat, dof) > 1e-3
 
 
 class TestApproxChain:
@@ -687,6 +750,23 @@ class TestPipeline:
         single = query_charge(oracle.sigma, result.eps_internal, 0.1 / 4.0)
         expected = n_states * single + result.walk_applications * per_gate
         assert result.oracle_queries == expected
+
+    @pytest.mark.parametrize("mode,eps_internal", [("emulated", None), ("faithful", 0.05),
+                                                   ("emulated", 40.0)],
+                             ids=["emulated", "faithful", "shortcut"])
+    def test_oracle_queries_is_the_oracle_delta(self, mode, eps_internal):
+        space = StateSpace.regular_grid((6,))
+        nll = 0.3 * (space.points[:, 0] - 2.0) ** 2
+        model = TargetModel(space=space, prior=np.full(6, 1.0 / 6.0), neg_log_lik=nll)
+        kernel = ProposalKernel.nearest_neighbor(space)
+        oracle = LikelihoodOracle.from_nll(nll, M=16, spread=0.5, seed=0)
+        oracle.charge(123)                  # spent before the pipeline, not by it
+        res = qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0, mode=mode,
+                            eps_internal=eps_internal)
+        single = estimation_charge(oracle, res.eps_internal, 0.1 / 4.0)
+        assert (single == 0) == (eps_internal == 40.0) and res.walk_applications > 0
+        assert res.oracle_queries == oracle.queries - 123 == \
+            (oracle.n_states + 4 * res.walk_applications) * single
 
     def test_queries_drop_with_smaller_sigma(self):
         space = StateSpace.regular_grid((6,))

@@ -6,7 +6,7 @@ as a name, an attribute or an import alias.  A field of a library dataclass
 must be read as an attribute there.  Tests do not count as callers or readers,
 so code and fields only tests reach must be listed in KEPT with the reason
 they stay.  The README's `src/` line count, which the roadmap tracks, matches
-the sources.
+the sources, and no module of the library imports SciPy.
 """
 
 import ast
@@ -104,3 +104,13 @@ def test_readme_states_src_line_count():
     assert stated, "README.md states no `src/` line count"
     lines = sum(len(path.read_text().splitlines()) for path in LIBRARY)
     assert int(stated.group(1).replace(",", "")) == lines
+
+
+def test_library_imports_no_scipy():
+    # at module level or inside a function; the tests alone use SciPy, as a reference
+    found = [f"{path.stem}:{node.lineno}" for path in LIBRARY
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy"
+                                                     for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"]
+    assert not found, f"SciPy imported in the library at {found}"
