@@ -273,13 +273,12 @@ def nae_overlap(state: np.ndarray, target: np.ndarray, eps: float, delta: float,
 
 @dataclass
 class AnnealingSchedule:
-    """Temperature ladder with its recorded overlap estimates and cost."""
+    """Temperature ladder with its recorded overlap estimates; the ledger holds its cost."""
 
     betas: tuple[float, ...]
     overlaps: tuple[float, ...]
     success: bool
     l_max: int
-    queries: int
 
     def __post_init__(self):
         if self.success:
@@ -309,18 +308,16 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, signed_gap: float,
     to accuracy 1/(10 e^2) with per-call failure budget eta/(l_max L_max);
     a step is kept when the estimate is at least e^-2, so true kept overlaps
     are at least 9/(10 e^2).  The search resolves beta to min(1/L_max, 1/2).
-    Failure is reported as success=False.
+    Failure is reported as success=False; a ledger, if given, is charged "schedule".
     """
     L = model.neg_log_lik
     mean_nll = float(np.dot(model.prior, L))
     l_max = stage_count_limit(mean_nll)
     if mean_nll == 0:
-        return AnnealingSchedule(betas=(0.0, 1.0), overlaps=(1.0,), success=True,
-                                 l_max=l_max, queries=0)
+        return AnnealingSchedule(betas=(0.0, 1.0), overlaps=(1.0,), success=True, l_max=l_max)
     L_max = float(L.max())
     precision = min(1.0 / L_max, 0.5)
     delta_nae = min(0.49, eta / (l_max * max(L_max, 1.0)))
-    ledger = QueryLedger() if ledger is None else ledger
     refl_cost = phase_gate_cost(signed_gap, delta_nae)
     rng = np.random.default_rng(seed)
 
@@ -332,9 +329,8 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, signed_gap: float,
 
     def result(success):
         return AnnealingSchedule(betas=tuple(betas), overlaps=tuple(overlaps), success=success,
-                                 l_max=l_max, queries=ledger.total - start_queries)
+                                 l_max=l_max)
 
-    start_queries = ledger.total
     betas = [0.0]
     overlaps: list[float] = []
     while betas[-1] < 1.0:
@@ -390,8 +386,6 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
     layout = RegisterLayout.for_kernel(kernel)
     n_stages = len(schedule.betas) - 1
     state = encode_distribution(model.with_beta(0.0).distribution(), layout)
-    if n_stages == 0:
-        return state
     stage_eps = eps / n_stages
     # the whole schedule is known, so exact mode builds its chains as one ladder
     gaps = [c.signed_gap for c in chain_ladder(model, kernel, schedule.betas)] \

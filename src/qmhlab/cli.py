@@ -8,6 +8,7 @@ reports always come from measured ledgers, never from formulas alone.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
 import sys
@@ -83,11 +84,8 @@ def experiment_verify_walk(model, kernel, out_dir):
 
 def experiment_verify_bounds(model, kernel, out_dir, seeds=(0, 1, 2, 3),
                              eps_values=(0.01, 0.05, 0.1)):
-    records = []
-    for s in seeds:
-        for e in eps_values:
-            records.append(perturbation.verification_record(
-                f"seed{s}-eps{e}", model, kernel, e, int(s)))
+    records = [perturbation.verification_record(f"seed{s}-eps{e}", model, kernel, e, int(s))
+               for s in seeds for e in eps_values]
     chain = build_transition_matrix(model, kernel)
     mixing = [mixing_bound_check(chain, n) for n in (1, 5, 20, 50)]
     mix_ok = all(d_exact <= bound + 1e-12 for d_exact, bound in mixing)
@@ -106,7 +104,7 @@ def experiment_anneal(model, kernel, out_dir, seed=0, eps=0.1, mode="exact"):
     payload = {
         "betas": list(schedule.betas), "overlaps": list(schedule.overlaps),
         "success": schedule.success, "l_max": schedule.l_max,
-        "schedule_queries": schedule.queries,
+        "schedule_queries": ledger.by_tag.get("schedule", 0),
     }
     passed = schedule.success
     if schedule.success:
@@ -142,6 +140,8 @@ def experiment_qmci_pipeline(model, kernel, out_dir, seed=0, eps=0.2,
 
 def experiment_credible_interval(model, kernel, out_dir, seed=0, axis=0,
                                  alpha=0.5, eps=0.05, delta=0.1):
+    if not 0 <= axis < model.space.dimension:
+        raise ValueError(f"axis {axis} is outside the {model.space.dimension}-axis grid")
     P = model.distribution()
     handle = inference.PosteriorHandle(distribution=P, space=model.space, prep_queries=1)
     tails = [inference.cdf_exact(P, model.space, axis, v) for v in model.space.axes[axis]]
@@ -180,17 +180,15 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
     M-term likelihood sum; classical-mh: chain sampling paying M per step.
     Queries are averaged over the seeds before the slope fit.
     """
-    def measure(method, inst, kernel, seed, eps_internal, ci_query):
+    def measure(method, inst, kernel, seed, chain, ci_query):
         M = inst.M
         if method == "proposed":
-            res = qmci.qsa_with_qmci(inst.oracle, inst.model, kernel, eps, delta,
-                                     seed, eps_internal=eps_internal)
+            res = qmci.qsa_with_qmci(inst.oracle, inst.model, kernel, eps, delta, seed)
             handle = inference.PosteriorHandle(
                 distribution=res.model_pert.distribution(),
                 space=inst.space, prep_queries=res.oracle_queries)
             return inference.credible_bound_search(ci_query, handle, seed).queries
         if method == "exact-qsa":
-            chain = build_transition_matrix(inst.model, kernel)
             ledger = annealing.QueryLedger()
             schedule = annealing.qsa_schedule(inst.model, kernel,
                                               chain.signed_gap, eta=delta,
@@ -203,7 +201,6 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
                 space=inst.space, prep_queries=ledger.total * M)
             return inference.credible_bound_search(ci_query, handle, seed).queries
         if method == "classical-mh":
-            chain = build_transition_matrix(inst.model, kernel)
             n_b = mixing_time_bound(chain, CI_EPS)
             n = int(np.ceil(2.0 / (chain.signed_gap * CI_EPS**2)))
             sample = run_mh(inst.model, kernel, n_b, n, seed)
@@ -218,11 +215,11 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
             kernel = ProposalKernel.nearest_neighbor(inst.space)
             # each instance is prepared at the likelihood accuracy its own anneal certifies
             eps_internal = qmci.internal_accuracy(inst.model, kernel, eps)
+            chain = build_transition_matrix(inst.model, kernel)
             ci_query = inference.CredibleQuery(axis=0, alpha=CI_ALPHA, eps=CI_EPS,
                                                delta=delta, side="upper")
             for method in methods:
-                total = measure(method, inst, kernel, int(seed), eps_internal,
-                                ci_query)
+                total = measure(method, inst, kernel, int(seed), chain, ci_query)
                 records.append({"method": method, "M": int(M), "seed": int(seed),
                                 "sigma": inst.sigma, "eps_internal": eps_internal,
                                 "queries": int(total)})
@@ -254,28 +251,49 @@ RUNNERS = {
 }
 
 
+# a runner default's type -> (the JSON values that may replace it, their name, alone and listed)
+_KINDS = {int: (int, "an integer", "integers"), float: ((int, float), "a number", "numbers"),
+          str: (str, "a string", "strings")}
+
+
+def _check_kind(key, value, default):
+    """A one-line error unless the config value is of the kind of the default it replaces."""
+    listed = isinstance(default, tuple)
+    admitted, one, many = _KINDS[type(default[0] if listed else default)]
+    # JSON true is an int to isinstance, and no runner default is a boolean
+    if listed != isinstance(value, list) or not all(
+            isinstance(v, admitted) and not isinstance(v, bool)
+            for v in (value if listed else [value])):
+        kind = "a list of " + many if listed else one
+        raise click.ClickException(f"config key {key!r} must be {kind}, not {json.dumps(value)}")
+
+
 def _run_config(cfg, out_dir):
     exp = cfg.get("experiment")
-    if exp not in RUNNERS:
+    if not isinstance(exp, str) or exp not in RUNNERS:
         raise click.ClickException(
             f"unknown experiment {exp!r}; choose from {', '.join(RUNNERS)}")
     runner, keys = RUNNERS[exp]
     kwargs = {k: cfg[k] for k in keys if k in cfg}
-    if exp == "gw-scaling":          # builds its own GW instances
-        click.echo(json.dumps(runner(out_dir, **kwargs)["slopes"], indent=2))
-        return True
-    if "model" in cfg:
-        try:
-            model, kernel, model_seed = load_model(cfg["model"])
-        except (OSError, ValueError) as exc:     # json.JSONDecodeError is a ValueError
-            raise click.ClickException(f"model file {cfg['model']}: {exc}") from None
-        if "seed" in keys:           # a config seed overrides the model file's
-            kwargs.setdefault("seed", model_seed)
-    else:
-        model, kernel = _default_model()
-    if "seed" in kwargs:
-        kwargs["seed"] = int(kwargs["seed"])
-    return runner(model, kernel, out_dir, **kwargs)[0]
+    for key, value in kwargs.items():
+        _check_kind(key, value, inspect.signature(runner).parameters[key].default)
+    try:
+        if exp == "gw-scaling":          # builds its own GW instances
+            click.echo(json.dumps(runner(out_dir, **kwargs)["slopes"], indent=2))
+            return True
+        if "model" in cfg:
+            _check_kind("model", cfg["model"], "")
+            try:
+                model, kernel, model_seed = load_model(cfg["model"])
+            except (OSError, ValueError) as exc:     # json.JSONDecodeError is a ValueError
+                raise click.ClickException(f"model file {cfg['model']}: {exc}") from None
+            if "seed" in keys:           # a config seed overrides the model file's
+                kwargs.setdefault("seed", model_seed)
+        else:
+            model, kernel = _default_model()
+        return runner(model, kernel, out_dir, **kwargs)[0]
+    except ValueError as exc:            # the library's own input checks
+        raise click.ClickException(f"{exp}: {exc}") from None
 
 
 def _load_config(path):
@@ -286,7 +304,11 @@ def _load_config(path):
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"config parse error at line {exc.lineno}, "
                                    f"column {exc.colno}: {exc.msg}")
-    return cfg, cfg.get("output_dir", os.environ.get("QMH_LAB_OUT", "qmh-lab-out"))
+    if not isinstance(cfg, dict):
+        raise click.ClickException(f"config holds a JSON {type(cfg).__name__}, not an object")
+    out_dir = cfg.get("output_dir", os.environ.get("QMH_LAB_OUT", "qmh-lab-out"))
+    _check_kind("output_dir", out_dir, "")
+    return cfg, out_dir
 
 
 @click.group()

@@ -7,10 +7,10 @@ annealing) builds on the exact transition matrices computed here.  Chains are
 built as temperature ladders: the chains of one model and kernel at a list of
 beta are assembled, checked and given their values-only spectrum as stacked
 arrays, a byte-bounded chunk at a time, with one eigvalsh per chunk; a single
-chain is the one-temperature ladder.  Irreducibility is decided with NumPy, by a
-forward and a backward reach from state 0 over the live moves of the neighbour
-table, once per proposal support whenever every supported move's flow is live;
-the same reaches count a reducible chain's components for its error message.
+chain is the one-temperature ladder.  A chain is irreducible when its live moves
+over the neighbour table make one strong component, counted with NumPy by
+forward and backward reaches, once per proposal support whenever every supported
+move's flow is live; a reducible chain's error message reports the count.
 A chain keeps what it derives on first need: its eigenpairs, its reversibility
 verdict, and the squarings W^(2^j) behind its matrix powers, so mixing checks at
 several step counts share one squaring ladder and one reversibility check.
@@ -413,10 +413,9 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
     for b in range(len(models)):
         if negative[b]:
             raise ValueError("transition matrix has a negative entry")
-        irreducible = (_support_irreducible(*support) if on_support[b]
-                       else _irreducible(nb, live[b], neg))
-        if not irreducible:
-            n_comp = _strong_components(nb, live[b], neg)
+        n_comp = (_support_components(*support) if on_support[b]
+                  else _strong_components(nb, live[b], neg))
+        if n_comp > 1:
             raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
 
     pi = np.stack([m.distribution() for m in models])
@@ -433,21 +432,6 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
     return chains
 
 
-def _irreducible(nb: np.ndarray, live: np.ndarray, neg: np.ndarray) -> bool:
-    """Whether the graph whose row x lists nb[x, live[x]] is strongly connected.
-
-    It is iff state 0 reaches every state and every state reaches state 0.  The
-    edge x -> y = nb[x, j] reverses to y -> x = nb[y, neg[j]], so the reversed
-    graph's row y is live in slot i where live[nb[y, i], neg[i]] is.
-    """
-    return _reaches_all(nb, live) and _reaches_all(nb, live[nb, neg])
-
-
-def _reaches_all(nb: np.ndarray, live: np.ndarray) -> bool:
-    """Whether state 0 reaches every state along the edges x -> nb[x, j] with live[x, j]."""
-    return bool(_reach(nb, live, 0).all())
-
-
 def _reach(nb: np.ndarray, live: np.ndarray, start: int) -> np.ndarray:
     """Mask of the states start reaches along the edges x -> nb[x, j] with live[x, j]."""
     reached = np.zeros(len(nb), bool)
@@ -461,17 +445,18 @@ def _reach(nb: np.ndarray, live: np.ndarray, start: int) -> np.ndarray:
 
 
 @cache
-def _support_irreducible(shape, moves, supported) -> bool:
-    """_irreducible on the proposal's support graph, the moves in slots supported."""
+def _support_components(shape, moves, supported) -> int:
+    """_strong_components of the proposal's support graph, the moves in slots supported."""
     nb = _neighbour_table(shape, moves)
     live = np.zeros(nb.shape, bool)
     live[:, list(supported)] = True
-    return _irreducible(nb, live, _negation_slots(shape, moves))
+    return _strong_components(nb, live, _negation_slots(shape, moves))
 
 
 def _strong_components(nb: np.ndarray, live: np.ndarray, neg: np.ndarray) -> int:
-    """Strong components of the graph whose row x lists nb[x, live[x]], for a reducible
-    chain's message: each is the set of states its first state reaches and is reached from."""
+    """Strong components of the graph whose row x lists nb[x, live[x]]; one means irreducible.
+    Each is the set of states its first state reaches both forward and along the reversed
+    edges y -> x = nb[y, neg[j]], live in slot neg[j] of row y where live[x, j] is."""
     left, count = np.ones(len(nb), bool), 0
     while left.any():
         first = int(np.argmax(left))

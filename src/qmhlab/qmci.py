@@ -307,16 +307,14 @@ class PipelineResult:
 
 def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
                   kernel: ProposalKernel, eps: float, delta: float, seed: int,
-                  mode: str = "emulated", gate_mode: str = "exact",
-                  eps_internal: float | None = None) -> PipelineResult:
+                  mode: str = "emulated", gate_mode: str = "exact") -> PipelineResult:
     """End-to-end annealed preparation of the QMCI-perturbed posterior.
 
     Estimates the likelihood table at the internal accuracy, anneals the
     perturbed model, and reports the realized TV(P~, P) along with measured
     walk-operator and oracle-query totals.
     """
-    eps_in = internal_accuracy(model, kernel, eps) if eps_internal is None \
-        else float(eps_internal)
+    eps_in = internal_accuracy(model, kernel, eps)
     queries_before = oracle.queries
     nll, _ = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
     model_pert = model.with_neg_log_lik(nll)

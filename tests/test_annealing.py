@@ -588,28 +588,39 @@ class TestScheduleSearch:
         assert list(schedule.betas) == sorted(schedule.betas)
         assert len(schedule.betas) - 1 <= schedule.l_max
         assert all(o >= KEEP_THRESHOLD for o in schedule.overlaps)
-        assert schedule.queries == ledger.total > 0
+        assert ledger.by_tag["schedule"] == ledger.total > 0
 
     def test_flat_likelihood_trivial_schedule(self):
         space = StateSpace.regular_grid((6,))
         model = TargetModel(space=space, prior=np.full(6, 1.0 / 6.0),
                             neg_log_lik=np.zeros(6))
         kernel = ProposalKernel.nearest_neighbor(space)
-        schedule = qsa_schedule(model, kernel, 0.5, eta=0.1, seed=0)
+        ledger = QueryLedger()
+        schedule = qsa_schedule(model, kernel, 0.5, eta=0.1, seed=0, ledger=ledger)
         assert schedule.success
         assert schedule.betas == (0.0, 1.0)
-        assert schedule.queries == 0
+        assert ledger.total == 0
+
+    def test_schedule_without_a_ledger_is_the_charged_schedule(self, ring8):
+        # the ledger only records the cost; leaving it out leaves the search as it is
+        model, kernel = ring8
+        gap = build_transition_matrix(model, kernel).signed_gap
+        for seed in (0, 5):
+            ledger = QueryLedger()
+            charged = qsa_schedule(model, kernel, gap, eta=0.1, seed=seed, ledger=ledger)
+            bare = qsa_schedule(model, kernel, gap, eta=0.1, seed=seed)
+            assert (bare.betas, bare.overlaps, bare.l_max, bare.success) == \
+                (charged.betas, charged.overlaps, charged.l_max, charged.success)
+            assert ledger.total > 0
 
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ValueError):
-            AnnealingSchedule(betas=(0.0, 0.5), overlaps=(0.9,), success=True,
-                              l_max=3, queries=0)
+            AnnealingSchedule(betas=(0.0, 0.5), overlaps=(0.9,), success=True, l_max=3)
         with pytest.raises(ValueError):
             AnnealingSchedule(betas=(0.0, 0.6, 0.4, 1.0), overlaps=(0.9, 0.9, 0.9),
-                              success=True, l_max=5, queries=0)
+                              success=True, l_max=5)
         with pytest.raises(ValueError):
-            AnnealingSchedule(betas=(0.0, 1.0), overlaps=(0.01,), success=True,
-                              l_max=3, queries=0)
+            AnnealingSchedule(betas=(0.0, 1.0), overlaps=(0.01,), success=True, l_max=3)
 
     def test_queries_scale_inverse_sqrt_gap(self, ring8):
         # reflection cost per gate tracks 1/sqrt(signed gap) through the QPE
@@ -618,9 +629,10 @@ class TestScheduleSearch:
         gaps = [0.5, 0.25, 0.125]
         totals = []
         for g in gaps:
-            schedule = qsa_schedule(model, kernel, g, eta=0.1, seed=0)
+            ledger = QueryLedger()
+            schedule = qsa_schedule(model, kernel, g, eta=0.1, seed=0, ledger=ledger)
             assert schedule.success
-            totals.append(schedule.queries)
+            totals.append(ledger.total)
         slope = np.polyfit(np.log(gaps), np.log(np.asarray(totals, float)), 1)[0]
         assert -0.7 <= slope <= -0.3
 
@@ -710,8 +722,7 @@ class TestGeneration:
 
         monkeypatch.setattr(annealing, "ExactPhaseGate", Recorded)
         n = len(betas) - 1
-        schedule = AnnealingSchedule(betas=betas, overlaps=(0.5,) * n, success=True, l_max=n,
-                                     queries=0)
+        schedule = AnnealingSchedule(betas=betas, overlaps=(0.5,) * n, success=True, l_max=n)
         ledger = QueryLedger()
         qsa_generate(schedule, model, kernel, eps=0.1 * n, mode="exact", ledger=ledger)
         rates = [phase_gate_cost(build_transition_matrix(model.with_beta(b), kernel).signed_gap,
@@ -733,7 +744,6 @@ class TestGeneration:
 
     def test_failed_schedule_rejected(self, ring8):
         model, kernel = ring8
-        bad = AnnealingSchedule(betas=(0.0,), overlaps=(), success=False,
-                                l_max=3, queries=0)
+        bad = AnnealingSchedule(betas=(0.0,), overlaps=(), success=False, l_max=3)
         with pytest.raises(ValueError):
             qsa_generate(bad, model, kernel, eps=0.1)

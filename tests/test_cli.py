@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qmhlab.cli import main, scaling_study
+from qmhlab.annealing import QueryLedger, qsa_schedule
+from qmhlab.cli import _default_model, experiment_anneal, main, scaling_study
 from qmhlab.inference import synth_gw_instance
-from qmhlab.markov import ProposalKernel, negation_slots
+from qmhlab.markov import ProposalKernel, build_transition_matrix, negation_slots
 from qmhlab.qmci import internal_accuracy
 from qmhlab.qsim import RegisterLayout
 
@@ -133,6 +134,15 @@ class TestRunCommand:
         assert payload["success"]
         assert payload["final_fidelity"] >= 0.8
 
+    def test_schedule_queries_are_the_schedule_search_ledger_total(self, tmp_path):
+        model, kernel = _default_model()
+        for seed in (0, 3):
+            _, payload = experiment_anneal(model, kernel, str(tmp_path), seed=seed)
+            ledger = QueryLedger()
+            qsa_schedule(model, kernel, build_transition_matrix(model, kernel).signed_gap,
+                         eta=0.1, seed=seed, ledger=ledger)
+            assert payload["schedule_queries"] == ledger.total > 0
+
     def test_qmci_pipeline_experiment(self, tmp_path):
         out = tmp_path / "out"
         result = run_config(tmp_path, {
@@ -221,6 +231,30 @@ class TestRunCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.exit_code == 1
         assert f"model file {path}: " in result.output
+        assert detail in result.output
+        assert "Traceback" not in result.output
+        assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("cfg,detail", [
+        ([1], "config holds a JSON list, not an object"),
+        ({"experiment": "anneal", "seed": "x"}, "config key 'seed' must be an integer"),
+        ({"experiment": "anneal", "eps": "x"}, "config key 'eps' must be a number"),
+        ({"experiment": "verify-bounds", "seeds": 3}, "config key 'seeds' must be a list of"),
+        ({"experiment": "credible-interval", "eps": 0.3}, "need 0 < eps < alpha/2"),
+        ({"experiment": "anneal", "mode": "bogus"}, "unknown gate mode 'bogus'"),
+        ({"experiment": "credible-interval", "axis": 3}, "axis 3 is outside the"),
+        ({"experiment": ["anneal"]}, "unknown experiment ['anneal']"),
+        ({"experiment": "anneal", "model": 3}, "config key 'model' must be a string"),
+        ({"experiment": "anneal", "output_dir": 3}, "config key 'output_dir' must be a string"),
+    ], ids=["list", "seed-string", "eps-string", "seeds-int", "eps-above-alpha",
+            "bogus-mode", "axis-off-grid", "experiment-list", "model-int", "output-dir-int"])
+    def test_malformed_config_is_an_error_message(self, tmp_path, cfg, detail):
+        if isinstance(cfg, dict):
+            cfg = {"output_dir": str(tmp_path / "out"), **cfg}
+        result = run_config(tmp_path, cfg)
+        # a ClickException exits through SystemExit; an escaped error would be the exception
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
         assert detail in result.output
         assert "Traceback" not in result.output
         assert len(result.output.splitlines()) == 1

@@ -508,10 +508,10 @@ def check_ladder(model, kernel, betas):
 
 
 def count_reach_calls(monkeypatch):
-    """A list that gains one entry per irreducibility verdict markov computes."""
+    """A list that gains one entry per strong-component count markov computes."""
     calls = []
-    real = markov._irreducible
-    monkeypatch.setattr(markov, "_irreducible", lambda *a: calls.append(1) or real(*a))
+    real = markov._strong_components
+    monkeypatch.setattr(markov, "_strong_components", lambda *a: calls.append(1) or real(*a))
     return calls
 
 
@@ -561,10 +561,10 @@ class TestChainLadder:
             negation_slots((8,), kernel.moves))
         assert 0.0 < W.min() <= markov.PROB_ATOL
         assert dense_transition_reference(model, kernel)[1] == 1
-        markov._support_irreducible.cache_clear()
+        markov._support_components.cache_clear()
         calls = count_reach_calls(monkeypatch)
         assert check_ladder(model, kernel, [0.0, 0.5, 1.0])
-        # the support graph's verdict, once; then beta = 1 in the ladder and its single build
+        # the support graph's count, once; then beta = 1 in the ladder and its single build
         assert len(calls) == 3
 
     def test_support_graph_count_is_cached_per_support(self, monkeypatch):
@@ -623,7 +623,7 @@ def scipy_components(nb, live):
 
 
 class TestIrreducibility:
-    """The NumPy reaches' verdict and component count are SciPy's, on seeded random live masks."""
+    """The NumPy reaches count SciPy's strong components on seeded random live masks."""
 
     SHAPES = [(1,), (2,), (9,), (4, 5), (3, 4, 3)]     # a one-state space first
     DENSITIES = (0.1, 0.3, 0.7, 0.95, 1.0)
@@ -638,11 +638,10 @@ class TestIrreducibility:
 
     @staticmethod
     def verdict(nb, neg, live):
-        got = markov._irreducible(nb, live, neg)
+        got = markov._strong_components(nb, live, neg)
         count = scipy_components(nb, live)
-        assert got == (count == 1)
-        assert markov._strong_components(nb, live, neg) == count
-        return got
+        assert got == count
+        return got == 1
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_random_masks(self, shape):
@@ -677,7 +676,7 @@ class TestIrreducibility:
                 inflow = half[nb] & ~half[:, None]
                 for p in (0.95, 1.0):
                     assert not self.verdict(nb, neg, (rng.random(nb.shape) < p) & ~inflow)
-            assert markov._reaches_all(nb, ~(first[nb] & ~first[:, None]))
+            assert markov._reach(nb, ~(first[nb] & ~first[:, None]), 0).all()
 
 
 def diagonalizer_reference(W, pi):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmhlab import annealing, markov
+from qmhlab import annealing, markov, qmci
 from qmhlab.inference import synth_gw_instance
 from qmhlab.markov import (
     ProposalKernel,
@@ -754,31 +754,32 @@ class TestPipeline:
     @pytest.mark.parametrize("mode,eps_internal", [("emulated", None), ("faithful", 0.05),
                                                    ("emulated", 40.0)],
                              ids=["emulated", "faithful", "shortcut"])
-    def test_oracle_queries_is_the_oracle_delta(self, mode, eps_internal):
+    def test_oracle_queries_is_the_oracle_delta(self, monkeypatch, mode, eps_internal):
         space = StateSpace.regular_grid((6,))
         nll = 0.3 * (space.points[:, 0] - 2.0) ** 2
         model = TargetModel(space=space, prior=np.full(6, 1.0 / 6.0), neg_log_lik=nll)
         kernel = ProposalKernel.nearest_neighbor(space)
         oracle = LikelihoodOracle.from_nll(nll, M=16, spread=0.5, seed=0)
         oracle.charge(123)                  # spent before the pipeline, not by it
-        res = qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0, mode=mode,
-                            eps_internal=eps_internal)
+        if eps_internal is not None:
+            monkeypatch.setattr(qmci, "internal_accuracy", lambda *a: eps_internal)
+        res = qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0, mode=mode)
         single = estimation_charge(oracle, res.eps_internal, 0.1 / 4.0)
         assert (single == 0) == (eps_internal == 40.0) and res.walk_applications > 0
         assert res.oracle_queries == oracle.queries - 123 == \
             (oracle.n_states + 4 * res.walk_applications) * single
 
-    def test_queries_drop_with_smaller_sigma(self):
+    def test_queries_drop_with_smaller_sigma(self, monkeypatch):
         space = StateSpace.regular_grid((6,))
         nll = 0.3 * (space.points[:, 0] - 2.0) ** 2
         model = TargetModel(space=space, prior=np.full(6, 1.0 / 6.0),
                             neg_log_lik=nll - nll.min())
         kernel = ProposalKernel.nearest_neighbor(space)
+        monkeypatch.setattr(qmci, "internal_accuracy", lambda *a: 0.01)
         totals = []
         for spread in (1.0, 0.25):
             oracle = LikelihoodOracle.from_nll(model.neg_log_lik, M=32,
                                                spread=spread, seed=1)
-            res = qsa_with_qmci(oracle, model, kernel, eps=0.2, delta=0.1,
-                                seed=1, eps_internal=0.01)
+            res = qsa_with_qmci(oracle, model, kernel, eps=0.2, delta=0.1, seed=1)
             totals.append(res.oracle_queries)
         assert totals[1] < totals[0]

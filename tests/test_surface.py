@@ -3,15 +3,19 @@
 A module-level function or class, or a public method, of ``src/qmhlab`` must be
 named somewhere in ``src/qmhlab`` or ``perfbench`` outside its own definition,
 as a name, an attribute or an import alias.  A field of a library dataclass
-must be read as an attribute there.  Tests do not count as callers or readers,
-so code and fields only tests reach must be listed in KEPT with the reason
-they stay.  The README's `src/` line count, which the roadmap tracks, matches
+must be read as an attribute there.  A parameter with a default must be passed,
+positionally or by keyword, by some call there; a call of a class passes its
+__init__'s, and the config keys cli.RUNNERS lists count as passed to their
+runner.  Tests do not count as callers or readers, so code, fields and knobs
+only tests reach must be listed in KEPT with the reason they stay.  The README's `src/` line count, which the roadmap tracks, matches
 the sources, and no module of the library imports SciPy.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from qmhlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "qmhlab").glob("*.py"))
@@ -28,6 +32,8 @@ KEPT = {
     "ProposalKernel.matrix": "dense proposal T, the reference the neighbour tables are checked against",
     "QpePhaseGate.error_bound": "certified distance of the QPE gate to the ideal phase gate",
     "decode_distribution": "reads the distribution off a prepared state, for the credible bound",
+    "synth_gw_instance(noiseless)": "data equal to the injected signal, so L is minimised at the "
+                                    "injection (test_injected_norm_matches_rho)",
 }
 
 
@@ -86,17 +92,69 @@ def unreferenced():
     return dead
 
 
+def _defaulted_parameters(body, prefix="", method=False):
+    """(qualified function name, positional index or None, parameter) of each parameter
+    with a default; a method's index skips self or cls, as a call through the instance does."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _defaulted_parameters(node.body, f"{prefix}{node.name}.", True)
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = int(method and not any(getattr(d, "id", None) == "staticmethod"
+                                          for d in node.decorator_list))
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                yield prefix + node.name, i - skip, positional[i].arg
+            for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield prefix + node.name, None, param.arg
+            yield from _defaulted_parameters(node.body, f"{prefix}{node.name}.")
+
+
+def _passes(call, index, param):
+    """Whether call passes the parameter; a * or ** argument passes whatever it could."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_parameters():
+    calls = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    configured = {(runner.__name__, key) for runner, keys in cli.RUNNERS.values() for key in keys}
+    unpassed = []
+    for path in LIBRARY:
+        for qualname, index, param in _defaulted_parameters(ast.parse(path.read_text()).body):
+            *outer, name = qualname.split(".")
+            callee = outer[-1] if name == "__init__" else name
+            if (name, param) not in configured and not any(
+                    _passes(call, index, param) for call in calls.get(callee, [])):
+                unpassed.append(f"{path.stem}.{qualname}({param})")
+    return unpassed
+
+
 def test_every_definition_has_a_caller_or_a_reason():
     dead = unreferenced()
     unkept = [d for d in dead if d.split(".", 1)[1] not in KEPT]
     assert not unkept, f"no caller in src/qmhlab or perfbench: {unkept}"
-    stale = set(KEPT) - {d.split(".", 1)[1] for d in dead + unread_fields()}
+    stale = set(KEPT) - {d.split(".", 1)[1]
+                         for d in dead + unread_fields() + unpassed_parameters()}
     assert not stale, f"KEPT lists names that are gone or now used: {stale}"
 
 
 def test_every_dataclass_field_is_read_or_kept():
     unkept = [f for f in unread_fields() if f.split(".", 1)[1] not in KEPT]
     assert not unkept, f"field read nowhere in src/qmhlab or perfbench: {unkept}"
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    unkept = [p for p in unpassed_parameters() if p.split(".", 1)[1] not in KEPT]
+    assert not unkept, f"parameter no call in src/qmhlab or perfbench passes: {unkept}"
 
 
 def test_readme_states_src_line_count():
