@@ -3,7 +3,7 @@
 Pieces: phase gates about a marked state (exact, and QPE-synthesized on a
 chain's walk operator from its eigendecomposition), pi/3 amplitude
 amplification, nondestructive overlap estimation, and the temperature-schedule
-search with staged state generation.
+search with staged state generation, assembled by prepare alone.
 All quantum measurements are simulated by sampling from exactly computed
 outcome distributions: phase estimation's is the closed-form Fejer law, so no
 circuit or FFT is simulated.  Walk-operator applications are charged to a ledger.
@@ -412,3 +412,18 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
         if norm > 0:
             state = state / norm
     return state
+
+
+def prepare(model: TargetModel, kernel: ProposalKernel, eps: float, delta: float, seed: int,
+            gate_mode: str = "exact", ledger: QueryLedger | None = None
+            ) -> tuple[AnnealingSchedule, np.ndarray | None]:
+    """Schedule search at failure weight delta / 2, priced at the beta = 1 chain's signed
+    gap, then generation to accuracy min(0.1, eps / 2): every preparation's one budget rule.
+
+    A failed search leaves state None, and the ledger only its "schedule" charge.
+    """
+    gap = build_transition_matrix(model, kernel).signed_gap
+    schedule = qsa_schedule(model, kernel, gap, eta=delta / 2.0, seed=seed, ledger=ledger)
+    state = qsa_generate(schedule, model, kernel, eps=min(0.1, eps / 2.0), mode=gate_mode,
+                         ledger=ledger) if schedule.success else None
+    return schedule, state

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import annealing
-from .annealing import QueryLedger, qsa_generate, qsa_schedule
-from .markov import (ProposalKernel, TargetModel, acceptance_matrix, build_transition_matrix,
-                     chain_ladder, tv_distance)
+from .annealing import QueryLedger
+from .markov import ProposalKernel, TargetModel, acceptance_matrix, chain_ladder, tv_distance
 from .qsim import RegisterLayout, WalkOperator
 
 FAITHFUL_MAX_TERMS = 16
@@ -74,8 +73,8 @@ class LikelihoodOracle:
         if not (isinstance(table, np.ndarray) and table.dtype == float
                 and table.flags.owndata and not table.flags.writeable):
             table = np.array(table, float)
-        if table.ndim != 2:
-            raise ValueError("table must be (M, n_states)")
+        if table.ndim != 2 or len(table) < 1:
+            raise ValueError(f"table must be (M, n_states) with M >= 1 terms, not {table.shape}")
         self.table = table
         self._mean = self.table.mean(axis=0)
         self.table.flags.writeable = self._mean.flags.writeable = False
@@ -101,6 +100,8 @@ class LikelihoodOracle:
     @classmethod
     def from_nll(cls, L, M: int, spread: float, seed: int) -> "LikelihoodOracle":
         """Synthetic oracle: M terms per state with mean L(x) and given spread."""
+        if M < 1:
+            raise ValueError(f"an oracle needs M >= 1 terms, not M = {M}")
         L = np.asarray(L, float)
         noise = np.random.default_rng(seed).normal(0.0, spread, size=(M, len(L)))
         noise -= noise.mean(axis=0)
@@ -310,23 +311,19 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
                   mode: str = "emulated", gate_mode: str = "exact") -> PipelineResult:
     """End-to-end annealed preparation of the QMCI-perturbed posterior.
 
-    Estimates the likelihood table at the internal accuracy, anneals the
-    perturbed model, and reports the realized TV(P~, P) along with measured
-    walk-operator and oracle-query totals.
+    Estimates the likelihood table at the internal accuracy, prepares the
+    perturbed model's posterior by annealing.prepare, and reports the realized
+    TV(P~, P) along with measured walk-operator and oracle-query totals.
     """
     eps_in = internal_accuracy(model, kernel, eps)
     queries_before = oracle.queries
     nll, _ = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
     model_pert = model.with_neg_log_lik(nll)
-
-    chain_pert = build_transition_matrix(model_pert, kernel)
     ledger = QueryLedger()
-    schedule = qsa_schedule(model_pert, kernel, chain_pert.signed_gap,
-                            eta=delta / 2.0, seed=seed, ledger=ledger)
-    if not schedule.success:
+    schedule, state = annealing.prepare(model_pert, kernel, eps, delta, seed,
+                                        gate_mode=gate_mode, ledger=ledger)
+    if state is None:
         raise RuntimeError("temperature schedule search failed")
-    state = qsa_generate(schedule, model_pert, kernel, eps=min(0.1, eps / 2.0),
-                         mode=gate_mode, ledger=ledger)
 
     # each walk-operator application spends one acceptance evaluation: two
     # mean estimations and their uncomputation

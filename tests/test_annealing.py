@@ -1,7 +1,10 @@
-"""Phase gates, pi/3 amplification, overlap estimation, and schedule search."""
+"""Phase gates, pi/3 amplification, overlap estimation, schedule search, and the
+one preparation that assembles them."""
 
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from qmhlab.annealing import (
     nae_overlap,
     phase_gate_cost,
     pi3_amplify,
+    prepare,
     pi3_overlap_bound,
     qpe_ancilla_count,
     qsa_generate,
@@ -747,3 +751,59 @@ class TestGeneration:
         bad = AnnealingSchedule(betas=(0.0,), overlaps=(), success=False, l_max=3)
         with pytest.raises(ValueError):
             qsa_generate(bad, model, kernel, eps=0.1)
+
+
+class TestPrepare:
+    @pytest.mark.parametrize("eps,gate_mode", [(0.1, "exact"), (0.3, "exact"), (0.1, "qpe")])
+    def test_one_budget_rule(self, ring8, eps, gate_mode):
+        # the search at eta = delta / 2, priced at the beta = 1 chain's signed gap, and
+        # generation at min(0.1, eps / 2): the assembly qsa_with_qmci made by hand
+        model, kernel = ring8
+        delta, seed = 0.2, 3
+        ledger, by_hand = QueryLedger(), QueryLedger()
+        schedule, state = prepare(model, kernel, eps, delta, seed, gate_mode=gate_mode,
+                                  ledger=ledger)
+        gap = build_transition_matrix(model, kernel).signed_gap
+        expected = qsa_schedule(model, kernel, gap, eta=delta / 2.0, seed=seed, ledger=by_hand)
+        assert schedule == expected and schedule.success
+        assert np.array_equal(state, qsa_generate(expected, model, kernel, min(0.1, eps / 2.0),
+                                                  mode=gate_mode, ledger=by_hand))
+        assert ledger.by_tag == by_hand.by_tag and set(ledger.by_tag) == {"schedule", "generate"}
+
+    def test_failed_search_leaves_no_state_and_only_its_charge(self, ring8, monkeypatch, tmp_path):
+        # the chains this lab admits pass the search, so every overlap is reported as 0
+        model, kernel = ring8
+        nae = annealing.nae_overlap
+
+        def no_overlap(*args, **kwargs):
+            nae(*args, **kwargs)                # charged as the real estimate is
+            return 0.0
+
+        monkeypatch.setattr(annealing, "nae_overlap", no_overlap)
+        ledger = QueryLedger()
+        schedule, state = prepare(model, kernel, 0.1, 0.2, 0, ledger=ledger)
+        assert state is None and not schedule.success
+        assert set(ledger.by_tag) == {"schedule"} and ledger.total > 0
+        oracle = LikelihoodOracle.from_nll(model.neg_log_lik, M=16, spread=0.5, seed=0)
+        with pytest.raises(RuntimeError, match="schedule search failed"):
+            qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0)
+        passed, payload = cli.experiment_anneal(model, kernel, str(tmp_path))
+        assert not passed and not payload["success"] and "total_queries" not in payload
+        assert payload["schedule_queries"] == ledger.total
+
+
+class TestOnePreparationAssembly:
+    """annealing.prepare is the library's only chain -> schedule -> generation assembly:
+    no other function of src/qmhlab calls the schedule search or generation."""
+
+    def test_search_and_generation_are_called_from_prepare_alone(self):
+        callers = []
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qmhlab").glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    callee = isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", None))
+                    if callee in ("qsa_schedule", "qsa_generate"):
+                        callers.append((path.stem, getattr(top, "name", None), callee))
+        assert sorted(callers) == [("annealing", "prepare", "qsa_generate"),
+                                   ("annealing", "prepare", "qsa_schedule")]

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qmhlab.annealing import QueryLedger, qsa_schedule
-from qmhlab.cli import _default_model, experiment_anneal, main, scaling_study
-from qmhlab.inference import synth_gw_instance
+from qmhlab.annealing import QueryLedger, prepare, qsa_schedule
+from qmhlab.cli import CI_ALPHA, CI_EPS, _default_model, experiment_anneal, main, scaling_study
+from qmhlab.inference import (CredibleQuery, PosteriorHandle, credible_bound_search,
+                              synth_gw_instance)
 from qmhlab.markov import ProposalKernel, build_transition_matrix, negation_slots
 from qmhlab.qmci import internal_accuracy
 from qmhlab.qsim import RegisterLayout
@@ -246,8 +247,16 @@ class TestRunCommand:
         ({"experiment": ["anneal"]}, "unknown experiment ['anneal']"),
         ({"experiment": "anneal", "model": 3}, "config key 'model' must be a string"),
         ({"experiment": "anneal", "output_dir": 3}, "config key 'output_dir' must be a string"),
+        ({"experiment": "gw-scaling", "M_values": []},
+         "config key 'M_values' must be a list of one or more integers, not []"),
+        ({"experiment": "gw-scaling", "methods": []},
+         "config key 'methods' must be a list of one or more strings, not []"),
+        ({"experiment": "verify-bounds", "seeds": []},
+         "config key 'seeds' must be a list of one or more integers, not []"),
+        ({"experiment": "qmci-pipeline", "M": 0}, "an oracle needs M >= 1 terms, not M = 0"),
     ], ids=["list", "seed-string", "eps-string", "seeds-int", "eps-above-alpha",
-            "bogus-mode", "axis-off-grid", "experiment-list", "model-int", "output-dir-int"])
+            "bogus-mode", "axis-off-grid", "experiment-list", "model-int", "output-dir-int",
+            "M-values-empty", "methods-empty", "seeds-empty", "M-zero"])
     def test_malformed_config_is_an_error_message(self, tmp_path, cfg, detail):
         if isinstance(cfg, dict):
             cfg = {"output_dir": str(tmp_path / "out"), **cfg}
@@ -258,6 +267,15 @@ class TestRunCommand:
         assert detail in result.output
         assert "Traceback" not in result.output
         assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_m_zero_fails_before_any_warning(self, tmp_path):
+        # M = 0 once reached the oracle's table mean: NumPy's "Mean of empty slice",
+        # then a NaN conversion error that named neither M nor the oracle
+        result = run_config(tmp_path, {"experiment": "qmci-pipeline", "M": 0,
+                                       "output_dir": str(tmp_path / "out")})
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.output == "Error: qmci-pipeline: an oracle needs M >= 1 terms, not M = 0\n"
 
     @pytest.mark.parametrize("command", [["run"], ["scaling", "--config"]], ids=["run", "scaling"])
     def test_directory_config_is_a_usage_error(self, tmp_path, command):
@@ -327,3 +345,18 @@ class TestScalingCommand:
             rows = list(csv.DictReader(fh))
         assert [float(row["eps_internal"]) for row in rows] == \
             [r["eps_internal"] for r in payload["records"]]
+
+    def test_exact_qsa_is_priced_at_m_times_the_preparation(self, tmp_path):
+        # exact QSA prepares as the proposed method does (annealing.prepare at the
+        # study's eps and delta) and pays M queries per walk application
+        eps, delta = 0.1, 0.2
+        payload = scaling_study(str(tmp_path), M_values=(64, 128), methods=("exact-qsa",),
+                                eps=eps, delta=delta, seeds=(0, 1))
+        query = CredibleQuery(axis=0, alpha=CI_ALPHA, eps=CI_EPS, delta=delta)
+        for r in payload["records"]:
+            inst = synth_gw_instance(0.1, 0.0, r["M"], 2.0, r["seed"])
+            ledger = QueryLedger()
+            prepare(inst.model, ProposalKernel.nearest_neighbor(inst.space), eps, delta,
+                    r["seed"], ledger=ledger)
+            handle = PosteriorHandle(inst.model.distribution(), inst.space, r["M"] * ledger.total)
+            assert r["queries"] == credible_bound_search(query, handle, r["seed"]).queries > 0

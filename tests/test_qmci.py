@@ -211,6 +211,15 @@ class TestLikelihoodOracle:
         np.testing.assert_allclose(oracle.mean_table(), L, atol=1e-12)
         assert oracle.sigma >= float(oracle.table.std(axis=0, ddof=0).max())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_no_terms_is_rejected_before_any_draw(self, M):
+        # an empty table's mean is NumPy's "Mean of empty slice" warning and a NaN
+        with pytest.raises(ValueError, match=f"M >= 1 terms, not M = {M}"):
+            LikelihoodOracle.from_nll(np.zeros(4), M=M, spread=0.5, seed=0)
+        with pytest.raises(ValueError, match=r"M >= 1 terms, not \(0, 4\)"):
+            LikelihoodOracle(np.zeros((0, 4)), sigma=1.0)
+
     def test_table_is_read_only_and_caller_array_stays_writable(self):
         table = np.random.default_rng(1).uniform(0.0, 4.0, size=(6, 3))
         oracle = LikelihoodOracle(table, sigma=4.0)
