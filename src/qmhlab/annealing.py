@@ -101,34 +101,44 @@ def _qpe_outcome_law(phase, t: int, k: np.ndarray) -> np.ndarray:
         return np.where(s == 0.0, 1.0, (np.sin(N * x) / (N * s)) ** 2)
 
 
-def _qpe_outcome_distributions(phase: float, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized t-ancilla phase-estimation outcome distributions at +phase and -phase.
+def _qpe_outcome_distributions(phase, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized t-ancilla phase-estimation outcome distributions at +phase and -phase,
+    outcomes on the last axis (one row per phase of an array).
 
     The -phase one is the +phase one mirrored: minus[k] = plus[-k mod 2^t].
     """
     plus = _qpe_outcome_law(phase, t, np.arange(2**t))
-    plus /= plus.sum()
-    return plus, np.roll(plus[::-1], 1)
+    plus /= plus.sum(axis=-1, keepdims=True)
+    return plus, np.roll(plus[..., ::-1], 1, axis=-1)
 
 
-def sample_folded_outcomes(theta: float, t: int, runs: int, rng: np.random.Generator):
+def sample_folded_outcomes(theta, t: int, runs: int, rng):
     """Outcomes m = min(k, 2^t - k), estimating theta as pi m / 2^t, of `runs` runs.
 
     A run is t-ancilla phase estimation on an even mix of the two-reflection
     rotation's eigenvectors (eigenphases +-2 theta).  It spends two uniforms: the
     first picks the eigenvector, the second the outcome k by inverse CDF, as
     ``rng.choice(2**t, p=dist)`` does.  Also returned: a function that builds
-    the one-run CDF of m, P(m <= j) for j = 0..2^(t-1).
+    the one-run CDF of m, P(m <= j) for j = 0..2^(t-1).  An array of angles
+    takes a sequence of generators, one per angle, which draws that angle's
+    runs as a lone call would; m and the CDF then lead with theta's axes.
     """
     N = 2**t
-    laws = _qpe_outcome_distributions(2.0 * theta, t)
-    plus, minus = (np.cumsum(d) for d in laws)
-    u = rng.random((runs, 2))
-    k = np.where(u[:, 0] < 0.5, (plus / plus[-1]).searchsorted(u[:, 1], side="right"),
-                 (minus / minus[-1]).searchsorted(u[:, 1], side="right"))
+    law, minus = _qpe_outcome_distributions(2.0 * np.asarray(theta, float), t)
+    plus, minus = (np.cumsum(d, axis=-1).reshape(-1, N) for d in (law, minus))
+    gens = [rng] if np.ndim(theta) == 0 else list(rng)
+    if len(gens) != len(plus):
+        raise ValueError(f"{len(plus)} angles need as many generators, not {len(gens)}")
+    k = np.empty((len(plus), runs), int)
+    for i, gen in enumerate(gens):
+        u = gen.random((runs, 2))
+        k[i] = np.where(u[:, 0] < 0.5, (plus[i] / plus[i, -1]).searchsorted(u[:, 1], side="right"),
+                        (minus[i] / minus[i, -1]).searchsorted(u[:, 1], side="right"))
+    k = k.reshape(np.shape(theta) + (runs,))
     # either eigenvector gives m the same law; outcome N - j folds onto j
-    return np.minimum(k, N - k), lambda: np.cumsum(
-        laws[0][:N // 2 + 1] + np.concatenate([[0.0], laws[0][:N // 2:-1], [0.0]]))
+    edge = np.zeros(law.shape[:-1] + (1,))
+    return np.minimum(k, N - k), lambda: np.cumsum(law[..., :N // 2 + 1] + np.concatenate(
+        [edge, law[..., :N // 2:-1], edge], axis=-1), axis=-1)
 
 
 def sample_half_angles(theta: float, eps: float, delta: float,

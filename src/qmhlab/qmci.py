@@ -1,15 +1,18 @@
 """Quantum Monte Carlo mean estimation of the negative log-likelihood.
 
 A LikelihoodOracle holds the term table ell(i, x) whose per-state mean
-L_sum(x) feeds the MH target.  qmci_mean estimates that mean either by a
-faithful amplitude-estimation simulation (small M) or by an emulated
-deterministic perturbation with the same accuracy contract and query
-accounting.  The faithful mode draws its runs from annealing's
-amplitude-estimation sampler, as overlap and CDF estimation do, and reports
-the median run's estimate; its bad-branch mass is two binomial tails at the
-sampler's one-run CDF.  On top sit the approximate acceptance table, the
-approximate walk operator (exactly the walk operator of the perturbed chain),
-and the full annealing pipeline with oracle-query totals.
+L_sum(x) feeds the MH target.  qmci_mean estimates that mean, at one state or
+over a whole table in one array pass with one charge, either by a faithful
+amplitude-estimation simulation (small M) or by an emulated deterministic
+perturbation with the same accuracy contract and query accounting.  The
+faithful mode draws each state's runs from annealing's amplitude-estimation
+sampler, as overlap and CDF estimation do, and reports the median run's
+estimate; its bad-branch mass is two binomial tails at the sampler's one-run
+CDF.  A faithful table is simulated a chunk of states at a time, grouped by
+ancilla count, so that its (state, outcome) arrays stay within _CHUNK_BYTES.
+On top sit the approximate acceptance table, the approximate walk operator
+(exactly the walk operator of the perturbed chain), and the full annealing
+pipeline with oracle-query totals.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .markov import ProposalKernel, TargetModel, acceptance_matrix, chain_ladder
 from .qsim import RegisterLayout, WalkOperator
 
 FAITHFUL_MAX_TERMS = 16
+_CHUNK_BYTES = 2**21         # bytes per (state, outcome) array of a faithful chunk
 
 
 def _truncate(v, a: int):
@@ -51,7 +55,7 @@ def query_charge(sigma: float, eps: float, delta: float) -> int:
 
 
 def estimation_charge(oracle: LikelihoodOracle, eps: float, delta: float) -> int:
-    """Queries one qmci_mean call on oracle charges at (eps, delta).
+    """Queries the mean estimation of one state charges at (eps, delta).
 
     Zero when eps >= 4 sigma: the accuracy is coarser than the spread and the
     classical shortcut answers; otherwise query_charge, which is at least 1.
@@ -112,24 +116,34 @@ class LikelihoodOracle:
 
 @dataclass(frozen=True)
 class QmciResult:
-    estimate: float
+    """One estimation's result; over an array of states, estimate, success and
+    residual are arrays over those states and queries is their total."""
+    estimate: float | np.ndarray
     queries: int
-    success: bool
-    residual: float      # bad-branch probability mass (faithful mode)
+    success: bool | np.ndarray
+    residual: float | np.ndarray      # bad-branch probability mass (faithful mode)
 
 
-def _binomial_sf(k: int, n: int, p: float) -> float:
-    """P(X > k) for X ~ Binomial(n, p), summed term by term: the terms run outward
-    from the mode, taken as 1, by their ratios and are divided by their sum, so
-    nothing over- or underflows at large n and a tiny tail keeps its digits."""
-    if not 0.0 < p < 1.0:
-        return float(p >= 1.0 and k < n)
-    ratio = (n - np.arange(n)) / np.arange(1, n + 1) * (p / (1.0 - p))   # term j+1 over term j
-    mode = min(int((n + 1) * p), n)
-    terms = np.ones(n + 1)
-    terms[mode + 1:] = np.cumprod(ratio[mode:])
-    terms[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
-    return float(terms[k + 1:].sum() / terms.sum())
+def _binomial_sf(k: int, n: int, p):
+    """P(X > k) for X ~ Binomial(n, p), at p or at each p of an array, summed term
+    by term: the terms run outward from the mode, taken as 1, by their ratios and
+    are divided by their sum, so nothing over- or underflows at large n and a
+    tiny tail keeps its digits.  Each p takes an (n + 1)-term row."""
+    p = np.asarray(p, float)
+    col = p.reshape(-1, 1)
+    inside = (0.0 < col) & (col < 1.0)
+    q = np.where(inside, col, 0.5)
+    ratio = (n - np.arange(n)) / np.arange(1, n + 1) * (q / (1.0 - q))   # term j+1 over term j
+    j, mode = np.arange(n), np.minimum(((n + 1) * q).astype(int), n)
+    # 1 outside each run, so the products start at the mode as a lone p's would
+    up = np.cumprod(np.where(j >= mode, ratio, 1.0), axis=1)           # terms mode+1..n
+    down = np.divide(1.0, ratio, out=np.ones_like(ratio), where=j < mode)
+    down = np.cumprod(down[:, ::-1], axis=1)[:, ::-1]                  # terms 0..mode-1
+    one = np.ones_like(q)
+    terms = np.hstack([down, one]) * np.hstack([one, up])
+    tail = np.where(inside, terms[:, k + 1:].sum(axis=1, keepdims=True)
+                    / terms.sum(axis=1, keepdims=True), (col >= 1.0) & (k < n))
+    return tail.reshape(p.shape)[()]
 
 
 def _check_request(eps: float, delta: float, mode: str) -> None:
@@ -161,71 +175,90 @@ def _emulated_means(oracle: LikelihoodOracle, states: list[int] | np.ndarray, ep
     return np.where(np.abs(est - truth) > eps, truncated, est)
 
 
-def qmci_mean(oracle: LikelihoodOracle, x: int, eps: float, delta: float,
+def qmci_mean(oracle: LikelihoodOracle, x, eps: float, delta: float,
               mode: str, seed: int) -> QmciResult:
-    """Estimate L_sum(x) to accuracy eps with failure weight delta.
+    """Estimate L_sum(x) to accuracy eps with failure weight delta, at a state x
+    or at each state of a 1-D index array x, in one pass with one charge.
 
     Both modes round the raw estimate at bit b = floor(log2 eps) with
     internal accuracy eps' = 2^(b-1) and budget delta' = delta/4, and charge
-    the same query count.  Emulated mode is deterministic per (x, seed).
+    the same query count per state.  Emulated mode is deterministic per
+    (x, seed); faithful mode draws state x's runs from default_rng([seed, x]),
+    so a state's result does not depend on the other states of the call.
     """
     _check_request(eps, delta, mode)
-    if not 0 <= x < oracle.n_states:
+    states = np.atleast_1d(x)
+    if np.any((states < 0) | (states >= oracle.n_states)):
         raise ValueError(f"state index {x} outside 0..{oracle.n_states - 1}")
     charge = estimation_charge(oracle, eps, delta)
-    if mode == "emulated" or charge == 0:
-        oracle.charge(charge)
-        est = _emulated_means(oracle, [x], eps, seed, shortcut=charge == 0)
-        return QmciResult(float(est[0]), charge, True, 0.0)
-    if oracle.M > FAITHFUL_MAX_TERMS:
+    faithful = mode == "faithful" and charge > 0
+    if faithful and oracle.M > FAITHFUL_MAX_TERMS:
         raise ValueError(f"faithful mode limited to M <= {FAITHFUL_MAX_TERMS}")
-    oracle.charge(charge)
+    oracle.charge(len(states) * charge)
+    est, success, residual = (_faithful_means(oracle, states, eps, delta, seed) if faithful else
+                              (_emulated_means(oracle, states, eps, seed, shortcut=charge == 0),
+                               np.ones(len(states), bool), np.zeros(len(states))))
+    if np.ndim(x) == 0:
+        return QmciResult(float(est[0]), charge, bool(success[0]), float(residual[0]))
+    return QmciResult(est, len(states) * charge, success, residual)
 
-    truth = float(oracle.mean_table()[x])
+
+def _faithful_means(oracle: LikelihoodOracle, states: np.ndarray, eps: float, delta: float,
+                    seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Faithful estimates of L_sum at states, their success flags and bad-branch masses.
+
+    A constant column is its truncated mean.  Every other state runs amplitude
+    estimation over its column's range [lo, hi] with t ancillas, enough to
+    resolve eps' there and at most 16; the states of one t are simulated
+    together, as many per chunk as keep a (state, outcome) array within
+    _CHUNK_BYTES.
+    """
+    truth = oracle.mean_table()[states]
+    lo, hi = oracle.table[:, states].min(axis=0), oracle.table[:, states].max(axis=0)
     b = int(np.floor(np.log2(eps)))
-    lo, hi = float(oracle.table[:, x].min()), float(oracle.table[:, x].max())
-    if hi - lo < 1e-15:
-        return QmciResult(float(_truncate(truth, b)), charge, True, 0.0)
-    theta = float(np.arcsin(np.sqrt(np.clip((truth - lo) / (hi - lo), 0.0, 1.0))))
-    eps_norm = 2.0 ** (b - 1) / (hi - lo)
-    t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
+    est, success, residual = _truncate(truth, b), np.ones(len(states), bool), np.zeros(len(states))
+    live = np.flatnonzero(~(hi - lo < 1e-15))
+    span = hi[live] - lo[live]
+    theta = np.arcsin(np.sqrt(np.clip((truth[live] - lo[live]) / span, 0.0, 1.0)))
+    eps_norm = 2.0 ** (b - 1) / span
+    ts = np.minimum(np.ceil(np.log2(2.0 * np.pi / np.minimum(eps_norm, 0.5))).astype(int) + 2, 16)
     runs = int(np.ceil(12.0 * np.log(1.0 / (delta / 4.0)))) | 1     # odd: one run is the median
-    m, cdf = annealing.sample_folded_outcomes(theta, t, runs, np.random.default_rng([seed, x]))
-    median = int(np.median(m))
-    # outcome m estimates sin^2(pi m / 2^t); the estimates rise with m, so the
-    # good outcomes form one range [g0, g1] (empty when t = 16 cannot resolve eps)
-    values = np.round(np.sin(np.pi * np.arange(2 ** (t - 1) + 1) / 2**t) ** 2, 15)
-    est = _truncate(lo + values * (hi - lo), b)
-    good = np.flatnonzero(np.abs(est - truth) <= eps)
-    g0, g1 = (good[0], good[-1]) if good.size else (len(est), len(est) - 1)
-    # the median misses [g0, g1] when over half the runs land below g0, or above g1
-    below, h = np.append(0.0, cdf()), runs // 2           # below[j] = P(m < j)
-    residual = _binomial_sf(h, runs, below[g0]) + _binomial_sf(h, runs, 1.0 - below[g1 + 1])
-    return QmciResult(float(est[median]), charge, bool(g0 <= median <= g1), residual)
+    for t in np.unique(ts):
+        # outcome m estimates sin^2(pi m / 2^t); the estimates rise with m, so the
+        # good outcomes form one range [g0, g1] (empty when t = 16 cannot resolve eps)
+        values = np.round(np.sin(np.pi * np.arange(2 ** (t - 1) + 1) / 2**t) ** 2, 15)
+        group = np.flatnonzero(ts == t)
+        per_chunk = max(1, _CHUNK_BYTES // (8 * max(2**t, runs + 1)))
+        for rows in np.split(group, range(per_chunk, len(group), per_chunk)):
+            at, row = live[rows], np.arange(len(rows))
+            m, cdf = annealing.sample_folded_outcomes(
+                theta[rows], t, runs, [np.random.default_rng([seed, x]) for x in states[at]])
+            median = np.median(m, axis=-1).astype(int)
+            values_at = _truncate(lo[at, None] + values * span[rows, None], b)
+            good = np.abs(values_at - truth[at, None]) <= eps
+            g0 = np.where(good.any(axis=1), good.argmax(axis=1), len(values))
+            g1 = len(values) - 1 - good[:, ::-1].argmax(axis=1)      # len - 1 when empty
+            # the median misses [g0, g1] when over half the runs land below g0, or above g1
+            below = np.hstack([np.zeros((len(rows), 1)), cdf()])     # below[:, j] = P(m < j)
+            est[at] = values_at[row, median]
+            success[at] = (g0 <= median) & (median <= g1)
+            residual[at] = (_binomial_sf(runs // 2, runs, below[row, g0])
+                            + _binomial_sf(runs // 2, runs, 1.0 - below[row, g1 + 1]))
+    return est, success, residual
 
 
 def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
                  mode: str, seed: int) -> tuple[np.ndarray, float]:
     """Perturbed negative log-likelihood table L~, clipped at zero, and its largest residual.
 
-    Emulated mode, and the classical shortcut of either mode, estimate the
-    whole table in one array pass and charge it once, n_states single-call
-    charges; emulated L~ is a fixed deterministic function, so the perturbed
-    chain is well-defined.  Faithful mode runs one qmci_mean per state.  The
-    residual is the largest bad-branch mass of those estimations (0 unless
-    faithful).
+    One qmci_mean call over every state: in either mode the whole table is
+    estimated in one array pass and charged once, n_states single-call
+    charges.  Emulated L~ is a fixed deterministic function, so the perturbed
+    chain is well-defined.  The residual is the largest bad-branch mass of the
+    estimations (0 unless faithful).
     """
-    _check_request(eps, delta, mode)
-    charge = estimation_charge(oracle, eps, delta)
-    if mode == "emulated" or charge == 0:
-        oracle.charge(oracle.n_states * charge)
-        est = _emulated_means(oracle, np.arange(oracle.n_states), eps, seed, shortcut=charge == 0)
-        residual = 0.0
-    else:
-        results = [qmci_mean(oracle, x, eps, delta, mode, seed) for x in range(oracle.n_states)]
-        est = np.array([r.estimate for r in results])
-        residual = max(r.residual for r in results)
-    return np.maximum(0.0, est + oracle.ell0 + oracle.const), residual
+    res = qmci_mean(oracle, np.arange(oracle.n_states), eps, delta, mode, seed)
+    return np.maximum(0.0, res.estimate + oracle.ell0 + oracle.const), float(res.residual.max())
 
 
 def _estimate_and_charge(oracle: LikelihoodOracle, kernel: ProposalKernel, eps: float,

@@ -158,8 +158,7 @@ class WalkOperator:
         return self._signs * self.core(X)
 
 
-def build_core(model: TargetModel, kernel: ProposalKernel,
-               layout: RegisterLayout) -> np.ndarray:
+def build_core(model: TargetModel, layout: RegisterLayout) -> np.ndarray:
     """Dense G, a test oracle: Hermitian involution whose reference block conjugates W."""
     return WalkOperator(model, layout).core(np.eye(layout.total_dim, dtype=complex))
 

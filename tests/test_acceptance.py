@@ -90,7 +90,7 @@ def test_criterion_02_core_operator_identities():
     for model, kernel in instances:
         chain = build_transition_matrix(model, kernel)
         layout = RegisterLayout.for_kernel(kernel)
-        G = build_core(model, kernel, layout)
+        G = build_core(model, layout)
         ref = layout.reference_indices()
         block_err = float(np.max(np.abs(G[np.ix_(ref, ref)] - symmetrized_transition(chain))))
         SF = build_S(layout) @ build_F(layout)

@@ -536,6 +536,23 @@ def test_half_angles_are_the_body_before_the_sampler():
         assert gen.random() == ref_gen.random()        # the same uniforms spent
 
 
+def test_stacked_angles_draw_as_lone_calls():
+    # one generator per angle: each row of m, and of the one-run CDF, is that angle's lone call
+    rng = np.random.default_rng(17)
+    for t in (1, 4, 9, 12):
+        thetas = np.append(rng.uniform(0.0, np.pi / 2, 5), [0.0, np.pi / 2])
+        m, cdf = annealing.sample_folded_outcomes(
+            thetas, t, 45, [np.random.default_rng([3, i]) for i in range(len(thetas))])
+        cdfs = cdf()
+        assert m.shape == (len(thetas), 45) and cdfs.shape == (len(thetas), 2 ** (t - 1) + 1)
+        for i, theta in enumerate(thetas):
+            lone_m, lone_cdf = annealing.sample_folded_outcomes(float(theta), t, 45,
+                                                                np.random.default_rng([3, i]))
+            assert np.array_equal(m[i], lone_m) and np.array_equal(cdfs[i], lone_cdf())
+    with pytest.raises(ValueError, match="2 angles need as many generators, not 1"):
+        annealing.sample_folded_outcomes(np.zeros(2), 3, 5, [np.random.default_rng(0)])
+
+
 class TestNaeOverlap:
     def test_matches_per_run_reference(self):
         rng = np.random.default_rng(7)

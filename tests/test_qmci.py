@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,6 +138,72 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     j = int(rng.choice(len(values), p=med_pmf))
     return (QmciResult(float(est_values[j]), charge, bool(good[j]), residual),
             (est_values, med_pmf, good))
+
+
+# The per-state faithful estimator as it was before tables became one array pass,
+# verbatim, with the one-angle sampler and the one-p binomial tail it called.
+
+def binomial_sf_before_the_array_pass(k: int, n: int, p: float) -> float:
+    if not 0.0 < p < 1.0:
+        return float(p >= 1.0 and k < n)
+    ratio = (n - np.arange(n)) / np.arange(1, n + 1) * (p / (1.0 - p))   # term j+1 over term j
+    mode = min(int((n + 1) * p), n)
+    terms = np.ones(n + 1)
+    terms[mode + 1:] = np.cumprod(ratio[mode:])
+    terms[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    return float(terms[k + 1:].sum() / terms.sum())
+
+
+def sample_folded_outcomes_before_the_array_pass(theta, t, runs, rng):
+    N = 2**t
+    plus = annealing._qpe_outcome_law(2.0 * theta, t, np.arange(N))
+    plus /= plus.sum()
+    laws = plus, np.roll(plus[::-1], 1)
+    plus, minus = (np.cumsum(d) for d in laws)
+    u = rng.random((runs, 2))
+    k = np.where(u[:, 0] < 0.5, (plus / plus[-1]).searchsorted(u[:, 1], side="right"),
+                 (minus / minus[-1]).searchsorted(u[:, 1], side="right"))
+    # either eigenvector gives m the same law; outcome N - j folds onto j
+    return np.minimum(k, N - k), lambda: np.cumsum(
+        laws[0][:N // 2 + 1] + np.concatenate([[0.0], laws[0][:N // 2:-1], [0.0]]))
+
+
+def qmci_mean_before_the_array_pass(oracle, x, eps, delta, mode, seed):
+    qmci._check_request(eps, delta, mode)
+    if not 0 <= x < oracle.n_states:
+        raise ValueError(f"state index {x} outside 0..{oracle.n_states - 1}")
+    charge = estimation_charge(oracle, eps, delta)
+    if mode == "emulated" or charge == 0:
+        oracle.charge(charge)
+        est = qmci._emulated_means(oracle, [x], eps, seed, shortcut=charge == 0)
+        return QmciResult(float(est[0]), charge, True, 0.0)
+    if oracle.M > FAITHFUL_MAX_TERMS:
+        raise ValueError(f"faithful mode limited to M <= {FAITHFUL_MAX_TERMS}")
+    oracle.charge(charge)
+
+    truth = float(oracle.mean_table()[x])
+    b = int(np.floor(np.log2(eps)))
+    lo, hi = float(oracle.table[:, x].min()), float(oracle.table[:, x].max())
+    if hi - lo < 1e-15:
+        return QmciResult(float(_truncate(truth, b)), charge, True, 0.0)
+    theta = float(np.arcsin(np.sqrt(np.clip((truth - lo) / (hi - lo), 0.0, 1.0))))
+    eps_norm = 2.0 ** (b - 1) / (hi - lo)
+    t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
+    runs = int(np.ceil(12.0 * np.log(1.0 / (delta / 4.0)))) | 1     # odd: one run is the median
+    m, cdf = sample_folded_outcomes_before_the_array_pass(theta, t, runs,
+                                                          np.random.default_rng([seed, x]))
+    median = int(np.median(m))
+    # outcome m estimates sin^2(pi m / 2^t); the estimates rise with m, so the
+    # good outcomes form one range [g0, g1] (empty when t = 16 cannot resolve eps)
+    values = np.round(np.sin(np.pi * np.arange(2 ** (t - 1) + 1) / 2**t) ** 2, 15)
+    est = _truncate(lo + values * (hi - lo), b)
+    good = np.flatnonzero(np.abs(est - truth) <= eps)
+    g0, g1 = (good[0], good[-1]) if good.size else (len(est), len(est) - 1)
+    # the median misses [g0, g1] when over half the runs land below g0, or above g1
+    below, h = np.append(0.0, cdf()), runs // 2           # below[j] = P(m < j)
+    residual = (binomial_sf_before_the_array_pass(h, runs, below[g0])
+                + binomial_sf_before_the_array_pass(h, runs, 1.0 - below[g1 + 1]))
+    return QmciResult(float(est[median]), charge, bool(g0 <= median <= g1), residual)
 
 
 def small_oracle(seed=0, M=8, n=5, lo=0.0, hi=4.0):
@@ -373,6 +440,19 @@ class TestRejectBeforeCharge:
             estimate_nll(oracle, eps, delta, mode, seed=0)
         assert oracle.queries == 0
 
+    def test_faithful_term_cap_through_table_and_walk_operator(self):
+        space = StateSpace.regular_grid((8,))
+        model = TargetModel(space, np.full(8, 1.0 / 8.0), np.linspace(0, 3, 8))
+        kernel = ProposalKernel.nearest_neighbor(space)
+        layout = RegisterLayout.for_kernel(kernel)
+        for run in (lambda o: estimate_nll(o, 0.01, 0.1, "faithful", seed=0),
+                    lambda o: approx_walk_operator(o, model, kernel, layout, 0.01, 0.1, seed=0,
+                                                   mode="faithful")):
+            oracle = self.oracle()
+            with pytest.raises(ValueError, match="faithful mode limited"):
+                run(oracle)
+            assert oracle.queries == 0
+
     def test_faithful_term_cap(self):
         oracle = self.oracle()
         assert oracle.M > FAITHFUL_MAX_TERMS
@@ -399,7 +479,8 @@ class TestMedianTail:
     @pytest.mark.parametrize("runs", [1, 3, 23, 45, 61, 101, 10001])
     def test_incomplete_beta_is_the_binomial_tail(self, runs):
         # P(X > h) summed term by term is binom.sf, the incomplete beta I_p(h+1, runs-h),
-        # also at runs = 10001, where comb(runs, j) * p^j would overflow
+        # also at runs = 10001, where comb(runs, j) * p^j would overflow; at 45, 101 and
+        # 10001 the array form, fed a few hundred p at a time, is the one-p form bit for bit
         from scipy.stats import binom
         rng = np.random.default_rng(runs)
         h = runs // 2
@@ -407,6 +488,30 @@ class TestMedianTail:
                     np.clip(np.cumsum(np.append(0.0, rng.dirichlet(np.ones(50)))), 0.0, 1.0)):
             got = np.array([_binomial_sf(h, runs, p) for p in cdf])
             assert np.max(np.abs(got - binom.sf(h, runs, cdf))) <= 1e-13
+            if runs in (45, 101, 10001):
+                rows = np.concatenate([_binomial_sf(h, runs, part)
+                                       for part in np.array_split(cdf, len(cdf) // 200 + 1)])
+                assert np.array_equal(rows, got)
+
+    @pytest.mark.parametrize("runs", [45, 101, 10001])
+    def test_array_tail_at_the_ends_and_near_1e_38(self, runs):
+        # p = 0 and p = 1 are exact, and tails near criterion 06's 1.5389e-38 keep
+        # their digits: within 1e-13 absolutely, as everywhere, and 1e-12 relatively
+        from scipy.stats import binom
+        h = runs // 2
+        assert np.array_equal(_binomial_sf(h, runs, np.array([0.0, 1.0])), [0.0, 1.0])
+        assert np.array_equal(_binomial_sf(runs, runs, np.array([0.0, 1.0])), [0.0, 0.0])
+        # the p whose tail is 1.5389e-38, by bisection on binom.sf's logarithm
+        lo, hi = 0.0, 0.5
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if binom.logsf(h, runs, mid) < np.log(1.5389e-38) else (lo, mid)
+        p = lo * (1.0 + 1e-3 * np.linspace(-1.0, 1.0, 41))
+        got, want = _binomial_sf(h, runs, p), binom.sf(h, runs, p)
+        assert want.min() < 1.5389e-38 < want.max() and want.min() > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+        assert np.array_equal(got, [_binomial_sf(h, runs, q) for q in p])
 
     def test_faithful_estimation_and_qpe_gate_leave_scipy_stats_unimported(self):
         code = (
@@ -573,6 +678,85 @@ class TestFaithfulArrayCode:
             stat += float(np.sum((obs_cells - exp_cells) ** 2 / exp_cells))
             dof += len(exp_cells) - 1
         assert chi2.sf(stat, dof) > 1e-3
+
+
+@st.composite
+def faithful_tables(draw):
+    """A term table whose columns span 0 (constant), a sliver, or up to 4, at an eps
+    that asks for anything from the t = 16 cap to the eps >= 4 sigma shortcut."""
+    M, n = draw(st.integers(2, FAITHFUL_MAX_TERMS)), draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    spans = np.array(draw(st.lists(st.sampled_from([0.0, 1e-3, 0.05, 0.3, 1.0, 4.0]),
+                                   min_size=n, max_size=n)))
+    table = rng.uniform(-1.0, 2.0, n) + rng.uniform(0.0, 1.0, (M, n)) * spans
+    eps = draw(st.sampled_from([2.0**-12, 0.003, 0.01, 0.1, 0.3, 1.0, 40.0]))
+    delta = draw(st.sampled_from([0.2, 0.1, 0.01, 1e-6]))
+    return table, eps, delta, seed % 2**31
+
+
+class TestFaithfulArrayPass:
+    """A faithful table is one array pass; each state's result is the per-state body's."""
+
+    @given(faithful_tables(), st.sampled_from([None, 1, 3 * 8 * 2**11]))
+    @settings(max_examples=60, deadline=None)
+    def test_array_pass_is_the_per_state_body(self, case, chunk_bytes):
+        # chunk_bytes 1 runs one state per chunk; 3 * 8 * 2^11, three at t = 11
+        table, eps, delta, seed = case
+        sigma = float(table.std(axis=0).max()) * 1.05 + 1e-12
+        n = table.shape[1]
+        ell0 = np.random.default_rng(seed).uniform(-0.5, 0.5, n)
+        body, array, single, whole = (LikelihoodOracle(table, sigma, ell0, 0.25)
+                                      for _ in range(4))
+        refs = [qmci_mean_before_the_array_pass(body, x, eps, delta, "faithful", seed)
+                for x in range(n)]
+        with mock.patch.object(qmci, "_CHUNK_BYTES", chunk_bytes or qmci._CHUNK_BYTES):
+            got = qmci_mean(array, np.arange(n), eps, delta, "faithful", seed)
+            nll, residual = estimate_nll(whole, eps, delta, "faithful", seed)
+        assert np.array_equal(got.estimate, [r.estimate for r in refs])
+        assert np.array_equal(got.success, [r.success for r in refs])
+        assert np.max(np.abs(got.residual - [r.residual for r in refs])) <= 1e-13
+        assert got.queries == array.queries == whole.queries == body.queries == \
+            sum(r.queries for r in refs)
+        assert np.array_equal(nll, np.maximum(0.0, got.estimate + ell0 + 0.25))
+        assert residual == got.residual.max()
+        # a call on one state is the per-state body bit for bit
+        for x in {0, n - 1}:
+            assert qmci_mean(single, x, eps, delta, "faithful", seed) == refs[x]
+
+    def test_several_ancilla_counts_in_one_table(self):
+        # the cases the hypothesis search must reach, pinned: a constant column, three
+        # ancilla counts up to the t = 16 cap, and a column the cap cannot resolve to
+        # eps, whose good range is empty: it fails with all its mass bad
+        rng = np.random.default_rng(0)
+        table = rng.uniform(0.0, 1.0, (16, 5)) * [0.0, 1e-3, 0.03, 4.0, 40.0] + 1.0
+        oracle = LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05)
+        eps = 2.0**-12
+        span = np.ptp(table, axis=0)[1:]
+        ts = np.minimum(np.ceil(np.log2(2.0 * np.pi / np.minimum(eps / 2 / span, 0.5))) + 2, 16)
+        assert list(ts) == [8, 13, 16, 16] and np.ptp(table[:, 0]) == 0.0
+        got = qmci_mean(oracle, np.arange(5), eps, 0.1, "faithful", seed=3)
+        refs = [qmci_mean_before_the_array_pass(oracle, x, eps, 0.1, "faithful", 3)
+                for x in range(5)]
+        assert np.array_equal(got.estimate, [r.estimate for r in refs])
+        assert np.array_equal(got.residual, [r.residual for r in refs])
+        assert list(got.success) == [True, True, True, True, False]
+        assert got.residual[0] == 0.0 and got.residual[4] == 1.0
+
+    def test_peak_memory_is_set_by_the_chunk_budget(self):
+        # 64 states at the t = 16 cap: unchunked, each (state, outcome) array would be
+        # 64 * 2^16 * 8 bytes = 32 MiB; a 2 MiB chunk of four states peaks far below one
+        table = np.random.default_rng(1).uniform(0.0, 4.0, size=(16, 64))
+        oracle = LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05)
+        eps = 2.0**-12
+        assert np.all(2.0 * np.pi / (eps / 2 / np.ptp(table, axis=0)) > 2.0**14)   # t = 16
+        qmci_mean(oracle, 0, eps, 0.1, "faithful", seed=0)                # warm caches
+        tracemalloc.start()
+        estimate_nll(oracle, eps, 0.1, "faithful", seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert qmci._CHUNK_BYTES == 2**21
+        assert peak <= 12 * qmci._CHUNK_BYTES
 
 
 class TestApproxChain:

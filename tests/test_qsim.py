@@ -276,20 +276,20 @@ class TestCoreIdentities:
     @pytest.mark.parametrize("seed", range(40))
     def test_core_matches_dense_product(self, seed):
         model, kernel, layout = make_setup(seed)
-        err = np.max(np.abs(build_core(model, kernel, layout) - dense_core(model, kernel, layout)))
+        err = np.max(np.abs(build_core(model, layout) - dense_core(model, kernel, layout)))
         assert err <= CORE_ATOL
 
     @pytest.mark.parametrize("name,model,kernel", TORUS_CASES, ids=TORUS_IDS)
     def test_core_matches_dense_product_on_torus_cases(self, name, model, kernel):
         layout = RegisterLayout.for_kernel(kernel)
-        err = np.max(np.abs(build_core(model, kernel, layout) - dense_core(model, kernel, layout)))
+        err = np.max(np.abs(build_core(model, layout) - dense_core(model, kernel, layout)))
         assert err <= CORE_ATOL
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=12, deadline=None)
     def test_core_hermitian_involution(self, seed):
         model, kernel, layout = make_setup(seed)
-        G = build_core(model, kernel, layout)
+        G = build_core(model, layout)
         assert np.max(np.abs(G - G.conj().T)) <= 1e-10
         assert np.max(np.abs(G @ G - np.eye(layout.total_dim))) <= 1e-10
 
@@ -298,7 +298,7 @@ class TestCoreIdentities:
     def test_reference_block_conjugates_transition(self, seed):
         model, kernel, layout = make_setup(seed)
         chain = build_transition_matrix(model, kernel)
-        G = build_core(model, kernel, layout)
+        G = build_core(model, layout)
         ref = layout.reference_indices()
         err = np.max(np.abs(G[np.ix_(ref, ref)] - symmetrized_transition(chain)))
         assert err <= BLOCK_ATOL
@@ -346,13 +346,13 @@ class TestCoreIdentities:
         model, kernel, layout = make_setup(seed)
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(layout.total_dim, 3)) + 1j * rng.normal(size=(layout.total_dim, 3))
-        G = build_core(model, kernel, layout)
+        G = build_core(model, layout)
         assert np.max(np.abs(WalkOperator(model, layout).core(X) - G @ X)) <= 1e-13
 
     @pytest.mark.parametrize("seed", range(6))
     def test_walk_operator_is_row_signed_core(self, seed):
         model, kernel, layout = make_setup(seed)
-        G = build_core(model, kernel, layout)
+        G = build_core(model, layout)
         assert np.array_equal(build_walk_operator(model, kernel, layout), build_R(layout) @ G)
 
 

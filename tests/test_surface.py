@@ -6,8 +6,10 @@ as a name, an attribute or an import alias.  A field of a library dataclass
 must be read as an attribute there.  A parameter with a default must be passed,
 positionally or by keyword, by some call there; a call of a class passes its
 __init__'s, and the config keys cli.RUNNERS lists count as passed to their
-runner.  Tests do not count as callers or readers, so code, fields and knobs
-only tests reach must be listed in KEPT with the reason they stay.  The README's `src/` line count, which the roadmap tracks, matches
+runner.  A parameter must be read in its function's body.  Tests do not count
+as callers or readers, so code, fields and knobs only tests reach, and
+parameters kept for a caller's signature, must be listed in KEPT with the
+reason they stay.  The README's `src/` line count, which the roadmap tracks, matches
 the sources, and no module of the library imports SciPy.
 """
 
@@ -26,6 +28,10 @@ KEPT = {
     "verify_cmd": "click command of the qmh-lab entry point",
     "scaling_cmd": "click command of the qmh-lab entry point",
     "build_core": "dense core G, the oracle of the core-operator identities (criterion 02)",
+    "qsa_schedule(kernel)": "perfbench's gw-credible workload passes it positionally",
+    "build_walk_operator(kernel)": "perfbench's sweep passes it positionally",
+    "experiment_credible_interval(kernel)": "every cli.RUNNERS runner takes (model, kernel, "
+                                            "out_dir, ...)",
     "round_at_bit": "scalar truncation the QMCI contracts are stated in (criterion 06)",
     "gw_identity_error": "likelihood-structure identity of the signal instance (criterion 10)",
     "pi3_overlap_bound": "closed-form pi/3 amplification bound (criterion 03)",
@@ -138,12 +144,37 @@ def unpassed_parameters():
     return unpassed
 
 
+def _functions(body, prefix=""):
+    """(qualified name, node) of each function in body, methods and nested functions too."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def unread_parameters():
+    """Each parameter, bar self and cls, that no name in its function's body reads."""
+    unread = []
+    for path in LIBRARY:
+        for qualname, node in _functions(ast.parse(path.read_text()).body):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a]
+            names = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [f"{path.stem}.{qualname}({a.arg})" for a in params
+                       if a.arg not in names | {"self", "cls"}]
+    return unread
+
+
 def test_every_definition_has_a_caller_or_a_reason():
     dead = unreferenced()
     unkept = [d for d in dead if d.split(".", 1)[1] not in KEPT]
     assert not unkept, f"no caller in src/qmhlab or perfbench: {unkept}"
     stale = set(KEPT) - {d.split(".", 1)[1]
-                         for d in dead + unread_fields() + unpassed_parameters()}
+                         for d in dead + unread_fields() + unpassed_parameters()
+                         + unread_parameters()}
     assert not stale, f"KEPT lists names that are gone or now used: {stale}"
 
 
@@ -155,6 +186,11 @@ def test_every_dataclass_field_is_read_or_kept():
 def test_every_defaulted_parameter_is_passed_or_kept():
     unkept = [p for p in unpassed_parameters() if p.split(".", 1)[1] not in KEPT]
     assert not unkept, f"parameter no call in src/qmhlab or perfbench passes: {unkept}"
+
+
+def test_every_parameter_is_read_or_kept():
+    unkept = [p for p in unread_parameters() if p.split(".", 1)[1] not in KEPT]
+    assert not unkept, f"parameter its function never reads: {unkept}"
 
 
 def test_readme_states_src_line_count():
