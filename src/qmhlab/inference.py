@@ -30,10 +30,13 @@ def cdf_exact(P, space: StateSpace, axis: int, a: float) -> float:
 
 @dataclass(frozen=True)
 class PosteriorHandle:
-    """A prepared posterior: distribution read off the pipeline state.
+    """A posterior to estimate CDFs on, and the oracle cost of preparing it once.
 
-    ``prep_queries`` is the measured oracle cost of one preparation; CDF
-    estimation multiplies it by the amplitude-estimation repetition count.
+    ``distribution`` is the one CDF estimation reads: every caller passes a
+    model's exact distribution, not one decoded from a prepared state, so a
+    preparation's TV error does not reach the estimate.  ``prep_queries`` is the
+    measured oracle cost of one preparation; CDF estimation multiplies it by the
+    amplitude-estimation repetition count.
     """
 
     distribution: np.ndarray
@@ -45,9 +48,9 @@ def cdf_qmci(handle: PosteriorHandle, axis: int, a: float, eps: float,
              delta: float, seed: int) -> tuple[float, int]:
     """Estimate the tail CDF to eps via sampled amplitude estimation.
 
-    The estimation budget is split: eps/3 for amplitude estimation on the
-    prepared state, eps/3 for the preparation's TV error; the realized error
-    against the ideal posterior is then within 2 eps / 3.
+    Amplitude estimation runs to eps/3 on handle.distribution.  The caller must
+    keep the preparation's TV error within another eps/3 for the realized error
+    against the ideal posterior to stay within 2 eps / 3; nothing here checks it.
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must be in (0, 1)")

@@ -7,10 +7,10 @@ annealing) builds on the exact transition matrices computed here.  Chains are
 built as temperature ladders: the chains of one model and kernel at a list of
 beta are assembled, checked and given their values-only spectrum as stacked
 arrays, a byte-bounded chunk at a time, with one eigvalsh per chunk; a single
-chain is the one-temperature ladder.  A chain is irreducible when its live moves
-over the neighbour table make one strong component, counted with NumPy by
-forward and backward reaches, once per proposal support whenever every supported
-move's flow is live; a reducible chain's error message reports the count.
+chain is the one-temperature ladder.  A chain is irreducible when its target is
+positive, which fails where exp underflows (past about 745 nats), and its proposal's
+support graph, undirected as the weights are negation symmetric, is connected: one
+NumPy count per support, cached; each error message states its cause.
 A chain keeps what it derives on first need: its eigenpairs, its reversibility
 verdict, and the squarings W^(2^j) behind its matrix powers, so mixing checks at
 several step counts share one squaring ladder and one reversibility check.
@@ -32,7 +32,7 @@ _LADDER_BYTES = 2**21        # transition-matrix bytes per chain_ladder chunk
 
 
 class ReducibleChainError(ValueError):
-    """Raised when a transition matrix does not have a unique stationary distribution."""
+    """Raised when a chain's support graph is disconnected or its target underflows to 0."""
 
 
 class NonReversibleChainError(ValueError):
@@ -390,9 +390,14 @@ def chain_ladder(model: TargetModel, kernel: ProposalKernel, betas):
 
 
 def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> list[ChainModel]:
-    models = [model.with_beta(b) for b in betas]
     n, w = model.space.size, kernel.weights
     shape, moves = model.space.shape, kernel.moves
+    # the support graph does not depend on beta: its cached count comes first
+    n_comp = _support_components(*_table_key(shape, moves), tuple(np.flatnonzero(w > 0).tolist()))
+    if n_comp > 1:
+        raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
+
+    models = [model.with_beta(b) for b in betas]
     nb, neg = neighbour_table(shape, moves), negation_slots(shape, moves)
     # zero for zero-weight moves; distinct moves give each (x, y) at most one value
     flow = w * _acceptance(np.stack([m.unnormalized() for m in models]), nb, w, neg)
@@ -402,23 +407,17 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
     W[diagonal] = 0.0
     W[diagonal] = 1.0 - W.sum(axis=2)
 
-    # every chain is checked before the stack's one eigvalsh, which a bad one could fail;
-    # self-loops leave irreducibility as it is, so while every supported move's flow
-    # is live the graph is the proposal's support graph
-    live = flow > PROB_ATOL
-    supported = w > 0
-    support = _table_key(shape, moves) + (tuple(np.flatnonzero(supported).tolist()),)
-    negative = np.any(W < -1e-14, axis=(1, 2))
-    on_support = live[:, :, supported].all(axis=(1, 2))
-    for b in range(len(models)):
+    # every chain is checked before the stack's one eigvalsh, which a bad one could fail
+    pi = np.stack([m.distribution() for m in models])
+    negative, underflowed = np.any(W < -1e-14, axis=(1, 2)), np.any(pi == 0.0, axis=1)
+    if np.any(negative | underflowed):
+        b = int(np.argmax(negative | underflowed))
         if negative[b]:
             raise ValueError("transition matrix has a negative entry")
-        n_comp = (_support_components(*support) if on_support[b]
-                  else _strong_components(nb, live[b], neg))
-        if n_comp > 1:
-            raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
+        raise ReducibleChainError(f"target underflows to 0 at beta = {betas[b]:g}: log(prior)"
+                                  " - beta (L - min L) is below float64's floor of about -745"
+                                  " nats at some state")
 
-    pi = np.stack([m.distribution() for m in models])
     lam = np.linalg.eigvalsh(_symmetrized(W, pi))
     kappa = np.sqrt(pi.max(axis=1) / pi.min(axis=1))
     chains = []
@@ -432,35 +431,18 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
     return chains
 
 
-def _reach(nb: np.ndarray, live: np.ndarray, start: int) -> np.ndarray:
-    """Mask of the states start reaches along the edges x -> nb[x, j] with live[x, j]."""
-    reached = np.zeros(len(nb), bool)
-    reached[start] = True
-    frontier = np.array([start], np.intp)
-    while frontier.size:
-        step = nb[frontier][live[frontier]]
-        frontier = np.unique(step[~reached[step]])
-        reached[frontier] = True
-    return reached
-
-
 @cache
 def _support_components(shape, moves, supported) -> int:
-    """_strong_components of the proposal's support graph, the moves in slots supported."""
-    nb = _neighbour_table(shape, moves)
-    live = np.zeros(nb.shape, bool)
-    live[:, list(supported)] = True
-    return _strong_components(nb, live, _negation_slots(shape, moves))
-
-
-def _strong_components(nb: np.ndarray, live: np.ndarray, neg: np.ndarray) -> int:
-    """Strong components of the graph whose row x lists nb[x, live[x]]; one means irreducible.
-    Each is the set of states its first state reaches both forward and along the reversed
-    edges y -> x = nb[y, neg[j]], live in slot neg[j] of row y where live[x, j] is."""
+    """Components of the support graph x -- nb[x, j], j in supported: undirected, as supported
+    moves are closed under negation, so one forward reach finds each component."""
+    nb = _neighbour_table(shape, moves)[:, list(supported)]
     left, count = np.ones(len(nb), bool), 0
     while left.any():
-        first = int(np.argmax(left))
-        left &= ~(_reach(nb, live, first) & _reach(nb, live[nb, neg], first))
+        frontier = np.array([np.argmax(left)])
+        while frontier.size:
+            left[frontier] = False
+            step = nb[frontier].ravel()
+            frontier = np.unique(step[left[step]])
         count += 1
     return count
 

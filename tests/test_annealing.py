@@ -478,8 +478,8 @@ class TestQpePhaseGate:
         assert ledger.total == gate.cost == 2 * (2**gate.t - 1)
 
     def test_rejects_nonpositive_gap(self, two_state_gap_half):
-        # exp(-900) underflows: state 1 has no mass, the chain is reducible
-        # and its second unit eigenvalue leaves no signed gap
+        # exp(-900) underflows: state 1 has no mass, so the chain is refused
+        # (ReducibleChainError, a ValueError) before any gap is taken
         model, kernel = two_state_gap_half
         with pytest.raises(ValueError):
             QpePhaseGate(model.with_neg_log_lik([0.0, 900.0]), kernel, OMEGA_PI3, 0.1)
@@ -786,6 +786,23 @@ class TestPrepare:
         assert np.array_equal(state, qsa_generate(expected, model, kernel, min(0.1, eps / 2.0),
                                                   mode=gate_mode, ledger=by_hand))
         assert ledger.by_tag == by_hand.by_tag and set(ledger.by_tag) == {"schedule", "generate"}
+
+    @pytest.mark.parametrize("gate_mode", ["exact", "qpe"])
+    def test_sharp_gw_posterior_anneals_in_two_stages(self, gate_mode):
+        # rho = 6 on the 4x4 grid: pi_min is 1.7e-61, and the search stops at beta = 0.75
+        # on the way to 1; the QMCI pipeline prepares the same instance
+        eps, delta = 0.1, 0.2
+        inst = synth_gw_instance(0.1, 0.0, 256, 6.0, 0, grid_shape=(4, 4))
+        kernel = ProposalKernel.nearest_neighbor(inst.space)
+        schedule, state = prepare(inst.model, kernel, eps, delta, 0, gate_mode=gate_mode)
+        assert schedule.success and len(schedule.betas) == 3
+        assert schedule.betas[0] == 0.0 and schedule.betas[-1] == 1.0
+        target = encode_distribution(inst.model.distribution(), RegisterLayout.for_kernel(kernel))
+        assert abs(np.vdot(target, state)) ** 2 >= 1.0 - 2.0 * min(0.1, eps / 2.0)
+        result = qsa_with_qmci(inst.oracle, inst.model, kernel, eps, delta, 0,
+                               gate_mode=gate_mode)
+        assert len(result.schedule.betas) == 3
+        assert result.tv_realized <= eps and result.oracle_queries > 0
 
     def test_failed_search_leaves_no_state_and_only_its_charge(self, ring8, monkeypatch, tmp_path):
         # the chains this lab admits pass the search, so every overlap is reported as 0

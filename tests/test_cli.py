@@ -268,6 +268,31 @@ class TestRunCommand:
         assert "Traceback" not in result.output
         assert len(result.output.splitlines()) == 1
 
+    def test_sharp_quadratic_target_anneals(self, tmp_path):
+        # scale 12 puts L 48 nats up one step from the centre of the 8-ring: the chain
+        # was once refused as "reducible (6 strongly connected components)"
+        model = tmp_path / "sharp.json"
+        model.write_text(json.dumps({"grid": {"shape": [8]},
+                                     "nll": {"type": "quadratic", "center": [3], "scale": 12}}))
+        out = tmp_path / "out"
+        result = run_config(tmp_path, {"experiment": "anneal", "model": str(model),
+                                       "output_dir": str(out)})
+        assert result.exit_code == 0, result.output
+        assert "PASS" in result.output
+        assert json.loads((out / "anneal.json").read_text())["pass"]
+
+    def test_underflowed_target_is_an_error_message(self, tmp_path):
+        model = tmp_path / "underflow.json"
+        model.write_text(json.dumps({"grid": {"shape": [8]},
+                                     "nll": {"type": "table", "values": [0] * 4 + [900] * 4}}))
+        result = run_config(tmp_path, {"experiment": "anneal", "model": str(model),
+                                       "output_dir": str(tmp_path / "out")})
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: anneal: target underflows to 0 at beta = 1: ")
+        assert "Traceback" not in result.output
+        assert len(result.output.splitlines()) == 1
+
     @pytest.mark.filterwarnings("error")
     def test_m_zero_fails_before_any_warning(self, tmp_path):
         # M = 0 once reached the oracle's table mean: NumPy's "Mean of empty slice",

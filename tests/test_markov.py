@@ -45,17 +45,23 @@ EIG_ATOL = 1e-9
 
 
 def dense_transition_reference(model, kernel):
-    """W as the product of the dense T and A, irreducibility from the dense W > atol mask."""
+    """W as the product of the dense T and A, and the pattern of the error its build must
+    raise, None for an irreducible chain: SciPy's strong components of the dense support
+    T > 0 first, then a zero in pi, where the target underflowed."""
     W = kernel.matrix() * acceptance_matrix(model, kernel)
     np.fill_diagonal(W, 0.0)
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    n_comp, _ = connected_components(W > markov.PROB_ATOL, directed=True, connection="strong")
-    return W, n_comp
+    n_comp, _ = connected_components(kernel.matrix() > 0, directed=True, connection="strong")
+    if n_comp > 1:
+        return W, rf"^chain is reducible \({n_comp} strongly connected components\)$"
+    if np.any(model.distribution() == 0.0):
+        return W, rf"^target underflows to 0 at beta = {model.beta:g}: "
+    return W, None
 
 
 def dense_reference_cases():
     """Random instances, every third with zero-weight moves and every fifth with
-    half its target underflowed (reducible), then the torus cases."""
+    half its target underflowed to 0, then the torus cases."""
     cases = []
     for seed in range(60):
         model, kernel = random_instance(seed)
@@ -370,9 +376,9 @@ class TestTransitionMatrix:
 
     @pytest.mark.parametrize("name,model,kernel", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
     def test_matches_dense_product_reference(self, name, model, kernel):
-        W, n_comp = dense_transition_reference(model, kernel)
-        if n_comp != 1:
-            with pytest.raises(ReducibleChainError, match=f"\\({n_comp} strongly"):
+        W, error = dense_transition_reference(model, kernel)
+        if error is not None:
+            with pytest.raises(ReducibleChainError, match=error):
                 build_transition_matrix(model, kernel)
             return
         chain = build_transition_matrix(model, kernel)
@@ -435,6 +441,41 @@ class TestTransitionMatrix:
                 assert np.ceil(2.0 / (chain.signed_gap * eps**2)) == np.ceil(
                     2.0 / (signed * eps**2))
                 assert chain.condition_number == pytest.approx(kappa, rel=1e-12)
+
+
+def log_domain_gaps(model, kernel):
+    """(spectral, signed) gaps of the symmetrized D W D^-1 built from log pi differences:
+    w e^(-|log pi(y) - log pi(x)| / 2) off the diagonal, W's own diagonal on it, so no
+    entry carries pi itself."""
+    n, w = model.space.size, kernel.weights
+    nb = neighbour_table(model.space.shape, kernel.moves)
+    log_p = np.log(model.prior) - model.beta * (model.neg_log_lik - model.neg_log_lik.min())
+    S = np.zeros((n, n))
+    for j, move in enumerate(kernel.moves):
+        if w[j] > 0 and any(move):
+            d = log_p[nb[:, j]] - log_p
+            S[np.arange(n), nb[:, j]] = w[j] * np.exp(-np.abs(d) / 2.0)
+            S[np.arange(n), np.arange(n)] -= w[j] * np.exp(np.minimum(d, 0.0))
+    S[np.arange(n), np.arange(n)] += 1.0
+    lam = np.linalg.eigvalsh(S)
+    return 1.0 - max(abs(lam[0]), lam[-2]), 1.0 - lam[-2]
+
+
+class TestSharpGwPosteriors:
+    """The paper's example past rho = 3: every chain of the grid x rho table is
+    admitted, and its gaps are those of the log-domain build."""
+
+    @pytest.mark.parametrize("side", [4, 8, 16])
+    def test_grid_by_rho_table_is_admitted_with_log_domain_gaps(self, side):
+        for rho in (2.0, 3.0, 4.0, 6.0, 8.0, 12.0):
+            inst = synth_gw_instance(0.1, 0.0, 256, rho, 0, grid_shape=(side, side))
+            kernel = ProposalKernel.nearest_neighbor(inst.space)
+            chain = build_transition_matrix(inst.model, kernel)
+            gap, signed = log_domain_gaps(inst.model, kernel)
+            assert chain.spectral_gap == pytest.approx(gap, rel=1e-10, abs=0.0)
+            assert chain.signed_gap == pytest.approx(signed, rel=1e-10, abs=0.0)
+        # the last row, rho = 12, is sharp far past PROB_ATOL's reach
+        assert 0.0 < chain.stationary.min() < 1e-200
 
 
 def eigh_gaps(chain):
@@ -507,17 +548,9 @@ def check_ladder(model, kernel, betas):
     return True
 
 
-def count_reach_calls(monkeypatch):
-    """A list that gains one entry per strong-component count markov computes."""
-    calls = []
-    real = markov._strong_components
-    monkeypatch.setattr(markov, "_strong_components", lambda *a: calls.append(1) or real(*a))
-    return calls
-
-
 def uphill_ring():
-    """An 8-ring whose +-2 uphill flows underflow PROB_ATOL at beta = 1 but not at
-    beta = 0.5, while its +-1 flows stay live: irreducible, not on the support graph."""
+    """An 8-ring whose +-2 uphill flows fall below PROB_ATOL at beta = 1 but not at
+    beta = 0.5: a sharp target, positive everywhere, on a connected support."""
     space = StateSpace.regular_grid((8,))
     L = 12.0 * np.minimum(np.arange(8), 8 - np.arange(8))
     model = TargetModel(space=space, prior=np.full(8, 1.0 / 8.0), neg_log_lik=L)
@@ -532,9 +565,9 @@ class TestChainLadder:
     @pytest.mark.parametrize("name,model,kernel", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
     def test_matches_single_builds_on_dense_cases(self, name, model, kernel):
         built = check_ladder(model, kernel, self.BETAS)
-        # random 1-D and 2-D instances, zero-weight moves, and the cases reducible at
+        # random 1-D and 2-D instances, zero-weight moves, and the cases that raise at
         # beta = 1, which raise in their ladder too
-        assert built or dense_transition_reference(model, kernel)[1] != 1
+        assert built or dense_transition_reference(model, kernel)[1] is not None
 
     def test_grids_and_kernels(self):
         for shape in ((9,), (4, 5)):
@@ -554,50 +587,67 @@ class TestChainLadder:
         assert chain.transition.tolist() == [[1.0]]
         assert chain.spectral_gap == chain.signed_gap == 1.0
 
-    def test_underflowed_temperature_reads_its_own_live_graph(self, monkeypatch):
+    def test_sharp_temperatures_are_admitted_on_one_support_count(self):
         model, kernel = uphill_ring()
         W = kernel.weights * acceptance_table(
             model, neighbour_table((8,), kernel.moves), kernel.weights,
             negation_slots((8,), kernel.moves))
         assert 0.0 < W.min() <= markov.PROB_ATOL
-        assert dense_transition_reference(model, kernel)[1] == 1
+        betas = [0.0, 0.5, 1.0, 2.0, 5.0]
+        assert all(dense_transition_reference(model.with_beta(b), kernel)[1] is None
+                   for b in betas)
         markov._support_components.cache_clear()
-        calls = count_reach_calls(monkeypatch)
-        assert check_ladder(model, kernel, [0.0, 0.5, 1.0])
-        # the support graph's count, once; then beta = 1 in the ladder and its single build
-        assert len(calls) == 3
+        # every beta admitted, in the ladder and in its single builds, on one count
+        assert check_ladder(model, kernel, betas)
+        assert markov._support_components.cache_info().misses == 1
 
-    def test_support_graph_count_is_cached_per_support(self, monkeypatch):
+    def test_support_graph_count_is_cached_per_support(self):
         model, kernel = random_instance(7)
         list(markov.chain_ladder(model, kernel, self.BETAS[:3]))
-        calls = count_reach_calls(monkeypatch)
+        misses = markov._support_components.cache_info().misses
         list(markov.chain_ladder(model, kernel, self.BETAS[:3]))
         build_transition_matrix(model, kernel)
-        assert calls == []
+        assert markov._support_components.cache_info().misses == misses
 
     def test_reducible_support_graph_raises_todays_message(self):
         # +-2 steps on a 6-ring reach only the states of one parity
         space = StateSpace.regular_grid((6,))
         model = TargetModel(space, np.full(6, 1.0 / 6.0), np.arange(6.0))
         kernel = ProposalKernel(space, ((2,), (4,)), np.array([0.5, 0.5]))
-        assert dense_transition_reference(model, kernel)[1] == 2
+        pattern = r"^chain is reducible \(2 strongly connected components\)$"
+        assert dense_transition_reference(model, kernel)[1] == pattern
         for betas in ([0.0], [1.0, 0.0]):
-            with pytest.raises(ReducibleChainError,
-                               match=r"^chain is reducible \(2 strongly connected components\)$"):
+            with pytest.raises(ReducibleChainError, match=pattern):
                 list(markov.chain_ladder(model, kernel, betas))
         assert not check_ladder(model, kernel, self.BETAS)
 
-    def test_checks_run_before_the_stacked_eigvalsh(self, monkeypatch):
-        # beta = 0 is fine; beta = 1 underflows the uphill flows into the ring's top
-        # states, so the ladder must raise before the stack reaches eigvalsh
+    def test_underflowed_target_raises_its_own_message(self):
+        # 900 nats: pi is 0 on half the ring at beta = 1, positive at beta = 0.5
         space = StateSpace.regular_grid((8,))
-        model = TargetModel(space, np.full(8, 1.0 / 8.0),
-                            30.0 * np.minimum(np.arange(8), 8 - np.arange(8)))
+        model = TargetModel(space, np.full(8, 1.0 / 8.0), np.repeat([0.0, 900.0], 4))
         kernel = ProposalKernel.nearest_neighbor(space)
-        build_transition_matrix(model.with_beta(0.0), kernel)
+        build_transition_matrix(model.with_beta(0.5), kernel)
+        # the message names the first temperature, in ladder order, whose pi underflowed
+        for betas, first in (([1.0], 1), ([0.5, 1.0, 2.0], 1), ([0.5, 2.0, 1.0], 2)):
+            with pytest.raises(ReducibleChainError,
+                               match=rf"^target underflows to 0 at beta = {first}: [^\n]*745"):
+                list(markov.chain_ladder(model, kernel, betas))
+        assert not check_ladder(model, kernel, [0.5, 2.0, 1.0])
+
+    def test_checks_run_before_the_stacked_eigvalsh(self, monkeypatch):
+        # beta = 1 underflows pi on half the ring, where beta = 0 is fine; +-2 steps
+        # split the support at every beta: either ladder raises before its stack
+        # reaches eigvalsh
+        space = StateSpace.regular_grid((8,))
+        model = TargetModel(space, np.full(8, 1.0 / 8.0), np.repeat([0.0, 900.0], 4))
+        nearest = ProposalKernel.nearest_neighbor(space)
+        build_transition_matrix(model.with_beta(0.0), nearest)
         calls = count_linalg_calls(monkeypatch, "eigvalsh")
-        with pytest.raises(ReducibleChainError):
-            list(markov.chain_ladder(model, kernel, [0.0, 1.0]))
+        for kernel, cause in ((nearest, "target underflows"),
+                              (ProposalKernel(space, ((2,), (6,)), np.array([0.5, 0.5])),
+                               "chain is reducible")):
+            with pytest.raises(ReducibleChainError, match=f"^{cause} "):
+                list(markov.chain_ladder(model, kernel, [0.0, 1.0]))
         assert calls == {"eigvalsh": 0}
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3, 6])
@@ -614,69 +664,91 @@ class TestChainLadder:
                 assert np.array_equal(got, ref)
 
 
-def scipy_components(nb, live):
-    """SciPy's count of strong components of the graph whose row x lists nb[x, live[x]]."""
-    n = len(nb)
-    adjacency = np.zeros((n, n), bool)
-    adjacency[np.nonzero(live)[0], nb[live]] = True
+def scipy_support_components(shape, moves, kept):
+    """SciPy's strong components of the graph x -> nb[x, j] over the slots j kept."""
+    nb = neighbour_table(shape, moves)[:, kept]
+    adjacency = np.zeros((len(nb), len(nb)), bool)
+    adjacency[np.arange(len(nb))[:, None], nb] = True
     return connected_components(adjacency, directed=True, connection="strong")[0]
 
 
 class TestIrreducibility:
-    """The NumPy reaches count SciPy's strong components on seeded random live masks."""
+    """The cached support count is SciPy's on seeded random negation-symmetric supports,
+    and a target underflowed on half the states is refused for that, not for a count."""
 
     SHAPES = [(1,), (2,), (9,), (4, 5), (3, 4, 3)]     # a one-state space first
-    DENSITIES = (0.1, 0.3, 0.7, 0.95, 1.0)
+    DENSITIES = (0.05, 0.1, 0.3, 0.7, 1.0)
 
     @staticmethod
-    def tables(shape, radii=(1, 2)):
-        """(neighbour table, negation slots) of the nearest-neighbour kernel and Gaussian ones."""
+    def kernels(shape, radii=(1, 2, 3)):
+        """The nearest-neighbour kernel and Gaussian ones; radius 3 brings the 9-ring's +-3."""
         space = StateSpace.regular_grid(shape)
-        for kernel in [ProposalKernel.nearest_neighbor(space)] + [
-                ProposalKernel.gaussian(space, width=1.0, radius=r) for r in radii]:
-            yield neighbour_table(shape, kernel.moves), negation_slots(shape, kernel.moves)
+        return [ProposalKernel.nearest_neighbor(space)] + [
+            ProposalKernel.gaussian(space, width=1.0, radius=r) for r in radii]
 
     @staticmethod
-    def verdict(nb, neg, live):
-        got = markov._strong_components(nb, live, neg)
-        count = scipy_components(nb, live)
-        assert got == count
-        return got == 1
+    def random_support(rng, neg, p):
+        """A random slot mask closed under negation, as symmetric weights make it; never empty."""
+        kept = rng.random(len(neg)) < p
+        kept |= kept[neg]
+        kept[rng.integers(len(neg))] |= not kept.any()
+        return kept | kept[neg]
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_random_masks(self, shape):
         rng = np.random.default_rng(shape)
-        verdicts = {self.verdict(nb, neg, rng.random(nb.shape) < p)
-                    for nb, neg in self.tables(shape) for p in self.DENSITIES for _ in range(25)}
+        verdicts = set()
+        for kernel in self.kernels(shape):
+            neg = negation_slots(shape, kernel.moves)
+            for p in self.DENSITIES:
+                for _ in range(10):
+                    kept = self.random_support(rng, neg, p)
+                    got = markov._support_components(
+                        shape, kernel.moves, tuple(np.flatnonzero(kept).tolist()))
+                    assert got == scipy_support_components(shape, kernel.moves, kept)
+                    verdicts.add(got == 1)
         assert verdicts == ({True} if shape == (1,) else {True, False})
 
     @pytest.mark.parametrize("shape", SHAPES[2:], ids=str)
     def test_zero_weight_moves(self, shape):
+        # the build reads its support off the weights: a chain raises the count of the
+        # moves its kernel gives weight, and only when that count passes one
         rng = np.random.default_rng(shape)
+        space = StateSpace.regular_grid(shape)
+        model = TargetModel(space, np.full(space.size, 1.0 / space.size),
+                            rng.uniform(0.0, 4.0, space.size))
         verdicts = set()
-        # radius 2 keeps moves enough to span the torus once these are dropped
-        for nb, neg in list(self.tables(shape, radii=(2,)))[1:]:
-            dead = np.arange(nb.shape[1]) % 4 == 1
-            dead |= dead[neg]                       # weights are negation symmetric
+        for kernel in self.kernels(shape, radii=(2, 3))[1:]:
+            neg = negation_slots(shape, kernel.moves)
             for p in self.DENSITIES:
-                for _ in range(25):
-                    verdicts.add(self.verdict(nb, neg, (rng.random(nb.shape) < p) & ~dead))
+                for _ in range(10):
+                    w = np.where(self.random_support(rng, neg, p), kernel.weights, 0.0)
+                    thinned = ProposalKernel(space, kernel.moves, w / w.sum())
+                    count = scipy_support_components(shape, kernel.moves, w > 0)
+                    try:
+                        build_transition_matrix(model, thinned)
+                    except ReducibleChainError as exc:
+                        assert str(exc) == (f"chain is reducible ({count} strongly "
+                                            "connected components)")
+                    else:
+                        assert count == 1
+                    verdicts.add(count == 1)
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("shape", SHAPES[1:], ids=str)
     def test_underflowed_half(self, shape):
-        # every in-flow to half the states dead, as when L underflows there; with
-        # state 0 in that half the forward reach still covers every state, so the
-        # backward reach alone finds the chain reducible
+        # L at 900 nats on half the states: pi is 0 there, every in-flow to them dead,
+        # and the chain is refused for the underflow on each connected support
         rng = np.random.default_rng(shape)
-        for nb, neg in self.tables(shape):
-            n = len(nb)
-            first = np.arange(n) < (n + 1) // 2
-            for half in [first] + [rng.permutation(n) < n // 2 for _ in range(6)]:
-                inflow = half[nb] & ~half[:, None]
-                for p in (0.95, 1.0):
-                    assert not self.verdict(nb, neg, (rng.random(nb.shape) < p) & ~inflow)
-            assert markov._reach(nb, ~(first[nb] & ~first[:, None]), 0).all()
+        space = StateSpace.regular_grid(shape)
+        n = space.size
+        for kernel in self.kernels(shape):
+            for half in [np.arange(n) < (n + 1) // 2] + [rng.permutation(n) < n // 2
+                                                         for _ in range(3)]:
+                model = TargetModel(space, np.full(n, 1.0 / n), np.where(half, 900.0, 0.0))
+                with pytest.raises(ReducibleChainError,
+                                   match=r"^target underflows to 0 at beta = 1: "):
+                    build_transition_matrix(model, kernel)
 
 
 def diagonalizer_reference(W, pi):
