@@ -3,10 +3,10 @@
 Pieces: phase gates about a marked state (exact, and QPE-synthesized on a
 chain's walk operator from its eigendecomposition), pi/3 amplitude
 amplification, nondestructive overlap estimation, and the temperature-schedule
-search with staged state generation, assembled by prepare alone.
-All quantum measurements are simulated by sampling from exactly computed
-outcome distributions: phase estimation's is the closed-form Fejer law, so no
-circuit or FFT is simulated.  Walk-operator applications are charged to a ledger.
+search with staged state generation, assembled by prepare alone, which returns
+a ledger of the walk-operator applications it charged.  Measurements are
+simulated by sampling from exactly computed outcome distributions: phase
+estimation's is the closed-form Fejer law, so no circuit or FFT is simulated.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import ProposalKernel, TargetModel, build_transition_matrix, chain_ladder
+from .markov import ChainModel, ProposalKernel, TargetModel, build_transition_matrix, chain_ladder
 from .qsim import RegisterLayout, WalkOperator, encode_distribution, invariant_subspace
 
 OMEGA_PI3 = np.exp(1j * np.pi / 3)
@@ -165,18 +165,17 @@ class QpePhaseGate:
     complement R = -I and U = -G: U = 1 where G = -1, kicked by exactly omega.
     """
 
-    def __init__(self, model: TargetModel, kernel: ProposalKernel, omega: complex,
-                 delta: float, ledger: QueryLedger | None = None, tag: str = ""):
+    def __init__(self, chain: ChainModel, omega: complex, delta: float,
+                 ledger: QueryLedger | None = None, tag: str = ""):
         if not 0 < delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        chain = build_transition_matrix(model, kernel)
-        layout = RegisterLayout.for_kernel(kernel)
+        layout = RegisterLayout.for_kernel(chain.kernel)
         phase_gap = float(np.arccos(1.0 - chain.signed_gap))
         self.t = qpe_ancilla_count(phase_gap, delta)
         self.omega = complex(omega)
         self.ledger, self.tag = ledger, tag
         self.cost = phase_gate_cost(chain.signed_gap, delta)
-        self._walk = WalkOperator(model, layout)         # built once per gate
+        self._walk = WalkOperator(chain.model, layout)   # built once per gate
         self._basis, pair = invariant_subspace(self._walk.core(layout.reference_states()),
                                                layout, chain)
         gram = self._basis.conj().T @ self._basis
@@ -382,13 +381,13 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
                  ledger: QueryLedger | None = None) -> np.ndarray:
     """Walk the schedule with pi/3 amplification, stage accuracy eps / #stages.
 
-    exact mode uses oracle phase gates about the known intermediate states,
-    each charged at the synthesized-gate rate of its own temperature's chain
-    (the schedule's chains are built as one ladder); qpe mode synthesizes each
-    gate from the walk operator of the chain at that temperature.  Either way a
-    gate is built once per temperature, and each gate's QPE has failure weight
-    GATE_DELTA.
+    Both modes build the schedule's chains as one ladder and one gate from each
+    chain in turn: in exact mode an oracle phase gate about its stationary
+    state, charged at the synthesized-gate rate of its signed gap, in qpe mode
+    one synthesized from its walk operator.  Each QPE has failure weight GATE_DELTA.
     """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, not {eps:g}")
     if not schedule.success:
         raise ValueError("cannot generate from a failed schedule")
     if mode not in ("exact", "qpe"):
@@ -396,27 +395,23 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
     layout = RegisterLayout.for_kernel(kernel)
     n_stages = len(schedule.betas) - 1
     state = encode_distribution(model.with_beta(0.0).distribution(), layout)
-    stage_eps = eps / n_stages
-    # the whole schedule is known, so exact mode builds its chains as one ladder
-    gaps = [c.signed_gap for c in chain_ladder(model, kernel, schedule.betas)] \
-        if mode == "exact" else None
+    chains = chain_ladder(model, kernel, schedule.betas)
 
-    def gate(i):
-        model_b = model.with_beta(schedule.betas[i])
+    def next_gate():
+        chain = next(chains)
         if mode == "qpe":
-            return QpePhaseGate(model_b, kernel, OMEGA_PI3, GATE_DELTA, ledger=ledger,
-                                tag="generate")
-        return ExactPhaseGate(encode_distribution(model_b.distribution(), layout), OMEGA_PI3,
-                              cost=phase_gate_cost(gaps[i], GATE_DELTA), ledger=ledger,
-                              tag="generate")
+            return QpePhaseGate(chain, OMEGA_PI3, GATE_DELTA, ledger=ledger, tag="generate")
+        target = encode_distribution(chain.stationary, layout)
+        return ExactPhaseGate(target, OMEGA_PI3, cost=phase_gate_cost(chain.signed_gap, GATE_DELTA),
+                              ledger=ledger, tag="generate")
 
+    R2 = next_gate()
     for i in range(n_stages):
-        p = max(OVERLAP_GUARANTEE,
-                min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
-        m = amplification_depth(p, stage_eps)
-        # stage i's R2 is stage i+1's R1: same temperature, same gate
-        R1 = gate(i) if i == 0 else R2
-        R2 = gate(i + 1)
+        p = max(OVERLAP_GUARANTEE, min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
+        m = amplification_depth(p, eps / n_stages)
+        # stage i's R2 is stage i+1's R1; the older gate is dropped before a new one is built
+        R1 = R2
+        R2 = next_gate()
         state = pi3_amplify(R1, R2, m, state)
         norm = np.linalg.norm(state)
         if norm > 0:
@@ -425,15 +420,18 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
 
 
 def prepare(model: TargetModel, kernel: ProposalKernel, eps: float, delta: float, seed: int,
-            gate_mode: str = "exact", ledger: QueryLedger | None = None
-            ) -> tuple[AnnealingSchedule, np.ndarray | None]:
+            gate_mode: str = "exact") -> tuple[AnnealingSchedule, np.ndarray | None, QueryLedger]:
     """Schedule search at failure weight delta / 2, priced at the beta = 1 chain's signed
     gap, then generation to accuracy min(0.1, eps / 2): every preparation's one budget rule.
 
-    A failed search leaves state None, and the ledger only its "schedule" charge.
+    Returns the schedule, the state and the ledger it charged, tagged "schedule" and
+    "generate"; a failed search leaves state None and only the "schedule" charge.
     """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, not {eps:g}")
+    ledger = QueryLedger()
     gap = build_transition_matrix(model, kernel).signed_gap
     schedule = qsa_schedule(model, kernel, gap, eta=delta / 2.0, seed=seed, ledger=ledger)
     state = qsa_generate(schedule, model, kernel, eps=min(0.1, eps / 2.0), mode=gate_mode,
                          ledger=ledger) if schedule.success else None
-    return schedule, state
+    return schedule, state, ledger

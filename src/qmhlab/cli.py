@@ -98,9 +98,8 @@ def experiment_verify_bounds(model, kernel, out_dir, seeds=(0, 1, 2, 3),
 
 
 def experiment_anneal(model, kernel, out_dir, seed=0, eps=0.1, mode="exact"):
-    ledger = annealing.QueryLedger()
-    schedule, state = annealing.prepare(model, kernel, eps, ANNEAL_DELTA, seed,
-                                        gate_mode=mode, ledger=ledger)
+    schedule, state, ledger = annealing.prepare(model, kernel, eps, ANNEAL_DELTA, seed,
+                                                gate_mode=mode)
     payload = {
         "betas": list(schedule.betas), "overlaps": list(schedule.overlaps),
         "success": schedule.success, "l_max": schedule.l_max,
@@ -146,8 +145,7 @@ def experiment_credible_interval(model, kernel, out_dir, seed=0, axis=0,
     results = {}
     passed = True
     for side in ("upper", "lower"):
-        q = inference.CredibleQuery(axis=axis, alpha=alpha, eps=eps,
-                                    delta=delta, side=side)
+        q = inference.CredibleQuery(axis=axis, alpha=alpha, eps=eps, delta=delta, side=side)
         r = inference.credible_bound_search(q, handle, seed)
         target = alpha / 2.0 if side == "upper" else 1.0 - alpha / 2.0
         premise = any(abs(t - target) <= eps / 3.0 for t in tails)
@@ -190,8 +188,7 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
             res = qmci.qsa_with_qmci(inst.oracle, inst.model, kernel, eps, delta, seed)
             distribution, prep_queries = res.model_pert.distribution(), res.oracle_queries
         elif method == "exact-qsa":
-            ledger = annealing.QueryLedger()
-            annealing.prepare(inst.model, kernel, eps, delta, seed, ledger=ledger)
+            _, _, ledger = annealing.prepare(inst.model, kernel, eps, delta, seed)
             distribution, prep_queries = inst.model.distribution(), ledger.total * inst.M
         else:
             raise ValueError(f"unknown method {method!r}")

@@ -77,6 +77,8 @@ class CredibleQuery:
             raise ValueError("alpha must be in (0, 1)")
         if not 0 < self.eps < self.alpha / 2.0:
             raise ValueError("need 0 < eps < alpha/2")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must be in (0, 1), not {self.delta:g}")
         if self.side not in ("upper", "lower"):
             raise ValueError("side must be 'upper' or 'lower'")
 

@@ -7,10 +7,11 @@ annealing) builds on the exact transition matrices computed here.  Chains are
 built as temperature ladders: the chains of one model and kernel at a list of
 beta are assembled, checked and given their values-only spectrum as stacked
 arrays, a byte-bounded chunk at a time, with one eigvalsh per chunk; a single
-chain is the one-temperature ladder.  A chain is irreducible when its target is
-positive, which fails where exp underflows (past about 745 nats), and its proposal's
-support graph, undirected as the weights are negation symmetric, is connected: one
-NumPy count per support, cached; each error message states its cause.
+chain is the one-temperature ladder, and each chain carries its beta's model
+and its kernel.  A chain is irreducible when its target is positive, which fails
+where exp underflows (past about 745 nats), and its proposal's support graph,
+undirected as the weights are negation symmetric, is connected: one NumPy count
+per support, cached; each error message states its cause.
 A chain keeps what it derives on first need: its eigenpairs, its reversibility
 verdict, and the squarings W^(2^j) behind its matrix powers, so mixing checks at
 several step counts share one squaring ladder and one reversibility check.
@@ -288,9 +289,10 @@ def tv_distance(p, q) -> float:
 
 @dataclass(frozen=True)
 class ChainModel:
-    """MH transition matrix with its derived spectral data."""
+    """MH transition matrix of model under kernel's proposal, with its derived spectral data."""
 
-    space: StateSpace
+    model: TargetModel               # the target at this chain's beta
+    kernel: ProposalKernel
     transition: np.ndarray
     stationary: np.ndarray
     spectral_gap: float              # 1 - max(|lambda_min|, lambda_2)
@@ -400,7 +402,8 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
     models = [model.with_beta(b) for b in betas]
     nb, neg = neighbour_table(shape, moves), negation_slots(shape, moves)
     # zero for zero-weight moves; distinct moves give each (x, y) at most one value
-    flow = w * _acceptance(np.stack([m.unnormalized() for m in models]), nb, w, neg)
+    p = np.stack([m.unnormalized() for m in models])
+    flow = w * _acceptance(p, nb, w, neg)
     W = np.zeros((len(models), n, n))
     W[:, np.arange(n)[:, None], nb] = flow
     diagonal = (slice(None), np.arange(n), np.arange(n))
@@ -408,7 +411,7 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
     W[diagonal] = 1.0 - W.sum(axis=2)
 
     # every chain is checked before the stack's one eigvalsh, which a bad one could fail
-    pi = np.stack([m.distribution() for m in models])
+    pi = p / p.sum(axis=1, keepdims=True)
     negative, underflowed = np.any(W < -1e-14, axis=(1, 2)), np.any(pi == 0.0, axis=1)
     if np.any(negative | underflowed):
         b = int(np.argmax(negative | underflowed))
@@ -425,9 +428,9 @@ def _ladder_chunk(model: TargetModel, kernel: ProposalKernel, betas: list) -> li
         # lam[b, -1] is the unit eigenvalue; a one-state chain has no other
         second = float(lam[b, -2]) if n > 1 else 0.0
         bottom = abs(float(lam[b, 0])) if n > 1 else 0.0
-        chains.append(ChainModel(space=model.space, transition=W[b], stationary=pi[b],
-                                 spectral_gap=1.0 - max(bottom, second), signed_gap=1.0 - second,
-                                 condition_number=float(kappa[b])))
+        chains.append(ChainModel(model=models[b], kernel=kernel, transition=W[b],
+                                 stationary=pi[b], spectral_gap=1.0 - max(bottom, second),
+                                 signed_gap=1.0 - second, condition_number=float(kappa[b])))
     return chains
 
 

@@ -100,14 +100,14 @@ def tv_perturbation_bound(chain: ChainModel, eps: float) -> float:
 def tv_perturbation_check(model: TargetModel, kernel: ProposalKernel,
                           pert: PerturbedLikelihood):
     """Exact ||P~ - P||_TV (both stationary distributions in closed form) vs the bound."""
-    return _tv_check(build_transition_matrix(model, kernel), model, pert)
+    return _tv_check(build_transition_matrix(model, kernel), pert)
 
 
-def _tv_check(chain: ChainModel, model: TargetModel, pert: PerturbedLikelihood):
-    """tv_perturbation_check on the already built base chain of model."""
+def _tv_check(chain: ChainModel, pert: PerturbedLikelihood):
+    """tv_perturbation_check on an already built base chain."""
     bound = tv_perturbation_bound(chain, pert.eps)
-    P = model.distribution()
-    P_pert = model.with_neg_log_lik(pert.perturbed).distribution()
+    P = chain.model.distribution()
+    P_pert = chain.model.with_neg_log_lik(pert.perturbed).distribution()
     tv = tv_distance(P, P_pert)
     return tv, bound, tv <= bound + 1e-12
 
@@ -120,7 +120,7 @@ def verification_record(instance_id, model: TargetModel, kernel: ProposalKernel,
     chain_pert = build_transition_matrix(model.with_neg_log_lik(pert.perturbed), kernel)
     a_diff, a_bound, a_ok = acceptance_error_check(model, kernel, pert)
     g_val, g_bound, g_ok = spectral_gap_perturbation_check(chain, chain_pert, kernel, pert.eps)
-    tv, tv_bound, tv_ok = _tv_check(chain, model, pert)
+    tv, tv_bound, tv_ok = _tv_check(chain, pert)
     return {
         "instance": str(instance_id),
         "eps": pert.eps,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import annealing
-from .annealing import QueryLedger
 from .markov import ProposalKernel, TargetModel, acceptance_matrix, chain_ladder, tv_distance
 from .qsim import RegisterLayout, WalkOperator
 
@@ -348,13 +347,13 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
     perturbed model's posterior by annealing.prepare, and reports the realized
     TV(P~, P) along with measured walk-operator and oracle-query totals.
     """
+    _check_request(eps, delta, mode)                # before internal_accuracy's ladder
     eps_in = internal_accuracy(model, kernel, eps)
     queries_before = oracle.queries
     nll, _ = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
     model_pert = model.with_neg_log_lik(nll)
-    ledger = QueryLedger()
-    schedule, state = annealing.prepare(model_pert, kernel, eps, delta, seed,
-                                        gate_mode=gate_mode, ledger=ledger)
+    schedule, state, ledger = annealing.prepare(model_pert, kernel, eps, delta, seed,
+                                                gate_mode=gate_mode)
     if state is None:
         raise RuntimeError("temperature schedule search failed")
 

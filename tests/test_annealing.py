@@ -36,7 +36,8 @@ from qmhlab.inference import synth_gw_instance
 from qmhlab.markov import (ProposalKernel, ReducibleChainError, StateSpace, TargetModel,
                            build_transition_matrix)
 from qmhlab.qmci import LikelihoodOracle, qsa_with_qmci
-from qmhlab.qsim import RegisterLayout, WalkOperator, build_walk_operator, encode_distribution
+from qmhlab.qsim import (RegisterLayout, WalkOperator, build_walk_operator, encode_distribution,
+                         invariant_subspace)
 
 from conftest import count_linalg_calls, qpe_estimate_amplitudes, random_instance, torus_cases
 
@@ -334,7 +335,7 @@ class TestQpePhaseGate:
     def build_gate(self, model, kernel, delta):
         layout = RegisterLayout.for_kernel(kernel)
         chain = build_transition_matrix(model, kernel)
-        gate = QpePhaseGate(model, kernel, OMEGA_PI3, delta)
+        gate = QpePhaseGate(chain, OMEGA_PI3, delta)
         return gate, layout, chain
 
     @pytest.mark.parametrize("name,model,kernel", ORACLE_CASES,
@@ -416,7 +417,8 @@ class TestQpePhaseGate:
             assert np.array_equal(gate.apply_inverse(at_offset(v, off)), back)
             moved = TargetModel(space=model.space, prior=at_offset(model.prior, off),
                                 neg_log_lik=at_offset(model.neg_log_lik, off))
-            assert np.array_equal(QpePhaseGate(moved, kernel, OMEGA_PI3, 0.01).apply(v),
+            moved_chain = build_transition_matrix(moved, kernel)
+            assert np.array_equal(QpePhaseGate(moved_chain, OMEGA_PI3, 0.01).apply(v),
                                   gate.apply(v))
 
     def test_builds_walk_factors_once(self, monkeypatch):
@@ -448,11 +450,13 @@ class TestQpePhaseGate:
         assert len(built) == 1
 
     def test_one_eigh_per_chain(self, monkeypatch):
-        # the gate's chain takes its values-only spectrum, then one eigh for
+        # the chain takes its values-only spectrum, then the gate one eigh for
         # the basis and coefficients; applying the gate solves nothing more
         model, kernel = gaussian_torus_5x5()
         calls = count_linalg_calls(monkeypatch, "eigh", "eigvalsh")
-        gate = QpePhaseGate(model, kernel, OMEGA_PI3, 0.01)
+        chain = build_transition_matrix(model, kernel)
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+        gate = QpePhaseGate(chain, OMEGA_PI3, 0.01)
         assert calls == {"eigh": 1, "eigvalsh": 1}
         v = np.ones(len(gate._basis), dtype=complex)
         gate.apply_inverse(gate.apply(v))
@@ -473,16 +477,38 @@ class TestQpePhaseGate:
         layout = RegisterLayout.for_kernel(kernel)
         chain = build_transition_matrix(model, kernel)
         ledger = QueryLedger()
-        gate = QpePhaseGate(model, kernel, OMEGA_PI3, 0.1, ledger=ledger)
+        gate = QpePhaseGate(chain, OMEGA_PI3, 0.1, ledger=ledger)
         gate.apply(encode_distribution(chain.stationary, layout))
         assert ledger.total == gate.cost == 2 * (2**gate.t - 1)
 
     def test_rejects_nonpositive_gap(self, two_state_gap_half):
         # exp(-900) underflows: state 1 has no mass, so the chain is refused
-        # (ReducibleChainError, a ValueError) before any gap is taken
+        # (ReducibleChainError, a ValueError) before any gate can take its gap
         model, kernel = two_state_gap_half
         with pytest.raises(ValueError):
-            QpePhaseGate(model.with_neg_log_lik([0.0, 900.0]), kernel, OMEGA_PI3, 0.1)
+            QpePhaseGate(build_transition_matrix(model.with_neg_log_lik([0.0, 900.0]), kernel),
+                         OMEGA_PI3, 0.1)
+
+    def test_reads_layout_and_walk_from_its_chain(self, monkeypatch):
+        # the gate builds no chain: the one it is handed gives it the kernel and the model
+        model, kernel = gaussian_torus_5x5()
+        chain = build_transition_matrix(model.with_beta(0.5), kernel)
+        walks = []
+
+        class Recorded(WalkOperator):
+            def __init__(self, model, layout):
+                walks.append((model, layout))
+                super().__init__(model, layout)
+
+        monkeypatch.setattr(annealing, "WalkOperator", Recorded)
+        monkeypatch.setattr(annealing, "build_transition_matrix", None)
+        monkeypatch.setattr(annealing, "chain_ladder", None)
+        gate = QpePhaseGate(chain, OMEGA_PI3, 0.01)
+        [(walk_model, layout)] = walks
+        assert walk_model is chain.model and walk_model.beta == 0.5
+        expected = RegisterLayout.for_kernel(kernel)
+        assert layout.moves == expected.moves and np.array_equal(layout.weights, expected.weights)
+        assert gate.cost == phase_gate_cost(chain.signed_gap, 0.01)
 
 
 def nae_overlap_reference(state, target, eps, delta, seed):
@@ -770,6 +796,127 @@ class TestGeneration:
             qsa_generate(bad, model, kernel, eps=0.1)
 
 
+class ChainPerGateQpePhaseGate(QpePhaseGate):
+    """QpePhaseGate as it was when it built its own chain from (model, kernel)."""
+
+    def __init__(self, model: TargetModel, kernel: ProposalKernel, omega: complex,
+                 delta: float, ledger: QueryLedger | None = None, tag: str = ""):
+        if not 0 < delta < 1:
+            raise ValueError("delta must be in (0, 1)")
+        chain = build_transition_matrix(model, kernel)
+        layout = RegisterLayout.for_kernel(kernel)
+        phase_gap = float(np.arccos(1.0 - chain.signed_gap))
+        self.t = qpe_ancilla_count(phase_gap, delta)
+        self.omega = complex(omega)
+        self.ledger, self.tag = ledger, tag
+        self.cost = phase_gate_cost(chain.signed_gap, delta)
+        self._walk = WalkOperator(model, layout)         # built once per gate
+        self._basis, pair = invariant_subspace(self._walk.core(layout.reference_states()),
+                                               layout, chain)
+        gram = self._basis.conj().T @ self._basis
+        if np.linalg.norm(gram - np.eye(len(gram))) > 1e-10:
+            raise ValueError("invariant-subspace basis is not orthonormal")
+
+        lam, _ = chain.eigenpairs                        # pair indexes these per column
+        theta = np.arccos(np.clip(lam, -1.0, 1.0))
+        theta[-1] = 0.0                                  # the unit eigenvalue: |pi>
+        N = 2**self.t
+        k = np.arange(N)
+        kicked = k[2.0 * np.pi * np.minimum(k, N - k) / N <= phase_gap / 2.0]
+        # <0| W' D W |0>, +-theta alike: the law sums to 1, omega - 1 extra on the kicked k
+        survived = 1.0 + (self.omega - 1.0) * annealing._qpe_outcome_law(
+            theta, self.t, kicked).sum(-1)
+        ideal = np.append(np.ones(len(theta) - 1), self.omega)
+        err = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived)))
+        self._coeff, self.residuals = survived[pair], err[pair]
+
+
+def chain_per_gate_generate(schedule, model, kernel, eps, mode="exact", ledger=None):
+    """qsa_generate's per-gate loop as it was before generation read one chain ladder:
+    each gate builds its own chain at its temperature, by build_transition_matrix."""
+    layout = RegisterLayout.for_kernel(kernel)
+    n_stages = len(schedule.betas) - 1
+    state = encode_distribution(model.with_beta(0.0).distribution(), layout)
+    stage_eps = eps / n_stages
+
+    def gate(i):
+        model_b = model.with_beta(schedule.betas[i])
+        if mode == "qpe":
+            return ChainPerGateQpePhaseGate(model_b, kernel, OMEGA_PI3, GATE_DELTA,
+                                            ledger=ledger, tag="generate")
+        gap = build_transition_matrix(model_b, kernel).signed_gap
+        return ExactPhaseGate(encode_distribution(model_b.distribution(), layout), OMEGA_PI3,
+                              cost=phase_gate_cost(gap, GATE_DELTA), ledger=ledger,
+                              tag="generate")
+
+    for i in range(n_stages):
+        p = max(OVERLAP_GUARANTEE,
+                min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
+        m = amplification_depth(p, stage_eps)
+        # stage i's R2 is stage i+1's R1: same temperature, same gate
+        R1 = gate(i) if i == 0 else R2
+        R2 = gate(i + 1)
+        state = pi3_amplify(R1, R2, m, state)
+        norm = np.linalg.norm(state)
+        if norm > 0:
+            state = state / norm
+    return state
+
+
+def gw_4x4(rho):
+    inst = synth_gw_instance(0.1, 0.0, 256, rho, 0, grid_shape=(4, 4))
+    return inst.model, ProposalKernel.nearest_neighbor(inst.space)
+
+
+class TestOneLadderGeneration:
+    """Generation from one chain ladder gives, bit for bit, the state and ledger that
+    building one chain per gate gave."""
+
+    @pytest.mark.parametrize("mode", ["exact", "qpe"])
+    @pytest.mark.parametrize("instance", ["default", "gw-4x4-rho2", "gw-4x4-rho6"])
+    def test_matches_the_chain_per_gate_loop(self, instance, mode):
+        model, kernel = {"default": cli._default_model, "gw-4x4-rho2": lambda: gw_4x4(2.0),
+                         "gw-4x4-rho6": lambda: gw_4x4(6.0)}[instance]()
+        gap = build_transition_matrix(model, kernel).signed_gap
+        stages = set()
+        for seed in range(3):
+            schedule = qsa_schedule(model, kernel, gap, eta=0.1, seed=seed)
+            assert schedule.success
+            stages.add(len(schedule.betas) - 1)
+            ledger, oracle_ledger = QueryLedger(), QueryLedger()
+            state = qsa_generate(schedule, model, kernel, 0.05, mode=mode, ledger=ledger)
+            expected = chain_per_gate_generate(schedule, model, kernel, 0.05, mode=mode,
+                                               ledger=oracle_ledger)
+            assert np.array_equal(state, expected)
+            assert ledger.by_tag == oracle_ledger.by_tag and ledger.total > 0
+        # the sharp posterior anneals through an intermediate temperature
+        assert instance != "gw-4x4-rho6" or stages == {2}
+
+    @pytest.mark.parametrize("mode", ["exact", "qpe"])
+    def test_one_ladder_and_no_other_chain(self, ring8, monkeypatch, mode):
+        model, kernel = ring8
+        schedule = AnnealingSchedule(betas=(0.0, 0.3, 0.6, 1.0), overlaps=(0.5,) * 3,
+                                     success=True, l_max=3)
+        ladders, ladder = [], annealing.chain_ladder
+
+        def recorded(model, kernel, betas):
+            ladders.append(betas)
+            return ladder(model, kernel, betas)
+
+        monkeypatch.setattr(annealing, "chain_ladder", recorded)
+        monkeypatch.setattr(annealing, "build_transition_matrix", None)
+        qsa_generate(schedule, model, kernel, 0.3, mode=mode)
+        assert ladders == [schedule.betas]
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_nonpositive_eps_rejected_before_any_gate(self, ring8, monkeypatch, eps):
+        model, kernel = ring8
+        schedule = AnnealingSchedule(betas=(0.0, 1.0), overlaps=(0.5,), success=True, l_max=1)
+        monkeypatch.setattr(annealing, "chain_ladder", None)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            qsa_generate(schedule, model, kernel, eps)
+
+
 class TestPrepare:
     @pytest.mark.parametrize("eps,gate_mode", [(0.1, "exact"), (0.3, "exact"), (0.1, "qpe")])
     def test_one_budget_rule(self, ring8, eps, gate_mode):
@@ -777,9 +924,8 @@ class TestPrepare:
         # generation at min(0.1, eps / 2): the assembly qsa_with_qmci made by hand
         model, kernel = ring8
         delta, seed = 0.2, 3
-        ledger, by_hand = QueryLedger(), QueryLedger()
-        schedule, state = prepare(model, kernel, eps, delta, seed, gate_mode=gate_mode,
-                                  ledger=ledger)
+        by_hand = QueryLedger()
+        schedule, state, ledger = prepare(model, kernel, eps, delta, seed, gate_mode=gate_mode)
         gap = build_transition_matrix(model, kernel).signed_gap
         expected = qsa_schedule(model, kernel, gap, eta=delta / 2.0, seed=seed, ledger=by_hand)
         assert schedule == expected and schedule.success
@@ -794,7 +940,7 @@ class TestPrepare:
         eps, delta = 0.1, 0.2
         inst = synth_gw_instance(0.1, 0.0, 256, 6.0, 0, grid_shape=(4, 4))
         kernel = ProposalKernel.nearest_neighbor(inst.space)
-        schedule, state = prepare(inst.model, kernel, eps, delta, 0, gate_mode=gate_mode)
+        schedule, state, _ = prepare(inst.model, kernel, eps, delta, 0, gate_mode=gate_mode)
         assert schedule.success and len(schedule.betas) == 3
         assert schedule.betas[0] == 0.0 and schedule.betas[-1] == 1.0
         target = encode_distribution(inst.model.distribution(), RegisterLayout.for_kernel(kernel))
@@ -814,8 +960,7 @@ class TestPrepare:
             return 0.0
 
         monkeypatch.setattr(annealing, "nae_overlap", no_overlap)
-        ledger = QueryLedger()
-        schedule, state = prepare(model, kernel, 0.1, 0.2, 0, ledger=ledger)
+        schedule, state, ledger = prepare(model, kernel, 0.1, 0.2, 0)
         assert state is None and not schedule.success
         assert set(ledger.by_tag) == {"schedule"} and ledger.total > 0
         oracle = LikelihoodOracle.from_nll(model.neg_log_lik, M=16, spread=0.5, seed=0)
@@ -825,19 +970,46 @@ class TestPrepare:
         assert not passed and not payload["success"] and "total_queries" not in payload
         assert payload["schedule_queries"] == ledger.total
 
+    def test_each_preparation_owns_a_fresh_ledger(self, ring8):
+        model, kernel = ring8
+        first, second = (prepare(model, kernel, 0.1, 0.2, 0)[2] for _ in range(2))
+        assert first is not second and first.by_tag == second.by_tag
+        assert first.total == sum(first.by_tag.values()) > 0
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_nonpositive_eps_rejected_before_any_chain(self, ring8, monkeypatch, eps):
+        # eps = 0 once amplified until (1 - p)^(3^m) underflowed; eps < 0 passed as |eps|
+        model, kernel = ring8
+        monkeypatch.setattr(annealing, "build_transition_matrix", None)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            prepare(model, kernel, eps, 0.2, 0)
+
+
+def library_calls(*callees):
+    """(module, top-level definition, callee) of each call in src/qmhlab to one of callees."""
+    calls = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qmhlab").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                callee = isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None))
+                if callee in callees:
+                    calls.append((path.stem, getattr(top, "name", None), callee))
+    return sorted(calls)
+
 
 class TestOnePreparationAssembly:
     """annealing.prepare is the library's only chain -> schedule -> generation assembly:
-    no other function of src/qmhlab calls the schedule search or generation."""
+    no other function of src/qmhlab calls the schedule search or generation, or makes a
+    ledger, and a QPE gate is built from a chain it is handed."""
 
     def test_search_and_generation_are_called_from_prepare_alone(self):
-        callers = []
-        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qmhlab").glob("*.py")):
-            for top in ast.parse(path.read_text()).body:
-                for node in ast.walk(top):
-                    callee = isinstance(node, ast.Call) and getattr(
-                        node.func, "id", getattr(node.func, "attr", None))
-                    if callee in ("qsa_schedule", "qsa_generate"):
-                        callers.append((path.stem, getattr(top, "name", None), callee))
-        assert sorted(callers) == [("annealing", "prepare", "qsa_generate"),
-                                   ("annealing", "prepare", "qsa_schedule")]
+        assert library_calls("qsa_schedule", "qsa_generate") == [
+            ("annealing", "prepare", "qsa_generate"), ("annealing", "prepare", "qsa_schedule")]
+
+    def test_prepare_alone_makes_a_ledger(self):
+        assert library_calls("QueryLedger") == [("annealing", "prepare", "QueryLedger")]
+
+    def test_qpe_gate_builds_no_chain(self):
+        chain_calls = library_calls("build_transition_matrix", "chain_ladder")
+        assert chain_calls and not [c for c in chain_calls if c[1] == "QpePhaseGate"]

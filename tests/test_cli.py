@@ -254,9 +254,16 @@ class TestRunCommand:
         ({"experiment": "verify-bounds", "seeds": []},
          "config key 'seeds' must be a list of one or more integers, not []"),
         ({"experiment": "qmci-pipeline", "M": 0}, "an oracle needs M >= 1 terms, not M = 0"),
+        ({"experiment": "anneal", "eps": 0}, "anneal: eps must be positive, not 0"),
+        ({"experiment": "anneal", "eps": -0.1}, "anneal: eps must be positive, not -0.1"),
+        ({"experiment": "qmci-pipeline", "delta": 2.0},
+         "qmci-pipeline: need eps > 0 and delta in (0, 1)"),
+        ({"experiment": "credible-interval", "delta": 1.5},
+         "credible-interval: delta must be in (0, 1), not 1.5"),
     ], ids=["list", "seed-string", "eps-string", "seeds-int", "eps-above-alpha",
             "bogus-mode", "axis-off-grid", "experiment-list", "model-int", "output-dir-int",
-            "M-values-empty", "methods-empty", "seeds-empty", "M-zero"])
+            "M-values-empty", "methods-empty", "seeds-empty", "M-zero", "anneal-eps-zero",
+            "anneal-eps-negative", "pipeline-delta-above-1", "credible-delta-above-1"])
     def test_malformed_config_is_an_error_message(self, tmp_path, cfg, detail):
         if isinstance(cfg, dict):
             cfg = {"output_dir": str(tmp_path / "out"), **cfg}
@@ -380,8 +387,7 @@ class TestScalingCommand:
         query = CredibleQuery(axis=0, alpha=CI_ALPHA, eps=CI_EPS, delta=delta)
         for r in payload["records"]:
             inst = synth_gw_instance(0.1, 0.0, r["M"], 2.0, r["seed"])
-            ledger = QueryLedger()
-            prepare(inst.model, ProposalKernel.nearest_neighbor(inst.space), eps, delta,
-                    r["seed"], ledger=ledger)
+            _, _, ledger = prepare(inst.model, ProposalKernel.nearest_neighbor(inst.space), eps,
+                                   delta, r["seed"])
             handle = PosteriorHandle(inst.model.distribution(), inst.space, r["M"] * ledger.total)
             assert r["queries"] == credible_bound_search(query, handle, r["seed"]).queries > 0

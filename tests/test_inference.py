@@ -130,6 +130,9 @@ class TestCredibleSearch:
             CredibleQuery(axis=0, alpha=0.5, eps=0.3, delta=0.1)
         with pytest.raises(ValueError):
             CredibleQuery(axis=0, alpha=0.5, eps=0.05, delta=0.1, side="middle")
+        for delta in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+                CredibleQuery(axis=0, alpha=0.5, eps=0.05, delta=delta)
 
     def test_bound_found_with_high_probability(self):
         model = posterior_16()

@@ -14,7 +14,6 @@ from qmhlab.annealing import phase_gate_cost, qpe_ancilla_count
 from qmhlab.markov import (
     ChainModel,
     NonReversibleChainError,
-    ChainModel,
     ProposalKernel,
     ReducibleChainError,
     StateSpace,
@@ -663,6 +662,25 @@ class TestChainLadder:
             for got, ref in zip(chain_fields(chain), chain_fields(want)):
                 assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("shape", [(8,), (5, 5), (8, 8), (16, 16), (20, 20), "gw-16x16"])
+    def test_each_rung_carries_its_model_and_kernel(self, shape):
+        # pi is the stacked target normalized row by row: bit for bit each rung's own
+        # distribution, as the rung's model computes it alone
+        if shape == "gw-16x16":
+            inst = synth_gw_instance(0.1, 0.0, 256, 6.0, 0, grid_shape=(16, 16))
+            model = inst.model
+        else:
+            space = StateSpace.regular_grid(shape)
+            L = 0.7 * np.sum((space.points - np.array(shape) // 3) ** 2, axis=1)
+            model = TargetModel(space, np.full(space.size, 1.0 / space.size), L)
+        kernel = ProposalKernel.nearest_neighbor(model.space)
+        betas = np.linspace(0.0, 1.0, 15)
+        for beta, chain in zip(betas, markov.chain_ladder(model, kernel, betas)):
+            assert chain.kernel is kernel and chain.model.beta == beta
+            assert chain.model.prior is model.prior
+            assert chain.model.neg_log_lik is model.neg_log_lik
+            assert np.array_equal(chain.stationary, model.with_beta(beta).distribution())
+
 
 def scipy_support_components(shape, moves, kept):
     """SciPy's strong components of the graph x -> nb[x, j] over the slots j kept."""
@@ -901,7 +919,9 @@ class TestMixing:
     def test_non_reversible_chain_rejected_on_every_call(self):
         # a lazy walk round a 3-cycle: uniform pi, no detailed balance
         W = 0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1)
-        chain = ChainModel(space=StateSpace.regular_grid((3,)), transition=W,
+        space = StateSpace.regular_grid((3,))
+        chain = ChainModel(model=TargetModel(space, np.full(3, 1.0 / 3.0), np.zeros(3)),
+                           kernel=ProposalKernel.nearest_neighbor(space), transition=W,
                            stationary=np.full(3, 1.0 / 3.0), spectral_gap=0.25,
                            signed_gap=0.25, condition_number=1.0)
         for n in (1, 4):

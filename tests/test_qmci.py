@@ -518,15 +518,16 @@ class TestMedianTail:
             "import sys\n"
             "import numpy as np\n"
             "from qmhlab import annealing, qmci\n"
-            "from qmhlab.markov import ProposalKernel, StateSpace, TargetModel\n"
+            "from qmhlab.markov import (ProposalKernel, StateSpace, TargetModel,\n"
+            "                           build_transition_matrix)\n"
             "table = np.random.default_rng(0).uniform(0.0, 4.0, size=(8, 5))\n"
             "oracle = qmci.LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05)\n"
             "assert qmci.qmci_mean(oracle, 0, 0.1, 0.1, 'faithful', seed=0).queries > 0\n"
             "space = StateSpace.regular_grid((6,))\n"
             "model = TargetModel(space=space, prior=np.full(6, 1 / 6),\n"
             "                    neg_log_lik=np.linspace(0.0, 1.0, 6))\n"
-            "annealing.QpePhaseGate(model, ProposalKernel.nearest_neighbor(space),\n"
-            "                       annealing.OMEGA_PI3, 0.05)\n"
+            "chain = build_transition_matrix(model, ProposalKernel.nearest_neighbor(space))\n"
+            "annealing.QpePhaseGate(chain, annealing.OMEGA_PI3, 0.05)\n"
             "print('scipy.stats' in sys.modules)\n"
         )
         assert run_fresh(code).strip() == "False"
@@ -961,6 +962,17 @@ class TestPipeline:
         assert (single == 0) == (eps_internal == 40.0) and res.walk_applications > 0
         assert res.oracle_queries == oracle.queries - 123 == \
             (oracle.n_states + 4 * res.walk_applications) * single
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -0.1])
+    def test_failure_weight_outside_unit_interval_rejected_first(self, monkeypatch, delta):
+        # delta = 2.0 once ran the whole pipeline and reported a pass
+        space = StateSpace.regular_grid((6,))
+        model = TargetModel(space=space, prior=np.full(6, 1.0 / 6.0), neg_log_lik=np.zeros(6))
+        oracle = LikelihoodOracle.from_nll(model.neg_log_lik, M=16, spread=0.5, seed=0)
+        monkeypatch.setattr(qmci, "internal_accuracy", None)
+        with pytest.raises(ValueError, match=r"delta in \(0, 1\)"):
+            qsa_with_qmci(oracle, model, ProposalKernel.nearest_neighbor(space), 0.2, delta, 0)
+        assert oracle.queries == 0
 
     def test_queries_drop_with_smaller_sigma(self, monkeypatch):
         space = StateSpace.regular_grid((6,))

@@ -385,7 +385,7 @@ class TestUnitarityCertificate:
         with pytest.raises(ValueError, match="negation tables"):
             build_walk_operator(model, kernel, layout)
         with pytest.raises(ValueError, match="negation tables"):
-            QpePhaseGate(model, kernel, np.exp(1j * np.pi / 3.0), 0.1)
+            QpePhaseGate(build_transition_matrix(model, kernel), np.exp(1j * np.pi / 3.0), 0.1)
 
     def test_non_unitary_move_register_rejected(self, monkeypatch):
         model, kernel, layout = make_setup(3)
