@@ -4,9 +4,11 @@ Pieces: phase gates about a marked state (exact, and QPE-synthesized on a
 chain's walk operator from its eigendecomposition), pi/3 amplitude
 amplification, nondestructive overlap estimation, and the temperature-schedule
 search with staged state generation, assembled by prepare alone, which returns
-a ledger of the walk-operator applications it charged.  Measurements are
-simulated by sampling from exactly computed outcome distributions: phase
-estimation's is the closed-form Fejer law, so no circuit or FFT is simulated.
+a ledger of the walk-operator applications it charged: the gates and overlap
+estimation only compute, and the search and generation that run them charge it.
+Measurements are simulated by sampling from exactly computed outcome
+distributions: phase estimation's is the closed-form Fejer law, so no circuit
+or FFT is simulated.
 """
 
 from __future__ import annotations
@@ -59,26 +61,17 @@ def phase_gate_cost(signed_gap: float, delta: float) -> int:
 class ExactPhaseGate:
     """omega on the marked state, identity on its complement."""
 
-    def __init__(self, target: np.ndarray, omega: complex,
-                 cost: int = 0, ledger: QueryLedger | None = None, tag: str = ""):
+    def __init__(self, target: np.ndarray, omega: complex):
         target = np.asarray(target, complex)
         if abs(np.linalg.norm(target) - 1.0) > 1e-10:
             raise ValueError("target state must be normalized")
         self.target = target
         self.omega = complex(omega)
-        self.cost = int(cost)
-        self.ledger, self.tag = ledger, tag
-
-    def _charge(self):
-        if self.ledger is not None:
-            self.ledger.charge(self.cost, self.tag)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        self._charge()
         return v + (self.omega - 1.0) * np.vdot(self.target, v) * self.target
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        self._charge()
         return v + (np.conj(self.omega) - 1.0) * np.vdot(self.target, v) * self.target
 
 
@@ -141,13 +134,18 @@ def sample_folded_outcomes(theta, t: int, runs: int, rng):
         [edge, law[..., :N // 2:-1], edge], axis=-1), axis=-1)
 
 
+def median_runs(delta: float) -> int:
+    """ceil(12 ln(1/delta)): the runs a median-of-runs estimate takes at failure weight delta."""
+    return int(np.ceil(12.0 * np.log(1.0 / delta)))
+
+
 def sample_half_angles(theta: float, eps: float, delta: float,
                        rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Estimates pi m / 2^t of the angle theta, one per run of sample_folded_outcomes's
-    ceil(12 ln(1/delta)) with t = ceil(log2(2 pi / eps)) + 3, and the reflections spent."""
+    median_runs(delta) with t = ceil(log2(2 pi / eps)) + 3, and the reflections spent."""
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
-    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
+    runs = median_runs(delta)
     m, _ = sample_folded_outcomes(theta, t, runs, rng)
     # each Grover step is two reflections; QPE uses 2^t - 1 steps per run
     return np.pi * m / N, runs * (N - 1) * 2
@@ -165,16 +163,13 @@ class QpePhaseGate:
     complement R = -I and U = -G: U = 1 where G = -1, kicked by exactly omega.
     """
 
-    def __init__(self, chain: ChainModel, omega: complex, delta: float,
-                 ledger: QueryLedger | None = None, tag: str = ""):
+    def __init__(self, chain: ChainModel, omega: complex, delta: float):
         if not 0 < delta < 1:
             raise ValueError("delta must be in (0, 1)")
         layout = RegisterLayout.for_kernel(chain.kernel)
         phase_gap = float(np.arccos(1.0 - chain.signed_gap))
         self.t = qpe_ancilla_count(phase_gap, delta)
         self.omega = complex(omega)
-        self.ledger, self.tag = ledger, tag
-        self.cost = phase_gate_cost(chain.signed_gap, delta)
         self._walk = WalkOperator(chain.model, layout)   # built once per gate
         self._basis, pair = invariant_subspace(self._walk.core(layout.reference_states()),
                                                layout, chain)
@@ -194,10 +189,6 @@ class QpePhaseGate:
         err = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived)))
         self._coeff, self.residuals = survived[pair], err[pair]
 
-    def _charge(self):
-        if self.ledger is not None:
-            self.ledger.charge(self.cost, self.tag)
-
     def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """B^dagger v, and (v_c - G v_c) / 2: v's part outside K where U = 1."""
         w = self._basis.conj().T @ v
@@ -205,12 +196,10 @@ class QpePhaseGate:
         return w, (v_c - self._walk.core(v_c[:, None])[:, 0]) / 2.0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        self._charge()
         w, p = self._split(v)
         return v + self._basis @ ((self._coeff - 1.0) * w) + (self.omega - 1.0) * p
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        self._charge()
         w, p = self._split(v)
         return (v + self._basis @ ((np.conj(self._coeff) - 1.0) * w)
                 + (np.conj(self.omega) - 1.0) * p)
@@ -254,9 +243,8 @@ def pi3_overlap_bound(p: float, m: int) -> float:
 
 
 def nae_overlap(state: np.ndarray, target: np.ndarray, eps: float, delta: float,
-                seed: int, ledger: QueryLedger | None = None,
-                reflection_cost: int = 1, tag: str = "nae") -> float:
-    """Estimate |<target|state>|^2 to accuracy eps, restoring the state.
+                seed: int) -> tuple[float, int]:
+    """Estimate |<target|state>|^2 to accuracy eps, restoring the state, and the reflections spent.
 
     Simulates phase estimation on the two-reflection rotation: the input
     splits evenly between the rotation's two eigenvectors with eigenphases
@@ -274,10 +262,7 @@ def nae_overlap(state: np.ndarray, target: np.ndarray, eps: float, delta: float,
     half_angles, reflections = sample_half_angles(theta, eps, delta, rng)
     # float_power calls pow like a scalar ** 2; an array ** 2 squares (last bit differs)
     estimates = np.float_power(np.cos(half_angles), 2)
-    estimate = float(np.median(estimates))
-    if ledger is not None:
-        ledger.charge(reflections * reflection_cost, tag)
-    return estimate
+    return float(np.median(estimates)), reflections
 
 
 @dataclass
@@ -333,8 +318,11 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, signed_gap: float,
     def estimate(b1, b2):
         state, target = (np.sqrt(model.with_beta(b).distribution()).astype(complex)
                          for b in (b1, b2))
-        return nae_overlap(state, target, NAE_ACCURACY, delta_nae, seed=int(rng.integers(2**63)),
-                           ledger=ledger, reflection_cost=refl_cost, tag="schedule")
+        est, reflections = nae_overlap(state, target, NAE_ACCURACY, delta_nae,
+                                       seed=int(rng.integers(2**63)))
+        if ledger is not None:
+            ledger.charge(reflections * refl_cost, "schedule")
+        return est
 
     def result(success):
         return AnnealingSchedule(betas=tuple(betas), overlaps=tuple(overlaps), success=success,
@@ -383,8 +371,9 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
 
     Both modes build the schedule's chains as one ladder and one gate from each
     chain in turn: in exact mode an oracle phase gate about its stationary
-    state, charged at the synthesized-gate rate of its signed gap, in qpe mode
-    one synthesized from its walk operator.  Each QPE has failure weight GATE_DELTA.
+    state, in qpe mode one synthesized from its walk operator, each QPE with failure weight
+    GATE_DELTA.  A ledger, if given, is charged "generate" per stage: U_m uses each of
+    its two gates (3^m - 1) / 2 times, priced at their chains' signed gaps alike.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, not {eps:g}")
@@ -399,19 +388,20 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
 
     def next_gate():
         chain = next(chains)
+        cost = phase_gate_cost(chain.signed_gap, GATE_DELTA)
         if mode == "qpe":
-            return QpePhaseGate(chain, OMEGA_PI3, GATE_DELTA, ledger=ledger, tag="generate")
-        target = encode_distribution(chain.stationary, layout)
-        return ExactPhaseGate(target, OMEGA_PI3, cost=phase_gate_cost(chain.signed_gap, GATE_DELTA),
-                              ledger=ledger, tag="generate")
+            return QpePhaseGate(chain, OMEGA_PI3, GATE_DELTA), cost
+        return ExactPhaseGate(encode_distribution(chain.stationary, layout), OMEGA_PI3), cost
 
-    R2 = next_gate()
+    R2, c2 = next_gate()
     for i in range(n_stages):
         p = max(OVERLAP_GUARANTEE, min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
         m = amplification_depth(p, eps / n_stages)
         # stage i's R2 is stage i+1's R1; the older gate is dropped before a new one is built
-        R1 = R2
-        R2 = next_gate()
+        R1, c1 = R2, c2
+        R2, c2 = next_gate()
+        if ledger is not None and m > 0:     # depth 0 applies no gate and charges nothing
+            ledger.charge((3**m - 1) // 2 * (c1 + c2), "generate")
         state = pi3_amplify(R1, R2, m, state)
         norm = np.linalg.norm(state)
         if norm > 0:

@@ -98,6 +98,8 @@ def experiment_verify_bounds(model, kernel, out_dir, seeds=(0, 1, 2, 3),
 
 
 def experiment_anneal(model, kernel, out_dir, seed=0, eps=0.1, mode="exact"):
+    if eps >= 0.5:          # fidelity >= 1 - 2 eps would pass any state
+        raise ValueError(f"eps must be below 0.5, not {eps:g}: any state would pass")
     schedule, state, ledger = annealing.prepare(model, kernel, eps, ANNEAL_DELTA, seed,
                                                 gate_mode=mode)
     payload = {
@@ -120,6 +122,8 @@ def experiment_anneal(model, kernel, out_dir, seed=0, eps=0.1, mode="exact"):
 
 def experiment_qmci_pipeline(model, kernel, out_dir, seed=0, eps=0.2,
                              delta=0.1, M=64, spread=0.5):
+    if eps >= 1:            # tv_realized <= eps would pass any perturbation
+        raise ValueError(f"eps must be below 1, not {eps:g}: any perturbation would pass")
     oracle = qmci.LikelihoodOracle.from_nll(model.neg_log_lik, M, spread, seed)
     result = qmci.qsa_with_qmci(oracle, model, kernel, eps, delta, seed)
     passed = result.tv_realized <= eps

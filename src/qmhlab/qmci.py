@@ -50,7 +50,7 @@ def query_charge(sigma: float, eps: float, delta: float) -> int:
     """
     r = sigma / eps
     poly = np.ceil(6.9 * r * (1.0 + max(0.0, np.log2(r)) ** 1.5))
-    return int(poly) * int(np.ceil(12.0 * np.log(1.0 / delta)))
+    return int(poly) * annealing.median_runs(delta)
 
 
 def estimation_charge(oracle: LikelihoodOracle, eps: float, delta: float) -> int:
@@ -221,7 +221,7 @@ def _faithful_means(oracle: LikelihoodOracle, states: np.ndarray, eps: float, de
     theta = np.arcsin(np.sqrt(np.clip((truth[live] - lo[live]) / span, 0.0, 1.0)))
     eps_norm = 2.0 ** (b - 1) / span
     ts = np.minimum(np.ceil(np.log2(2.0 * np.pi / np.minimum(eps_norm, 0.5))).astype(int) + 2, 16)
-    runs = int(np.ceil(12.0 * np.log(1.0 / (delta / 4.0)))) | 1     # odd: one run is the median
+    runs = annealing.median_runs(delta / 4.0) | 1     # odd: one run is the median
     for t in np.unique(ts):
         # outcome m estimates sin^2(pi m / 2^t); the estimates rise with m, so the
         # good outcomes form one range [g0, g1] (empty when t = 16 cannot resolve eps)
@@ -346,11 +346,15 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
     Estimates the likelihood table at the internal accuracy, prepares the
     perturbed model's posterior by annealing.prepare, and reports the realized
     TV(P~, P) along with measured walk-operator and oracle-query totals.
+    A table whose bad-branch mass exceeds its failure weight delta / 4 raises RuntimeError.
     """
     _check_request(eps, delta, mode)                # before internal_accuracy's ladder
     eps_in = internal_accuracy(model, kernel, eps)
     queries_before = oracle.queries
-    nll, _ = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
+    nll, residual = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
+    if residual > delta / 4.0:
+        raise RuntimeError(f"likelihood table failed: bad-branch mass {residual:.3g} exceeds "
+                           f"its failure weight {delta / 4.0:g}")
     model_pert = model.with_neg_log_lik(nll)
     schedule, state, ledger = annealing.prepare(model_pert, kernel, eps, delta, seed,
                                                 gate_mode=gate_mode)

@@ -3,6 +3,7 @@ one preparation that assembles them."""
 
 import ast
 import gc
+import math
 import weakref
 from pathlib import Path
 
@@ -42,6 +43,21 @@ from qmhlab.qsim import (RegisterLayout, WalkOperator, build_walk_operator, enco
 from conftest import count_linalg_calls, qpe_estimate_amplitudes, random_instance, torus_cases
 
 PI3_ATOL = 1e-9
+
+
+class CountingGate:
+    """Identity gate that counts its uses, forward and inverse."""
+
+    def __init__(self):
+        self.uses = 0
+
+    def apply(self, v):
+        self.uses += 1
+        return v
+
+    def apply_inverse(self, v):
+        self.uses += 1
+        return v
 
 
 def overlap_pair(p):
@@ -92,14 +108,6 @@ class TestExactPhaseGate:
         np.testing.assert_allclose(
             gate.apply_inverse(gate.apply(perp + target)), perp + target,
             atol=1e-12)
-
-    def test_charges_ledger(self):
-        ledger = QueryLedger()
-        gate = ExactPhaseGate(np.array([1.0, 0.0], dtype=complex), OMEGA_PI3,
-                              cost=9, ledger=ledger, tag="g")
-        gate.apply(np.array([0.5, 0.5], dtype=complex))
-        gate.apply_inverse(np.array([0.5, 0.5], dtype=complex))
-        assert ledger.total == 18
 
 
 class TestPi3Amplification:
@@ -156,16 +164,17 @@ class TestPi3Amplification:
         assert np.max(np.abs(forward - U @ v)) <= 1e-12
 
     def test_query_count_grows_threefold_per_level(self):
-        phi1, phi2 = overlap_pair(0.5)
-        counts = []
-        for m in range(4):
-            ledger = QueryLedger()
-            R1 = ExactPhaseGate(phi1, OMEGA_PI3, cost=1, ledger=ledger)
-            R2 = ExactPhaseGate(phi2, OMEGA_PI3, cost=1, ledger=ledger)
-            pi3_amplify(R1, R2, m, phi1)
-            counts.append(ledger.total)
-        # U_{m+1} applies U_m three times plus two gates
-        assert counts == [0, 2, 8, 26]
+        # U_{m+1} applies U_m three times plus two gates, so U_m uses each gate
+        # (3^m - 1) / 2 times, apply and apply_inverse alike: the uses qsa_generate
+        # charges per stage before amplifying
+        uses = []
+        for m in range(6):
+            R1, R2 = CountingGate(), CountingGate()
+            out = pi3_amplify(R1, R2, m, np.ones(2, dtype=complex))
+            assert np.array_equal(out, np.ones(2, dtype=complex))
+            uses.append((R1.uses, R2.uses))
+        assert uses == [((3**m - 1) // 2,) * 2 for m in range(6)]
+        assert [a + b for a, b in uses[:4]] == [0, 2, 8, 26]
 
     def test_gates_freed_without_cyclic_collector(self):
         # QPE gates hold D x (2n - 1) bases: they must go with their last
@@ -238,8 +247,7 @@ class SchurPhaseGate:
     eigenbasis, so it is precomputed as one dense matrix.
     """
 
-    def __init__(self, walk_op: np.ndarray, omega: complex, delta: float,
-                 signed_gap: float, ledger: QueryLedger | None = None, tag: str = ""):
+    def __init__(self, walk_op: np.ndarray, omega: complex, delta: float, signed_gap: float):
         if not 0 < delta < 1:
             raise ValueError("delta must be in (0, 1)")
         if signed_gap <= 0:
@@ -248,8 +256,6 @@ class SchurPhaseGate:
         self.t = qpe_ancilla_count(phase_gap, delta)
         self.omega = complex(omega)
         self.delta = float(delta)
-        self.ledger = ledger
-        self.tag = tag
         self.cost = 2 * (2**self.t - 1)
 
         T, Z = scipy.linalg.schur(np.asarray(walk_op, complex), output="complex")
@@ -279,16 +285,10 @@ class SchurPhaseGate:
         self._op = (Z * coeff) @ Z.conj().T
         self._basis = Z
 
-    def _charge(self):
-        if self.ledger is not None:
-            self.ledger.charge(self.cost, self.tag)
-
     def apply(self, v: np.ndarray) -> np.ndarray:
-        self._charge()
         return self._op @ v
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        self._charge()
         return self._op.conj().T @ v
 
     def error_bound(self, v: np.ndarray) -> float:
@@ -344,7 +344,7 @@ class TestQpePhaseGate:
         gate, layout, chain = self.build_gate(model, kernel, 0.05)
         oracle = SchurPhaseGate(build_walk_operator(model, kernel, layout), OMEGA_PI3,
                                 0.05, chain.signed_gap)
-        assert gate.t == oracle.t and gate.cost == oracle.cost
+        assert gate.t == oracle.t and phase_gate_cost(chain.signed_gap, 0.05) == oracle.cost
         # nothing D x D: the basis of the invariant subspace is the largest array
         assert gate._basis.shape[1] <= 2 * layout.space_dim - 1
         rng = np.random.default_rng(0)
@@ -473,13 +473,11 @@ class TestQpePhaseGate:
         assert np.linalg.norm(back - v) <= 2.0 * 0.05 + 1e-9
 
     def test_charges_per_application(self, two_state_gap_half):
+        # the price generation charges per use is the gate's own QPE and uncompute
         model, kernel = two_state_gap_half
-        layout = RegisterLayout.for_kernel(kernel)
         chain = build_transition_matrix(model, kernel)
-        ledger = QueryLedger()
-        gate = QpePhaseGate(chain, OMEGA_PI3, 0.1, ledger=ledger)
-        gate.apply(encode_distribution(chain.stationary, layout))
-        assert ledger.total == gate.cost == 2 * (2**gate.t - 1)
+        gate = QpePhaseGate(chain, OMEGA_PI3, 0.1)
+        assert phase_gate_cost(chain.signed_gap, 0.1) == 2 * (2**gate.t - 1)
 
     def test_rejects_nonpositive_gap(self, two_state_gap_half):
         # exp(-900) underflows: state 1 has no mass, so the chain is refused
@@ -508,7 +506,7 @@ class TestQpePhaseGate:
         assert walk_model is chain.model and walk_model.beta == 0.5
         expected = RegisterLayout.for_kernel(kernel)
         assert layout.moves == expected.moves and np.array_equal(layout.weights, expected.weights)
-        assert gate.cost == phase_gate_cost(chain.signed_gap, 0.01)
+        assert gate.t == qpe_ancilla_count(float(np.arccos(1.0 - chain.signed_gap)), 0.01)
 
 
 def nae_overlap_reference(state, target, eps, delta, seed):
@@ -589,32 +587,47 @@ class TestNaeOverlap:
                 target = state                      # overlap 1: theta = 0
             eps = float(rng.choice([0.3, 0.1, NAE_ACCURACY, 0.02]))
             delta = float(rng.uniform(0.01, 0.45))
-            est = nae_overlap(state, target, eps, delta, seed)
+            est, _ = nae_overlap(state, target, eps, delta, seed)
             assert est == nae_overlap_reference(state, target, eps, delta, seed)
 
     def test_exact_overlap_cases(self):
         v = np.array([1.0, 0.0], dtype=complex)
         w = np.array([0.0, 1.0], dtype=complex)
-        assert nae_overlap(v, v, eps=0.01, delta=0.1, seed=0) == pytest.approx(1.0, abs=0.01)
-        assert nae_overlap(v, w, eps=0.01, delta=0.1, seed=0) == pytest.approx(0.0, abs=0.01)
+        assert nae_overlap(v, v, eps=0.01, delta=0.1, seed=0)[0] == pytest.approx(1.0, abs=0.01)
+        assert nae_overlap(v, w, eps=0.01, delta=0.1, seed=0)[0] == pytest.approx(0.0, abs=0.01)
 
     def test_accuracy_over_many_seeds(self):
         p = 0.37
         v = np.array([np.sqrt(p), np.sqrt(1.0 - p)], dtype=complex)
         t = np.array([1.0, 0.0], dtype=complex)
         eps, delta = 0.02, 0.1
-        hits = sum(abs(nae_overlap(v, t, eps, delta, seed=s) - p) <= eps
+        hits = sum(abs(nae_overlap(v, t, eps, delta, seed=s)[0] - p) <= eps
                    for s in range(200))
         assert hits >= int((1.0 - delta) * 200)
 
-    def test_ledger_charge_matches_schedule(self):
+    def test_ledger_charge_matches_schedule(self, ring8, monkeypatch):
+        # each estimate returns its reflections, runs x (2^t - 1) Grover steps of two,
+        # and the search charges them at its per-reflection price, once per estimate
         v = np.array([1.0, 0.0], dtype=complex)
-        ledger = QueryLedger()
         eps, delta = 0.05, 0.2
-        nae_overlap(v, v, eps, delta, seed=1, ledger=ledger, reflection_cost=3)
         t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
         runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
-        assert ledger.total == runs * (2**t - 1) * 2 * 3
+        assert nae_overlap(v, v, eps, delta, seed=1)[1] == runs * (2**t - 1) * 2
+        model, kernel = ring8
+        reflections, charges, nae = [], [], annealing.nae_overlap
+
+        def recorded(*args, **kwargs):
+            estimate, spent = nae(*args, **kwargs)
+            reflections.append(spent)
+            return estimate, spent
+
+        monkeypatch.setattr(annealing, "nae_overlap", recorded)
+        ledger = QueryLedger()
+        monkeypatch.setattr(ledger, "charge", lambda n, tag: charges.append((n, tag)))
+        schedule = qsa_schedule(model, kernel, 0.5, eta=0.1, seed=0, ledger=ledger)
+        l_max, L_max = schedule.l_max, float(model.neg_log_lik.max())
+        price = phase_gate_cost(0.5, min(0.49, 0.1 / (l_max * max(L_max, 1.0))))
+        assert charges == [(r * price, "schedule") for r in reflections] and reflections
 
 
 class TestScheduleSearch:
@@ -691,20 +704,28 @@ class TestScheduleSearch:
         L = 0.05 * space.points[:, 0]
         model = TargetModel(space=space, prior=np.full(8, 1.0 / 8.0), neg_log_lik=L)
         kernel = ProposalKernel.nearest_neighbor(space)
-        costs = []
-        nae = annealing.nae_overlap
+        reflections, charges = [], []
+        nae, charge = annealing.nae_overlap, QueryLedger.charge
 
         def recorded(*args, **kwargs):
-            costs.append(kwargs["reflection_cost"])
-            return nae(*args, **kwargs)
+            estimate, spent = nae(*args, **kwargs)
+            reflections.append(spent)
+            return estimate, spent
+
+        def recorded_charge(ledger, n, tag=""):
+            if tag == "schedule":
+                charges.append(n)
+            charge(ledger, n, tag)
 
         monkeypatch.setattr(annealing, "nae_overlap", recorded)
+        monkeypatch.setattr(QueryLedger, "charge", recorded_charge)
         oracle = LikelihoodOracle.from_nll(L, M=64, spread=0.5, seed=0)
         qsa_with_qmci(oracle, model, kernel, eps=0.2, delta=0.02, seed=0)
-        assert costs and set(costs) == {8190}
-        costs.clear()
+        assert charges == [8190 * r for r in reflections] and charges
+        reflections.clear()
+        charges.clear()
         cli.experiment_anneal(model, kernel, str(tmp_path))
-        assert costs and set(costs) == {1022}
+        assert charges == [1022 * r for r in reflections] and charges
 
 
 class TestGeneration:
@@ -760,21 +781,20 @@ class TestGeneration:
         else:
             model, kernel = ring8
             betas = (0.0, 0.3, 0.6, 1.0)
-        gates = []
+        prices, price = [], annealing.phase_gate_cost
 
-        class Recorded(ExactPhaseGate):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                gates.append(self)
+        def recorded(signed_gap, delta):
+            prices.append(price(signed_gap, delta))
+            return prices[-1]
 
-        monkeypatch.setattr(annealing, "ExactPhaseGate", Recorded)
+        monkeypatch.setattr(annealing, "phase_gate_cost", recorded)
         n = len(betas) - 1
         schedule = AnnealingSchedule(betas=betas, overlaps=(0.5,) * n, success=True, l_max=n)
         ledger = QueryLedger()
         qsa_generate(schedule, model, kernel, eps=0.1 * n, mode="exact", ledger=ledger)
         rates = [phase_gate_cost(build_transition_matrix(model.with_beta(b), kernel).signed_gap,
                                  GATE_DELTA) for b in betas]
-        assert [g.cost for g in gates] == rates
+        assert prices == rates
         assert instance != "gw-8x8" or rates == [8190, 16382]
         # U_m applies each of its two gates (3^m - 1) / 2 times
         m = amplification_depth(0.5 - NAE_ACCURACY, 0.1)
@@ -796,21 +816,46 @@ class TestGeneration:
             qsa_generate(bad, model, kernel, eps=0.1)
 
 
-class ChainPerGateQpePhaseGate(QpePhaseGate):
-    """QpePhaseGate as it was when it built its own chain from (model, kernel)."""
+class SelfChargingExactPhaseGate:
+    """ExactPhaseGate as it was when each application charged a ledger its cost."""
 
-    def __init__(self, model: TargetModel, kernel: ProposalKernel, omega: complex,
-                 delta: float, ledger: QueryLedger | None = None, tag: str = ""):
+    def __init__(self, target: np.ndarray, omega: complex,
+                 cost: int = 0, ledger: QueryLedger | None = None, tag: str = ""):
+        target = np.asarray(target, complex)
+        if abs(np.linalg.norm(target) - 1.0) > 1e-10:
+            raise ValueError("target state must be normalized")
+        self.target = target
+        self.omega = complex(omega)
+        self.cost = int(cost)
+        self.ledger, self.tag = ledger, tag
+
+    def _charge(self):
+        if self.ledger is not None:
+            self.ledger.charge(self.cost, self.tag)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        self._charge()
+        return v + (self.omega - 1.0) * np.vdot(self.target, v) * self.target
+
+    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
+        self._charge()
+        return v + (np.conj(self.omega) - 1.0) * np.vdot(self.target, v) * self.target
+
+
+class SelfChargingQpePhaseGate:
+    """QpePhaseGate as it was when it priced itself and each application charged a ledger."""
+
+    def __init__(self, chain, omega: complex, delta: float,
+                 ledger: QueryLedger | None = None, tag: str = ""):
         if not 0 < delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        chain = build_transition_matrix(model, kernel)
-        layout = RegisterLayout.for_kernel(kernel)
+        layout = RegisterLayout.for_kernel(chain.kernel)
         phase_gap = float(np.arccos(1.0 - chain.signed_gap))
         self.t = qpe_ancilla_count(phase_gap, delta)
         self.omega = complex(omega)
         self.ledger, self.tag = ledger, tag
         self.cost = phase_gate_cost(chain.signed_gap, delta)
-        self._walk = WalkOperator(model, layout)         # built once per gate
+        self._walk = WalkOperator(chain.model, layout)   # built once per gate
         self._basis, pair = invariant_subspace(self._walk.core(layout.reference_states()),
                                                layout, chain)
         gram = self._basis.conj().T @ self._basis
@@ -830,6 +875,64 @@ class ChainPerGateQpePhaseGate(QpePhaseGate):
         err = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived)))
         self._coeff, self.residuals = survived[pair], err[pair]
 
+    def _charge(self):
+        if self.ledger is not None:
+            self.ledger.charge(self.cost, self.tag)
+
+    def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = self._basis.conj().T @ v
+        v_c = v - self._basis @ w
+        return w, (v_c - self._walk.core(v_c[:, None])[:, 0]) / 2.0
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        self._charge()
+        w, p = self._split(v)
+        return v + self._basis @ ((self._coeff - 1.0) * w) + (self.omega - 1.0) * p
+
+    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
+        self._charge()
+        w, p = self._split(v)
+        return (v + self._basis @ ((np.conj(self._coeff) - 1.0) * w)
+                + (np.conj(self.omega) - 1.0) * p)
+
+
+def self_charging_generate(schedule, model, kernel, eps, mode="exact", ledger=None):
+    """qsa_generate's gate loop as it was when each gate application charged the ledger."""
+    layout = RegisterLayout.for_kernel(kernel)
+    n_stages = len(schedule.betas) - 1
+    state = encode_distribution(model.with_beta(0.0).distribution(), layout)
+    chains = annealing.chain_ladder(model, kernel, schedule.betas)
+
+    def next_gate():
+        chain = next(chains)
+        if mode == "qpe":
+            return SelfChargingQpePhaseGate(chain, OMEGA_PI3, GATE_DELTA, ledger=ledger,
+                                            tag="generate")
+        target = encode_distribution(chain.stationary, layout)
+        return SelfChargingExactPhaseGate(target, OMEGA_PI3,
+                                          cost=phase_gate_cost(chain.signed_gap, GATE_DELTA),
+                                          ledger=ledger, tag="generate")
+
+    R2 = next_gate()
+    for i in range(n_stages):
+        p = max(OVERLAP_GUARANTEE, min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
+        m = amplification_depth(p, eps / n_stages)
+        R1 = R2
+        R2 = next_gate()
+        state = pi3_amplify(R1, R2, m, state)
+        norm = np.linalg.norm(state)
+        if norm > 0:
+            state = state / norm
+    return state
+
+
+class ChainPerGateQpePhaseGate(SelfChargingQpePhaseGate):
+    """The self-charging QPE gate as it was when it built its own chain from (model, kernel)."""
+
+    def __init__(self, model: TargetModel, kernel: ProposalKernel, omega: complex,
+                 delta: float, ledger: QueryLedger | None = None, tag: str = ""):
+        super().__init__(build_transition_matrix(model, kernel), omega, delta, ledger, tag)
+
 
 def chain_per_gate_generate(schedule, model, kernel, eps, mode="exact", ledger=None):
     """qsa_generate's per-gate loop as it was before generation read one chain ladder:
@@ -845,9 +948,9 @@ def chain_per_gate_generate(schedule, model, kernel, eps, mode="exact", ledger=N
             return ChainPerGateQpePhaseGate(model_b, kernel, OMEGA_PI3, GATE_DELTA,
                                             ledger=ledger, tag="generate")
         gap = build_transition_matrix(model_b, kernel).signed_gap
-        return ExactPhaseGate(encode_distribution(model_b.distribution(), layout), OMEGA_PI3,
-                              cost=phase_gate_cost(gap, GATE_DELTA), ledger=ledger,
-                              tag="generate")
+        return SelfChargingExactPhaseGate(encode_distribution(model_b.distribution(), layout),
+                                          OMEGA_PI3, cost=phase_gate_cost(gap, GATE_DELTA),
+                                          ledger=ledger, tag="generate")
 
     for i in range(n_stages):
         p = max(OVERLAP_GUARANTEE,
@@ -917,6 +1020,37 @@ class TestOneLadderGeneration:
             qsa_generate(schedule, model, kernel, eps)
 
 
+class TestGenerationChargesItsGates:
+    """Generation with gates that only compute, charged once per stage for its gate uses,
+    gives, bit for bit, the state and ledger that self-charging gates gave."""
+
+    @pytest.mark.parametrize("mode", ["exact", "qpe"])
+    @pytest.mark.parametrize("instance", ["default", "gw-4x4-rho2", "gw-4x4-rho6"])
+    def test_matches_the_self_charging_loop(self, instance, mode):
+        model, kernel = {"default": cli._default_model, "gw-4x4-rho2": lambda: gw_4x4(2.0),
+                         "gw-4x4-rho6": lambda: gw_4x4(6.0)}[instance]()
+        gap = build_transition_matrix(model, kernel).signed_gap
+        for seed in range(3):
+            schedule = qsa_schedule(model, kernel, gap, eta=0.1, seed=seed)
+            ledger, oracle_ledger = QueryLedger(), QueryLedger()
+            state = qsa_generate(schedule, model, kernel, 0.05, mode=mode, ledger=ledger)
+            expected = self_charging_generate(schedule, model, kernel, 0.05, mode=mode,
+                                              ledger=oracle_ledger)
+            assert np.array_equal(state, expected)
+            assert ledger.by_tag == oracle_ledger.by_tag and ledger.total == oracle_ledger.total
+            assert ledger.total > 0
+
+    def test_depth_zero_stages_charge_nothing(self, ring8):
+        # a coarse eps needs no amplification: no gate is applied, and no tag is opened
+        model, kernel = ring8
+        schedule = AnnealingSchedule(betas=(0.0, 1.0), overlaps=(0.999,), success=True, l_max=1)
+        ledger, oracle_ledger = QueryLedger(), QueryLedger()
+        state = qsa_generate(schedule, model, kernel, 0.5, ledger=ledger)
+        expected = self_charging_generate(schedule, model, kernel, 0.5, ledger=oracle_ledger)
+        assert np.array_equal(state, expected)
+        assert ledger.by_tag == oracle_ledger.by_tag == {}
+
+
 class TestPrepare:
     @pytest.mark.parametrize("eps,gate_mode", [(0.1, "exact"), (0.3, "exact"), (0.1, "qpe")])
     def test_one_budget_rule(self, ring8, eps, gate_mode):
@@ -956,8 +1090,7 @@ class TestPrepare:
         nae = annealing.nae_overlap
 
         def no_overlap(*args, **kwargs):
-            nae(*args, **kwargs)                # charged as the real estimate is
-            return 0.0
+            return 0.0, nae(*args, **kwargs)[1]     # charged as the real estimate is
 
         monkeypatch.setattr(annealing, "nae_overlap", no_overlap)
         schedule, state, ledger = prepare(model, kernel, 0.1, 0.2, 0)
@@ -985,10 +1118,13 @@ class TestPrepare:
             prepare(model, kernel, eps, 0.2, 0)
 
 
+LIBRARY = sorted((Path(__file__).resolve().parents[1] / "src" / "qmhlab").glob("*.py"))
+
+
 def library_calls(*callees):
     """(module, top-level definition, callee) of each call in src/qmhlab to one of callees."""
     calls = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qmhlab").glob("*.py")):
+    for path in LIBRARY:
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 callee = isinstance(node, ast.Call) and getattr(
@@ -1001,7 +1137,8 @@ def library_calls(*callees):
 class TestOnePreparationAssembly:
     """annealing.prepare is the library's only chain -> schedule -> generation assembly:
     no other function of src/qmhlab calls the schedule search or generation, or makes a
-    ledger, and a QPE gate is built from a chain it is handed."""
+    ledger, and a QPE gate is built from a chain it is handed.  Only the search and
+    generation charge the ledger: the gates and overlap estimation take none."""
 
     def test_search_and_generation_are_called_from_prepare_alone(self):
         assert library_calls("qsa_schedule", "qsa_generate") == [
@@ -1013,3 +1150,45 @@ class TestOnePreparationAssembly:
     def test_qpe_gate_builds_no_chain(self):
         chain_calls = library_calls("build_transition_matrix", "chain_ladder")
         assert chain_calls and not [c for c in chain_calls if c[1] == "QpePhaseGate"]
+
+    def test_search_and_generation_alone_charge_a_ledger(self):
+        # every other .charge in the library is a likelihood oracle's query counter
+        charges = [(path.stem, getattr(top, "name", None), node.func.value.id)
+                   for path in LIBRARY for top in ast.parse(path.read_text()).body
+                   for node in ast.walk(top) if isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "charge"]
+        assert sorted(c for c in charges if c[2] != "oracle") == [
+            ("annealing", "qsa_generate", "ledger"), ("annealing", "qsa_schedule", "ledger")]
+
+    def test_gates_and_overlap_estimation_take_no_ledger(self):
+        tree = {node.name: node for node in ast.parse(
+            Path(annealing.__file__).read_text()).body if hasattr(node, "name")}
+        functions = [tree["nae_overlap"]] + [item for name in ("ExactPhaseGate", "QpePhaseGate")
+                                             for item in tree[name].body
+                                             if isinstance(item, ast.FunctionDef)]
+        params = {a.arg for f in functions for a in f.args.args + f.args.kwonlyargs}
+        assert params and not {p for p in params
+                               if p in ("ledger", "tag") or "cost" in p}
+
+    def test_gates_define_both_applications_in_their_own_bodies(self):
+        # the benchmark's tracer counts gate uses by patching each class's own methods
+        for gate in (ExactPhaseGate, QpePhaseGate):
+            assert {"apply", "apply_inverse"} <= set(vars(gate))
+
+
+class TestMedianRuns:
+    def test_is_twelve_log_inverse_delta(self):
+        for delta in np.concatenate([np.geomspace(1e-30, 0.5, 120), [0.05, 0.1, 0.2, 0.99]]):
+            assert annealing.median_runs(float(delta)) == math.ceil(12.0 * math.log(1.0 / delta))
+
+    def test_one_owner_of_the_run_count(self):
+        # sample_half_angles, faithful QMCI and query_charge all read median_runs
+        owners = [(path.stem, getattr(top, "name", None)) for path in LIBRARY
+                  for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and getattr(node.left, "value", None) == 12.0
+                  and getattr(getattr(node.right, "func", None), "attr", None) == "log"]
+        assert owners == [("annealing", "median_runs")]
+        assert library_calls("median_runs") == [
+            ("annealing", "sample_half_angles", "median_runs"),
+            ("qmci", "_faithful_means", "median_runs"), ("qmci", "query_charge", "median_runs")]

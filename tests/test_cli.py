@@ -260,10 +260,13 @@ class TestRunCommand:
          "qmci-pipeline: need eps > 0 and delta in (0, 1)"),
         ({"experiment": "credible-interval", "delta": 1.5},
          "credible-interval: delta must be in (0, 1), not 1.5"),
+        ({"experiment": "anneal", "eps": 5}, "anneal: eps must be below 0.5, not 5"),
+        ({"experiment": "qmci-pipeline", "eps": 5}, "qmci-pipeline: eps must be below 1, not 5"),
     ], ids=["list", "seed-string", "eps-string", "seeds-int", "eps-above-alpha",
             "bogus-mode", "axis-off-grid", "experiment-list", "model-int", "output-dir-int",
             "M-values-empty", "methods-empty", "seeds-empty", "M-zero", "anneal-eps-zero",
-            "anneal-eps-negative", "pipeline-delta-above-1", "credible-delta-above-1"])
+            "anneal-eps-negative", "pipeline-delta-above-1", "credible-delta-above-1",
+            "anneal-eps-vacuous", "pipeline-eps-vacuous"])
     def test_malformed_config_is_an_error_message(self, tmp_path, cfg, detail):
         if isinstance(cfg, dict):
             cfg = {"output_dir": str(tmp_path / "out"), **cfg}

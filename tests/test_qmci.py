@@ -963,6 +963,28 @@ class TestPipeline:
         assert res.oracle_queries == oracle.queries - 123 == \
             (oracle.n_states + 4 * res.walk_applications) * single
 
+    def test_failed_faithful_table_raises(self):
+        # GW 4x4, M = 16: eps'' = 5.8e-6 needs t = 32 ancillas over each column's range,
+        # beyond the cap of 16, so every state's estimate misses (residual 1.0) and max
+        # |L~ - L| is 2.4e-3; the pipeline once returned this table's posterior as prepared
+        inst = synth_gw_instance(0.1, 0.0, 16, 2.0, 0, grid_shape=(4, 4))
+        kernel = ProposalKernel.nearest_neighbor(inst.space)
+        with pytest.raises(RuntimeError, match="bad-branch mass 1 exceeds its failure "
+                                               r"weight 0\.05"):
+            qsa_with_qmci(inst.oracle, inst.model, kernel, 0.1, 0.2, seed=0, mode="faithful")
+
+    def test_faithful_table_within_its_weight_returns(self):
+        # the bundled 8-ring at M = 16: the table's largest residual is 2.9e-22 of 0.025
+        space = StateSpace.regular_grid((8,))
+        nll = 0.5 * (space.points[:, 0] - 3.0) ** 2
+        model = TargetModel(space=space, prior=np.full(8, 1.0 / 8.0), neg_log_lik=nll - nll.min())
+        kernel = ProposalKernel.nearest_neighbor(space)
+        oracle = LikelihoodOracle.from_nll(model.neg_log_lik, M=16, spread=0.5, seed=0)
+        eps_internal = internal_accuracy(model, kernel, 0.2)
+        assert estimate_nll(oracle, eps_internal, 0.1 / 4.0, "faithful", 0)[1] < 1e-20
+        result = qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0, mode="faithful")
+        assert result.schedule.success and result.tv_realized <= 0.2
+
     @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -0.1])
     def test_failure_weight_outside_unit_interval_rejected_first(self, monkeypatch, delta):
         # delta = 2.0 once ran the whole pipeline and reported a pass
