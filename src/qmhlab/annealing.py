@@ -2,7 +2,7 @@
 
 Pieces: phase gates about a marked state (exact, and QPE-synthesized on a
 chain's walk operator from its eigendecomposition), pi/3 amplitude
-amplification, nondestructive overlap estimation, and the temperature-schedule
+amplification, overlap estimation by the one median readout, and the temperature-schedule
 search with staged state generation, assembled by prepare alone, which returns
 a ledger of the walk-operator applications it charged: the gates and overlap
 estimation only compute, and the search and generation that run them charge it.
@@ -25,6 +25,7 @@ KEEP_THRESHOLD = np.exp(-2.0)          # schedule keeps overlaps estimated >= e^
 OVERLAP_GUARANTEE = 9.0 / (10.0 * np.e**2)
 NAE_ACCURACY = 1.0 / (10.0 * np.e**2)
 GATE_DELTA = 0.01                      # QPE failure weight of each synthesized phase gate
+GATE_MODES = ("exact", "qpe")          # oracle phase gates, or gates synthesized by QPE
 
 
 class QueryLedger:
@@ -139,16 +140,20 @@ def median_runs(delta: float) -> int:
     return int(np.ceil(12.0 * np.log(1.0 / delta)))
 
 
-def sample_half_angles(theta: float, eps: float, delta: float,
-                       rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Estimates pi m / 2^t of the angle theta, one per run of sample_folded_outcomes's
-    median_runs(delta) with t = ceil(log2(2 pi / eps)) + 3, and the reflections spent."""
+def median_estimate(theta: float, amplitude, eps: float, delta: float,
+                    seed: int) -> tuple[float, int]:
+    """Median of amplitude(pi m / 2^t)^2 over median_runs(delta) runs m of sample_folded_outcomes
+    at theta, t = ceil(log2(2 pi / eps)) + 3, from default_rng(seed); and their reflections."""
+    if not (0 < eps < 1 and 0 < delta < 1):
+        raise ValueError("eps and delta must be in (0, 1)")
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
     runs = median_runs(delta)
-    m, _ = sample_folded_outcomes(theta, t, runs, rng)
+    m, _ = sample_folded_outcomes(theta, t, runs, np.random.default_rng(seed))
+    # float_power calls pow like a scalar ** 2; an array ** 2 squares (last bit differs)
+    estimate = float(np.median(np.float_power(amplitude(np.pi * m / N), 2)))
     # each Grover step is two reflections; QPE uses 2^t - 1 steps per run
-    return np.pi * m / N, runs * (N - 1) * 2
+    return estimate, runs * (N - 1) * 2
 
 
 class QpePhaseGate:
@@ -248,21 +253,12 @@ def nae_overlap(state: np.ndarray, target: np.ndarray, eps: float, delta: float,
 
     Simulates phase estimation on the two-reflection rotation: the input
     splits evenly between the rotation's two eigenvectors with eigenphases
-    +-2 theta, cos(theta) = |<target|state>|.  Outcomes are sampled from the
-    exact estimator distribution and aggregated by median over
-    ceil(12 ln(1/delta)) runs.
+    +-2 theta, cos(theta) = |<target|state>|, read out by median_estimate.
     """
-    if not (0 < eps < 1 and 0 < delta < 1):
-        raise ValueError("eps and delta must be in (0, 1)")
-    rng = np.random.default_rng(seed)
     overlap = abs(np.vdot(target / np.linalg.norm(target),
                           state / np.linalg.norm(state)))
-    theta = float(np.arccos(np.clip(overlap, 0.0, 1.0)))
-
-    half_angles, reflections = sample_half_angles(theta, eps, delta, rng)
-    # float_power calls pow like a scalar ** 2; an array ** 2 squares (last bit differs)
-    estimates = np.float_power(np.cos(half_angles), 2)
-    return float(np.median(estimates)), reflections
+    return median_estimate(float(np.arccos(np.clip(overlap, 0.0, 1.0))), np.cos, eps, delta,
+                           seed)
 
 
 @dataclass
@@ -294,15 +290,14 @@ def stage_count_limit(mean_nll: float) -> int:
 
 
 def qsa_schedule(model: TargetModel, kernel: ProposalKernel, signed_gap: float,
-                 eta: float, seed: int,
-                 ledger: QueryLedger | None = None) -> AnnealingSchedule:
+                 eta: float, seed: int, ledger: QueryLedger) -> AnnealingSchedule:
     """Search the temperature ladder by overlap-thresholded binary search.
 
     Each candidate overlap |<P_beta|P_beta'>|^2 is estimated nondestructively
     to accuracy 1/(10 e^2) with per-call failure budget eta/(l_max L_max);
     a step is kept when the estimate is at least e^-2, so true kept overlaps
     are at least 9/(10 e^2).  The search resolves beta to min(1/L_max, 1/2).
-    Failure is reported as success=False; a ledger, if given, is charged "schedule".
+    Failure is reported as success=False; the ledger is charged "schedule" per estimate.
     """
     L = model.neg_log_lik
     mean_nll = float(np.dot(model.prior, L))
@@ -320,8 +315,7 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, signed_gap: float,
                          for b in (b1, b2))
         est, reflections = nae_overlap(state, target, NAE_ACCURACY, delta_nae,
                                        seed=int(rng.integers(2**63)))
-        if ledger is not None:
-            ledger.charge(reflections * refl_cost, "schedule")
+        ledger.charge(reflections * refl_cost, "schedule")
         return est
 
     def result(success):
@@ -365,21 +359,21 @@ def amplification_depth(p: float, stage_eps: float) -> int:
 
 
 def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
-                 kernel: ProposalKernel, eps: float, mode: str = "exact",
-                 ledger: QueryLedger | None = None) -> np.ndarray:
+                 kernel: ProposalKernel, eps: float, mode: str = "exact", *,
+                 ledger: QueryLedger) -> np.ndarray:
     """Walk the schedule with pi/3 amplification, stage accuracy eps / #stages.
 
     Both modes build the schedule's chains as one ladder and one gate from each
     chain in turn: in exact mode an oracle phase gate about its stationary
     state, in qpe mode one synthesized from its walk operator, each QPE with failure weight
-    GATE_DELTA.  A ledger, if given, is charged "generate" per stage: U_m uses each of
+    GATE_DELTA.  The ledger is charged "generate" per stage: U_m uses each of
     its two gates (3^m - 1) / 2 times, priced at their chains' signed gaps alike.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, not {eps:g}")
     if not schedule.success:
         raise ValueError("cannot generate from a failed schedule")
-    if mode not in ("exact", "qpe"):
+    if mode not in GATE_MODES:
         raise ValueError(f"unknown gate mode {mode!r}")
     layout = RegisterLayout.for_kernel(kernel)
     n_stages = len(schedule.betas) - 1
@@ -400,7 +394,7 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
         # stage i's R2 is stage i+1's R1; the older gate is dropped before a new one is built
         R1, c1 = R2, c2
         R2, c2 = next_gate()
-        if ledger is not None and m > 0:     # depth 0 applies no gate and charges nothing
+        if m > 0:                            # depth 0 applies no gate and charges nothing
             ledger.charge((3**m - 1) // 2 * (c1 + c2), "generate")
         state = pi3_amplify(R1, R2, m, state)
         norm = np.linalg.norm(state)
@@ -419,6 +413,8 @@ def prepare(model: TargetModel, kernel: ProposalKernel, eps: float, delta: float
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, not {eps:g}")
+    if gate_mode not in GATE_MODES:
+        raise ValueError(f"unknown gate mode {gate_mode!r}")
     ledger = QueryLedger()
     gap = build_transition_matrix(model, kernel).signed_gap
     schedule = qsa_schedule(model, kernel, gap, eta=delta / 2.0, seed=seed, ledger=ledger)

@@ -37,6 +37,7 @@ from .qsim import (
 )
 
 CI_ALPHA, CI_EPS = 0.5, 0.05        # the scaling study's credible query
+SCALING_METHODS = ("proposed", "exact-qsa", "classical-mh")
 ANNEAL_DELTA = 0.2                  # anneal's failure weight: its schedule search takes 0.1
 
 
@@ -170,16 +171,21 @@ def experiment_credible_interval(model, kernel, out_dir, seed=0, axis=0,
     return passed, payload
 
 
-def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
-                  methods=("proposed", "exact-qsa", "classical-mh"), rho=2.0, eps=0.1,
-                  delta=0.2, seeds=(0, 1, 2)):
+def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096), methods=SCALING_METHODS,
+                  rho=2.0, eps=0.1, delta=0.2, seeds=(0, 1, 2)):
     """Measured oracle-query totals for credible-interval estimation vs M.
 
     proposed: annealed preparation with mean-estimation gates; exact-qsa: the
     same annealing.prepare, but every walk-operator application pays the full
     M-term likelihood sum; classical-mh: chain sampling paying M per step.
-    Queries are averaged over the seeds before the slope fit.
+    Queries are averaged over the seeds before the slope fit over two or more distinct M.
     """
+    if len(set(M_values)) < 2:
+        raise ValueError(f"a slope needs two or more distinct M values, not {list(M_values)}")
+    unknown = [m for m in methods if m not in SCALING_METHODS]
+    if unknown:
+        raise ValueError(f"unknown method {unknown[0]!r}; choose from {', '.join(SCALING_METHODS)}")
+
     def measure(method, inst, kernel, seed):
         if method == "classical-mh":
             chain = build_transition_matrix(inst.model, kernel)
@@ -191,11 +197,9 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096),
         if method == "proposed":
             res = qmci.qsa_with_qmci(inst.oracle, inst.model, kernel, eps, delta, seed)
             distribution, prep_queries = res.model_pert.distribution(), res.oracle_queries
-        elif method == "exact-qsa":
+        else:                                       # exact-qsa
             _, _, ledger = annealing.prepare(inst.model, kernel, eps, delta, seed)
             distribution, prep_queries = inst.model.distribution(), ledger.total * inst.M
-        else:
-            raise ValueError(f"unknown method {method!r}")
         handle = inference.PosteriorHandle(distribution, inst.space, prep_queries)
         return inference.credible_bound_search(ci_query, handle, seed).queries
 

@@ -35,8 +35,8 @@ class PosteriorHandle:
     ``distribution`` is the one CDF estimation reads: every caller passes a
     model's exact distribution, not one decoded from a prepared state, so a
     preparation's TV error does not reach the estimate.  ``prep_queries`` is the
-    measured oracle cost of one preparation; CDF estimation multiplies it by the
-    amplitude-estimation repetition count.
+    measured oracle cost of one preparation; the credible-bound search multiplies
+    it by the reflections each CDF estimate spent.
     """
 
     distribution: np.ndarray
@@ -46,22 +46,17 @@ class PosteriorHandle:
 
 def cdf_qmci(handle: PosteriorHandle, axis: int, a: float, eps: float,
              delta: float, seed: int) -> tuple[float, int]:
-    """Estimate the tail CDF to eps via sampled amplitude estimation.
+    """Estimate the tail CDF to eps, and the reflections about the prepared state spent.
 
-    Amplitude estimation runs to eps/3 on handle.distribution.  The caller must
-    keep the preparation's TV error within another eps/3 for the realized error
-    against the ideal posterior to stay within 2 eps / 3; nothing here checks it.
+    Amplitude estimation runs to eps/3 on handle.distribution, read out by median_estimate.
+    The caller must keep the preparation's TV error within another eps/3 for the realized
+    error against the ideal posterior to stay within 2 eps / 3; nothing here checks it.
     """
-    if not (0 < eps < 1 and 0 < delta < 1):
-        raise ValueError("eps and delta must be in (0, 1)")
+    if not 0 < eps < 1:             # median_estimate checks delta and the eps / 3 it is passed
+        raise ValueError(f"eps must be in (0, 1), not {eps:g}")
     amp = cdf_exact(handle.distribution, handle.space, axis, a)
-    theta = float(np.arcsin(np.sqrt(np.clip(amp, 0.0, 1.0))))
-    rng = np.random.default_rng(seed)
-    half_angles, reflections = annealing.sample_half_angles(theta, eps / 3.0, delta, rng)
-    # float_power, like nae_overlap's, keeps the bits of a scalar ** 2
-    estimates = np.float_power(np.sin(half_angles), 2)
-    # one preparation per reflection about the prepared state
-    return float(np.median(estimates)), reflections * handle.prep_queries
+    return annealing.median_estimate(float(np.arcsin(np.sqrt(np.clip(amp, 0.0, 1.0)))), np.sin,
+                                     eps / 3.0, delta, seed)
 
 
 @dataclass(frozen=True)
@@ -116,9 +111,9 @@ def credible_bound_search(query: CredibleQuery, handle: PosteriorHandle,
     iterations = 0
     while True:
         j_mid = int(np.ceil((j_ub + j_lb) / 2.0))
-        est, q = cdf_qmci(handle, query.axis, float(grid[j_mid]), query.eps,
-                          delta_call, seed=int(rng.integers(2**63)))
-        queries += q
+        est, reflections = cdf_qmci(handle, query.axis, float(grid[j_mid]), query.eps,
+                                    delta_call, seed=int(rng.integers(2**63)))
+        queries += reflections * handle.prep_queries     # one preparation per reflection
         iterations += 1
         if abs(est - target) <= window:
             return CredibleResult(float(grid[j_mid]), True, iterations, queries)
@@ -168,8 +163,8 @@ def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
     The injected template is rescaled so its matched-filter norm (h*|h*)
     equals rho^2; the per-state term spread then scales as rho sqrt(M).
     """
-    if M % 2 != 0:
-        raise ValueError("M must be even")
+    if M < 4 or M % 2 != 0:          # M = 2 has no frequency mode, M = 0 no FFT
+        raise ValueError(f"M must be even and at least 4, not {M}")
     if rho <= 0:
         raise ValueError("rho must be positive")
     rng = np.random.default_rng(seed)

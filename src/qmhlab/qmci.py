@@ -2,9 +2,9 @@
 
 A LikelihoodOracle holds the term table ell(i, x) whose per-state mean
 L_sum(x) feeds the MH target.  qmci_mean estimates that mean, at one state or
-over a whole table in one array pass with one charge, either by a faithful
-amplitude-estimation simulation (small M) or by an emulated deterministic
-perturbation with the same accuracy contract and query accounting.  The
+over a whole table in one array pass, either by a faithful amplitude-estimation
+simulation (small M) or by an emulated deterministic perturbation with the same
+accuracy contract and query count; it reports that count and charges no oracle.  The
 faithful mode draws each state's runs from annealing's amplitude-estimation
 sampler, as overlap and CDF estimation do, and reports the median run's
 estimate; its bad-branch mass is two binomial tails at the sampler's one-run
@@ -12,7 +12,7 @@ CDF.  A faithful table is simulated a chunk of states at a time, grouped by
 ancilla count, so that its (state, outcome) arrays stay within _CHUNK_BYTES.
 On top sit the approximate acceptance table, the approximate walk operator
 (exactly the walk operator of the perturbed chain), and the full annealing
-pipeline with oracle-query totals.
+pipeline with oracle-query totals: only they charge the oracle.
 """
 
 from __future__ import annotations
@@ -177,10 +177,10 @@ def _emulated_means(oracle: LikelihoodOracle, states: list[int] | np.ndarray, ep
 def qmci_mean(oracle: LikelihoodOracle, x, eps: float, delta: float,
               mode: str, seed: int) -> QmciResult:
     """Estimate L_sum(x) to accuracy eps with failure weight delta, at a state x
-    or at each state of a 1-D index array x, in one pass with one charge.
+    or at each state of a 1-D index array x, in one pass; the oracle is not charged.
 
     Both modes round the raw estimate at bit b = floor(log2 eps) with
-    internal accuracy eps' = 2^(b-1) and budget delta' = delta/4, and charge
+    internal accuracy eps' = 2^(b-1) and budget delta' = delta/4, and report
     the same query count per state.  Emulated mode is deterministic per
     (x, seed); faithful mode draws state x's runs from default_rng([seed, x]),
     so a state's result does not depend on the other states of the call.
@@ -193,7 +193,6 @@ def qmci_mean(oracle: LikelihoodOracle, x, eps: float, delta: float,
     faithful = mode == "faithful" and charge > 0
     if faithful and oracle.M > FAITHFUL_MAX_TERMS:
         raise ValueError(f"faithful mode limited to M <= {FAITHFUL_MAX_TERMS}")
-    oracle.charge(len(states) * charge)
     est, success, residual = (_faithful_means(oracle, states, eps, delta, seed) if faithful else
                               (_emulated_means(oracle, states, eps, seed, shortcut=charge == 0),
                                np.ones(len(states), bool), np.zeros(len(states))))
@@ -251,10 +250,9 @@ def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
     """Perturbed negative log-likelihood table L~, clipped at zero, and its largest residual.
 
     One qmci_mean call over every state: in either mode the whole table is
-    estimated in one array pass and charged once, n_states single-call
-    charges.  Emulated L~ is a fixed deterministic function, so the perturbed
-    chain is well-defined.  The residual is the largest bad-branch mass of the
-    estimations (0 unless faithful).
+    estimated in one array pass, and nothing is charged.  Emulated L~ is a
+    fixed deterministic function, so the perturbed chain is well-defined.  The
+    residual is the largest bad-branch mass of the estimations (0 unless faithful).
     """
     res = qmci_mean(oracle, np.arange(oracle.n_states), eps, delta, mode, seed)
     return np.maximum(0.0, res.estimate + oracle.ell0 + oracle.const), float(res.residual.max())
@@ -267,8 +265,8 @@ def _estimate_and_charge(oracle: LikelihoodOracle, kernel: ProposalKernel, eps: 
     charge = estimation_charge(oracle, eps, delta)
     # distinct nonzero torus moves reach distinct other states from every x
     n_pairs = kernel.space.size * sum(any(m) for m, w in zip(kernel.moves, kernel.weights) if w > 0)
-    # charge the uncompute halves on top of the per-state estimations
-    oracle.charge(max(0, n_pairs * 4 * charge - oracle.n_states * charge))
+    # the per-state estimations, or, when they cost more, each pair's two and their uncompute
+    oracle.charge(max(oracle.n_states, 4 * n_pairs) * charge)
     return nll, residual, 4 * charge
 
 
@@ -345,26 +343,30 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
 
     Estimates the likelihood table at the internal accuracy, prepares the
     perturbed model's posterior by annealing.prepare, and reports the realized
-    TV(P~, P) along with measured walk-operator and oracle-query totals.
-    A table whose bad-branch mass exceeds its failure weight delta / 4 raises RuntimeError.
+    TV(P~, P) along with walk-operator and oracle-query totals: the table's estimations,
+    then four per walk application, a failed search's too, charged to the oracle.  A
+    table whose bad-branch mass exceeds its failure weight delta / 4 raises RuntimeError.
     """
     _check_request(eps, delta, mode)                # before internal_accuracy's ladder
+    if gate_mode not in annealing.GATE_MODES:
+        raise ValueError(f"unknown gate mode {gate_mode!r}")
     eps_in = internal_accuracy(model, kernel, eps)
-    queries_before = oracle.queries
+    charge = estimation_charge(oracle, eps_in, delta / 4.0)
     nll, residual = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
+    oracle.charge(oracle.n_states * charge)
     if residual > delta / 4.0:
         raise RuntimeError(f"likelihood table failed: bad-branch mass {residual:.3g} exceeds "
                            f"its failure weight {delta / 4.0:g}")
     model_pert = model.with_neg_log_lik(nll)
     schedule, state, ledger = annealing.prepare(model_pert, kernel, eps, delta, seed,
                                                 gate_mode=gate_mode)
+    # each walk-operator application spends one acceptance evaluation: two
+    # mean estimations and their uncomputation; a failed search's walk too
+    oracle.charge(4 * ledger.total * charge)
     if state is None:
         raise RuntimeError("temperature schedule search failed")
-
-    # each walk-operator application spends one acceptance evaluation: two
-    # mean estimations and their uncomputation
-    oracle.charge(ledger.total * 4 * estimation_charge(oracle, eps_in, delta / 4.0))
     return PipelineResult(
         state=state, schedule=schedule, model_pert=model_pert, eps_internal=eps_in,
-        walk_applications=ledger.total, oracle_queries=oracle.queries - queries_before,
+        walk_applications=ledger.total,
+        oracle_queries=(oracle.n_states + 4 * ledger.total) * charge,
         tv_realized=tv_distance(model_pert.distribution(), model.distribution()))

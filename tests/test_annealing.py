@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qmhlab import annealing, cli
+from qmhlab import annealing, cli, qmci
 from qmhlab.annealing import (
     GATE_DELTA,
     KEEP_THRESHOLD,
@@ -33,7 +33,7 @@ from qmhlab.annealing import (
     qsa_schedule,
     stage_count_limit,
 )
-from qmhlab.inference import synth_gw_instance
+from qmhlab.inference import PosteriorHandle, cdf_qmci, synth_gw_instance
 from qmhlab.markov import (ProposalKernel, ReducibleChainError, StateSpace, TargetModel,
                            build_transition_matrix)
 from qmhlab.qmci import LikelihoodOracle, qsa_with_qmci
@@ -546,18 +546,37 @@ def sample_half_angles_before_the_sampler(theta, eps, delta, rng):
     return np.pi * np.minimum(k, N - k) / N, runs * (N - 1) * 2
 
 
-def test_half_angles_are_the_body_before_the_sampler():
+def sample_half_angles_before_the_readout(theta, eps, delta, rng):
+    """sample_half_angles as it was before median_estimate took over its readers' medians."""
+    t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
+    N = 2**t
+    runs = annealing.median_runs(delta)
+    m, _ = annealing.sample_folded_outcomes(theta, t, runs, rng)
+    # each Grover step is two reflections; QPE uses 2^t - 1 steps per run
+    return np.pi * m / N, runs * (N - 1) * 2
+
+
+def test_median_estimate_is_the_half_angle_readout():
+    # the median of cos^2 (overlap) or sin^2 (CDF) of both earlier half-angle samplers,
+    # drawn from default_rng(seed): estimate and reflections bit for bit
     rng = np.random.default_rng(13)
     for seed in range(200):
         theta = float(rng.choice([0.0, np.pi / 2, rng.uniform(0.0, np.pi / 2)]))
         eps = float(rng.choice([0.3, 0.1, NAE_ACCURACY, 0.02, 0.004]))
         delta = float(rng.uniform(0.01, 0.45))
-        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        angles, reflections = annealing.sample_half_angles(theta, eps, delta, gen)
-        ref_angles, ref_reflections = sample_half_angles_before_the_sampler(
-            theta, eps, delta, ref_gen)
-        assert np.array_equal(angles, ref_angles) and reflections == ref_reflections
-        assert gen.random() == ref_gen.random()        # the same uniforms spent
+        amplitude = (np.cos, np.sin)[seed % 2]
+        got = annealing.median_estimate(theta, amplitude, eps, delta, seed)
+        for sampler in (sample_half_angles_before_the_readout,
+                        sample_half_angles_before_the_sampler):
+            angles, reflections = sampler(theta, eps, delta, np.random.default_rng(seed))
+            assert got == (float(np.median(np.float_power(amplitude(angles), 2))), reflections)
+
+
+@pytest.mark.parametrize("eps,delta", [(0.0, 0.1), (1.0, 0.1), (-0.1, 0.1), (0.1, 0.0),
+                                       (0.1, 1.0)])
+def test_median_estimate_rejects_eps_or_delta_outside_the_unit_interval(eps, delta):
+    with pytest.raises(ValueError, match=r"eps and delta must be in \(0, 1\)"):
+        annealing.median_estimate(0.3, np.cos, eps, delta, 0)
 
 
 def test_stacked_angles_draw_as_lone_calls():
@@ -661,18 +680,6 @@ class TestScheduleSearch:
         assert schedule.betas == (0.0, 1.0)
         assert ledger.total == 0
 
-    def test_schedule_without_a_ledger_is_the_charged_schedule(self, ring8):
-        # the ledger only records the cost; leaving it out leaves the search as it is
-        model, kernel = ring8
-        gap = build_transition_matrix(model, kernel).signed_gap
-        for seed in (0, 5):
-            ledger = QueryLedger()
-            charged = qsa_schedule(model, kernel, gap, eta=0.1, seed=seed, ledger=ledger)
-            bare = qsa_schedule(model, kernel, gap, eta=0.1, seed=seed)
-            assert (bare.betas, bare.overlaps, bare.l_max, bare.success) == \
-                (charged.betas, charged.overlaps, charged.l_max, charged.success)
-            assert ledger.total > 0
-
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ValueError):
             AnnealingSchedule(betas=(0.0, 0.5), overlaps=(0.9,), success=True, l_max=3)
@@ -733,7 +740,8 @@ class TestGeneration:
     def test_final_fidelity(self, ring8, mode):
         model, kernel = ring8
         chain = build_transition_matrix(model, kernel)
-        schedule = qsa_schedule(model, kernel, chain.spectral_gap, eta=0.1, seed=0)
+        schedule = qsa_schedule(model, kernel, chain.spectral_gap, eta=0.1, seed=0,
+                                ledger=QueryLedger())
         assert schedule.success
         eps = 0.1
         ledger = QueryLedger()
@@ -752,7 +760,8 @@ class TestGeneration:
         # up, and renormalizing a stage at most doubles its share
         model, kernel = ring8 if instance == "ring8" else gaussian_torus_5x5()
         chain = build_transition_matrix(model, kernel)
-        schedule = qsa_schedule(model, kernel, chain.spectral_gap, eta=0.1, seed=0)
+        schedule = qsa_schedule(model, kernel, chain.spectral_gap, eta=0.1, seed=0,
+                                ledger=QueryLedger())
         assert schedule.success
         bounds = []
 
@@ -762,10 +771,11 @@ class TestGeneration:
                 return method(self, v)
             return wrapper
 
-        exact = qsa_generate(schedule, model, kernel, eps=0.1, mode="exact")
+        exact = qsa_generate(schedule, model, kernel, eps=0.1, mode="exact",
+                             ledger=QueryLedger())
         monkeypatch.setattr(QpePhaseGate, "apply", tracked(QpePhaseGate.apply))
         monkeypatch.setattr(QpePhaseGate, "apply_inverse", tracked(QpePhaseGate.apply_inverse))
-        qpe = qsa_generate(schedule, model, kernel, eps=0.1, mode="qpe")
+        qpe = qsa_generate(schedule, model, kernel, eps=0.1, mode="qpe", ledger=QueryLedger())
         assert len(bounds) > 0
         assert np.linalg.norm(qpe - exact) <= 2.0 * sum(bounds)
 
@@ -813,7 +823,7 @@ class TestGeneration:
         model, kernel = ring8
         bad = AnnealingSchedule(betas=(0.0,), overlaps=(), success=False, l_max=3)
         with pytest.raises(ValueError):
-            qsa_generate(bad, model, kernel, eps=0.1)
+            qsa_generate(bad, model, kernel, eps=0.1, ledger=QueryLedger())
 
 
 class SelfChargingExactPhaseGate:
@@ -983,7 +993,7 @@ class TestOneLadderGeneration:
         gap = build_transition_matrix(model, kernel).signed_gap
         stages = set()
         for seed in range(3):
-            schedule = qsa_schedule(model, kernel, gap, eta=0.1, seed=seed)
+            schedule = qsa_schedule(model, kernel, gap, eta=0.1, seed=seed, ledger=QueryLedger())
             assert schedule.success
             stages.add(len(schedule.betas) - 1)
             ledger, oracle_ledger = QueryLedger(), QueryLedger()
@@ -1008,7 +1018,7 @@ class TestOneLadderGeneration:
 
         monkeypatch.setattr(annealing, "chain_ladder", recorded)
         monkeypatch.setattr(annealing, "build_transition_matrix", None)
-        qsa_generate(schedule, model, kernel, 0.3, mode=mode)
+        qsa_generate(schedule, model, kernel, 0.3, mode=mode, ledger=QueryLedger())
         assert ladders == [schedule.betas]
 
     @pytest.mark.parametrize("eps", [0.0, -0.1])
@@ -1017,7 +1027,7 @@ class TestOneLadderGeneration:
         schedule = AnnealingSchedule(betas=(0.0, 1.0), overlaps=(0.5,), success=True, l_max=1)
         monkeypatch.setattr(annealing, "chain_ladder", None)
         with pytest.raises(ValueError, match="eps must be positive"):
-            qsa_generate(schedule, model, kernel, eps)
+            qsa_generate(schedule, model, kernel, eps, ledger=QueryLedger())
 
 
 class TestGenerationChargesItsGates:
@@ -1031,7 +1041,7 @@ class TestGenerationChargesItsGates:
                          "gw-4x4-rho6": lambda: gw_4x4(6.0)}[instance]()
         gap = build_transition_matrix(model, kernel).signed_gap
         for seed in range(3):
-            schedule = qsa_schedule(model, kernel, gap, eta=0.1, seed=seed)
+            schedule = qsa_schedule(model, kernel, gap, eta=0.1, seed=seed, ledger=QueryLedger())
             ledger, oracle_ledger = QueryLedger(), QueryLedger()
             state = qsa_generate(schedule, model, kernel, 0.05, mode=mode, ledger=ledger)
             expected = self_charging_generate(schedule, model, kernel, 0.05, mode=mode,
@@ -1117,6 +1127,41 @@ class TestPrepare:
         with pytest.raises(ValueError, match="eps must be positive"):
             prepare(model, kernel, eps, 0.2, 0)
 
+    @pytest.mark.parametrize("stubs", ["no-work", "failing-search"])
+    def test_unknown_gate_mode_refused_before_any_work(self, ring8, monkeypatch, stubs):
+        # "bogus" once built the beta = 1 chain and ran the whole search before generation
+        # refused it; after a failed search, prepare returned (schedule, None, ledger)
+        model, kernel = ring8
+        failed = AnnealingSchedule(betas=(0.0,), overlaps=(), success=False, l_max=1)
+        monkeypatch.setattr(annealing, "qsa_schedule", lambda *args, **kwargs: failed)
+        if stubs == "no-work":
+            for name in ("build_transition_matrix", "chain_ladder", "qsa_schedule"):
+                monkeypatch.setattr(annealing, name, refuse_work)
+        with pytest.raises(ValueError, match="unknown gate mode 'bogus'"):
+            prepare(model, kernel, 0.1, 0.2, 0, gate_mode="bogus")
+
+    @pytest.mark.parametrize("stubs", ["no-work", "failing-search"])
+    def test_pipeline_refuses_an_unknown_gate_mode_before_any_charge(self, ring8, monkeypatch,
+                                                                      stubs):
+        # on the bundled 8-ring, "bogus" once charged the table's 320,837,040 queries first
+        model, kernel = ring8
+        failed = AnnealingSchedule(betas=(0.0,), overlaps=(), success=False, l_max=1)
+        monkeypatch.setattr(annealing, "qsa_schedule", lambda *args, **kwargs: failed)
+        monkeypatch.setattr(LikelihoodOracle, "charge", refuse_work)
+        if stubs == "no-work":
+            for module, name in ((qmci, "internal_accuracy"), (qmci, "estimate_nll"),
+                                 (annealing, "build_transition_matrix"),
+                                 (annealing, "chain_ladder")):
+                monkeypatch.setattr(module, name, refuse_work)
+        oracle = LikelihoodOracle.from_nll(model.neg_log_lik, M=64, spread=0.5, seed=0)
+        with pytest.raises(ValueError, match="unknown gate mode 'bogus'"):
+            qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, 0, gate_mode="bogus")
+        assert oracle.queries == 0
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("work done that the check should have come before")
+
 
 LIBRARY = sorted((Path(__file__).resolve().parents[1] / "src" / "qmhlab").glob("*.py"))
 
@@ -1134,11 +1179,20 @@ def library_calls(*callees):
     return sorted(calls)
 
 
+def library_charges():
+    """(module, top-level definition, receiver) of each .charge call in src/qmhlab."""
+    return sorted((path.stem, getattr(top, "name", None), node.func.value.id)
+                  for path in LIBRARY for top in ast.parse(path.read_text()).body
+                  for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "charge")
+
+
 class TestOnePreparationAssembly:
     """annealing.prepare is the library's only chain -> schedule -> generation assembly:
     no other function of src/qmhlab calls the schedule search or generation, or makes a
     ledger, and a QPE gate is built from a chain it is handed.  Only the search and
-    generation charge the ledger: the gates and overlap estimation take none."""
+    generation charge the ledger: the gates and overlap estimation take none, and no
+    estimator charges the likelihood oracle."""
 
     def test_search_and_generation_are_called_from_prepare_alone(self):
         assert library_calls("qsa_schedule", "qsa_generate") == [
@@ -1153,12 +1207,31 @@ class TestOnePreparationAssembly:
 
     def test_search_and_generation_alone_charge_a_ledger(self):
         # every other .charge in the library is a likelihood oracle's query counter
-        charges = [(path.stem, getattr(top, "name", None), node.func.value.id)
-                   for path in LIBRARY for top in ast.parse(path.read_text()).body
-                   for node in ast.walk(top) if isinstance(node, ast.Call)
-                   and getattr(node.func, "attr", None) == "charge"]
-        assert sorted(c for c in charges if c[2] != "oracle") == [
+        assert [c for c in library_charges() if c[2] != "oracle"] == [
             ("annealing", "qsa_generate", "ledger"), ("annealing", "qsa_schedule", "ledger")]
+
+    def test_only_the_loops_that_own_a_price_charge(self):
+        # estimators only estimate: the oracle is charged by the table builder, and by the
+        # pipeline for its table and its walk; no estimator calls .charge
+        assert library_charges() == [
+            ("annealing", "qsa_generate", "ledger"), ("annealing", "qsa_schedule", "ledger"),
+            ("qmci", "_estimate_and_charge", "oracle"), ("qmci", "qsa_with_qmci", "oracle"),
+            ("qmci", "qsa_with_qmci", "oracle")]
+
+    def test_estimators_charge_nothing(self, monkeypatch):
+        monkeypatch.setattr(QueryLedger, "charge", refuse_work)
+        monkeypatch.setattr(LikelihoodOracle, "charge", refuse_work)
+        oracle = LikelihoodOracle.from_nll(np.linspace(0.0, 3.0, 6), M=16, spread=0.5, seed=0)
+        for mode in ("emulated", "faithful"):
+            assert qmci.qmci_mean(oracle, np.arange(6), 0.05, 0.1, mode, 0).queries > 0
+            assert qmci.qmci_mean(oracle, 2, 0.05, 0.1, mode, 0).queries > 0
+            qmci.estimate_nll(oracle, 0.05, 0.1, mode, 0)
+        v = np.array([0.6, 0.8], complex)
+        assert nae_overlap(v, np.array([1.0, 0.0], complex), 0.05, 0.1, 0)[1] > 0
+        assert annealing.median_estimate(0.3, np.sin, 0.05, 0.1, 0)[1] > 0
+        handle = PosteriorHandle(np.full(6, 1.0 / 6.0), StateSpace.regular_grid((6,)), 7)
+        assert cdf_qmci(handle, 0, 2.5, 0.05, 0.1, 0)[1] > 0
+        assert oracle.queries == 0
 
     def test_gates_and_overlap_estimation_take_no_ledger(self):
         tree = {node.name: node for node in ast.parse(
@@ -1182,7 +1255,7 @@ class TestMedianRuns:
             assert annealing.median_runs(float(delta)) == math.ceil(12.0 * math.log(1.0 / delta))
 
     def test_one_owner_of_the_run_count(self):
-        # sample_half_angles, faithful QMCI and query_charge all read median_runs
+        # median_estimate, faithful QMCI and query_charge all read median_runs
         owners = [(path.stem, getattr(top, "name", None)) for path in LIBRARY
                   for top in ast.parse(path.read_text()).body for node in ast.walk(top)
                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
@@ -1190,5 +1263,5 @@ class TestMedianRuns:
                   and getattr(getattr(node.right, "func", None), "attr", None) == "log"]
         assert owners == [("annealing", "median_runs")]
         assert library_calls("median_runs") == [
-            ("annealing", "sample_half_angles", "median_runs"),
+            ("annealing", "median_estimate", "median_runs"),
             ("qmci", "_faithful_means", "median_runs"), ("qmci", "query_charge", "median_runs")]

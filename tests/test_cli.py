@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from qmhlab import cli
 from qmhlab.annealing import QueryLedger, prepare, qsa_schedule
 from qmhlab.cli import CI_ALPHA, CI_EPS, _default_model, experiment_anneal, main, scaling_study
 from qmhlab.inference import (CredibleQuery, PosteriorHandle, credible_bound_search,
@@ -262,11 +264,18 @@ class TestRunCommand:
          "credible-interval: delta must be in (0, 1), not 1.5"),
         ({"experiment": "anneal", "eps": 5}, "anneal: eps must be below 0.5, not 5"),
         ({"experiment": "qmci-pipeline", "eps": 5}, "qmci-pipeline: eps must be below 1, not 5"),
+        ({"experiment": "gw-scaling", "M_values": [256]},
+         "gw-scaling: a slope needs two or more distinct M values, not [256]"),
+        ({"experiment": "gw-scaling", "M_values": [256, 256]},
+         "gw-scaling: a slope needs two or more distinct M values, not [256, 256]"),
+        ({"experiment": "gw-scaling", "methods": ["proposed", "bogus"]},
+         "gw-scaling: unknown method 'bogus'; choose from proposed, exact-qsa, classical-mh"),
     ], ids=["list", "seed-string", "eps-string", "seeds-int", "eps-above-alpha",
             "bogus-mode", "axis-off-grid", "experiment-list", "model-int", "output-dir-int",
             "M-values-empty", "methods-empty", "seeds-empty", "M-zero", "anneal-eps-zero",
             "anneal-eps-negative", "pipeline-delta-above-1", "credible-delta-above-1",
-            "anneal-eps-vacuous", "pipeline-eps-vacuous"])
+            "anneal-eps-vacuous", "pipeline-eps-vacuous", "M-values-one", "M-values-repeated",
+            "method-unknown"])
     def test_malformed_config_is_an_error_message(self, tmp_path, cfg, detail):
         if isinstance(cfg, dict):
             cfg = {"output_dir": str(tmp_path / "out"), **cfg}
@@ -367,6 +376,19 @@ class TestScalingCommand:
         # doubling M doubles the per-step cost exactly for the classical chain
         assert payload["slopes"]["classical-mh"] == pytest.approx(1.0, abs=0.01)
         assert (tmp_path / "out" / "scaling.csv").exists()
+
+    @pytest.mark.parametrize("M_values,methods,detail", [
+        ((256,), ("classical-mh",), "two or more distinct M values, not [256]"),
+        ((256, 256), ("exact-qsa",), "two or more distinct M values, not [256, 256]"),
+        ((256, 512), ("proposed", "mcmc"), "unknown method 'mcmc'")])
+    def test_refused_before_any_instance_is_built(self, tmp_path, monkeypatch, M_values,
+                                                  methods, detail):
+        # one M once fitted a slope through one point (3.90 for exact-qsa) and passed; an
+        # unknown method was caught after the first instance and its ladder were built
+        monkeypatch.setattr(cli.inference, "synth_gw_instance", None)
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            scaling_study(str(tmp_path), M_values=M_values, methods=methods, seeds=(0,))
+        assert not list(tmp_path.iterdir())
 
     def test_each_instance_is_prepared_at_its_own_eps_internal(self, tmp_path):
         payload = scaling_study(str(tmp_path), M_values=(64, 128), methods=("classical-mh",),

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from qmhlab import annealing
 from qmhlab.inference import (
     CredibleQuery,
+    CredibleResult,
     GwInstance,
     PosteriorHandle,
     cdf_exact,
@@ -60,6 +62,52 @@ def cdf_qmci_reference(handle, axis, a, eps, delta, seed):
     return estimate, queries
 
 
+# CDF estimation and the search as they were when the estimate charged the
+# preparation cost itself, verbatim, with the half-angle sampler it called.
+
+def charging_cdf_qmci(handle, axis, a, eps, delta, seed):
+    if not (0 < eps < 1 and 0 < delta < 1):
+        raise ValueError("eps and delta must be in (0, 1)")
+    amp = cdf_exact(handle.distribution, handle.space, axis, a)
+    theta = float(np.arcsin(np.sqrt(np.clip(amp, 0.0, 1.0))))
+    rng = np.random.default_rng(seed)
+    t = int(np.ceil(np.log2(2.0 * np.pi / (eps / 3.0)))) + 3
+    N = 2**t
+    runs = annealing.median_runs(delta)
+    m, _ = annealing.sample_folded_outcomes(theta, t, runs, rng)
+    half_angles, reflections = np.pi * m / N, runs * (N - 1) * 2
+    estimates = np.float_power(np.sin(half_angles), 2)
+    # one preparation per reflection about the prepared state
+    return float(np.median(estimates)), reflections * handle.prep_queries
+
+
+def search_over_charging_estimates(query, handle, seed):
+    grid = np.asarray(handle.space.axes[query.axis], float)
+    n_i = len(grid)
+    target = query.alpha / 2.0 if query.side == "upper" else 1.0 - query.alpha / 2.0
+    n_max = int(np.ceil(np.log2(n_i - 2))) + 1
+    delta_call = query.delta / (n_max + 1)
+    rng = np.random.default_rng(seed)
+    window = 2.0 * query.eps / 3.0
+    queries = 0
+    j_lb, j_ub = 0, n_i - 1
+    iterations = 0
+    while True:
+        j_mid = int(np.ceil((j_ub + j_lb) / 2.0))
+        est, q = charging_cdf_qmci(handle, query.axis, float(grid[j_mid]), query.eps,
+                                   delta_call, seed=int(rng.integers(2**63)))
+        queries += q
+        iterations += 1
+        if abs(est - target) <= window:
+            return CredibleResult(float(grid[j_mid]), True, iterations, queries)
+        if est > target:
+            j_lb = j_mid
+        else:
+            j_ub = j_mid
+        if j_ub - j_lb <= 1 or iterations >= n_max:
+            return CredibleResult(None, False, iterations, queries)
+
+
 class TestCdf:
     def test_matches_per_run_reference(self):
         rng = np.random.default_rng(11)
@@ -70,8 +118,32 @@ class TestCdf:
             a = float(rng.uniform(-1.0, 12.0))      # includes tails of mass 0 and 1
             eps = float(rng.choice([0.3, 0.1, 0.05]))
             delta = float(rng.uniform(0.01, 0.45))
-            assert (cdf_qmci(handle, 0, a, eps, delta, seed)
-                    == cdf_qmci_reference(handle, 0, a, eps, delta, seed))
+            est, reflections = cdf_qmci(handle, 0, a, eps, delta, seed)
+            assert (est, reflections * handle.prep_queries) == \
+                cdf_qmci_reference(handle, 0, a, eps, delta, seed)
+
+    def test_matches_the_charging_estimate(self):
+        # the estimate and its reflections, priced at the preparation by the caller,
+        # are the charging estimate's pair bit for bit
+        rng = np.random.default_rng(12)
+        space = StateSpace.regular_grid((12,))
+        for seed in range(120):
+            handle = PosteriorHandle(distribution=rng.dirichlet(np.ones(12)), space=space,
+                                     prep_queries=int(rng.integers(1, 10**12)))
+            a = float(rng.uniform(-1.0, 12.0))
+            eps = float(rng.choice([0.9, 0.3, 0.1, 0.05, 0.01]))
+            delta = float(rng.uniform(0.001, 0.45))
+            est, reflections = cdf_qmci(handle, 0, a, eps, delta, seed)
+            assert (est, reflections * handle.prep_queries) == \
+                charging_cdf_qmci(handle, 0, a, eps, delta, seed)
+
+    @pytest.mark.parametrize("eps,delta", [(0.0, 0.1), (1.0, 0.1), (2.9, 0.1), (-0.1, 0.1),
+                                           (0.1, 0.0), (0.1, 1.0)])
+    def test_eps_and_delta_outside_the_unit_interval_rejected(self, eps, delta):
+        # eps / 3 is below 1 up to eps = 3, so the eps check is the estimate's own
+        handle = PosteriorHandle(np.full(4, 0.25), StateSpace.regular_grid((4,)), 1)
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\)"):
+            cdf_qmci(handle, 0, 1.5, eps, delta, 0)
 
     def test_exact_enumeration(self):
         space = StateSpace.regular_grid((4,))
@@ -114,14 +186,17 @@ class TestCdf:
         assert hits >= int((1.0 - delta) * 200)
 
     def test_queries_scale_with_preparation_cost(self):
+        # the estimate spends reflections whatever a preparation costs; the search prices them
         model = posterior_16()
         h1 = PosteriorHandle(distribution=model.distribution(),
                              space=model.space, prep_queries=1)
         h2 = PosteriorHandle(distribution=model.distribution(),
                              space=model.space, prep_queries=50)
-        _, q1 = cdf_qmci(h1, 0, 8.0, 0.05, 0.1, seed=0)
-        _, q2 = cdf_qmci(h2, 0, 8.0, 0.05, 0.1, seed=0)
-        assert q2 == 50 * q1
+        assert cdf_qmci(h1, 0, 8.0, 0.05, 0.1, seed=0) == cdf_qmci(h2, 0, 8.0, 0.05, 0.1, seed=0)
+        query = CredibleQuery(axis=0, alpha=0.5, eps=0.05, delta=0.1)
+        r1, r2 = (credible_bound_search(query, h, seed=0) for h in (h1, h2))
+        assert (r2.value, r2.found, r2.iterations) == (r1.value, r1.found, r1.iterations)
+        assert r2.queries == 50 * r1.queries > 0
 
 
 class TestCredibleSearch:
@@ -159,6 +234,20 @@ class TestCredibleSearch:
         assert res.found
         tail = cdf_exact(model.distribution(), model.space, 0, res.value)
         assert abs(tail - 0.75) <= query.eps
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_matches_the_search_over_charging_estimates(self, side):
+        rng = np.random.default_rng(21)
+        for seed in range(60):
+            n = int(rng.integers(3, 40))
+            handle = PosteriorHandle(distribution=rng.dirichlet(np.full(n, 0.5)),
+                                     space=StateSpace.regular_grid((n,)),
+                                     prep_queries=int(rng.integers(1, 10**15)))
+            query = CredibleQuery(axis=0, alpha=float(rng.uniform(0.2, 0.8)),
+                                  eps=float(rng.uniform(0.01, 0.09)),
+                                  delta=float(rng.uniform(0.01, 0.4)), side=side)
+            assert credible_bound_search(query, handle, seed) == \
+                search_over_charging_estimates(query, handle, seed)
 
     def test_no_output_when_no_grid_point_matches(self):
         # point-mass posterior: tail CDF jumps straight past alpha/2
@@ -235,6 +324,15 @@ class TestGwInstance:
         sigmas /= 3.0
         ratios = sigmas[1:] / sigmas[:-1]
         assert np.all(np.abs(ratios - np.sqrt(2.0)) <= 0.15 * np.sqrt(2.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("M", [2, 0, -2])
+    def test_fewer_than_four_terms_rejected(self, M):
+        # M = 2 has no frequency mode: an all-zero table after a divide-by-zero warning;
+        # M = 0 died inside NumPy's FFT
+        with pytest.raises(ValueError, match=f"M must be even and at least 4, not {M}"):
+            synth_gw_instance(0.1, 0.0, M, rho=2.0, seed=0)
+        assert synth_gw_instance(0.1, 0.0, 4, rho=2.0, seed=0).sigma > 0
 
     def test_rejects_odd_length_and_bad_rho(self):
         with pytest.raises(ValueError):

@@ -206,6 +206,38 @@ def qmci_mean_before_the_array_pass(oracle, x, eps, delta, mode, seed):
     return QmciResult(float(est[median]), charge, bool(g0 <= median <= g1), residual)
 
 
+# The estimator and table builder as they were when the estimator charged the oracle
+# itself and the builder topped the charge up to its pairs', verbatim.
+
+def charging_qmci_mean(oracle, x, eps, delta, mode, seed):
+    qmci._check_request(eps, delta, mode)
+    states = np.atleast_1d(x)
+    if np.any((states < 0) | (states >= oracle.n_states)):
+        raise ValueError(f"state index {x} outside 0..{oracle.n_states - 1}")
+    charge = estimation_charge(oracle, eps, delta)
+    faithful = mode == "faithful" and charge > 0
+    if faithful and oracle.M > FAITHFUL_MAX_TERMS:
+        raise ValueError(f"faithful mode limited to M <= {FAITHFUL_MAX_TERMS}")
+    oracle.charge(len(states) * charge)
+    est, success, residual = (
+        qmci._faithful_means(oracle, states, eps, delta, seed) if faithful else
+        (qmci._emulated_means(oracle, states, eps, seed, shortcut=charge == 0),
+         np.ones(len(states), bool), np.zeros(len(states))))
+    if np.ndim(x) == 0:
+        return QmciResult(float(est[0]), charge, bool(success[0]), float(residual[0]))
+    return QmciResult(est, len(states) * charge, success, residual)
+
+
+def charging_estimate_and_charge(oracle, kernel, eps, delta, seed, mode):
+    res = charging_qmci_mean(oracle, np.arange(oracle.n_states), eps, delta, mode, seed)
+    nll = np.maximum(0.0, res.estimate + oracle.ell0 + oracle.const)
+    charge = estimation_charge(oracle, eps, delta)
+    n_pairs = kernel.space.size * sum(any(m) for m, w in zip(kernel.moves, kernel.weights) if w > 0)
+    # charge the uncompute halves on top of the per-state estimations
+    oracle.charge(max(0, n_pairs * 4 * charge - oracle.n_states * charge))
+    return nll, float(res.residual.max()), 4 * charge
+
+
 def small_oracle(seed=0, M=8, n=5, lo=0.0, hi=4.0):
     rng = np.random.default_rng(seed)
     table = rng.uniform(lo, hi, size=(M, n))
@@ -344,10 +376,9 @@ class TestEmulatedMode:
     def test_queries_match_schedule(self):
         oracle = small_oracle(13)
         eps, delta = 0.2 * oracle.sigma, 0.1
-        before = oracle.queries
         res = qmci_mean(oracle, 0, eps, delta, "emulated", seed=0)
         assert res.queries == query_charge(oracle.sigma, eps, delta)
-        assert oracle.queries - before == res.queries
+        assert oracle.queries == 0                      # reported, not charged
 
     def test_coarse_eps_clamps_to_zero_queries(self):
         oracle = small_oracle(17)
@@ -359,8 +390,8 @@ class TestEmulatedMode:
 
     @pytest.mark.parametrize("mode", ["emulated", "faithful"])
     def test_table_pass_matches_per_state_estimates(self, mode):
-        # estimate_nll equals one qmci_mean per state, clipped after the offsets,
-        # and charges as much; eps = 40 is the classical shortcut
+        # estimate_nll equals one qmci_mean per state, clipped after the offsets, and
+        # neither charges the oracle; eps = 40 is the classical shortcut
         rng = np.random.default_rng(3)
         for trial in range(12):
             M, n = int(rng.integers(2, FAITHFUL_MAX_TERMS + 1)), int(rng.integers(2, 13))
@@ -374,7 +405,8 @@ class TestEmulatedMode:
                 expected = np.maximum(0.0, np.array([r.estimate for r in results]) + ell0 + const)
                 assert np.array_equal(nll, expected)
                 assert residual == max(r.residual for r in results)
-                assert whole.queries == single.queries == sum(r.queries for r in results)
+                assert whole.queries == single.queries == 0
+                assert sum(r.queries for r in results) == n * estimation_charge(whole, eps, 0.1)
 
 
 class TestFaithfulMode:
@@ -410,6 +442,47 @@ class TestFaithfulMode:
         oracle = small_oracle(2)
         with pytest.raises(ValueError):
             qmci_mean(oracle, 0, 0.1, 0.1, "typo", seed=0)
+
+
+class TestEstimatorsOnlyEstimate:
+    """qmci_mean returns, bit for bit, what the charging estimator returned, and charges
+    nothing; the table builder alone charges what the charging estimates and top-up did."""
+
+    @pytest.mark.parametrize("mode", ["emulated", "faithful"])
+    def test_matches_the_charging_estimator(self, mode):
+        rng = np.random.default_rng(8)
+        for trial in range(16):
+            M, n = int(rng.integers(2, FAITHFUL_MAX_TERMS + 1)), int(rng.integers(2, 9))
+            table = rng.uniform(-1.0, 3.0, size=(M, n))
+            sigma = float(table.std(axis=0).max()) * 1.05 + 1e-12
+            for eps in (0.01, 0.1, 40.0):           # 40 is the classical shortcut
+                for x in (np.arange(n), int(rng.integers(n))):
+                    pure, charging = (LikelihoodOracle(table, sigma) for _ in range(2))
+                    got = qmci_mean(pure, x, eps, 0.1, mode, seed=trial)
+                    ref = charging_qmci_mean(charging, x, eps, 0.1, mode, seed=trial)
+                    for field in ("estimate", "success", "residual"):
+                        assert np.array_equal(getattr(got, field), getattr(ref, field))
+                    assert type(got.estimate) is type(ref.estimate)
+                    assert got.queries == ref.queries == charging.queries
+                    assert pure.queries == 0
+
+    @pytest.mark.parametrize("mode", ["emulated", "faithful"])
+    @pytest.mark.parametrize("moves", ["stay-only", "nearest", "nearest-and-stay"])
+    def test_table_builder_charges_what_estimates_and_top_up_did(self, mode, moves):
+        # a stay-only kernel has no pairs: the table's estimations are the whole charge
+        space = StateSpace.regular_grid((6,))
+        kernel = {"stay-only": ProposalKernel(space, ((0,),), np.array([1.0])),
+                  "nearest": ProposalKernel.nearest_neighbor(space),
+                  "nearest-and-stay": ProposalKernel.nearest_neighbor(space, stay_prob=0.2)}[moves]
+        nll = 0.3 * (space.points[:, 0] - 2.0) ** 2
+        for eps in (0.05, 0.3, 40.0):
+            pure, charging = (LikelihoodOracle.from_nll(nll, M=16, spread=0.5, seed=0)
+                              for _ in range(2))
+            got = qmci._estimate_and_charge(pure, kernel, eps, 0.1, 0, mode)
+            ref = charging_estimate_and_charge(charging, kernel, eps, 0.1, 0, mode)
+            assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
+            assert pure.queries == charging.queries
+            assert pure.queries > 0 or eps == 40.0
 
 
 class TestRejectBeforeCharge:
@@ -642,10 +715,9 @@ class TestFaithfulArrayCode:
                 for eps in (0.1, 0.25, 0.5, 1.0, 40.0):
                     for delta in (0.01, 0.2):
                         for mode in ("faithful", "emulated"):
-                            before = oracle.queries
                             res = qmci_mean(oracle, x, eps, delta, mode, seed=trial)
                             ref, law = reference_qmci_mean(oracle, x, eps, delta, mode, trial)
-                            assert oracle.queries - before == res.queries
+                            assert oracle.queries == 0
                             if law is None:
                                 assert res == ref
                                 continue
@@ -717,8 +789,9 @@ class TestFaithfulArrayPass:
         assert np.array_equal(got.estimate, [r.estimate for r in refs])
         assert np.array_equal(got.success, [r.success for r in refs])
         assert np.max(np.abs(got.residual - [r.residual for r in refs])) <= 1e-13
-        assert got.queries == array.queries == whole.queries == body.queries == \
-            sum(r.queries for r in refs)
+        # the per-state body charged what the array pass reports and does not charge
+        assert got.queries == body.queries == sum(r.queries for r in refs)
+        assert array.queries == whole.queries == 0
         assert np.array_equal(nll, np.maximum(0.0, got.estimate + ell0 + 0.25))
         assert residual == got.residual.max()
         # a call on one state is the per-state body bit for bit
@@ -844,8 +917,7 @@ class TestApproxChain:
 
         T = kernel.matrix()
         n_pairs = int(np.sum((T > 0) & ~np.eye(len(T), dtype=bool)))
-        estimates = oracle()
-        estimate_nll(estimates, eps, delta, "emulated", seed=0)
+        estimates = qmci_mean(oracle(), np.arange(space.size), eps, delta, "emulated", seed=0)
         per_state = estimates.queries // space.size
         table_oracle, walk_oracle = oracle(), oracle()
         *_, pair_charge = approx_acceptance_table(table_oracle, model, kernel, eps, delta, seed=0)
@@ -962,6 +1034,26 @@ class TestPipeline:
         assert (single == 0) == (eps_internal == 40.0) and res.walk_applications > 0
         assert res.oracle_queries == oracle.queries - 123 == \
             (oracle.n_states + 4 * res.walk_applications) * single
+
+    def test_failed_search_charges_its_walk(self, monkeypatch):
+        # the search's walk applications are charged before the failure is raised: once
+        # only the table was, while a standalone prepare charged the search's whole walk
+        space = StateSpace.regular_grid((8,))
+        nll = 0.5 * (space.points[:, 0] - 3.0) ** 2
+        model = TargetModel(space=space, prior=np.full(8, 1.0 / 8.0), neg_log_lik=nll - nll.min())
+        kernel = ProposalKernel.nearest_neighbor(space)
+        monkeypatch.setattr(annealing, "KEEP_THRESHOLD", 2.0)     # no overlap is kept
+        oracle = LikelihoodOracle.from_nll(model.neg_log_lik, M=64, spread=0.5, seed=0)
+        with pytest.raises(RuntimeError, match="schedule search failed"):
+            qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0)
+        eps_in = internal_accuracy(model, kernel, 0.2)
+        table, _ = estimate_nll(oracle, eps_in, 0.1 / 4.0, "emulated", 0)
+        schedule, state, ledger = annealing.prepare(model.with_neg_log_lik(table), kernel,
+                                                    0.2, 0.1, 0)
+        assert state is None and ledger.by_tag == {"schedule": 75_138_991_200}
+        single = estimation_charge(oracle, eps_in, 0.1 / 4.0)
+        assert oracle.queries == (oracle.n_states + 4 * ledger.total) * single
+        assert oracle.n_states * single == 320_837_040
 
     def test_failed_faithful_table_raises(self):
         # GW 4x4, M = 16: eps'' = 5.8e-6 needs t = 32 ancillas over each column's range,
