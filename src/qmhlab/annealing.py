@@ -13,6 +13,7 @@ or FFT is simulated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ OMEGA_PI3 = np.exp(1j * np.pi / 3)
 KEEP_THRESHOLD = np.exp(-2.0)          # schedule keeps overlaps estimated >= e^-2
 OVERLAP_GUARANTEE = 9.0 / (10.0 * np.e**2)
 NAE_ACCURACY = 1.0 / (10.0 * np.e**2)
-GATE_DELTA = 0.01                      # QPE failure weight of each synthesized phase gate
 GATE_MODES = ("exact", "qpe")          # oracle phase gates, or gates synthesized by QPE
 
 
@@ -42,21 +42,43 @@ class QueryLedger:
         self.by_tag[tag] = self.by_tag.get(tag, 0) + int(n)
 
 
-def qpe_ancilla_count(phase_gap: float, delta: float) -> int:
-    """Ancillas so the estimator resolves the phase gap with failure weight delta."""
-    t_res = int(np.ceil(np.log2(4.0 * 2.0 * np.pi / phase_gap)))
-    t_pad = int(np.ceil(np.log2(2.0 + 1.0 / (2.0 * delta))))
-    return t_res + t_pad
+def gate_plan(phase_gap: float, err: float) -> tuple[int, int]:
+    """(t, k) of the cheapest phase gate at per-use error err: k runs of t-ancilla QPE
+    kicking omega only when every register reads 0, k (2^t - 1) least with q_t^(k/2) <= err.
+
+    q_t = 1 / (2^t sin(phase_gap / 2))^2 < 1 bounds the all-zero probability
+    |alpha_0(theta)|^2 at every eigenphase |theta| >= phase_gap, as |sin(N theta / 2)| <= 1
+    and sin(theta / 2) rises on [phase_gap, pi]; a column's error is that probability^(k/2).
+    """
+    if not (phase_gap > 0 and 0 < err <= 1):
+        raise ValueError(f"need phase_gap > 0 and err in (0, 1], not {phase_gap:g} and {err:g}")
+    s = math.sin(phase_gap / 2.0)
+    t = max(1, math.floor(-math.log2(s)))
+    while 2**t * s <= 1.0:                  # the smallest t with q_t < 1
+        t += 1
+    plans = []                              # (k (2^t - 1), t, k): ties go to the smaller t
+    while not plans or 2**t - 1 < min(plans)[0]:    # with k >= 1 no larger t is cheaper
+        q = 1.0 / (2**t * s) ** 2
+        k = max(1, math.ceil(2.0 * math.log(err) / math.log(q)))
+        while q ** (k / 2) > err:           # rounding of the ratio, either way
+            k += 1
+        while k > 1 and q ** ((k - 1) / 2) <= err:
+            k -= 1
+        plans.append((k * (2**t - 1), t, k))
+        t += 1
+    _, t, k = min(plans)
+    return t, k
 
 
-def phase_gate_cost(signed_gap: float, delta: float) -> int:
-    """Walk-operator applications per synthesized phase gate (QPE + uncompute).
+def phase_gate_cost(signed_gap: float, err: float) -> int:
+    """Walk-operator applications per synthesized phase gate at per-use error err:
+    k runs of QPE and uncompute, 2 (2^t - 1) each.
 
     The phase gap of the walk operator is arccos of the second-largest
     (signed) transition eigenvalue, so the signed gap sets the resolution.
     """
-    t = qpe_ancilla_count(float(np.arccos(1.0 - signed_gap)), delta)
-    return 2 * (2**t - 1)
+    t, k = gate_plan(math.acos(1.0 - signed_gap), err)
+    return k * 2 * (2**t - 1)
 
 
 class ExactPhaseGate:
@@ -159,21 +181,20 @@ def median_estimate(theta: float, amplitude, eps: float, delta: float,
 class QpePhaseGate:
     """Phase gate about the chain's stationary state |pi>, via QPE on its walk operator U.
 
-    Phase estimation, a phase omega kicked onto outcomes below half the phase
-    gap, and uncomputation, with the ancillas projected back onto |0>, leave
-    one coefficient per eigenphase of U (the residual bounds the leaked norm).
+    k runs of t-ancilla phase estimation, (t, k) from gate_plan at per-use error
+    err, a phase omega kicked only when every register reads 0, and
+    uncomputation, with the ancillas projected back onto |0>, leave one
+    coefficient 1 + (omega - 1) |alpha_0(theta)|^(2k) per eigenphase theta of U
+    (the residual bounds the leaked norm, at most err off |pi>).
     On the invariant subspace K, with basis B = [A O, partners] from the
     chain's eigenpairs, U has phase 0 on |pi> and +-arccos(lambda_j) on each
     other eigenvalue's plane, so the gate scales B's columns.  On K's
     complement R = -I and U = -G: U = 1 where G = -1, kicked by exactly omega.
     """
 
-    def __init__(self, chain: ChainModel, omega: complex, delta: float):
-        if not 0 < delta < 1:
-            raise ValueError("delta must be in (0, 1)")
+    def __init__(self, chain: ChainModel, omega: complex, err: float):
         layout = RegisterLayout.for_kernel(chain.kernel)
-        phase_gap = float(np.arccos(1.0 - chain.signed_gap))
-        self.t = qpe_ancilla_count(phase_gap, delta)
+        self.t, self.k = gate_plan(math.acos(1.0 - chain.signed_gap), err)
         self.omega = complex(omega)
         self._walk = WalkOperator(chain.model, layout)   # built once per gate
         self._basis, pair = invariant_subspace(self._walk.core(layout.reference_states()),
@@ -185,11 +206,9 @@ class QpePhaseGate:
         lam, _ = chain.eigenpairs                        # pair indexes these per column
         theta = np.arccos(np.clip(lam, -1.0, 1.0))
         theta[-1] = 0.0                                  # the unit eigenvalue: |pi>
-        N = 2**self.t
-        k = np.arange(N)
-        kicked = k[2.0 * np.pi * np.minimum(k, N - k) / N <= phase_gap / 2.0]
-        # <0| W' D W |0>, +-theta alike: the law sums to 1, omega - 1 extra on the kicked k
-        survived = 1.0 + (self.omega - 1.0) * _qpe_outcome_law(theta, self.t, kicked).sum(-1)
+        # <0| W' D W |0> over k registers, +-theta alike: omega - 1 extra when all read 0
+        law0 = _qpe_outcome_law(theta, self.t, np.zeros(1))[:, 0]
+        survived = 1.0 + (self.omega - 1.0) * law0**self.k
         ideal = np.append(np.ones(len(theta) - 1), self.omega)
         err = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived)))
         self._coeff, self.residuals = survived[pair], err[pair]
@@ -294,10 +313,12 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, signed_gap: float,
     """Search the temperature ladder by overlap-thresholded binary search.
 
     Each candidate overlap |<P_beta|P_beta'>|^2 is estimated nondestructively
-    to accuracy 1/(10 e^2) with per-call failure budget eta/(l_max L_max);
+    to accuracy 1/(10 e^2) with per-call failure budget delta_nae = eta/(l_max L_max);
     a step is kept when the estimate is at least e^-2, so true kept overlaps
     are at least 9/(10 e^2).  The search resolves beta to min(1/L_max, 1/2).
-    Failure is reported as success=False; the ledger is charged "schedule" per estimate.
+    Failure is reported as success=False; the ledger is charged "schedule" per estimate,
+    its R reflections each a phase gate at error delta_nae / R, so the gates of the
+    whole search fail with weight at most eta too.
     """
     L = model.neg_log_lik
     mean_nll = float(np.dot(model.prior, L))
@@ -307,7 +328,6 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, signed_gap: float,
     L_max = float(L.max())
     precision = min(1.0 / L_max, 0.5)
     delta_nae = min(0.49, eta / (l_max * max(L_max, 1.0)))
-    refl_cost = phase_gate_cost(signed_gap, delta_nae)
     rng = np.random.default_rng(seed)
 
     def estimate(b1, b2):
@@ -315,7 +335,8 @@ def qsa_schedule(model: TargetModel, kernel: ProposalKernel, signed_gap: float,
                          for b in (b1, b2))
         est, reflections = nae_overlap(state, target, NAE_ACCURACY, delta_nae,
                                        seed=int(rng.integers(2**63)))
-        ledger.charge(reflections * refl_cost, "schedule")
+        ledger.charge(reflections * phase_gate_cost(signed_gap, delta_nae / reflections),
+                      "schedule")
         return est
 
     def result(success):
@@ -365,9 +386,12 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
 
     Both modes build the schedule's chains as one ladder and one gate from each
     chain in turn: in exact mode an oracle phase gate about its stationary
-    state, in qpe mode one synthesized from its walk operator, each QPE with failure weight
-    GATE_DELTA.  The ledger is charged "generate" per stage: U_m uses each of
-    its two gates (3^m - 1) / 2 times, priced at their chains' signed gaps alike.
+    state, in qpe mode one synthesized from its walk operator.  Every stage's
+    depth m is fixed up front; its 3^m - 1 gate uses each get error
+    eps_stage / (3^m - 1), and a gate serving two stages the smaller, so the
+    gates add at most eps to the amplifiers' own eps.  The ledger is charged
+    "generate" per stage: U_m uses each of its two gates (3^m - 1) / 2 times,
+    priced at their chains' signed gaps and errors alike.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, not {eps:g}")
@@ -377,23 +401,26 @@ def qsa_generate(schedule: AnnealingSchedule, model: TargetModel,
         raise ValueError(f"unknown gate mode {mode!r}")
     layout = RegisterLayout.for_kernel(kernel)
     n_stages = len(schedule.betas) - 1
+    depths = [amplification_depth(max(OVERLAP_GUARANTEE, min(1.0, o - NAE_ACCURACY)),
+                                  eps / n_stages) for o in schedule.overlaps]
+    # per-use budget of each stage (1, the most a gate takes, at depth 0: no uses);
+    # gate j serves stages j - 1 and j
+    budget = [min(1.0, eps / n_stages / (3**m - 1)) if m > 0 else 1.0 for m in depths]
+    errs = [min(budget[max(0, j - 1):j + 1]) for j in range(n_stages + 1)]
     state = encode_distribution(model.with_beta(0.0).distribution(), layout)
-    chains = chain_ladder(model, kernel, schedule.betas)
 
-    def next_gate():
-        chain = next(chains)
-        cost = phase_gate_cost(chain.signed_gap, GATE_DELTA)
+    def gate(chain, err):
+        cost = phase_gate_cost(chain.signed_gap, err)
         if mode == "qpe":
-            return QpePhaseGate(chain, OMEGA_PI3, GATE_DELTA), cost
+            return QpePhaseGate(chain, OMEGA_PI3, err), cost
         return ExactPhaseGate(encode_distribution(chain.stationary, layout), OMEGA_PI3), cost
 
-    R2, c2 = next_gate()
-    for i in range(n_stages):
-        p = max(OVERLAP_GUARANTEE, min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
-        m = amplification_depth(p, eps / n_stages)
+    gates = map(gate, chain_ladder(model, kernel, schedule.betas), errs)
+    R2, c2 = next(gates)
+    for m in depths:
         # stage i's R2 is stage i+1's R1; the older gate is dropped before a new one is built
         R1, c1 = R2, c2
-        R2, c2 = next_gate()
+        R2, c2 = next(gates)
         if m > 0:                            # depth 0 applies no gate and charges nothing
             ledger.charge((3**m - 1) // 2 * (c1 + c2), "generate")
         state = pi3_amplify(R1, R2, m, state)
@@ -407,6 +434,9 @@ def prepare(model: TargetModel, kernel: ProposalKernel, eps: float, delta: float
             gate_mode: str = "exact") -> tuple[AnnealingSchedule, np.ndarray | None, QueryLedger]:
     """Schedule search at failure weight delta / 2, priced at the beta = 1 chain's signed
     gap, then generation to accuracy min(0.1, eps / 2): every preparation's one budget rule.
+    The search's medians fail with weight at most delta / 2 and its gates' errors sum to
+    at most delta / 2, so it fails with weight at most delta; generation's amplifiers and
+    gates each add at most min(0.1, eps / 2), so the state is within eps of its target.
 
     Returns the schedule, the state and the ledger it charged, tagged "schedule" and
     "generate"; a failed search leaves state None and only the "schedule" charge.

@@ -133,6 +133,7 @@ def experiment_qmci_pipeline(model, kernel, out_dir, seed=0, eps=0.2,
         "eps_internal": result.eps_internal,
         "walk_applications": result.walk_applications,
         "oracle_queries": result.oracle_queries,
+        "table_misses": result.table_misses,
         "betas": list(result.schedule.betas),
         "pass": bool(passed),
     }
@@ -178,10 +179,13 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096), methods=SCALIN
     proposed: annealed preparation with mean-estimation gates; exact-qsa: the
     same annealing.prepare, but every walk-operator application pays the full
     M-term likelihood sum; classical-mh: chain sampling paying M per step.
-    Queries are averaged over the seeds before the slope fit over two or more distinct M.
+    Queries are averaged over the seeds before the slope fit over two or more distinct M;
+    beside those slopes, each seed's own and the slope of the mean of the logs.
     """
     if len(set(M_values)) < 2:
         raise ValueError(f"a slope needs two or more distinct M values, not {list(M_values)}")
+    for M in M_values:
+        inference.check_series_length(int(M))
     unknown = [m for m in methods if m not in SCALING_METHODS]
     if unknown:
         raise ValueError(f"unknown method {unknown[0]!r}; choose from {', '.join(SCALING_METHODS)}")
@@ -217,13 +221,23 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096), methods=SCALIN
                                 "queries": int(measure(method, inst, kernel, int(seed)))})
 
     logM = np.log(np.asarray(M_values, dtype=float))
-    slopes = {}
-    for method in methods:
-        means = [float(np.mean([float(r["queries"]) for r in records
-                                if r["method"] == method and r["M"] == int(M)]))
-                 for M in M_values]
-        slopes[method] = float(np.polyfit(logM, np.log(means), 1)[0])
-    payload = {"records": records, "slopes": slopes}
+
+    def fit(log_queries):                       # one value per M
+        return float(np.polyfit(logM, log_queries, 1)[0])
+
+    def queries(method, M, seed=None):          # every seed's, or one seed's
+        return [float(r["queries"]) for r in records
+                if r["method"] == method and r["M"] == int(M) and seed in (None, r["seed"])]
+
+    payload = {
+        "records": records,
+        "slopes": {m: fit(np.log([np.mean(queries(m, M)) for M in M_values])) for m in methods},
+        "seed_slopes": {m: {str(s): fit(np.log([np.mean(queries(m, M, int(s)))
+                                                for M in M_values])) for s in seeds}
+                        for m in methods},
+        "log_mean_slopes": {m: fit([np.mean(np.log(queries(m, M))) for M in M_values])
+                            for m in methods},
+    }
     _write_json(payload, os.path.join(out_dir, "scaling.json"))
     with open(os.path.join(out_dir, "scaling.csv"), "w", newline="") as fh:
         columns = ["method", "M", "seed", "sigma", "eps_internal", "queries"]

@@ -156,6 +156,12 @@ def _waveform(freq: float, log_amp: float, M: int, tau: float) -> np.ndarray:
     return np.exp(log_amp) * np.exp(-t / tau) * np.sin(2.0 * np.pi * freq * t)
 
 
+def check_series_length(M: int) -> None:
+    """Refuse a series length the signal instance cannot take."""
+    if M < 4 or M % 2 != 0:          # M = 2 has no frequency mode, M = 0 no FFT
+        raise ValueError(f"M must be even and at least 4, not {M}")
+
+
 def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
                       seed: int, grid_shape=(4, 4), noiseless: bool = False) -> GwInstance:
     """Build the synthetic instance at series length M and signal strength rho.
@@ -163,8 +169,7 @@ def synth_gw_instance(true_freq: float, true_log_amp: float, M: int, rho: float,
     The injected template is rescaled so its matched-filter norm (h*|h*)
     equals rho^2; the per-state term spread then scales as rho sqrt(M).
     """
-    if M < 4 or M % 2 != 0:          # M = 2 has no frequency mode, M = 0 no FFT
-        raise ValueError(f"M must be even and at least 4, not {M}")
+    check_series_length(M)
     if rho <= 0:
         raise ValueError("rho must be positive")
     rng = np.random.default_rng(seed)

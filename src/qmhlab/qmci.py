@@ -246,8 +246,9 @@ def _faithful_means(oracle: LikelihoodOracle, states: np.ndarray, eps: float, de
 
 
 def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
-                 mode: str, seed: int) -> tuple[np.ndarray, float]:
-    """Perturbed negative log-likelihood table L~, clipped at zero, and its largest residual.
+                 mode: str, seed: int) -> tuple[np.ndarray, float, int]:
+    """Perturbed negative log-likelihood table L~, clipped at zero, its largest residual
+    and the number of states whose estimate missed eps.
 
     One qmci_mean call over every state: in either mode the whole table is
     estimated in one array pass, and nothing is charged.  Emulated L~ is a
@@ -255,13 +256,14 @@ def estimate_nll(oracle: LikelihoodOracle, eps: float, delta: float,
     residual is the largest bad-branch mass of the estimations (0 unless faithful).
     """
     res = qmci_mean(oracle, np.arange(oracle.n_states), eps, delta, mode, seed)
-    return np.maximum(0.0, res.estimate + oracle.ell0 + oracle.const), float(res.residual.max())
+    return (np.maximum(0.0, res.estimate + oracle.ell0 + oracle.const),
+            float(res.residual.max()), int(np.count_nonzero(~res.success)))
 
 
 def _estimate_and_charge(oracle: LikelihoodOracle, kernel: ProposalKernel, eps: float,
                          delta: float, seed: int, mode: str):
     """L~, its estimations' largest residual and the pair charge, all supported pairs charged."""
-    nll, residual = estimate_nll(oracle, eps, delta, mode, seed)
+    nll, residual, _ = estimate_nll(oracle, eps, delta, mode, seed)
     charge = estimation_charge(oracle, eps, delta)
     # distinct nonzero torus moves reach distinct other states from every x
     n_pairs = kernel.space.size * sum(any(m) for m, w in zip(kernel.moves, kernel.weights) if w > 0)
@@ -334,6 +336,7 @@ class PipelineResult:
     walk_applications: int
     oracle_queries: int
     tv_realized: float
+    table_misses: int           # states whose likelihood estimate missed eps_internal
 
 
 def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
@@ -345,14 +348,15 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
     perturbed model's posterior by annealing.prepare, and reports the realized
     TV(P~, P) along with walk-operator and oracle-query totals: the table's estimations,
     then four per walk application, a failed search's too, charged to the oracle.  A
-    table whose bad-branch mass exceeds its failure weight delta / 4 raises RuntimeError.
+    table whose bad-branch mass exceeds its failure weight delta / 4 raises RuntimeError;
+    one within it reports how many of its states missed eps_internal.
     """
     _check_request(eps, delta, mode)                # before internal_accuracy's ladder
     if gate_mode not in annealing.GATE_MODES:
         raise ValueError(f"unknown gate mode {gate_mode!r}")
     eps_in = internal_accuracy(model, kernel, eps)
     charge = estimation_charge(oracle, eps_in, delta / 4.0)
-    nll, residual = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
+    nll, residual, misses = estimate_nll(oracle, eps_in, delta / 4.0, mode, seed)
     oracle.charge(oracle.n_states * charge)
     if residual > delta / 4.0:
         raise RuntimeError(f"likelihood table failed: bad-branch mass {residual:.3g} exceeds "
@@ -369,4 +373,5 @@ def qsa_with_qmci(oracle: LikelihoodOracle, model: TargetModel,
         state=state, schedule=schedule, model_pert=model_pert, eps_internal=eps_in,
         walk_applications=ledger.total,
         oracle_queries=(oracle.n_states + 4 * ledger.total) * charge,
-        tv_realized=tv_distance(model_pert.distribution(), model.distribution()))
+        tv_realized=tv_distance(model_pert.distribution(), model.distribution()),
+        table_misses=misses)

@@ -13,7 +13,6 @@ import scipy.linalg
 
 from qmhlab import annealing, cli, qmci
 from qmhlab.annealing import (
-    GATE_DELTA,
     KEEP_THRESHOLD,
     NAE_ACCURACY,
     OMEGA_PI3,
@@ -23,12 +22,12 @@ from qmhlab.annealing import (
     QpePhaseGate,
     QueryLedger,
     amplification_depth,
+    gate_plan,
     nae_overlap,
     phase_gate_cost,
     pi3_amplify,
     prepare,
     pi3_overlap_bound,
-    qpe_ancilla_count,
     qsa_generate,
     qsa_schedule,
     stage_count_limit,
@@ -37,8 +36,7 @@ from qmhlab.inference import PosteriorHandle, cdf_qmci, synth_gw_instance
 from qmhlab.markov import (ProposalKernel, ReducibleChainError, StateSpace, TargetModel,
                            build_transition_matrix)
 from qmhlab.qmci import LikelihoodOracle, qsa_with_qmci
-from qmhlab.qsim import (RegisterLayout, WalkOperator, build_walk_operator, encode_distribution,
-                         invariant_subspace)
+from qmhlab.qsim import RegisterLayout, WalkOperator, build_walk_operator, encode_distribution
 
 from conftest import count_linalg_calls, qpe_estimate_amplitudes, random_instance, torus_cases
 
@@ -87,14 +85,68 @@ class TestQueryLedger:
         assert ledger.total == 499500
 
 
+def all_zero_bound(t, phase_gap):
+    """q_t = 1 / (2^t sin(phase_gap / 2))^2, computed as gate_plan computes it."""
+    return 1.0 / (2**t * math.sin(phase_gap / 2.0)) ** 2
+
+
 class TestPhaseGateCost:
     def test_cost_formula(self):
-        t = qpe_ancilla_count(np.pi / 3.0, 0.1)
-        assert phase_gate_cost(0.5, 0.1) == 2 * (2**t - 1)
+        t, k = gate_plan(np.pi / 3.0, 0.1)
+        assert phase_gate_cost(0.5, 0.1) == k * 2 * (2**t - 1)
 
     def test_cost_grows_as_gap_shrinks(self):
         costs = [phase_gate_cost(g, 0.05) for g in (0.5, 0.1, 0.02)]
         assert costs[0] <= costs[1] <= costs[2]
+
+    def test_cost_grows_as_log_of_inverse_error(self):
+        # O(log 1/err), not O(1/err): an error exponent 8 times longer costs at most 9 times more
+        costs = [phase_gate_cost(0.025, 10.0**-e) for e in (4, 8, 16, 32)]
+        assert costs == sorted(costs) and costs[-1] <= 9 * costs[0]
+
+
+PLAN_GAPS = [1e-3, 0.03, 0.2241, 0.676, np.pi / 3.0, 2.0, np.pi]
+PLAN_ERRS = [1.0, 0.5, 0.1, 1e-3, 1e-9, 1e-30]
+
+
+class TestGatePlan:
+    @pytest.mark.parametrize("phase_gap", PLAN_GAPS)
+    def test_all_zero_bound_holds_beyond_the_gap(self, phase_gap):
+        # |alpha_0(theta)|^2 <= q_t < 1 for every theta in [phase_gap, pi], and by the
+        # mirror for every theta in [pi, 2 pi - phase_gap]
+        theta = np.linspace(phase_gap, np.pi, 20001)
+        for err in PLAN_ERRS:
+            t, k = gate_plan(phase_gap, err)
+            q = all_zero_bound(t, phase_gap)
+            law0 = annealing._qpe_outcome_law(theta, t, np.zeros(1))[:, 0]
+            mirror = annealing._qpe_outcome_law(2.0 * np.pi - theta, t, np.zeros(1))[:, 0]
+            assert q < 1.0 and q ** (k / 2) <= err
+            assert max(law0.max(), mirror.max()) <= q * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("phase_gap", PLAN_GAPS)
+    def test_matches_brute_force_minimum(self, phase_gap):
+        # least k (2^t - 1) over every t up to 24 and k up to 4000, the smaller t on a tie
+        for err in PLAN_ERRS:
+            best = None
+            for t in range(1, 25):
+                q = all_zero_bound(t, phase_gap)
+                if q >= 1.0:
+                    continue
+                k = next(k for k in range(1, 4001) if q ** (k / 2) <= err)
+                if best is None or k * (2**t - 1) < best[0]:
+                    best = (k * (2**t - 1), t, k)
+            assert gate_plan(phase_gap, err) == best[1:]
+
+    def test_returns_python_integers(self):
+        t, k = gate_plan(0.5, 1e-6)
+        assert type(t) is int and type(k) is int
+
+    @pytest.mark.parametrize("phase_gap,err", [(0.0, 0.1), (-0.5, 0.1), (0.5, 0.0),
+                                               (0.5, -0.1), (0.5, 1.5), (float("nan"), 0.1),
+                                               (0.5, float("nan"))])
+    def test_refuses_bad_input(self, phase_gap, err):
+        with pytest.raises(ValueError, match="need phase_gap > 0 and err in"):
+            gate_plan(phase_gap, err)
 
 
 class TestExactPhaseGate:
@@ -239,34 +291,24 @@ class TestOutcomeLaw:
 class SchurPhaseGate:
     """Phase gate about the walk operator's phase-0 eigenstate, via QPE.
 
-    The gate runs phase estimation on the walk operator, kicks the phase
-    omega onto outcomes below half the phase gap, and uncomputes.  The
-    ancilla register is projected back onto |0> after each application
+    The gate runs k rounds of t-ancilla phase estimation on the walk operator,
+    kicks the phase omega when every register reads 0, and uncomputes.  The
+    ancilla registers are projected back onto |0> after each application
     (leaked norm is tracked, bounded by the reported per-eigenvector
     residual).  The surviving action is diagonal in the walk operator's
     eigenbasis, so it is precomputed as one dense matrix.
     """
 
-    def __init__(self, walk_op: np.ndarray, omega: complex, delta: float, signed_gap: float):
-        if not 0 < delta < 1:
-            raise ValueError("delta must be in (0, 1)")
+    def __init__(self, walk_op: np.ndarray, omega: complex, err: float, signed_gap: float):
         if signed_gap <= 0:
             raise ValueError("need a positive signed spectral gap")
-        phase_gap = float(np.arccos(1.0 - signed_gap))
-        self.t = qpe_ancilla_count(phase_gap, delta)
+        self.t, self.k = gate_plan(math.acos(1.0 - signed_gap), err)
         self.omega = complex(omega)
-        self.delta = float(delta)
-        self.cost = 2 * (2**self.t - 1)
+        self.cost = self.k * 2 * (2**self.t - 1)
 
         T, Z = scipy.linalg.schur(np.asarray(walk_op, complex), output="complex")
         lam = np.diag(T)
         phases = np.angle(lam)
-        threshold = phase_gap / 2.0
-
-        N = 2**self.t
-        k = np.arange(N)
-        kick_phase = 2.0 * np.pi * np.minimum(k, N - k) / N
-        kick = np.where(kick_phase <= threshold, self.omega, 1.0)
 
         coeff = np.empty(len(lam), dtype=complex)
         err = np.empty(len(lam))
@@ -274,8 +316,9 @@ class SchurPhaseGate:
         for j, ph in enumerate(phases):
             key = round(float(ph), 14)
             if key not in cache:
-                alpha = qpe_estimate_amplitudes(ph, self.t)
-                survived = np.vdot(alpha, kick * alpha)   # <0| W' D W |0>
+                alpha0 = qpe_estimate_amplitudes(ph, self.t)[0]
+                # <0| W' D W |0> over k registers: omega on all-zero, |alpha0|^2 per register
+                survived = 1.0 + (self.omega - 1.0) * abs(alpha0) ** (2 * self.k)
                 ideal = self.omega if abs(ph) < 1e-12 else 1.0
                 e2 = max(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived))
                 cache[key] = (complex(survived), float(np.sqrt(e2)))
@@ -332,10 +375,10 @@ ORACLE_CASES = ([(f"random-{s}",) + random_instance(s) for s in range(40)]
 
 
 class TestQpePhaseGate:
-    def build_gate(self, model, kernel, delta):
+    def build_gate(self, model, kernel, err):
         layout = RegisterLayout.for_kernel(kernel)
         chain = build_transition_matrix(model, kernel)
-        gate = QpePhaseGate(chain, OMEGA_PI3, delta)
+        gate = QpePhaseGate(chain, OMEGA_PI3, err)
         return gate, layout, chain
 
     @pytest.mark.parametrize("name,model,kernel", ORACLE_CASES,
@@ -344,7 +387,8 @@ class TestQpePhaseGate:
         gate, layout, chain = self.build_gate(model, kernel, 0.05)
         oracle = SchurPhaseGate(build_walk_operator(model, kernel, layout), OMEGA_PI3,
                                 0.05, chain.signed_gap)
-        assert gate.t == oracle.t and phase_gate_cost(chain.signed_gap, 0.05) == oracle.cost
+        assert (gate.t, gate.k) == (oracle.t, oracle.k)
+        assert phase_gate_cost(chain.signed_gap, 0.05) == oracle.cost
         # nothing D x D: the basis of the invariant subspace is the largest array
         assert gate._basis.shape[1] <= 2 * layout.space_dim - 1
         rng = np.random.default_rng(0)
@@ -356,25 +400,36 @@ class TestQpePhaseGate:
     @pytest.mark.parametrize("name,model,kernel", ORACLE_CASES[::4],
                              ids=[c[0] for c in ORACLE_CASES[::4]])
     def test_kicked_window_matches_full_law(self, name, model, kernel):
+        # the kicked window is the all-zero outcome of each of the k registers
         gate, _, chain = self.build_gate(model, kernel, 0.05)
         lam, _ = chain.eigenpairs
         theta = np.arccos(np.clip(lam, -1.0, 1.0))
         theta[-1] = 0.0
-        N = 2**gate.t
-        k = np.arange(N)
-        phase_gap = np.arccos(1.0 - chain.signed_gap)
-        kick = np.where(2.0 * np.pi * np.minimum(k, N - k) / N <= phase_gap / 2.0, OMEGA_PI3, 1.0)
-        full = annealing._qpe_outcome_law(theta, gate.t, k) @ kick
-        assert np.max(np.abs(gate._coeff[:len(theta)] - full)) <= 1e-14
+        full = annealing._qpe_outcome_law(theta, gate.t, np.arange(2**gate.t))
+        expected = 1.0 + (OMEGA_PI3 - 1.0) * full[:, 0] ** gate.k
+        assert np.max(np.abs(gate._coeff[:len(theta)] - expected)) <= 1e-14
+        assert gate._coeff[len(theta) - 1] == OMEGA_PI3      # |pi> gets exactly omega
 
-    @pytest.mark.parametrize("delta", [0.1, 0.05, 0.02])
-    def test_residuals_within_budget(self, two_state_gap_half, delta):
-        # residual is an amplitude error; its squared half is the leaked
-        # probability mass, which the register sizing bounds by delta
+    @pytest.mark.parametrize("err", [0.1, 0.05, 0.02, 1e-6])
+    def test_residuals_within_budget(self, two_state_gap_half, err):
+        # each column's residual is its amplitude error |alpha_0|^k <= q_t^(k/2) <= err
         model, kernel = two_state_gap_half
-        gate, _, _ = self.build_gate(model, kernel, delta)
-        worst = float(gate.residuals.max())
-        assert worst**2 / 2.0 <= delta
+        gate, _, _ = self.build_gate(model, kernel, err)
+        assert float(gate.residuals.max()) <= err
+
+    @pytest.mark.parametrize("name,model,kernel", ORACLE_CASES[::3],
+                             ids=[c[0] for c in ORACLE_CASES[::3]])
+    def test_error_bound_within_err_on_the_invariant_subspace(self, name, model, kernel):
+        # on K every column is within err, so a unit vector of K is too
+        rng = np.random.default_rng(1)
+        for err in (0.3, 0.01, 1e-7):
+            gate, layout, chain = self.build_gate(model, kernel, err)
+            assert float(gate.residuals.max()) <= err
+            for _ in range(3):
+                c = np.array([1.0, 1j]) @ rng.normal(size=(2, gate._basis.shape[1]))
+                v = gate._basis @ (c / np.linalg.norm(c))
+                assert gate.error_bound(v) <= err
+            assert gate.error_bound(encode_distribution(chain.stationary, layout)) <= 1e-12
 
     def test_kicks_phase_on_stationary_state(self, two_state_gap_half):
         model, kernel = two_state_gap_half
@@ -473,11 +528,12 @@ class TestQpePhaseGate:
         assert np.linalg.norm(back - v) <= 2.0 * 0.05 + 1e-9
 
     def test_charges_per_application(self, two_state_gap_half):
-        # the price generation charges per use is the gate's own QPE and uncompute
+        # the price generation charges per use is the gate's own k QPEs and uncomputes
         model, kernel = two_state_gap_half
         chain = build_transition_matrix(model, kernel)
-        gate = QpePhaseGate(chain, OMEGA_PI3, 0.1)
-        assert phase_gate_cost(chain.signed_gap, 0.1) == 2 * (2**gate.t - 1)
+        for err in (0.1, 1e-9):
+            gate = QpePhaseGate(chain, OMEGA_PI3, err)
+            assert phase_gate_cost(chain.signed_gap, err) == gate.k * 2 * (2**gate.t - 1)
 
     def test_rejects_nonpositive_gap(self, two_state_gap_half):
         # exp(-900) underflows: state 1 has no mass, so the chain is refused
@@ -506,7 +562,7 @@ class TestQpePhaseGate:
         assert walk_model is chain.model and walk_model.beta == 0.5
         expected = RegisterLayout.for_kernel(kernel)
         assert layout.moves == expected.moves and np.array_equal(layout.weights, expected.weights)
-        assert gate.t == qpe_ancilla_count(float(np.arccos(1.0 - chain.signed_gap)), 0.01)
+        assert (gate.t, gate.k) == gate_plan(math.acos(1.0 - chain.signed_gap), 0.01)
 
 
 def nae_overlap_reference(state, target, eps, delta, seed):
@@ -645,8 +701,10 @@ class TestNaeOverlap:
         monkeypatch.setattr(ledger, "charge", lambda n, tag: charges.append((n, tag)))
         schedule = qsa_schedule(model, kernel, 0.5, eta=0.1, seed=0, ledger=ledger)
         l_max, L_max = schedule.l_max, float(model.neg_log_lik.max())
-        price = phase_gate_cost(0.5, min(0.49, 0.1 / (l_max * max(L_max, 1.0))))
-        assert charges == [(r * price, "schedule") for r in reflections] and reflections
+        delta_nae = min(0.49, 0.1 / (l_max * max(L_max, 1.0)))
+        # each of a call's reflections is one gate at an equal share of its failure weight
+        assert charges == [(r * phase_gate_cost(0.5, delta_nae / r), "schedule")
+                           for r in reflections] and reflections
 
 
 class TestScheduleSearch:
@@ -706,13 +764,15 @@ class TestScheduleSearch:
     def test_reflections_priced_at_the_signed_gap(self, monkeypatch, tmp_path):
         # an 8-ring without a stay move has an eigenvalue near -1: spectral gap
         # 0.074, signed gap 0.263, which phase_gate_cost is defined on; the
-        # spectral gap would price each reflection at 16,382 (pipeline) and 2,046 (cli)
+        # spectral gap would price each reflection higher
         space = StateSpace.regular_grid((8,))
         L = 0.05 * space.points[:, 0]
         model = TargetModel(space=space, prior=np.full(8, 1.0 / 8.0), neg_log_lik=L)
         kernel = ProposalKernel.nearest_neighbor(space)
-        reflections, charges = [], []
-        nae, charge = annealing.nae_overlap, QueryLedger.charge
+        chain = build_transition_matrix(model, kernel)
+        assert chain.spectral_gap < 0.08 and chain.signed_gap > 0.26
+        reflections, charges, prices = [], [], []
+        nae, charge, price = annealing.nae_overlap, QueryLedger.charge, annealing.phase_gate_cost
 
         def recorded(*args, **kwargs):
             estimate, spent = nae(*args, **kwargs)
@@ -724,15 +784,26 @@ class TestScheduleSearch:
                 charges.append(n)
             charge(ledger, n, tag)
 
+        def recorded_price(signed_gap, err):
+            prices.append((signed_gap, err))
+            return price(signed_gap, err)
+
         monkeypatch.setattr(annealing, "nae_overlap", recorded)
         monkeypatch.setattr(QueryLedger, "charge", recorded_charge)
+        monkeypatch.setattr(annealing, "phase_gate_cost", recorded_price)
         oracle = LikelihoodOracle.from_nll(L, M=64, spread=0.5, seed=0)
-        qsa_with_qmci(oracle, model, kernel, eps=0.2, delta=0.02, seed=0)
-        assert charges == [8190 * r for r in reflections] and charges
-        reflections.clear()
-        charges.clear()
-        cli.experiment_anneal(model, kernel, str(tmp_path))
-        assert charges == [1022 * r for r in reflections] and charges
+        for run in (lambda: qsa_with_qmci(oracle, model, kernel, eps=0.2, delta=0.02, seed=0),
+                    lambda: cli.experiment_anneal(model, kernel, str(tmp_path))):
+            run()
+            # the search prices before generation does
+            searched = prices[:len(reflections)]
+            assert charges == [r * price(g, e) for r, (g, e) in zip(reflections, searched)]
+            # at the signed gap of the chain prepared, the perturbed one in the pipeline
+            assert charges and all(abs(g - chain.signed_gap) < 0.01 for g, _ in searched)
+            assert all(price(chain.spectral_gap, e) > price(g, e) for g, e in searched)
+            reflections.clear()
+            charges.clear()
+            prices.clear()
 
 
 class TestGeneration:
@@ -778,12 +849,15 @@ class TestGeneration:
         qpe = qsa_generate(schedule, model, kernel, eps=0.1, mode="qpe", ledger=QueryLedger())
         assert len(bounds) > 0
         assert np.linalg.norm(qpe - exact) <= 2.0 * sum(bounds)
+        # every gate use is within its share of the stage's eps, so all of them within eps
+        assert sum(bounds) <= 0.1
 
     @pytest.mark.parametrize("instance", ["gw-8x8", "ring8-three-stages"])
     def test_exact_gates_charged_at_their_own_temperature(self, ring8, monkeypatch, instance):
         # one gate per temperature, each at its own chain's rate; on the 8x8 GW
-        # instance the one stage's R1 sits at beta = 0 (signed gap 0.146, 8,190
-        # walk applications per gate) and its R2 at beta = 1 (0.025, 16,382)
+        # instance the one stage's R1 sits at beta = 0 (signed gap 0.146, 84
+        # walk applications per gate) and its R2 at beta = 1 (0.025, 240), each of
+        # the 3^m - 1 = 8 uses at error eps / 8
         if instance == "gw-8x8":
             inst = synth_gw_instance(0.1, 0.0, 256, 2.0, 0, grid_shape=(8, 8))
             model, kernel = inst.model, ProposalKernel.nearest_neighbor(inst.space)
@@ -793,8 +867,8 @@ class TestGeneration:
             betas = (0.0, 0.3, 0.6, 1.0)
         prices, price = [], annealing.phase_gate_cost
 
-        def recorded(signed_gap, delta):
-            prices.append(price(signed_gap, delta))
+        def recorded(signed_gap, err):
+            prices.append(price(signed_gap, err))
             return prices[-1]
 
         monkeypatch.setattr(annealing, "phase_gate_cost", recorded)
@@ -802,12 +876,13 @@ class TestGeneration:
         schedule = AnnealingSchedule(betas=betas, overlaps=(0.5,) * n, success=True, l_max=n)
         ledger = QueryLedger()
         qsa_generate(schedule, model, kernel, eps=0.1 * n, mode="exact", ledger=ledger)
-        rates = [phase_gate_cost(build_transition_matrix(model.with_beta(b), kernel).signed_gap,
-                                 GATE_DELTA) for b in betas]
-        assert prices == rates
-        assert instance != "gw-8x8" or rates == [8190, 16382]
-        # U_m applies each of its two gates (3^m - 1) / 2 times
+        # every stage has depth m: each gate use at error 0.1 / (3^m - 1)
         m = amplification_depth(0.5 - NAE_ACCURACY, 0.1)
+        rates = [phase_gate_cost(build_transition_matrix(model.with_beta(b), kernel).signed_gap,
+                                 0.1 / (3**m - 1)) for b in betas]
+        assert prices == rates
+        assert instance != "gw-8x8" or (m, rates) == (2, [84, 240])
+        # U_m applies each of its two gates (3^m - 1) / 2 times
         assert ledger.total == sum((3**m - 1) // 2 * (c1 + c2)
                                    for c1, c2 in zip(rates, rates[1:])) > 0
 
@@ -852,81 +927,65 @@ class SelfChargingExactPhaseGate:
         return v + (np.conj(self.omega) - 1.0) * np.vdot(self.target, v) * self.target
 
 
-class SelfChargingQpePhaseGate:
+class SelfChargingQpePhaseGate(QpePhaseGate):
     """QpePhaseGate as it was when it priced itself and each application charged a ledger."""
 
-    def __init__(self, chain, omega: complex, delta: float,
+    def __init__(self, chain, omega: complex, err: float,
                  ledger: QueryLedger | None = None, tag: str = ""):
-        if not 0 < delta < 1:
-            raise ValueError("delta must be in (0, 1)")
-        layout = RegisterLayout.for_kernel(chain.kernel)
-        phase_gap = float(np.arccos(1.0 - chain.signed_gap))
-        self.t = qpe_ancilla_count(phase_gap, delta)
-        self.omega = complex(omega)
+        super().__init__(chain, omega, err)
         self.ledger, self.tag = ledger, tag
-        self.cost = phase_gate_cost(chain.signed_gap, delta)
-        self._walk = WalkOperator(chain.model, layout)   # built once per gate
-        self._basis, pair = invariant_subspace(self._walk.core(layout.reference_states()),
-                                               layout, chain)
-        gram = self._basis.conj().T @ self._basis
-        if np.linalg.norm(gram - np.eye(len(gram))) > 1e-10:
-            raise ValueError("invariant-subspace basis is not orthonormal")
-
-        lam, _ = chain.eigenpairs                        # pair indexes these per column
-        theta = np.arccos(np.clip(lam, -1.0, 1.0))
-        theta[-1] = 0.0                                  # the unit eigenvalue: |pi>
-        N = 2**self.t
-        k = np.arange(N)
-        kicked = k[2.0 * np.pi * np.minimum(k, N - k) / N <= phase_gap / 2.0]
-        # <0| W' D W |0>, +-theta alike: the law sums to 1, omega - 1 extra on the kicked k
-        survived = 1.0 + (self.omega - 1.0) * annealing._qpe_outcome_law(
-            theta, self.t, kicked).sum(-1)
-        ideal = np.append(np.ones(len(theta) - 1), self.omega)
-        err = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.real(np.conj(ideal) * survived)))
-        self._coeff, self.residuals = survived[pair], err[pair]
+        self.cost = phase_gate_cost(chain.signed_gap, err)
 
     def _charge(self):
         if self.ledger is not None:
             self.ledger.charge(self.cost, self.tag)
 
-    def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = self._basis.conj().T @ v
-        v_c = v - self._basis @ w
-        return w, (v_c - self._walk.core(v_c[:, None])[:, 0]) / 2.0
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         self._charge()
-        w, p = self._split(v)
-        return v + self._basis @ ((self._coeff - 1.0) * w) + (self.omega - 1.0) * p
+        return super().apply(v)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         self._charge()
-        w, p = self._split(v)
-        return (v + self._basis @ ((np.conj(self._coeff) - 1.0) * w)
-                + (np.conj(self.omega) - 1.0) * p)
+        return super().apply_inverse(v)
+
+
+def stage_depths(schedule, eps):
+    n_stages = len(schedule.betas) - 1
+    return [amplification_depth(max(OVERLAP_GUARANTEE, min(1.0, o - NAE_ACCURACY)), eps / n_stages)
+            for o in schedule.overlaps]
+
+
+def gate_errors(schedule, eps):
+    """Per-use error of each temperature's gate: the least eps_stage / (3^m - 1) over the
+    stages with m > 0 that the gate serves, at most 1."""
+    n_stages = len(schedule.betas) - 1
+    errs = [1.0] * (n_stages + 1)
+    for i, m in enumerate(stage_depths(schedule, eps)):
+        if m > 0:
+            share = eps / n_stages / (3**m - 1)
+            for j in (i, i + 1):          # stage i amplifies between gates i and i + 1
+                errs[j] = min(errs[j], share)
+    return errs
 
 
 def self_charging_generate(schedule, model, kernel, eps, mode="exact", ledger=None):
     """qsa_generate's gate loop as it was when each gate application charged the ledger."""
     layout = RegisterLayout.for_kernel(kernel)
-    n_stages = len(schedule.betas) - 1
     state = encode_distribution(model.with_beta(0.0).distribution(), layout)
     chains = annealing.chain_ladder(model, kernel, schedule.betas)
+    errs = iter(gate_errors(schedule, eps))
 
     def next_gate():
-        chain = next(chains)
+        chain, err = next(chains), next(errs)
         if mode == "qpe":
-            return SelfChargingQpePhaseGate(chain, OMEGA_PI3, GATE_DELTA, ledger=ledger,
-                                            tag="generate")
+            return SelfChargingQpePhaseGate(chain, OMEGA_PI3, err, ledger=ledger, tag="generate")
         target = encode_distribution(chain.stationary, layout)
         return SelfChargingExactPhaseGate(target, OMEGA_PI3,
-                                          cost=phase_gate_cost(chain.signed_gap, GATE_DELTA),
+                                          cost=phase_gate_cost(chain.signed_gap, err),
                                           ledger=ledger, tag="generate")
 
     R2 = next_gate()
-    for i in range(n_stages):
-        p = max(OVERLAP_GUARANTEE, min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
-        m = amplification_depth(p, eps / n_stages)
+    for m in stage_depths(schedule, eps):
         R1 = R2
         R2 = next_gate()
         state = pi3_amplify(R1, R2, m, state)
@@ -940,32 +999,28 @@ class ChainPerGateQpePhaseGate(SelfChargingQpePhaseGate):
     """The self-charging QPE gate as it was when it built its own chain from (model, kernel)."""
 
     def __init__(self, model: TargetModel, kernel: ProposalKernel, omega: complex,
-                 delta: float, ledger: QueryLedger | None = None, tag: str = ""):
-        super().__init__(build_transition_matrix(model, kernel), omega, delta, ledger, tag)
+                 err: float, ledger: QueryLedger | None = None, tag: str = ""):
+        super().__init__(build_transition_matrix(model, kernel), omega, err, ledger, tag)
 
 
 def chain_per_gate_generate(schedule, model, kernel, eps, mode="exact", ledger=None):
     """qsa_generate's per-gate loop as it was before generation read one chain ladder:
     each gate builds its own chain at its temperature, by build_transition_matrix."""
     layout = RegisterLayout.for_kernel(kernel)
-    n_stages = len(schedule.betas) - 1
     state = encode_distribution(model.with_beta(0.0).distribution(), layout)
-    stage_eps = eps / n_stages
+    errs = gate_errors(schedule, eps)
 
     def gate(i):
         model_b = model.with_beta(schedule.betas[i])
         if mode == "qpe":
-            return ChainPerGateQpePhaseGate(model_b, kernel, OMEGA_PI3, GATE_DELTA,
+            return ChainPerGateQpePhaseGate(model_b, kernel, OMEGA_PI3, errs[i],
                                             ledger=ledger, tag="generate")
         gap = build_transition_matrix(model_b, kernel).signed_gap
         return SelfChargingExactPhaseGate(encode_distribution(model_b.distribution(), layout),
-                                          OMEGA_PI3, cost=phase_gate_cost(gap, GATE_DELTA),
+                                          OMEGA_PI3, cost=phase_gate_cost(gap, errs[i]),
                                           ledger=ledger, tag="generate")
 
-    for i in range(n_stages):
-        p = max(OVERLAP_GUARANTEE,
-                min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
-        m = amplification_depth(p, stage_eps)
+    for i, m in enumerate(stage_depths(schedule, eps)):
         # stage i's R2 is stage i+1's R1: same temperature, same gate
         R1 = gate(i) if i == 0 else R2
         R2 = gate(i + 1)
@@ -1059,6 +1114,123 @@ class TestGenerationChargesItsGates:
         expected = self_charging_generate(schedule, model, kernel, 0.5, ledger=oracle_ledger)
         assert np.array_equal(state, expected)
         assert ledger.by_tag == oracle_ledger.by_tag == {}
+
+
+def parent_phase_gate_cost(signed_gap, delta):
+    """phase_gate_cost as it was before gate_plan: one QPE of t_res resolution ancillas
+    padded by ceil(log2(2 + 1/(2 delta))) more, priced at one failure weight per gate."""
+    t_res = int(np.ceil(np.log2(4.0 * 2.0 * np.pi / float(np.arccos(1.0 - signed_gap)))))
+    t_pad = int(np.ceil(np.log2(2.0 + 1.0 / (2.0 * delta))))
+    return 2 * (2 ** (t_res + t_pad) - 1)
+
+
+PARENT_GATE_DELTA = 0.01
+
+
+def parent_schedule(model, kernel, signed_gap, eta, seed, ledger):
+    """qsa_schedule as it was when every reflection was priced at failure weight delta_nae."""
+    L = model.neg_log_lik
+    mean_nll = float(np.dot(model.prior, L))
+    l_max = stage_count_limit(mean_nll)
+    if mean_nll == 0:
+        return AnnealingSchedule(betas=(0.0, 1.0), overlaps=(1.0,), success=True, l_max=l_max)
+    L_max = float(L.max())
+    precision = min(1.0 / L_max, 0.5)
+    delta_nae = min(0.49, eta / (l_max * max(L_max, 1.0)))
+    refl_cost = parent_phase_gate_cost(signed_gap, delta_nae)
+    rng = np.random.default_rng(seed)
+
+    def estimate(b1, b2):
+        state, target = (np.sqrt(model.with_beta(b).distribution()).astype(complex)
+                         for b in (b1, b2))
+        est, reflections = nae_overlap(state, target, NAE_ACCURACY, delta_nae,
+                                       seed=int(rng.integers(2**63)))
+        ledger.charge(reflections * refl_cost, "schedule")
+        return est
+
+    betas, overlaps = [0.0], []
+    while betas[-1] < 1.0:
+        if len(betas) - 1 >= l_max:
+            return AnnealingSchedule(tuple(betas), tuple(overlaps), False, l_max)
+        b = betas[-1]
+        est_full = estimate(b, 1.0)
+        if est_full >= KEEP_THRESHOLD:
+            betas.append(1.0)
+            overlaps.append(est_full)
+            continue
+        lo, hi, est_lo = b, 1.0, None
+        while hi - lo > precision:
+            mid = 0.5 * (lo + hi)
+            est_mid = estimate(b, mid)
+            if est_mid >= KEEP_THRESHOLD:
+                lo, est_lo = mid, est_mid
+            else:
+                hi = mid
+        if est_lo is None:
+            return AnnealingSchedule(tuple(betas), tuple(overlaps), False, l_max)
+        betas.append(lo)
+        overlaps.append(est_lo)
+    return AnnealingSchedule(tuple(betas), tuple(overlaps), True, l_max)
+
+
+def parent_generate(schedule, model, kernel, eps, ledger):
+    """Exact-mode qsa_generate as it was when every gate was priced at PARENT_GATE_DELTA."""
+    layout = RegisterLayout.for_kernel(kernel)
+    n_stages = len(schedule.betas) - 1
+    state = encode_distribution(model.with_beta(0.0).distribution(), layout)
+    gates = [(ExactPhaseGate(encode_distribution(c.stationary, layout), OMEGA_PI3),
+              parent_phase_gate_cost(c.signed_gap, PARENT_GATE_DELTA))
+             for c in annealing.chain_ladder(model, kernel, schedule.betas)]
+    for i in range(n_stages):
+        p = max(OVERLAP_GUARANTEE, min(1.0, schedule.overlaps[i] - NAE_ACCURACY))
+        m = amplification_depth(p, eps / n_stages)
+        (R1, c1), (R2, c2) = gates[i], gates[i + 1]
+        if m > 0:
+            ledger.charge((3**m - 1) // 2 * (c1 + c2), "generate")
+        state = pi3_amplify(R1, R2, m, state)
+        norm = np.linalg.norm(state)
+        if norm > 0:
+            state = state / norm
+    return state
+
+
+class TestParentPricing:
+    """Per-use gate budgets move only the ledger: exact-mode schedules, overlap estimates
+    and states are, bit for bit, those of the single padded QPE's pricing."""
+
+    @pytest.mark.parametrize("instance", ["default", "gw-4x4-rho2", "gw-4x4-rho6"])
+    def test_exact_mode_matches_and_charges_less(self, instance):
+        model, kernel = {"default": cli._default_model, "gw-4x4-rho2": lambda: gw_4x4(2.0),
+                         "gw-4x4-rho6": lambda: gw_4x4(6.0)}[instance]()
+        eps, delta = 0.1, 0.2
+        gap = build_transition_matrix(model, kernel).signed_gap
+        for seed in range(3):
+            schedule, state, ledger = prepare(model, kernel, eps, delta, seed)
+            parent = QueryLedger()
+            expected = parent_schedule(model, kernel, gap, delta / 2.0, seed, parent)
+            assert schedule == expected and schedule.success
+            assert np.array_equal(state, parent_generate(expected, model, kernel,
+                                                         min(0.1, eps / 2.0), parent))
+            assert set(ledger.by_tag) == set(parent.by_tag) == {"schedule", "generate"}
+            assert all(0 < ledger.by_tag[tag] < parent.by_tag[tag] for tag in parent.by_tag)
+
+    def test_gw_8x8_schedule_price_per_reflection(self):
+        # the gw-credible instances' one-stage search: 131,070 walk applications per
+        # reflection at one padded t = 16 QPE, against k runs of a t = 4 or 5 one
+        inst = synth_gw_instance(0.1, 0.0, 256, 2.0, 0, grid_shape=(8, 8))
+        kernel = ProposalKernel.nearest_neighbor(inst.space)
+        gap = build_transition_matrix(inst.model, kernel).signed_gap
+        new, parent = QueryLedger(), QueryLedger()
+        schedule = qsa_schedule(inst.model, kernel, gap, 0.1, 0, new)
+        assert schedule == parent_schedule(inst.model, kernel, gap, 0.1, 0, parent)
+        assert len(schedule.overlaps) == 1
+        delta_nae = min(0.49, 0.1 / (schedule.l_max * float(inst.model.neg_log_lik.max())))
+        t = int(np.ceil(np.log2(2.0 * np.pi / NAE_ACCURACY))) + 3
+        reflections = annealing.median_runs(delta_nae) * (2**t - 1) * 2
+        assert reflections == 663390 and parent.total == reflections * 131070
+        assert new.total == reflections * phase_gate_cost(gap, delta_nae / reflections)
+        t, k = gate_plan(math.acos(1.0 - gap), delta_nae / reflections)
+        assert t in (4, 5) and 100 * new.total < parent.total
 
 
 class TestPrepare:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -270,12 +271,14 @@ class TestRunCommand:
          "gw-scaling: a slope needs two or more distinct M values, not [256, 256]"),
         ({"experiment": "gw-scaling", "methods": ["proposed", "bogus"]},
          "gw-scaling: unknown method 'bogus'; choose from proposed, exact-qsa, classical-mh"),
+        ({"experiment": "gw-scaling", "M_values": [256, 2]},
+         "gw-scaling: M must be even and at least 4, not 2"),
     ], ids=["list", "seed-string", "eps-string", "seeds-int", "eps-above-alpha",
             "bogus-mode", "axis-off-grid", "experiment-list", "model-int", "output-dir-int",
             "M-values-empty", "methods-empty", "seeds-empty", "M-zero", "anneal-eps-zero",
             "anneal-eps-negative", "pipeline-delta-above-1", "credible-delta-above-1",
             "anneal-eps-vacuous", "pipeline-eps-vacuous", "M-values-one", "M-values-repeated",
-            "method-unknown"])
+            "method-unknown", "M-values-below-4"])
     def test_malformed_config_is_an_error_message(self, tmp_path, cfg, detail):
         if isinstance(cfg, dict):
             cfg = {"output_dir": str(tmp_path / "out"), **cfg}
@@ -389,6 +392,34 @@ class TestScalingCommand:
         with pytest.raises(ValueError, match=re.escape(detail)):
             scaling_study(str(tmp_path), M_values=M_values, methods=methods, seeds=(0,))
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("M_values,bad", [((256, 2), 2), ((256, 512, 1023), 1023),
+                                              ((0, 256), 0), ((256, -4), -4)])
+    def test_every_M_checked_before_any_instance_is_built(self, tmp_path, monkeypatch,
+                                                          M_values, bad):
+        # [256, 2] once built both M = 256 instances and ran every method on them first
+        built = []
+        monkeypatch.setattr(cli.inference, "synth_gw_instance",
+                            lambda *args, **kwargs: built.append(args))
+        with pytest.raises(ValueError, match=f"M must be even and at least 4, not {bad}$"):
+            scaling_study(str(tmp_path), M_values=M_values, seeds=(0,))
+        assert built == [] and not list(tmp_path.iterdir())
+
+    def test_slopes_per_seed_and_of_the_mean_of_logs(self, tmp_path):
+        M_values, seeds = (64, 128, 256), (0, 1, 2)
+        payload = scaling_study(str(tmp_path), M_values=M_values,
+                                methods=("classical-mh", "exact-qsa"), seeds=seeds)
+        logM = np.log(M_values)
+        for method in ("classical-mh", "exact-qsa"):
+            q = np.array([[r["queries"] for r in payload["records"]
+                           if r["method"] == method and r["M"] == M and r["seed"] == s]
+                          for s in seeds for M in M_values], float).reshape(3, 3)  # seed, M
+            per_seed = {str(s): np.polyfit(logM, np.log(row), 1)[0] for s, row in zip(seeds, q)}
+            assert payload["seed_slopes"][method] == pytest.approx(per_seed, abs=1e-12)
+            assert payload["log_mean_slopes"][method] == pytest.approx(
+                np.polyfit(logM, np.log(q).mean(axis=0), 1)[0], abs=1e-12)
+            assert payload["slopes"][method] == np.polyfit(logM, np.log(q.mean(axis=0)), 1)[0]
+        assert json.loads((tmp_path / "scaling.json").read_text()) == payload
 
     def test_each_instance_is_prepared_at_its_own_eps_internal(self, tmp_path):
         payload = scaling_study(str(tmp_path), M_values=(64, 128), methods=("classical-mh",),

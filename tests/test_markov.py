@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from qmhlab import markov
-from qmhlab.annealing import phase_gate_cost, qpe_ancilla_count
+from qmhlab.annealing import gate_plan, phase_gate_cost
 from qmhlab.markov import (
     ChainModel,
     NonReversibleChainError,
@@ -513,10 +514,10 @@ class TestSpectrumOnDemand:
             gap, signed = eigh_gaps(chain)
             assert abs(chain.spectral_gap - gap) <= 1e-14
             assert abs(chain.signed_gap - signed) <= 1e-14
-            for delta in (1e-4, 0.01, 0.1):
-                assert phase_gate_cost(chain.signed_gap, delta) == phase_gate_cost(signed, delta)
-                assert qpe_ancilla_count(float(np.arccos(1.0 - chain.signed_gap)), delta) \
-                    == qpe_ancilla_count(float(np.arccos(1.0 - signed)), delta)
+            for err in (1e-12, 1e-4, 0.01, 0.1):
+                assert phase_gate_cost(chain.signed_gap, err) == phase_gate_cost(signed, err)
+                assert gate_plan(math.acos(1.0 - chain.signed_gap), err) \
+                    == gate_plan(math.acos(1.0 - signed), err)
             for eps in (0.01, 0.05, 0.25):
                 assert mixing_time_bound(chain, eps) == mixing_time_bound(
                     dataclasses.replace(chain, spectral_gap=gap), eps)

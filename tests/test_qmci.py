@@ -1,5 +1,6 @@
 """Mean estimation of likelihood tables and the annealing pipeline on top."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmhlab import annealing, markov, qmci
+from qmhlab import annealing, cli, markov, qmci
 from qmhlab.inference import synth_gw_instance
 from qmhlab.markov import (
     ProposalKernel,
@@ -400,11 +401,12 @@ class TestEmulatedMode:
             ell0, const = rng.uniform(-0.5, 0.5, n), float(rng.uniform(-0.5, 0.5))
             for eps in (0.01, 0.1, 0.3, 40.0):
                 whole, single = (LikelihoodOracle(table, sigma, ell0, const) for _ in range(2))
-                nll, residual = estimate_nll(whole, eps, 0.1, mode, seed=trial)
+                nll, residual, misses = estimate_nll(whole, eps, 0.1, mode, seed=trial)
                 results = [qmci_mean(single, x, eps, 0.1, mode, seed=trial) for x in range(n)]
                 expected = np.maximum(0.0, np.array([r.estimate for r in results]) + ell0 + const)
                 assert np.array_equal(nll, expected)
                 assert residual == max(r.residual for r in results)
+                assert misses == sum(not r.success for r in results)
                 assert whole.queries == single.queries == 0
                 assert sum(r.queries for r in results) == n * estimation_charge(whole, eps, 0.1)
 
@@ -785,7 +787,7 @@ class TestFaithfulArrayPass:
                 for x in range(n)]
         with mock.patch.object(qmci, "_CHUNK_BYTES", chunk_bytes or qmci._CHUNK_BYTES):
             got = qmci_mean(array, np.arange(n), eps, delta, "faithful", seed)
-            nll, residual = estimate_nll(whole, eps, delta, "faithful", seed)
+            nll, residual, misses = estimate_nll(whole, eps, delta, "faithful", seed)
         assert np.array_equal(got.estimate, [r.estimate for r in refs])
         assert np.array_equal(got.success, [r.success for r in refs])
         assert np.max(np.abs(got.residual - [r.residual for r in refs])) <= 1e-13
@@ -794,6 +796,7 @@ class TestFaithfulArrayPass:
         assert array.queries == whole.queries == 0
         assert np.array_equal(nll, np.maximum(0.0, got.estimate + ell0 + 0.25))
         assert residual == got.residual.max()
+        assert misses == np.count_nonzero(~got.success)
         # a call on one state is the per-state body bit for bit
         for x in {0, n - 1}:
             assert qmci_mean(single, x, eps, delta, "faithful", seed) == refs[x]
@@ -932,7 +935,7 @@ class TestApproxChain:
         eps = 0.2
         eps_in = internal_accuracy(model, kernel, eps)
         assert 0.0 < eps_in <= 0.25
-        nll, _ = estimate_nll(oracle, eps_in, 0.05, "emulated", seed=0)
+        nll, _, _ = estimate_nll(oracle, eps_in, 0.05, "emulated", seed=0)
         tv = tv_distance(model.distribution(),
                          model.with_neg_log_lik(nll).distribution())
         assert tv <= eps
@@ -1047,10 +1050,10 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="schedule search failed"):
             qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0)
         eps_in = internal_accuracy(model, kernel, 0.2)
-        table, _ = estimate_nll(oracle, eps_in, 0.1 / 4.0, "emulated", 0)
+        table, _, _ = estimate_nll(oracle, eps_in, 0.1 / 4.0, "emulated", 0)
         schedule, state, ledger = annealing.prepare(model.with_neg_log_lik(table), kernel,
                                                     0.2, 0.1, 0)
-        assert state is None and ledger.by_tag == {"schedule": 75_138_991_200}
+        assert state is None and ledger.by_tag == {"schedule": 577_886_400}
         single = estimation_charge(oracle, eps_in, 0.1 / 4.0)
         assert oracle.queries == (oracle.n_states + 4 * ledger.total) * single
         assert oracle.n_states * single == 320_837_040
@@ -1064,6 +1067,30 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="bad-branch mass 1 exceeds its failure "
                                                r"weight 0\.05"):
             qsa_with_qmci(inst.oracle, inst.model, kernel, 0.1, 0.2, seed=0, mode="faithful")
+
+    def test_a_missed_estimate_within_the_weight_is_reported(self, monkeypatch, tmp_path):
+        # one state misses eps'' at residual 0: the table is within its weight and the
+        # pipeline returns, but the miss is counted, and the qmci-pipeline report writes it
+        model, kernel = cli._default_model()
+        estimate = qmci.qmci_mean
+
+        def one_miss(*args, **kwargs):
+            res = estimate(*args, **kwargs)
+            success = res.success.copy()
+            success[3] = False
+            return dataclasses.replace(res, success=success)
+
+        oracle = LikelihoodOracle.from_nll(model.neg_log_lik, M=64, spread=0.5, seed=0)
+        clean = qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0)
+        assert clean.table_misses == 0
+        monkeypatch.setattr(qmci, "qmci_mean", one_miss)
+        assert estimate_nll(oracle, clean.eps_internal, 0.1 / 4.0, "emulated", 0)[1:] == (0.0, 1)
+        missed = qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0)
+        assert missed.table_misses == 1 and np.array_equal(missed.state, clean.state)
+        passed, payload = cli.experiment_qmci_pipeline(model, kernel, str(tmp_path))
+        assert payload["table_misses"] == 1
+        with open(tmp_path / "qmci_pipeline.json") as fh:
+            assert json.load(fh)["table_misses"] == 1
 
     def test_faithful_table_within_its_weight_returns(self):
         # the bundled 8-ring at M = 16: the table's largest residual is 2.9e-22 of 0.025
