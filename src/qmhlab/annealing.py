@@ -13,6 +13,7 @@ or FFT is simulated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,20 +158,71 @@ def sample_folded_outcomes(theta, t: int, runs: int, rng):
         [edge, law[..., :N // 2:-1], edge], axis=-1), axis=-1)
 
 
-def median_runs(delta: float) -> int:
-    """ceil(12 ln(1/delta)): the runs a median-of-runs estimate takes at failure weight delta."""
-    return int(np.ceil(12.0 * np.log(1.0 / delta)))
+def binomial_sf(k: int, n: int, p):
+    """P(X > k) for X ~ Binomial(n, p), at p or at each p of an array, summed term
+    by term: the terms run outward from the mode, taken as 1, by their ratios and
+    are divided by their sum, so nothing over- or underflows at large n and a
+    tiny tail keeps its digits.  Each p takes an (n + 1)-term row."""
+    p = np.asarray(p, float)
+    col = p.reshape(-1, 1)
+    inside = (0.0 < col) & (col < 1.0)
+    q = np.where(inside, col, 0.5)
+    ratio = (n - np.arange(n)) / np.arange(1, n + 1) * (q / (1.0 - q))   # term j+1 over term j
+    j, mode = np.arange(n), np.minimum(((n + 1) * q).astype(int), n)
+    # 1 outside each run, so the products start at the mode as a lone p's would
+    up = np.cumprod(np.where(j >= mode, ratio, 1.0), axis=1)           # terms mode+1..n
+    down = np.divide(1.0, ratio, out=np.ones_like(ratio), where=j < mode)
+    down = np.cumprod(down[:, ::-1], axis=1)[:, ::-1]                  # terms 0..mode-1
+    one = np.ones_like(q)
+    terms = np.hstack([down, one]) * np.hstack([one, up])
+    tail = np.where(inside, terms[:, k + 1:].sum(axis=1, keepdims=True)
+                    / terms.sum(axis=1, keepdims=True), (col >= 1.0) & (k < n))
+    return tail.reshape(p.shape)[()]
+
+
+@functools.lru_cache(maxsize=None)
+def median_runs(delta: float, success: float) -> int:
+    """The fewest odd runs n whose median fails with weight at most delta when each run
+    succeeds with probability at least success: P(Binomial(n, success) <= n // 2) <= delta.
+
+    The median of an odd count of runs is one run's value, and it misses an interval
+    only when over half the runs do (Jerrum, Valiant & Vazirani, TCS 43, 1986); the tail
+    is read as P(more than n // 2 failures) at the failure probability 1 - success.
+    """
+    if not (0 < delta < 1 and 0.5 < success <= 1):
+        raise ValueError(f"need delta in (0, 1) and success in (1/2, 1], not {delta:g} and "
+                         f"{success:g}")
+    n = 1
+    while binomial_sf(n // 2, n, 1.0 - success) > delta:
+        n += 2
+    return n
+
+
+# A run of median_estimate reads outcome k of t-ancilla QPE at eigenphase +-2 theta and
+# estimates theta by pi m / N, m = min(k, N - k), N = 2^t.  Folding is 1-Lipschitz in the
+# circular distance, so |pi m / N - theta| <= pi |k - b| / N with b = N theta / pi, and
+# cos^2 and sin^2 move by at most their angle's move.  With t = ceil(log2(2 pi / eps)) + 3,
+# eps N / pi >= 16: a run is within eps whenever k is within 16 of b, as it is whenever k is
+# within e = 15 of b's t-bit truncation floor(b).  Cleve, Ekert, Macchiavello & Mosca
+# (arXiv:quant-ph/9708016) bound P(|k - floor(b)| > e) <= 1 / (2 (e - 1)) in circular
+# distance, so a run succeeds with probability at least 1 - 1/28.
+MEDIAN_RUN_SUCCESS = 27.0 / 28.0
 
 
 def median_estimate(theta: float, amplitude, eps: float, delta: float,
                     seed: int) -> tuple[float, int]:
-    """Median of amplitude(pi m / 2^t)^2 over median_runs(delta) runs m of sample_folded_outcomes
-    at theta, t = ceil(log2(2 pi / eps)) + 3, from default_rng(seed); and their reflections."""
+    """Median of amplitude(pi m / 2^t)^2 over runs m of sample_folded_outcomes at theta,
+    t = ceil(log2(2 pi / eps)) + 3, from default_rng(seed); and their reflections.
+
+    Each run is within eps of amplitude(theta)^2 with probability at least
+    MEDIAN_RUN_SUCCESS, so median_runs(delta, MEDIAN_RUN_SUCCESS) runs put the median
+    within eps but with weight at most delta.
+    """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must be in (0, 1)")
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
-    runs = median_runs(delta)
+    runs = median_runs(delta, MEDIAN_RUN_SUCCESS)
     m, _ = sample_folded_outcomes(theta, t, runs, np.random.default_rng(seed))
     # float_power calls pow like a scalar ** 2; an array ** 2 squares (last bit differs)
     estimate = float(np.median(np.float_power(amplitude(np.pi * m / N), 2)))

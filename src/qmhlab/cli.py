@@ -179,11 +179,15 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096), methods=SCALIN
     proposed: annealed preparation with mean-estimation gates; exact-qsa: the
     same annealing.prepare, but every walk-operator application pays the full
     M-term likelihood sum; classical-mh: chain sampling paying M per step.
-    Queries are averaged over the seeds before the slope fit over two or more distinct M;
-    beside those slopes, each seed's own and the slope of the mean of the logs.
+    Each M and each seed is given once.  Queries are averaged over the seeds before the
+    slope fit over two or more distinct M; beside those slopes, each seed's own, the least
+    and greatest with one seed left out (None with one seed) and that of the mean of the logs.
     """
     if len(set(M_values)) < 2:
         raise ValueError(f"a slope needs two or more distinct M values, not {list(M_values)}")
+    for name, values in (("M value", M_values), ("seed", seeds)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"each {name} must be given once, not {list(values)}")
     for M in M_values:
         inference.check_series_length(int(M))
     unknown = [m for m in methods if m not in SCALING_METHODS]
@@ -225,16 +229,24 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096), methods=SCALIN
     def fit(log_queries):                       # one value per M
         return float(np.polyfit(logM, log_queries, 1)[0])
 
-    def queries(method, M, seed=None):          # every seed's, or one seed's
+    def queries(method, M, kept=seeds):          # the kept seeds' records
         return [float(r["queries"]) for r in records
-                if r["method"] == method and r["M"] == int(M) and seed in (None, r["seed"])]
+                if r["method"] == method and r["M"] == int(M) and r["seed"] in kept]
+
+    def mean_slope(method, kept=seeds):          # the slope of the kept seeds' mean
+        return fit(np.log([np.mean(queries(method, M, kept)) for M in M_values]))
+
+    def left_out(method):                       # one seed leaves none to fit
+        if len(seeds) < 2:
+            return None
+        slopes = [mean_slope(method, [x for x in seeds if x != s]) for s in seeds]
+        return [min(slopes), max(slopes)]
 
     payload = {
         "records": records,
-        "slopes": {m: fit(np.log([np.mean(queries(m, M)) for M in M_values])) for m in methods},
-        "seed_slopes": {m: {str(s): fit(np.log([np.mean(queries(m, M, int(s)))
-                                                for M in M_values])) for s in seeds}
-                        for m in methods},
+        "slopes": {m: mean_slope(m) for m in methods},
+        "seed_slopes": {m: {str(s): mean_slope(m, [s]) for s in seeds} for m in methods},
+        "leave_one_seed_out_slopes": {m: left_out(m) for m in methods},
         "log_mean_slopes": {m: fit([np.mean(np.log(queries(m, M))) for M in M_values])
                             for m in methods},
     }

@@ -48,7 +48,9 @@ def cdf_qmci(handle: PosteriorHandle, axis: int, a: float, eps: float,
              delta: float, seed: int) -> tuple[float, int]:
     """Estimate the tail CDF to eps, and the reflections about the prepared state spent.
 
-    Amplitude estimation runs to eps/3 on handle.distribution, read out by median_estimate.
+    Amplitude estimation runs to eps/3 on handle.distribution, read out by median_estimate,
+    whose median_runs(delta, MEDIAN_RUN_SUCCESS) runs each succeed with probability at least
+    27/28: one run at a delta of 1/28 or more.
     The caller must keep the preparation's TV error within another eps/3 for the realized
     error against the ideal posterior to stay within 2 eps / 3; nothing here checks it.
     """

@@ -42,15 +42,30 @@ def round_at_bit(x: float, a: int) -> float:
     return float(_truncate(x, a))
 
 
+# One run of the amplitude estimation query_charge prices is within its accuracy with
+# probability at least 8 / pi^2 (Brassard, Hoyer, Mosca & Tapp, arXiv:quant-ph/0005055,
+# Thm 12, one run at k = 1).
+ESTIMATION_RUN_SUCCESS = 8.0 / np.pi**2
+# A faithful run's t = ceil(log2(2 pi / eps_norm)) + 2 ancillas give eps_norm N / pi >= 8,
+# so its normalized estimate is within eps_norm whenever its outcome is within 8 of
+# N theta / pi: within e = 7 of that value's t-bit truncation, which fails with probability
+# at most 1 / (2 (e - 1)) = 1/12 (the bound median_estimate's MEDIAN_RUN_SUCCESS cites).
+# That bounds the truncated estimate's miss where eps >= 1.5 * 2^b, as truncation at bit b
+# moves it by less than 2^b; elsewhere, and where t is capped at 16, the exact residual of
+# each table judges it.
+FAITHFUL_RUN_SUCCESS = 11.0 / 12.0
+
+
 def query_charge(sigma: float, eps: float, delta: float) -> int:
     """Oracle queries for one mean estimation at (sigma, eps, delta).
 
-    ceil(6.9 (sigma/eps) (1 + log2^{3/2}(sigma/eps))) * ceil(12 ln(1/delta));
-    declared implementation constants, used for scaling studies only.
+    ceil(6.9 (sigma/eps) (1 + log2^{3/2}(sigma/eps))) per run, declared implementation
+    constants used for scaling studies only, times the certified median count
+    median_runs(delta, ESTIMATION_RUN_SUCCESS).
     """
     r = sigma / eps
     poly = np.ceil(6.9 * r * (1.0 + max(0.0, np.log2(r)) ** 1.5))
-    return int(poly) * annealing.median_runs(delta)
+    return int(poly) * annealing.median_runs(delta, ESTIMATION_RUN_SUCCESS)
 
 
 def estimation_charge(oracle: LikelihoodOracle, eps: float, delta: float) -> int:
@@ -123,28 +138,6 @@ class QmciResult:
     residual: float | np.ndarray      # bad-branch probability mass (faithful mode)
 
 
-def _binomial_sf(k: int, n: int, p):
-    """P(X > k) for X ~ Binomial(n, p), at p or at each p of an array, summed term
-    by term: the terms run outward from the mode, taken as 1, by their ratios and
-    are divided by their sum, so nothing over- or underflows at large n and a
-    tiny tail keeps its digits.  Each p takes an (n + 1)-term row."""
-    p = np.asarray(p, float)
-    col = p.reshape(-1, 1)
-    inside = (0.0 < col) & (col < 1.0)
-    q = np.where(inside, col, 0.5)
-    ratio = (n - np.arange(n)) / np.arange(1, n + 1) * (q / (1.0 - q))   # term j+1 over term j
-    j, mode = np.arange(n), np.minimum(((n + 1) * q).astype(int), n)
-    # 1 outside each run, so the products start at the mode as a lone p's would
-    up = np.cumprod(np.where(j >= mode, ratio, 1.0), axis=1)           # terms mode+1..n
-    down = np.divide(1.0, ratio, out=np.ones_like(ratio), where=j < mode)
-    down = np.cumprod(down[:, ::-1], axis=1)[:, ::-1]                  # terms 0..mode-1
-    one = np.ones_like(q)
-    terms = np.hstack([down, one]) * np.hstack([one, up])
-    tail = np.where(inside, terms[:, k + 1:].sum(axis=1, keepdims=True)
-                    / terms.sum(axis=1, keepdims=True), (col >= 1.0) & (k < n))
-    return tail.reshape(p.shape)[()]
-
-
 def _check_request(eps: float, delta: float, mode: str) -> None:
     if eps <= 0 or not 0 < delta < 1:
         raise ValueError("need eps > 0 and delta in (0, 1)")
@@ -207,9 +200,9 @@ def _faithful_means(oracle: LikelihoodOracle, states: np.ndarray, eps: float, de
 
     A constant column is its truncated mean.  Every other state runs amplitude
     estimation over its column's range [lo, hi] with t ancillas, enough to
-    resolve eps' there and at most 16; the states of one t are simulated
-    together, as many per chunk as keep a (state, outcome) array within
-    _CHUNK_BYTES.
+    resolve eps' there and at most 16, median_runs(delta / 4, FAITHFUL_RUN_SUCCESS)
+    times; the states of one t are simulated together, as many per chunk as keep a
+    (state, outcome) array within _CHUNK_BYTES.
     """
     truth = oracle.mean_table()[states]
     lo, hi = oracle.table[:, states].min(axis=0), oracle.table[:, states].max(axis=0)
@@ -220,7 +213,7 @@ def _faithful_means(oracle: LikelihoodOracle, states: np.ndarray, eps: float, de
     theta = np.arcsin(np.sqrt(np.clip((truth[live] - lo[live]) / span, 0.0, 1.0)))
     eps_norm = 2.0 ** (b - 1) / span
     ts = np.minimum(np.ceil(np.log2(2.0 * np.pi / np.minimum(eps_norm, 0.5))).astype(int) + 2, 16)
-    runs = annealing.median_runs(delta / 4.0) | 1     # odd: one run is the median
+    runs = annealing.median_runs(delta / 4.0, FAITHFUL_RUN_SUCCESS)
     for t in np.unique(ts):
         # outcome m estimates sin^2(pi m / 2^t); the estimates rise with m, so the
         # good outcomes form one range [g0, g1] (empty when t = 16 cannot resolve eps)
@@ -240,8 +233,8 @@ def _faithful_means(oracle: LikelihoodOracle, states: np.ndarray, eps: float, de
             below = np.hstack([np.zeros((len(rows), 1)), cdf()])     # below[:, j] = P(m < j)
             est[at] = values_at[row, median]
             success[at] = (g0 <= median) & (median <= g1)
-            residual[at] = (_binomial_sf(runs // 2, runs, below[row, g0])
-                            + _binomial_sf(runs // 2, runs, 1.0 - below[row, g1 + 1]))
+            residual[at] = (annealing.binomial_sf(runs // 2, runs, below[row, g0])
+                            + annealing.binomial_sf(runs // 2, runs, 1.0 - below[row, g1 + 1]))
     return est, success, residual
 
 

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,16 @@ def qpe_estimate_amplitudes(phase, t: int) -> np.ndarray:
     """
     N = 2**t
     return np.fft.fft(np.exp(1j * np.multiply.outer(phase, np.arange(N)))) / N
+
+
+def certified_runs(delta, success) -> int:
+    """The fewest odd n with P(Binomial(n, success) <= n // 2) <= delta, the tail summed
+    exactly in rationals from math.comb: the reference for annealing.median_runs."""
+    s, n = Fraction(success), 1
+    while sum(math.comb(n, j) * s**j * (1 - s) ** (n - j)
+              for j in range(n // 2 + 1)) > Fraction(delta):
+        n += 2
+    return n
 
 
 def count_linalg_calls(monkeypatch, *names):

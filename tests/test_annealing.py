@@ -38,7 +38,8 @@ from qmhlab.markov import (ProposalKernel, ReducibleChainError, StateSpace, Targ
 from qmhlab.qmci import LikelihoodOracle, qsa_with_qmci
 from qmhlab.qsim import RegisterLayout, WalkOperator, build_walk_operator, encode_distribution
 
-from conftest import count_linalg_calls, qpe_estimate_amplitudes, random_instance, torus_cases
+from conftest import (certified_runs, count_linalg_calls, qpe_estimate_amplitudes, random_instance,
+                      torus_cases)
 
 PI3_ATOL = 1e-9
 
@@ -566,7 +567,8 @@ class TestQpePhaseGate:
 
 
 def nae_overlap_reference(state, target, eps, delta, seed):
-    """The per-run loop nae_overlap replaced: one rng.random and one rng.choice per run."""
+    """The per-run loop nae_overlap replaced: one rng.random and one rng.choice per run,
+    at the certified run count."""
     rng = np.random.default_rng(seed)
     overlap = abs(np.vdot(target / np.linalg.norm(target),
                           state / np.linalg.norm(state)))
@@ -574,7 +576,7 @@ def nae_overlap_reference(state, target, eps, delta, seed):
 
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
-    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
+    runs = certified_runs(delta, 27 / 28)
     dist_plus = np.abs(qpe_estimate_amplitudes(2.0 * theta, t)) ** 2
     dist_minus = np.abs(qpe_estimate_amplitudes(-2.0 * theta, t)) ** 2
     dist_plus /= dist_plus.sum()
@@ -590,10 +592,11 @@ def nae_overlap_reference(state, target, eps, delta, seed):
 
 
 def sample_half_angles_before_the_sampler(theta, eps, delta, rng):
-    """sample_half_angles as it was before its draw moved into sample_folded_outcomes."""
+    """sample_half_angles as it was before its draw moved into sample_folded_outcomes, at the
+    certified run count."""
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
-    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
+    runs = certified_runs(delta, 27 / 28)
     plus, minus = (np.cumsum(d) for d in annealing._qpe_outcome_distributions(2.0 * theta, t))
     u = rng.random((runs, 2))
     k = np.where(u[:, 0] < 0.5, (plus / plus[-1]).searchsorted(u[:, 1], side="right"),
@@ -606,7 +609,7 @@ def sample_half_angles_before_the_readout(theta, eps, delta, rng):
     """sample_half_angles as it was before median_estimate took over its readers' medians."""
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
-    runs = annealing.median_runs(delta)
+    runs = annealing.median_runs(delta, annealing.MEDIAN_RUN_SUCCESS)
     m, _ = annealing.sample_folded_outcomes(theta, t, runs, rng)
     # each Grover step is two reflections; QPE uses 2^t - 1 steps per run
     return np.pi * m / N, runs * (N - 1) * 2
@@ -626,6 +629,37 @@ def test_median_estimate_is_the_half_angle_readout():
                         sample_half_angles_before_the_sampler):
             angles, reflections = sampler(theta, eps, delta, np.random.default_rng(seed))
             assert got == (float(np.median(np.float_power(amplitude(angles), 2))), reflections)
+
+
+def parent_readout_outcomes(theta, eps, delta, seed):
+    """The folded outcomes median_estimate drew when every median took ceil(12 ln(1/delta))
+    runs, and their t."""
+    t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
+    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
+    return annealing.sample_folded_outcomes(theta, t, runs, np.random.default_rng(seed))[0], t
+
+
+def test_certified_runs_are_a_prefix_of_the_parent_runs():
+    # each run draws one row of rng.random((runs, 2)), so fewer runs from the same seed
+    # are the parent's leading runs, and the median is taken over them
+    rng = np.random.default_rng(29)
+    for seed in range(200):
+        theta = float(rng.choice([0.0, np.pi / 2, rng.uniform(0.0, np.pi / 2)]))
+        eps = float(rng.choice([0.3, 0.1, NAE_ACCURACY, 0.02]))
+        delta = float(rng.choice([rng.uniform(1e-4, 0.45), 1.19e-3, 1e-12]))
+        amplitude = (np.cos, np.sin)[seed % 2]
+        parent, t = parent_readout_outcomes(theta, eps, delta, seed)
+        runs = annealing.median_runs(delta, annealing.MEDIAN_RUN_SUCCESS)
+        assert runs < len(parent)
+        m = parent[:runs]
+        assert annealing.median_estimate(theta, amplitude, eps, delta, seed) == (
+            float(np.median(np.float_power(amplitude(np.pi * m / 2**t), 2))),
+            runs * (2**t - 1) * 2)
+    # a faithful table's per-state generators alike
+    thetas = rng.uniform(0.0, np.pi / 2, 6)
+    fewer, more = (annealing.sample_folded_outcomes(
+        thetas, 9, runs, [np.random.default_rng([7, x]) for x in range(6)])[0] for runs in (5, 39))
+    assert np.array_equal(fewer, more[:, :5])
 
 
 @pytest.mark.parametrize("eps,delta", [(0.0, 0.1), (1.0, 0.1), (-0.1, 0.1), (0.1, 0.0),
@@ -686,8 +720,8 @@ class TestNaeOverlap:
         v = np.array([1.0, 0.0], dtype=complex)
         eps, delta = 0.05, 0.2
         t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
-        runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
-        assert nae_overlap(v, v, eps, delta, seed=1)[1] == runs * (2**t - 1) * 2
+        runs = certified_runs(delta, 27 / 28)
+        assert runs == 1 and nae_overlap(v, v, eps, delta, seed=1)[1] == runs * (2**t - 1) * 2
         model, kernel = ring8
         reflections, charges, nae = [], [], annealing.nae_overlap
 
@@ -1226,8 +1260,9 @@ class TestParentPricing:
         assert len(schedule.overlaps) == 1
         delta_nae = min(0.49, 0.1 / (schedule.l_max * float(inst.model.neg_log_lik.max())))
         t = int(np.ceil(np.log2(2.0 * np.pi / NAE_ACCURACY))) + 3
-        reflections = annealing.median_runs(delta_nae) * (2**t - 1) * 2
-        assert reflections == 663390 and parent.total == reflections * 131070
+        # 5 certified runs at delta_nae = 1.22e-3, of 2 (2^12 - 1) reflections each
+        reflections = certified_runs(delta_nae, 27 / 28) * (2**t - 1) * 2
+        assert reflections == 40950 and parent.total == reflections * 131070
         assert new.total == reflections * phase_gate_cost(gap, delta_nae / reflections)
         t, k = gate_plan(math.acos(1.0 - gap), delta_nae / reflections)
         assert t in (4, 5) and 100 * new.total < parent.total
@@ -1422,18 +1457,104 @@ class TestOnePreparationAssembly:
 
 
 class TestMedianRuns:
-    def test_is_twelve_log_inverse_delta(self):
-        for delta in np.concatenate([np.geomspace(1e-30, 0.5, 120), [0.05, 0.1, 0.2, 0.99]]):
-            assert annealing.median_runs(float(delta)) == math.ceil(12.0 * math.log(1.0 / delta))
+    FLOORS = (annealing.MEDIAN_RUN_SUCCESS, qmci.FAITHFUL_RUN_SUCCESS,
+              qmci.ESTIMATION_RUN_SUCCESS, 0.75)
+    DELTAS = np.concatenate([np.geomspace(1e-9, 0.5, 13), [0.04, 0.05, 0.1, 0.2, 0.99]])
+
+    def test_is_the_fewest_odd_runs_of_the_exact_tail(self):
+        # against the binomial tail summed in rationals from math.comb
+        for success in self.FLOORS:
+            for delta in self.DELTAS:
+                assert annealing.median_runs(float(delta), success) == \
+                    certified_runs(float(delta), success)
+
+    def test_counts_the_lab_prices(self):
+        # NAE at delta_nae = 1.19e-3, CDF at 0.04, query_charge at 0.05 and at 7e-25
+        assert annealing.median_runs(1.19e-3, annealing.MEDIAN_RUN_SUCCESS) == 5
+        assert annealing.median_runs(0.04, annealing.MEDIAN_RUN_SUCCESS) == 1
+        assert annealing.median_runs(0.05, qmci.ESTIMATION_RUN_SUCCESS) == 7
+        assert annealing.median_runs(0.05, 0.75) == 9
+        assert annealing.median_runs(7e-25, qmci.ESTIMATION_RUN_SUCCESS) == 215
+
+    def test_odd_and_monotone_in_delta(self):
+        deltas = np.geomspace(1e-30, 0.99, 120)
+        for success in self.FLOORS + (1.0,):
+            runs = [annealing.median_runs(float(d), success) for d in deltas]
+            assert all(n % 2 == 1 for n in runs)
+            assert runs == sorted(runs, reverse=True)
+        assert annealing.median_runs(1e-30, 1.0) == 1
+
+    @pytest.mark.parametrize("delta,success", [(0.0, 0.9), (1.0, 0.9), (-0.1, 0.9),
+                                               (0.1, 0.5), (0.1, 0.2), (0.1, 1.5)])
+    def test_refuses_a_weight_or_success_it_cannot_certify(self, delta, success):
+        with pytest.raises(ValueError, match=r"delta in \(0, 1\) and success in \(1/2, 1\]"):
+            annealing.median_runs(delta, success)
 
     def test_one_owner_of_the_run_count(self):
-        # median_estimate, faithful QMCI and query_charge all read median_runs
-        owners = [(path.stem, getattr(top, "name", None)) for path in LIBRARY
-                  for top in ast.parse(path.read_text()).body for node in ast.walk(top)
-                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-                  and getattr(node.left, "value", None) == 12.0
-                  and getattr(getattr(node.right, "func", None), "attr", None) == "log"]
-        assert owners == [("annealing", "median_runs")]
+        # median_estimate, faithful QMCI and query_charge all read median_runs, each at its
+        # own named floor; binomial_sf has one owner, and no Hoeffding count is left
+        hoeffding = [(path.stem, getattr(top, "name", None)) for path in LIBRARY
+                     for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                     and getattr(node.left, "value", None) == 12.0
+                     and getattr(getattr(node.right, "func", None), "attr", None) == "log"]
+        assert hoeffding == []
         assert library_calls("median_runs") == [
             ("annealing", "median_estimate", "median_runs"),
             ("qmci", "_faithful_means", "median_runs"), ("qmci", "query_charge", "median_runs")]
+        floors = sorted(ast.unparse(node.args[1]) for path in LIBRARY
+                        for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", getattr(node.func, "id", None))
+                        == "median_runs")
+        assert floors == ["ESTIMATION_RUN_SUCCESS", "FAITHFUL_RUN_SUCCESS", "MEDIAN_RUN_SUCCESS"]
+        assert library_calls("binomial_sf") == [
+            ("annealing", "median_runs", "binomial_sf"),
+            ("qmci", "_faithful_means", "binomial_sf"), ("qmci", "_faithful_means", "binomial_sf")]
+        owners = [(path.stem, top.name) for path in LIBRARY
+                  for top in ast.parse(path.read_text()).body
+                  if isinstance(top, ast.FunctionDef) and "binomial" in top.name]
+        assert owners == [("annealing", "binomial_sf")]
+
+
+def one_run_success(t, eps, amplitude, thetas):
+    """P(|amplitude(pi m / 2^t)^2 - amplitude(theta)^2| <= eps) of one run at each theta,
+    from sample_folded_outcomes' one-run CDF of m: the good m form one range."""
+    N = 2**t
+    values = np.float_power(amplitude(np.pi * np.arange(N // 2 + 1) / N), 2)
+    out = []
+    for block in np.array_split(thetas, max(1, len(thetas) * N // 2**20)):
+        _, cdf = annealing.sample_folded_outcomes(block, t, 1,
+                                                  [np.random.default_rng(0)] * len(block))
+        below = np.hstack([np.zeros((len(block), 1)), cdf()])          # P(m < j)
+        good = np.abs(values - np.float_power(amplitude(block), 2)[:, None]) <= eps
+        g0, g1 = good.argmax(axis=1), N // 2 - good[:, ::-1].argmax(axis=1)
+        assert good.any(axis=1).all()
+        out.append(below[np.arange(len(block)), g1 + 1] - below[np.arange(len(block)), g0])
+    return np.concatenate(out)
+
+
+class TestRunSuccessFloors:
+    """Each floor median_runs is sized at is at most the exact one-run success of the
+    readout it prices, min over a theta grid of spacing pi / 2^(t + 2)."""
+
+    @pytest.mark.parametrize("eps", [0.5, 0.3, 0.1, NAE_ACCURACY, 0.05 / 3])
+    def test_median_estimate_floor(self, eps):
+        # overlap (cos) and CDF (sin) estimation at median_estimate's t
+        t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
+        thetas = np.linspace(0.0, np.pi / 2, 2**(t + 1) + 1)
+        worst = min(one_run_success(t, eps, amp, thetas).min() for amp in (np.cos, np.sin))
+        assert annealing.MEDIAN_RUN_SUCCESS <= worst
+
+    @pytest.mark.parametrize("eps_norm", [0.5, 0.3, 0.1, 0.02, 0.01])
+    def test_faithful_floor(self, eps_norm):
+        # a faithful run's normalized estimate sin^2 within eps_norm, at its t
+        t = int(np.ceil(np.log2(2.0 * np.pi / eps_norm))) + 2
+        thetas = np.linspace(0.0, np.pi / 2, 2**(t + 1) + 1)
+        assert qmci.FAITHFUL_RUN_SUCCESS <= one_run_success(t, eps_norm, np.sin, thetas).min()
+
+    def test_floors_are_the_cited_bounds(self):
+        # 1 - 1 / (2 (e - 1)) at e = 15 and e = 7, and 8 / pi^2 for one amplitude estimation
+        assert annealing.MEDIAN_RUN_SUCCESS == 1.0 - 1.0 / (2 * 14)
+        assert qmci.FAITHFUL_RUN_SUCCESS == 1.0 - 1.0 / (2 * 6)
+        assert qmci.ESTIMATION_RUN_SUCCESS == 8.0 / np.pi**2

@@ -376,6 +376,7 @@ class TestScalingCommand:
         assert result.exit_code == 0, result.output
         payload = json.loads((tmp_path / "out" / "scaling.json").read_text())
         assert "classical-mh" in payload["slopes"]
+        assert payload["leave_one_seed_out_slopes"] == {"classical-mh": None}   # one seed
         # doubling M doubles the per-step cost exactly for the classical chain
         assert payload["slopes"]["classical-mh"] == pytest.approx(1.0, abs=0.01)
         assert (tmp_path / "out" / "scaling.csv").exists()
@@ -405,6 +406,21 @@ class TestScalingCommand:
             scaling_study(str(tmp_path), M_values=M_values, seeds=(0,))
         assert built == [] and not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("M_values,seeds,detail", [
+        ((64, 64, 128), (0,), "each M value must be given once, not [64, 64, 128]"),
+        ((256, 512, 256), (0, 1), "each M value must be given once, not [256, 512, 256]"),
+        ((64, 128), (0, 1, 0), "each seed must be given once, not [0, 1, 0]")])
+    def test_repeated_M_or_seed_refused_before_any_instance_is_built(
+            self, tmp_path, monkeypatch, M_values, seeds, detail):
+        # [64, 64, 128] once ran M = 64 twice and fitted the slope through both copies; a
+        # repeated seed would leave no seed to fit when it is left out
+        built = []
+        monkeypatch.setattr(cli.inference, "synth_gw_instance",
+                            lambda *args, **kwargs: built.append(args))
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            scaling_study(str(tmp_path), M_values=M_values, seeds=seeds)
+        assert built == [] and not list(tmp_path.iterdir())
+
     def test_slopes_per_seed_and_of_the_mean_of_logs(self, tmp_path):
         M_values, seeds = (64, 128, 256), (0, 1, 2)
         payload = scaling_study(str(tmp_path), M_values=M_values,
@@ -419,6 +435,11 @@ class TestScalingCommand:
             assert payload["log_mean_slopes"][method] == pytest.approx(
                 np.polyfit(logM, np.log(q).mean(axis=0), 1)[0], abs=1e-12)
             assert payload["slopes"][method] == np.polyfit(logM, np.log(q.mean(axis=0)), 1)[0]
+            # each seed left out in turn: the slope of the other two seeds' mean
+            left_out = [np.polyfit(logM, np.log(np.delete(q, s, axis=0).mean(axis=0)), 1)[0]
+                        for s in range(3)]
+            assert payload["leave_one_seed_out_slopes"][method] == pytest.approx(
+                [min(left_out), max(left_out)], abs=1e-12)
         assert json.loads((tmp_path / "scaling.json").read_text()) == payload
 
     def test_each_instance_is_prepared_at_its_own_eps_internal(self, tmp_path):

@@ -26,7 +26,7 @@ from qmhlab.markov import (
     run_mh,
 )
 
-from conftest import qpe_estimate_amplitudes
+from conftest import certified_runs, qpe_estimate_amplitudes
 
 IDENTITY_ATOL = 1e-9
 
@@ -41,13 +41,14 @@ def posterior_16():
 
 
 def cdf_qmci_reference(handle, axis, a, eps, delta, seed):
-    """The per-run loop cdf_qmci replaced: one rng.random and one rng.choice per run."""
+    """The per-run loop cdf_qmci replaced: one rng.random and one rng.choice per run, at the
+    certified run count."""
     rng = np.random.default_rng(seed)
     amp = cdf_exact(handle.distribution, handle.space, axis, a)
     theta = float(np.arcsin(np.sqrt(np.clip(amp, 0.0, 1.0))))
     t = int(np.ceil(np.log2(2.0 * np.pi / (eps / 3.0)))) + 3
     N = 2**t
-    runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
+    runs = certified_runs(delta, 27 / 28)
     dist_p = np.abs(qpe_estimate_amplitudes(2.0 * theta, t)) ** 2
     dist_m = np.abs(qpe_estimate_amplitudes(-2.0 * theta, t)) ** 2
     dist_p /= dist_p.sum()
@@ -73,7 +74,7 @@ def charging_cdf_qmci(handle, axis, a, eps, delta, seed):
     rng = np.random.default_rng(seed)
     t = int(np.ceil(np.log2(2.0 * np.pi / (eps / 3.0)))) + 3
     N = 2**t
-    runs = annealing.median_runs(delta)
+    runs = annealing.median_runs(delta, annealing.MEDIAN_RUN_SUCCESS)
     m, _ = annealing.sample_folded_outcomes(theta, t, runs, rng)
     half_angles, reflections = np.pi * m / N, runs * (N - 1) * 2
     estimates = np.float_power(np.sin(half_angles), 2)

@@ -22,12 +22,12 @@ from qmhlab.markov import (
     build_transition_matrix,
     tv_distance,
 )
+from qmhlab.annealing import binomial_sf
 from qmhlab.perturbation import tv_perturbation_bound
 from qmhlab.qmci import (
     FAITHFUL_MAX_TERMS,
     LikelihoodOracle,
     QmciResult,
-    _binomial_sf,
     _truncate,
     approx_acceptance_table,
     approx_walk_operator,
@@ -41,7 +41,7 @@ from qmhlab.qmci import (
 )
 from qmhlab.qsim import RegisterLayout, verify_phase_gap
 
-from conftest import count_linalg_calls
+from conftest import certified_runs, count_linalg_calls
 
 
 # The per-outcome faithful estimator, kept as the reference for the array code:
@@ -128,8 +128,7 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     eps_norm = eps_in / (hi - lo)
     t = int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2
     t = min(t, 16)
-    runs = int(np.ceil(12.0 * np.log(1.0 / delta_in)))
-    runs += 1 - runs % 2
+    runs = certified_runs(delta_in, 11 / 12)
     values, probs = reference_outcome_distribution(a, t)
     med_pmf = reference_median_distribution(probs, runs)
     raw_values = lo + values * (hi - lo)
@@ -190,7 +189,7 @@ def qmci_mean_before_the_array_pass(oracle, x, eps, delta, mode, seed):
     theta = float(np.arcsin(np.sqrt(np.clip((truth - lo) / (hi - lo), 0.0, 1.0))))
     eps_norm = 2.0 ** (b - 1) / (hi - lo)
     t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
-    runs = int(np.ceil(12.0 * np.log(1.0 / (delta / 4.0)))) | 1     # odd: one run is the median
+    runs = certified_runs(delta / 4.0, 11 / 12)
     m, cdf = sample_folded_outcomes_before_the_array_pass(theta, t, runs,
                                                           np.random.default_rng([seed, x]))
     median = int(np.median(m))
@@ -561,10 +560,10 @@ class TestMedianTail:
         h = runs // 2
         for cdf in (np.linspace(0.0, 1.0, 1001), np.sort(rng.uniform(0.0, 1.0, 20000)),
                     np.clip(np.cumsum(np.append(0.0, rng.dirichlet(np.ones(50)))), 0.0, 1.0)):
-            got = np.array([_binomial_sf(h, runs, p) for p in cdf])
+            got = np.array([binomial_sf(h, runs, p) for p in cdf])
             assert np.max(np.abs(got - binom.sf(h, runs, cdf))) <= 1e-13
             if runs in (45, 101, 10001):
-                rows = np.concatenate([_binomial_sf(h, runs, part)
+                rows = np.concatenate([binomial_sf(h, runs, part)
                                        for part in np.array_split(cdf, len(cdf) // 200 + 1)])
                 assert np.array_equal(rows, got)
 
@@ -574,19 +573,19 @@ class TestMedianTail:
         # their digits: within 1e-13 absolutely, as everywhere, and 1e-12 relatively
         from scipy.stats import binom
         h = runs // 2
-        assert np.array_equal(_binomial_sf(h, runs, np.array([0.0, 1.0])), [0.0, 1.0])
-        assert np.array_equal(_binomial_sf(runs, runs, np.array([0.0, 1.0])), [0.0, 0.0])
+        assert np.array_equal(binomial_sf(h, runs, np.array([0.0, 1.0])), [0.0, 1.0])
+        assert np.array_equal(binomial_sf(runs, runs, np.array([0.0, 1.0])), [0.0, 0.0])
         # the p whose tail is 1.5389e-38, by bisection on binom.sf's logarithm
         lo, hi = 0.0, 0.5
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if binom.logsf(h, runs, mid) < np.log(1.5389e-38) else (lo, mid)
         p = lo * (1.0 + 1e-3 * np.linspace(-1.0, 1.0, 41))
-        got, want = _binomial_sf(h, runs, p), binom.sf(h, runs, p)
+        got, want = binomial_sf(h, runs, p), binom.sf(h, runs, p)
         assert want.min() < 1.5389e-38 < want.max() and want.min() > 0.0
         assert np.max(np.abs(got - want)) <= 1e-13
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
-        assert np.array_equal(got, [_binomial_sf(h, runs, q) for q in p])
+        assert np.array_equal(got, [binomial_sf(h, runs, q) for q in p])
 
     def test_faithful_estimation_and_qpe_gate_leave_scipy_stats_unimported(self):
         code = (
@@ -679,7 +678,7 @@ class TestFaithfulArrayCode:
                                        0, N // 2))
             for runs in (1, 3, 45, 61):
                 median_cdf = np.cumsum(reference_median_distribution(probs, runs))
-                got = [_binomial_sf(runs // 2, runs, cdf[j]) for j in points]
+                got = [binomial_sf(runs // 2, runs, cdf[j]) for j in points]
                 assert np.max(np.abs(got - median_cdf[points])) <= 1e-12
 
     @pytest.mark.parametrize("t", range(1, 17))
@@ -820,6 +819,31 @@ class TestFaithfulArrayPass:
         assert list(got.success) == [True, True, True, True, False]
         assert got.residual[0] == 0.0 and got.residual[4] == 1.0
 
+    @pytest.mark.parametrize("eps", [0.003, 0.012, 0.1, 0.75])
+    def test_residual_within_the_certified_weight(self, eps):
+        # where t < 16 resolves eps' = 2^(b - 1) and eps >= 1.5 * 2^b, truncation at bit b
+        # keeps a run within eps' of the mean within eps, so every run succeeds with
+        # probability at least FAITHFUL_RUN_SUCCESS and the median misses with weight at
+        # most delta / 4, the weight its runs are sized at
+        b = np.floor(np.log2(eps))
+        assert eps >= 1.5 * 2.0**b
+        rng = np.random.default_rng(23)
+        resolved = 0
+        for trial in range(30):
+            M, n = int(rng.integers(2, FAITHFUL_MAX_TERMS + 1)), int(rng.integers(2, 12))
+            spans = rng.choice([1e-3, 0.05, 0.3, 1.0, 4.0], n)
+            table = rng.uniform(-1.0, 2.0, n) + rng.uniform(0.0, 1.0, (M, n)) * spans
+            oracle = LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05 + 1e-12)
+            span = np.ptp(table, axis=0)
+            ts = np.ceil(np.log2(2.0 * np.pi / np.minimum(2.0 ** (b - 1) / span, 0.5))) + 2
+            if eps >= 4.0 * oracle.sigma:
+                continue                                   # the classical shortcut answers
+            for delta in (0.2, 0.1, 0.01, 1e-6):
+                res = qmci_mean(oracle, np.arange(n), eps, delta, "faithful", trial)
+                assert np.all(res.residual[ts < 16] <= delta / 4.0)
+                resolved += np.count_nonzero(ts < 16)
+        assert resolved >= 200
+
     def test_peak_memory_is_set_by_the_chunk_budget(self):
         # 64 states at the t = 16 cap: unchunked, each (state, outcome) array would be
         # 64 * 2^16 * 8 bytes = 32 MiB; a 2 MiB chunk of four states peaks far below one
@@ -893,7 +917,10 @@ class TestApproxChain:
         approx_acceptance_table(table_oracle, model, kernel, eps, delta, seed=0, mode="faithful")
         _, _, residual = approx_walk_operator(walk_oracle, model, kernel, layout, eps, delta,
                                               seed=0, mode="faithful")
-        assert table_oracle.queries == walk_oracle.queries == 889_728
+        # 4 estimations per supported pair, 48, at 662 queries per run and 3 runs certified
+        # at delta = 0.1 and one-run success 8 / pi^2
+        assert certified_runs(0.1, 8 / np.pi**2) == 3
+        assert table_oracle.queries == walk_oracle.queries == 48 * 662 * 3 == 95_328
         assert residual == max(qmci_mean(oracle(), x, eps, delta, "faithful", 0).residual
                                for x in range(6))
 
@@ -1053,10 +1080,12 @@ class TestPipeline:
         table, _, _ = estimate_nll(oracle, eps_in, 0.1 / 4.0, "emulated", 0)
         schedule, state, ledger = annealing.prepare(model.with_neg_log_lik(table), kernel,
                                                     0.2, 0.1, 0)
-        assert state is None and ledger.by_tag == {"schedule": 577_886_400}
+        assert state is None and ledger.by_tag == {"schedule": 34_398_000}
         single = estimation_charge(oracle, eps_in, 0.1 / 4.0)
         assert oracle.queries == (oracle.n_states + 4 * ledger.total) * single
-        assert oracle.n_states * single == 320_837_040
+        # 891,214 queries per run, 9 runs certified at delta / 4 = 0.025
+        assert certified_runs(0.025, 8 / np.pi**2) == 9
+        assert oracle.n_states * single == 8 * 891_214 * 9 == 64_167_408
 
     def test_failed_faithful_table_raises(self):
         # GW 4x4, M = 16: eps'' = 5.8e-6 needs t = 32 ancillas over each column's range,
@@ -1093,14 +1122,18 @@ class TestPipeline:
             assert json.load(fh)["table_misses"] == 1
 
     def test_faithful_table_within_its_weight_returns(self):
-        # the bundled 8-ring at M = 16: the table's largest residual is 2.9e-22 of 0.025
+        # the bundled 8-ring at M = 16: eps'' = 1.57 * 2^-13, so the faithful floor covers
+        # the truncated estimates, and the table's largest residual is 2.0e-3, within the
+        # 0.1 / 16 its 5 runs are certified at and the guard's 0.025
         space = StateSpace.regular_grid((8,))
         nll = 0.5 * (space.points[:, 0] - 3.0) ** 2
         model = TargetModel(space=space, prior=np.full(8, 1.0 / 8.0), neg_log_lik=nll - nll.min())
         kernel = ProposalKernel.nearest_neighbor(space)
         oracle = LikelihoodOracle.from_nll(model.neg_log_lik, M=16, spread=0.5, seed=0)
         eps_internal = internal_accuracy(model, kernel, 0.2)
-        assert estimate_nll(oracle, eps_internal, 0.1 / 4.0, "faithful", 0)[1] < 1e-20
+        assert certified_runs(0.1 / 16.0, 11 / 12) == 5
+        residual = estimate_nll(oracle, eps_internal, 0.1 / 4.0, "faithful", 0)[1]
+        assert residual == pytest.approx(2.025e-3, rel=1e-3) and residual <= 0.1 / 16.0
         result = qsa_with_qmci(oracle, model, kernel, 0.2, 0.1, seed=0, mode="faithful")
         assert result.schedule.success and result.tv_realized <= 0.2
 
