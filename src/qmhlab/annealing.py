@@ -129,29 +129,24 @@ def _qpe_outcome_distributions(phase, t: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, np.roll(plus[..., ::-1], 1, axis=-1)
 
 
-def sample_folded_outcomes(theta, t: int, runs: int, rng):
-    """Outcomes m = min(k, 2^t - k), estimating theta as pi m / 2^t, of `runs` runs.
+def sample_folded_outcomes(theta, t: int, u):
+    """Outcomes m = min(k, 2^t - k), estimating theta as pi m / 2^t, of the runs u draws.
 
     A run is t-ancilla phase estimation on an even mix of the two-reflection
-    rotation's eigenvectors (eigenphases +-2 theta).  It spends two uniforms: the
-    first picks the eigenvector, the second the outcome k by inverse CDF, as
-    ``rng.choice(2**t, p=dist)`` does.  Also returned: a function that builds
-    the one-run CDF of m, P(m <= j) for j = 0..2^(t-1).  An array of angles
-    takes a sequence of generators, one per angle, which draws that angle's
-    runs as a lone call would; m and the CDF then lead with theta's axes.
+    rotation's eigenvectors (eigenphases +-2 theta).  It spends one pair of u (shape
+    theta's + (runs, 2)): the first picks the eigenvector, the second the outcome k by
+    inverse CDF, as ``rng.choice(2**t, p=dist)`` does.  Also returned: a function building
+    the one-run CDF of m, P(m <= j) for j = 0..2^(t-1); m and the CDF lead with theta's axes.
     """
     N = 2**t
+    u = np.asarray(u, float)
+    if u.ndim != np.ndim(theta) + 2 or u.shape[:-2] + u.shape[-1:] != np.shape(theta) + (2,):
+        raise ValueError(f"uniforms {u.shape} do not fit angles {np.shape(theta)} + (runs, 2)")
     law, minus = _qpe_outcome_distributions(2.0 * np.asarray(theta, float), t)
     plus, minus = (np.cumsum(d, axis=-1).reshape(-1, N) for d in (law, minus))
-    gens = [rng] if np.ndim(theta) == 0 else list(rng)
-    if len(gens) != len(plus):
-        raise ValueError(f"{len(plus)} angles need as many generators, not {len(gens)}")
-    k = np.empty((len(plus), runs), int)
-    for i, gen in enumerate(gens):
-        u = gen.random((runs, 2))
-        k[i] = np.where(u[:, 0] < 0.5, (plus[i] / plus[i, -1]).searchsorted(u[:, 1], side="right"),
-                        (minus[i] / minus[i, -1]).searchsorted(u[:, 1], side="right"))
-    k = k.reshape(np.shape(theta) + (runs,))
+    k = np.reshape([np.where(v[:, 0] < 0.5, (p / p[-1]).searchsorted(v[:, 1], side="right"),
+                             (q / q[-1]).searchsorted(v[:, 1], side="right"))
+                    for p, q, v in zip(plus, minus, u.reshape(len(plus), -1, 2))], u.shape[:-1])
     # either eigenvector gives m the same law; outcome N - j folds onto j
     edge = np.zeros(law.shape[:-1] + (1,))
     return np.minimum(k, N - k), lambda: np.cumsum(law[..., :N // 2 + 1] + np.concatenate(
@@ -212,7 +207,7 @@ MEDIAN_RUN_SUCCESS = 27.0 / 28.0
 def median_estimate(theta: float, amplitude, eps: float, delta: float,
                     seed: int) -> tuple[float, int]:
     """Median of amplitude(pi m / 2^t)^2 over runs m of sample_folded_outcomes at theta,
-    t = ceil(log2(2 pi / eps)) + 3, from default_rng(seed); and their reflections.
+    t = ceil(log2(2 pi / eps)) + 3, on default_rng(seed).random((runs, 2)); and reflections.
 
     Each run is within eps of amplitude(theta)^2 with probability at least
     MEDIAN_RUN_SUCCESS, so median_runs(delta, MEDIAN_RUN_SUCCESS) runs put the median
@@ -223,7 +218,7 @@ def median_estimate(theta: float, amplitude, eps: float, delta: float,
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
     runs = median_runs(delta, MEDIAN_RUN_SUCCESS)
-    m, _ = sample_folded_outcomes(theta, t, runs, np.random.default_rng(seed))
+    m, _ = sample_folded_outcomes(theta, t, np.random.default_rng(seed).random((runs, 2)))
     # float_power calls pow like a scalar ** 2; an array ** 2 squares (last bit differs)
     estimate = float(np.median(np.float_power(amplitude(np.pi * m / N), 2)))
     # each Grover step is two reflections; QPE uses 2^t - 1 steps per run

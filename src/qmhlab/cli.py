@@ -147,16 +147,14 @@ def experiment_credible_interval(model, kernel, out_dir, seed=0, axis=0,
         raise ValueError(f"axis {axis} is outside the {model.space.dimension}-axis grid")
     P = model.distribution()
     handle = inference.PosteriorHandle(distribution=P, space=model.space, prep_queries=1)
-    tails = [inference.cdf_exact(P, model.space, axis, v) for v in model.space.axes[axis]]
     results = {}
     passed = True
     for side in ("upper", "lower"):
         q = inference.CredibleQuery(axis=axis, alpha=alpha, eps=eps, delta=delta, side=side)
         r = inference.credible_bound_search(q, handle, seed)
-        target = alpha / 2.0 if side == "upper" else 1.0 - alpha / 2.0
-        premise = any(abs(t - target) <= eps / 3.0 for t in tails)
+        premise = q.premise(P, model.space)
         if r.found:
-            ok = abs(inference.cdf_exact(P, model.space, axis, r.value) - target) <= eps
+            ok = q.tail_error(P, model.space, r.value) <= eps
         else:
             # no output is the contracted outcome when no grid point sits
             # close enough to the target tail mass
@@ -182,6 +180,7 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096), methods=SCALIN
     Each M and each seed is given once.  Queries are averaged over the seeds before the
     slope fit over two or more distinct M; beside those slopes, each seed's own, the least
     and greatest with one seed left out (None with one seed) and that of the mean of the logs.
+    Records hold the premise, the upper bound's tail_error, and a search's found and iterations.
     """
     if len(set(M_values)) < 2:
         raise ValueError(f"a slope needs two or more distinct M values, not {list(M_values)}")
@@ -195,13 +194,14 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096), methods=SCALIN
         raise ValueError(f"unknown method {unknown[0]!r}; choose from {', '.join(SCALING_METHODS)}")
 
     def measure(method, inst, kernel, seed):
+        """Queries, the upper bound (None for none) and the search's found and iterations."""
         if method == "classical-mh":
             chain = build_transition_matrix(inst.model, kernel)
             n_b = mixing_time_bound(chain, CI_EPS)
             n = int(np.ceil(2.0 / (chain.signed_gap * CI_EPS**2)))
             sample = run_mh(inst.model, kernel, n_b, n, seed)
-            inference.classical_credible(sample, inst.space, 0, CI_ALPHA)
-            return (n_b + n) * inst.M
+            return (n_b + n) * inst.M, inference.classical_credible(sample, inst.space, 0,
+                                                                    CI_ALPHA)[1], {}
         if method == "proposed":
             res = qmci.qsa_with_qmci(inst.oracle, inst.model, kernel, eps, delta, seed)
             distribution, prep_queries = res.model_pert.distribution(), res.oracle_queries
@@ -209,7 +209,8 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096), methods=SCALIN
             _, _, ledger = annealing.prepare(inst.model, kernel, eps, delta, seed)
             distribution, prep_queries = inst.model.distribution(), ledger.total * inst.M
         handle = inference.PosteriorHandle(distribution, inst.space, prep_queries)
-        return inference.credible_bound_search(ci_query, handle, seed).queries
+        r = inference.credible_bound_search(ci_query, handle, seed)
+        return r.queries, r.value, {"found": r.found, "iterations": r.iterations}
 
     ci_query = inference.CredibleQuery(axis=0, alpha=CI_ALPHA, eps=CI_EPS, delta=delta)
     records = []
@@ -219,10 +220,14 @@ def scaling_study(out_dir, M_values=(256, 512, 1024, 2048, 4096), methods=SCALIN
             kernel = ProposalKernel.nearest_neighbor(inst.space)
             # each instance is prepared at the likelihood accuracy its own anneal certifies
             eps_internal = qmci.internal_accuracy(inst.model, kernel, eps)
+            P = inst.model.distribution()
+            premise = ci_query.premise(P, inst.space)
             for method in methods:
+                queries, bound, search = measure(method, inst, kernel, int(seed))
                 records.append({"method": method, "M": int(M), "seed": int(seed),
                                 "sigma": inst.sigma, "eps_internal": eps_internal,
-                                "queries": int(measure(method, inst, kernel, int(seed)))})
+                                "queries": int(queries), "premise": premise, **search,
+                                "tail_error": ci_query.tail_error(P, inst.space, bound)})
 
     logM = np.log(np.asarray(M_values, dtype=float))
 
@@ -295,6 +300,9 @@ def _run_config(cfg, out_dir):
     kwargs = {k: cfg[k] for k in keys if k in cfg}
     for key, value in kwargs.items():
         _check_kind(key, value, inspect.signature(runner).parameters[key].default)
+        if key in ("seed", "seeds", "spread") and min(np.atleast_1d(value)) < 0:
+            raise click.ClickException(f"config key {key!r} must be non-negative, "
+                                       f"not {json.dumps(value)}")
     try:
         if exp == "gw-scaling":          # builds its own GW instances
             click.echo(json.dumps(runner(out_dir, **kwargs)["slopes"], indent=2))

@@ -79,6 +79,19 @@ class CredibleQuery:
         if self.side not in ("upper", "lower"):
             raise ValueError("side must be 'upper' or 'lower'")
 
+    @property
+    def target(self) -> float:
+        """The tail mass sought: alpha/2 for the upper bound, 1 - alpha/2 for the lower."""
+        return self.alpha / 2.0 if self.side == "upper" else 1.0 - self.alpha / 2.0
+
+    def tail_error(self, P, space: StateSpace, value: float | None) -> float | None:
+        """|Phi_P(value) - target| of a bound on this axis, None where there is none."""
+        return None if value is None else abs(cdf_exact(P, space, self.axis, value) - self.target)
+
+    def premise(self, P, space: StateSpace) -> bool:
+        """Whether some grid point's tail_error is within eps/3; else no output is contracted."""
+        return any(self.tail_error(P, space, v) <= self.eps / 3.0 for v in space.axes[self.axis])
+
 
 @dataclass(frozen=True)
 class CredibleResult:
@@ -102,7 +115,6 @@ def credible_bound_search(query: CredibleQuery, handle: PosteriorHandle,
     n_i = len(grid)
     if n_i < 3:
         raise ValueError("axis grid too small to search")
-    target = query.alpha / 2.0 if query.side == "upper" else 1.0 - query.alpha / 2.0
     n_max = int(np.ceil(np.log2(n_i - 2))) + 1
     delta_call = query.delta / (n_max + 1)
     rng = np.random.default_rng(seed)
@@ -117,9 +129,9 @@ def credible_bound_search(query: CredibleQuery, handle: PosteriorHandle,
                                     delta_call, seed=int(rng.integers(2**63)))
         queries += reflections * handle.prep_queries     # one preparation per reflection
         iterations += 1
-        if abs(est - target) <= window:
+        if abs(est - query.target) <= window:
             return CredibleResult(float(grid[j_mid]), True, iterations, queries)
-        if est > target:
+        if est > query.target:
             j_lb = j_mid        # tail too heavy: move right
         else:
             j_ub = j_mid

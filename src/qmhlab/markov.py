@@ -569,7 +569,10 @@ def load_model(path) -> tuple[TargetModel, ProposalKernel, int]:
 
         model = TargetModel(space=space, prior=prior, neg_log_lik=nll,
                             beta=float(cfg.get("beta", 1.0)))
-        return model, kernel, int(cfg.get("seed", 0))
+        seed = int(cfg.get("seed", 0))
+        if seed < 0:
+            raise ValueError(f"entry 'seed' must be non-negative, not {seed}")
+        return model, kernel, seed
     except KeyError as exc:
         raise ValueError(f"missing key {exc.args[0]!r}") from None
     except TypeError as exc:        # a wrongly typed value inside an entry

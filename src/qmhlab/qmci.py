@@ -35,6 +35,11 @@ def _truncate(v, a: int):
     return np.where(v >= 0, np.floor(v / step) * step, -(np.floor(-v / step) * step))
 
 
+def _truncation_bit(eps: float) -> int:
+    """b = floor(log2(eps / 1.5)): within eps' = 2^(b-1), truncated at b, is within eps."""
+    return int(np.floor(np.log2(eps / 1.5)))
+
+
 def round_at_bit(x: float, a: int) -> float:
     """Truncate the binary expansion of x >= 0 below bit a (value 2^a)."""
     if x < 0:
@@ -50,9 +55,7 @@ ESTIMATION_RUN_SUCCESS = 8.0 / np.pi**2
 # so its normalized estimate is within eps_norm whenever its outcome is within 8 of
 # N theta / pi: within e = 7 of that value's t-bit truncation, which fails with probability
 # at most 1 / (2 (e - 1)) = 1/12 (the bound median_estimate's MEDIAN_RUN_SUCCESS cites).
-# That bounds the truncated estimate's miss where eps >= 1.5 * 2^b, as truncation at bit b
-# moves it by less than 2^b; elsewhere, and where t is capped at 16, the exact residual of
-# each table judges it.
+# Truncated at _truncation_bit(eps), it stays within eps; past t = 16 the table's residual judges.
 FAITHFUL_RUN_SUCCESS = 11.0 / 12.0
 
 
@@ -149,21 +152,18 @@ def _emulated_means(oracle: LikelihoodOracle, states: list[int] | np.ndarray, ep
                     seed: int, shortcut: bool) -> np.ndarray:
     """Emulated estimates of L_sum at states, or the classical shortcut's when shortcut.
 
-    The shortcut truncates the true mean at bit b = floor(log2 eps).  Emulated
-    mode adds eps' = 2^(b-1) times one uniform in [-1, 1) drawn from
-    default_rng([seed, x]) for each state x, then truncates at bit b; that
-    uniform is uniform(-1, 1)'s -1 + 2 random(), so L~ is a fixed function of
-    (x, seed).
+    The shortcut truncates the true mean at bit b = _truncation_bit(eps).  Emulated mode
+    adds eps' = 2^(b-1) eta_x, eta = -1 + 2 default_rng(seed).random(n_states), then
+    truncates at bit b, so L~ is a fixed function of (x, seed).
     """
     truth = oracle.mean_table()[states]
-    b = int(np.floor(np.log2(eps)))
+    b = _truncation_bit(eps)
     truncated = _truncate(truth, b)
     if shortcut:
         return truncated
-    eta = -1.0 + 2.0 * np.array([np.random.default_rng([seed, x]).random() for x in states])
+    eta = -1.0 + 2.0 * np.random.default_rng(seed).random(oracle.n_states)[states]
     est = _truncate(truth + 2.0 ** (b - 1) * eta, b)
-    # rounding at a bin edge can overshoot the budget; truncating the true
-    # value directly always lands within 2^b <= eps
+    # a float-rounding safety net: in exact arithmetic est is within 1.5 * 2^b <= eps
     return np.where(np.abs(est - truth) > eps, truncated, est)
 
 
@@ -172,11 +172,10 @@ def qmci_mean(oracle: LikelihoodOracle, x, eps: float, delta: float,
     """Estimate L_sum(x) to accuracy eps with failure weight delta, at a state x
     or at each state of a 1-D index array x, in one pass; the oracle is not charged.
 
-    Both modes round the raw estimate at bit b = floor(log2 eps) with
+    Both modes round the raw estimate at bit b = _truncation_bit(eps) with
     internal accuracy eps' = 2^(b-1) and budget delta' = delta/4, and report
-    the same query count per state.  Emulated mode is deterministic per
-    (x, seed); faithful mode draws state x's runs from default_rng([seed, x]),
-    so a state's result does not depend on the other states of the call.
+    the same query count per state.  Each call draws from default_rng(seed) once, for
+    every state of the oracle, so a state's result does not depend on the other states.
     """
     _check_request(eps, delta, mode)
     states = np.atleast_1d(x)
@@ -200,13 +199,13 @@ def _faithful_means(oracle: LikelihoodOracle, states: np.ndarray, eps: float, de
 
     A constant column is its truncated mean.  Every other state runs amplitude
     estimation over its column's range [lo, hi] with t ancillas, enough to
-    resolve eps' there and at most 16, median_runs(delta / 4, FAITHFUL_RUN_SUCCESS)
-    times; the states of one t are simulated together, as many per chunk as keep a
-    (state, outcome) array within _CHUNK_BYTES.
+    resolve eps' there and at most 16, median_runs(delta / 4, FAITHFUL_RUN_SUCCESS) times,
+    on column x of default_rng(seed).random((runs, n_states, 2)); the states of one t run
+    together, as many per chunk as keep (state, outcome) arrays within _CHUNK_BYTES.
     """
     truth = oracle.mean_table()[states]
     lo, hi = oracle.table[:, states].min(axis=0), oracle.table[:, states].max(axis=0)
-    b = int(np.floor(np.log2(eps)))
+    b = _truncation_bit(eps)
     est, success, residual = _truncate(truth, b), np.ones(len(states), bool), np.zeros(len(states))
     live = np.flatnonzero(~(hi - lo < 1e-15))
     span = hi[live] - lo[live]
@@ -214,6 +213,7 @@ def _faithful_means(oracle: LikelihoodOracle, states: np.ndarray, eps: float, de
     eps_norm = 2.0 ** (b - 1) / span
     ts = np.minimum(np.ceil(np.log2(2.0 * np.pi / np.minimum(eps_norm, 0.5))).astype(int) + 2, 16)
     runs = annealing.median_runs(delta / 4.0, FAITHFUL_RUN_SUCCESS)
+    u = np.random.default_rng(seed).random((runs, oracle.n_states, 2)).swapaxes(0, 1)
     for t in np.unique(ts):
         # outcome m estimates sin^2(pi m / 2^t); the estimates rise with m, so the
         # good outcomes form one range [g0, g1] (empty when t = 16 cannot resolve eps)
@@ -222,8 +222,7 @@ def _faithful_means(oracle: LikelihoodOracle, states: np.ndarray, eps: float, de
         per_chunk = max(1, _CHUNK_BYTES // (8 * max(2**t, runs + 1)))
         for rows in np.split(group, range(per_chunk, len(group), per_chunk)):
             at, row = live[rows], np.arange(len(rows))
-            m, cdf = annealing.sample_folded_outcomes(
-                theta[rows], t, runs, [np.random.default_rng([seed, x]) for x in states[at]])
+            m, cdf = annealing.sample_folded_outcomes(theta[rows], t, u[states[at]])
             median = np.median(m, axis=-1).astype(int)
             values_at = _truncate(lo[at, None] + values * span[rows, None], b)
             good = np.abs(values_at - truth[at, None]) <= eps

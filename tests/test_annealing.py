@@ -4,6 +4,7 @@ one preparation that assembles them."""
 import ast
 import gc
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -610,7 +611,7 @@ def sample_half_angles_before_the_readout(theta, eps, delta, rng):
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     N = 2**t
     runs = annealing.median_runs(delta, annealing.MEDIAN_RUN_SUCCESS)
-    m, _ = annealing.sample_folded_outcomes(theta, t, runs, rng)
+    m, _ = annealing.sample_folded_outcomes(theta, t, rng.random((runs, 2)))
     # each Grover step is two reflections; QPE uses 2^t - 1 steps per run
     return np.pi * m / N, runs * (N - 1) * 2
 
@@ -636,7 +637,8 @@ def parent_readout_outcomes(theta, eps, delta, seed):
     runs, and their t."""
     t = int(np.ceil(np.log2(2.0 * np.pi / eps))) + 3
     runs = int(np.ceil(12.0 * np.log(1.0 / delta)))
-    return annealing.sample_folded_outcomes(theta, t, runs, np.random.default_rng(seed))[0], t
+    return annealing.sample_folded_outcomes(
+        theta, t, np.random.default_rng(seed).random((runs, 2)))[0], t
 
 
 def test_certified_runs_are_a_prefix_of_the_parent_runs():
@@ -655,10 +657,11 @@ def test_certified_runs_are_a_prefix_of_the_parent_runs():
         assert annealing.median_estimate(theta, amplitude, eps, delta, seed) == (
             float(np.median(np.float_power(amplitude(np.pi * m / 2**t), 2))),
             runs * (2**t - 1) * 2)
-    # a faithful table's per-state generators alike
+    # a faithful table's one draw alike: state x's runs are column x of random((runs, n, 2))
     thetas = rng.uniform(0.0, np.pi / 2, 6)
     fewer, more = (annealing.sample_folded_outcomes(
-        thetas, 9, runs, [np.random.default_rng([7, x]) for x in range(6)])[0] for runs in (5, 39))
+        thetas, 9, np.random.default_rng(7).random((runs, 6, 2)).swapaxes(0, 1))[0]
+        for runs in (5, 39))
     assert np.array_equal(fewer, more[:, :5])
 
 
@@ -670,20 +673,32 @@ def test_median_estimate_rejects_eps_or_delta_outside_the_unit_interval(eps, del
 
 
 def test_stacked_angles_draw_as_lone_calls():
-    # one generator per angle: each row of m, and of the one-run CDF, is that angle's lone call
+    # each angle's own uniforms: each row of m, and of the one-run CDF, is that angle's lone
+    # call; a grid of angles keeps its axes
     rng = np.random.default_rng(17)
     for t in (1, 4, 9, 12):
         thetas = np.append(rng.uniform(0.0, np.pi / 2, 5), [0.0, np.pi / 2])
-        m, cdf = annealing.sample_folded_outcomes(
-            thetas, t, 45, [np.random.default_rng([3, i]) for i in range(len(thetas))])
+        u = rng.random((len(thetas), 45, 2))
+        m, cdf = annealing.sample_folded_outcomes(thetas, t, u)
         cdfs = cdf()
         assert m.shape == (len(thetas), 45) and cdfs.shape == (len(thetas), 2 ** (t - 1) + 1)
         for i, theta in enumerate(thetas):
-            lone_m, lone_cdf = annealing.sample_folded_outcomes(float(theta), t, 45,
-                                                                np.random.default_rng([3, i]))
+            lone_m, lone_cdf = annealing.sample_folded_outcomes(float(theta), t, u[i])
             assert np.array_equal(m[i], lone_m) and np.array_equal(cdfs[i], lone_cdf())
-    with pytest.raises(ValueError, match="2 angles need as many generators, not 1"):
-        annealing.sample_folded_outcomes(np.zeros(2), 3, 5, [np.random.default_rng(0)])
+        grid_m, grid_cdf = annealing.sample_folded_outcomes(thetas[1:].reshape(2, 3), t,
+                                                            u[1:].reshape(2, 3, 45, 2))
+        assert np.array_equal(grid_m, m[1:].reshape(2, 3, 45))
+        assert np.array_equal(grid_cdf(), cdfs[1:].reshape(2, 3, -1))
+
+
+@pytest.mark.parametrize("theta_shape,u_shape", [
+    ((), (2,)), ((), (5, 3)), ((), (1, 5, 2)), ((2,), (5, 2)), ((2,), (1, 5, 2)),
+    ((2,), (2, 5, 1)), ((2, 3), (3, 2, 5, 2)), ((2, 3), (2, 3, 5))])
+def test_uniforms_that_do_not_fit_the_angles_are_refused(theta_shape, u_shape):
+    # u must be the angles' shape followed by (runs, 2): one pair per run per angle
+    with pytest.raises(ValueError, match=re.escape(
+            f"uniforms {u_shape} do not fit angles {theta_shape} + (runs, 2)")):
+        annealing.sample_folded_outcomes(np.zeros(theta_shape)[()], 3, np.zeros(u_shape))
 
 
 class TestNaeOverlap:
@@ -1524,8 +1539,7 @@ def one_run_success(t, eps, amplitude, thetas):
     values = np.float_power(amplitude(np.pi * np.arange(N // 2 + 1) / N), 2)
     out = []
     for block in np.array_split(thetas, max(1, len(thetas) * N // 2**20)):
-        _, cdf = annealing.sample_folded_outcomes(block, t, 1,
-                                                  [np.random.default_rng(0)] * len(block))
+        _, cdf = annealing.sample_folded_outcomes(block, t, np.zeros((len(block), 1, 2)))
         below = np.hstack([np.zeros((len(block), 1)), cdf()])          # P(m < j)
         good = np.abs(values - np.float_power(amplitude(block), 2)[:, None]) <= eps
         g0, g1 = good.argmax(axis=1), N // 2 - good[:, ::-1].argmax(axis=1)

@@ -15,10 +15,11 @@ from click.testing import CliRunner
 from qmhlab import cli
 from qmhlab.annealing import QueryLedger, prepare, qsa_schedule
 from qmhlab.cli import CI_ALPHA, CI_EPS, _default_model, experiment_anneal, main, scaling_study
-from qmhlab.inference import (CredibleQuery, PosteriorHandle, credible_bound_search,
-                              synth_gw_instance)
-from qmhlab.markov import ProposalKernel, build_transition_matrix, negation_slots
-from qmhlab.qmci import internal_accuracy
+from qmhlab.inference import (CredibleQuery, PosteriorHandle, cdf_exact, classical_credible,
+                              credible_bound_search, synth_gw_instance)
+from qmhlab.markov import (ProposalKernel, build_transition_matrix, mixing_time_bound,
+                           negation_slots, run_mh)
+from qmhlab.qmci import internal_accuracy, qsa_with_qmci
 from qmhlab.qsim import RegisterLayout
 
 
@@ -209,8 +210,9 @@ class TestRunCommand:
         ("grid-list", "entry 'grid' must be an object, not list"),
         ("nll-string", "entry 'nll' must be an object, not str"),
         ("proposal-int", "entry 'proposal' must be an object, not int"),
+        ("seed-negative", "entry 'seed' must be non-negative, not -3"),
     ], ids=["no-grid", "no-nll", "short-table", "malformed-json", "no-file",
-            "grid-list", "nll-string", "proposal-int"])
+            "grid-list", "nll-string", "proposal-int", "seed-negative"])
     def test_bad_model_file_is_an_error_message(self, tmp_path, case, detail):
         model = {"grid": {"shape": [8]}, "nll": {"type": "table", "values": [0.0] * 8}}
         if case == "no-grid":
@@ -225,6 +227,8 @@ class TestRunCommand:
             model["nll"] = "table"
         elif case == "proposal-int":
             model["proposal"] = 5
+        elif case == "seed-negative":
+            model["seed"] = -3
         path = tmp_path / "model.json"
         if case != "no-file":
             path.write_text('{"grid": {"shape": [8]},' if case == "malformed-json"
@@ -273,12 +277,21 @@ class TestRunCommand:
          "gw-scaling: unknown method 'bogus'; choose from proposed, exact-qsa, classical-mh"),
         ({"experiment": "gw-scaling", "M_values": [256, 2]},
          "gw-scaling: M must be even and at least 4, not 2"),
+        ({"experiment": "credible-interval", "seed": -3},
+         "config key 'seed' must be non-negative, not -3"),
+        ({"experiment": "verify-bounds", "seeds": [0, -1]},
+         "config key 'seeds' must be non-negative, not [0, -1]"),
+        ({"experiment": "gw-scaling", "seeds": [-2]},
+         "config key 'seeds' must be non-negative, not [-2]"),
+        ({"experiment": "qmci-pipeline", "spread": -1.0},
+         "config key 'spread' must be non-negative, not -1.0"),
     ], ids=["list", "seed-string", "eps-string", "seeds-int", "eps-above-alpha",
             "bogus-mode", "axis-off-grid", "experiment-list", "model-int", "output-dir-int",
             "M-values-empty", "methods-empty", "seeds-empty", "M-zero", "anneal-eps-zero",
             "anneal-eps-negative", "pipeline-delta-above-1", "credible-delta-above-1",
             "anneal-eps-vacuous", "pipeline-eps-vacuous", "M-values-one", "M-values-repeated",
-            "method-unknown", "M-values-below-4"])
+            "method-unknown", "M-values-below-4", "seed-negative", "seeds-negative",
+            "scaling-seeds-negative", "spread-negative"])
     def test_malformed_config_is_an_error_message(self, tmp_path, cfg, detail):
         if isinstance(cfg, dict):
             cfg = {"output_dir": str(tmp_path / "out"), **cfg}
@@ -440,6 +453,44 @@ class TestScalingCommand:
                         for s in range(3)]
             assert payload["leave_one_seed_out_slopes"][method] == pytest.approx(
                 [min(left_out), max(left_out)], abs=1e-12)
+        assert json.loads((tmp_path / "scaling.json").read_text()) == payload
+
+    def test_records_say_whether_a_bound_was_found_and_how_far_it_is(self, tmp_path):
+        # every record holds the premise on the instance's posterior and the upper bound's
+        # tail error against it: the search's bound (with found and iterations) or the
+        # classical chain's upper percentile; no bound has no error
+        eps, delta = 0.1, 0.2
+        payload = scaling_study(str(tmp_path), M_values=(64, 128), eps=eps, delta=delta,
+                                seeds=(0, 3))
+        query = CredibleQuery(axis=0, alpha=CI_ALPHA, eps=CI_EPS, delta=delta)
+        assert len(payload["records"]) == 12
+        for r in payload["records"]:
+            inst = synth_gw_instance(0.1, 0.0, r["M"], 2.0, r["seed"])
+            kernel = ProposalKernel.nearest_neighbor(inst.space)
+            P = inst.model.distribution()
+            tails = [cdf_exact(P, inst.space, 0, v) for v in inst.space.axes[0]]
+            assert r["premise"] == any(abs(t - CI_ALPHA / 2) <= CI_EPS / 3 for t in tails)
+            if r["method"] == "classical-mh":
+                chain = build_transition_matrix(inst.model, kernel)
+                n_b = mixing_time_bound(chain, CI_EPS)
+                n = int(np.ceil(2.0 / (chain.signed_gap * CI_EPS**2)))
+                sample = run_mh(inst.model, kernel, n_b, n, r["seed"])
+                _, upper = classical_credible(sample, inst.space, 0, CI_ALPHA)
+                assert "found" not in r and "iterations" not in r
+                assert r["tail_error"] == abs(cdf_exact(P, inst.space, 0, upper) - CI_ALPHA / 2)
+                continue
+            if r["method"] == "proposed":
+                res = qsa_with_qmci(inst.oracle, inst.model, kernel, eps, delta, r["seed"])
+                handle = PosteriorHandle(res.model_pert.distribution(), inst.space,
+                                         res.oracle_queries)
+            else:
+                _, _, ledger = prepare(inst.model, kernel, eps, delta, r["seed"])
+                handle = PosteriorHandle(P, inst.space, r["M"] * ledger.total)
+            bound = credible_bound_search(query, handle, r["seed"])
+            assert (r["found"], r["iterations"], r["queries"]) == (
+                bound.found, bound.iterations, bound.queries)
+            assert r["tail_error"] == (None if bound.value is None else
+                                       abs(cdf_exact(P, inst.space, 0, bound.value) - 0.25))
         assert json.loads((tmp_path / "scaling.json").read_text()) == payload
 
     def test_each_instance_is_prepared_at_its_own_eps_internal(self, tmp_path):

@@ -1,5 +1,7 @@
 """Tail-CDF estimation, credible-bound search, and the synthetic signal instance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def charging_cdf_qmci(handle, axis, a, eps, delta, seed):
     t = int(np.ceil(np.log2(2.0 * np.pi / (eps / 3.0)))) + 3
     N = 2**t
     runs = annealing.median_runs(delta, annealing.MEDIAN_RUN_SUCCESS)
-    m, _ = annealing.sample_folded_outcomes(theta, t, runs, rng)
+    m, _ = annealing.sample_folded_outcomes(theta, t, rng.random((runs, 2)))
     half_angles, reflections = np.pi * m / N, runs * (N - 1) * 2
     estimates = np.float_power(np.sin(half_angles), 2)
     # one preparation per reflection about the prepared state
@@ -200,6 +202,27 @@ class TestCdf:
         assert r2.queries == 50 * r1.queries > 0
 
 
+def test_nae_and_cdf_estimates_are_pinned_for_fixed_seeds():
+    # median_estimate reads default_rng(seed).random((runs, 2)) as it did when the sampler
+    # took a generator: the digest of 300 overlap and 300 CDF estimates, each with its
+    # reflections, is the one the generator-taking sampler gave
+    rng = np.random.default_rng(41)
+    digest = hashlib.sha256()
+    space = StateSpace.regular_grid((9,))
+    for seed in range(300):
+        eps = float(rng.choice([0.3, 0.1, annealing.NAE_ACCURACY, 0.02]))
+        delta = float(rng.choice([rng.uniform(1e-6, 0.45), 1.19e-3, 0.04]))
+        state, target = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+        est, reflections = annealing.nae_overlap(state, target, eps, delta, seed)
+        digest.update(f"{est.hex()} {reflections};".encode())
+        handle = PosteriorHandle(rng.dirichlet(np.ones(9)), space, 1)
+        est, reflections = cdf_qmci(handle, 0, float(rng.choice(space.axes[0])), eps, delta,
+                                    seed)
+        digest.update(f"{est.hex()} {reflections};".encode())
+    assert digest.hexdigest() == (
+        "9e64845dfb4097fe9d39c186a0fffb104b8ab75f1afca1da3e593f27d12951b5")
+
+
 class TestCredibleSearch:
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -209,6 +232,25 @@ class TestCredibleSearch:
         for delta in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
                 CredibleQuery(axis=0, alpha=0.5, eps=0.05, delta=delta)
+
+    def test_target_tail_error_and_premise(self):
+        # the target is alpha/2 above the upper bound and 1 - alpha/2 above the lower; the
+        # premise holds when some grid point's tail mass is within eps/3 of it
+        model = posterior_16()
+        P, space = model.distribution(), model.space
+        tails = np.array([cdf_exact(P, space, 0, v) for v in space.axes[0]])
+        for side, target in (("upper", 0.25), ("lower", 0.75)):
+            for eps in (0.01, 0.05, 0.2):
+                q = CredibleQuery(axis=0, alpha=0.5, eps=eps, delta=0.1, side=side)
+                assert q.target == target
+                assert q.tail_error(P, space, None) is None
+                assert [q.tail_error(P, space, v) for v in space.axes[0]] == list(
+                    np.abs(tails - target))
+                assert q.tail_error(P, space, 7.5) == abs(cdf_exact(P, space, 0, 7.5) - target)
+                assert q.premise(P, space) == bool(np.any(np.abs(tails - target) <= eps / 3))
+        # the 16-point posterior's tails step past 0.25 by more than 2 * 0.01 / 3
+        assert not CredibleQuery(axis=0, alpha=0.5, eps=0.01, delta=0.1).premise(P, space)
+        assert CredibleQuery(axis=0, alpha=0.5, eps=0.2, delta=0.1).premise(P, space)
 
     def test_bound_found_with_high_probability(self):
         model = posterior_16()

@@ -1,5 +1,6 @@
 """Mean estimation of likelihood tables and the annealing pipeline on top."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -96,9 +97,10 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
     """The estimator's result and, for a simulated faithful call, its law: the
     rounded estimate per folded outcome, the median's law over them and the
     good-outcome mask (None otherwise).  The faithful draw is one value from
-    that law, as the library drew it before the median was taken of sampled runs."""
+    that law, as the library drew it before the median was taken of sampled runs.
+    Emulated mode draws eta for every state from default_rng(seed) and reads x's."""
     truth = float(oracle.table.mean(axis=0)[x])
-    b = int(np.floor(np.log2(eps)))
+    b = int(np.floor(np.log2(eps / 1.5)))
     if eps >= 4.0 * oracle.sigma:
         est = round_at_bit(truth, b) if truth >= 0 else -round_at_bit(-truth, b)
         return QmciResult(est, 0, True, 0.0), None
@@ -110,15 +112,14 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
         return round_at_bit(v, b) if v >= 0 else -round_at_bit(-v, b)
 
     if mode == "emulated":
-        rng = np.random.default_rng([seed, x])
-        eta = rng.uniform(-1.0, 1.0)
+        eta = np.random.default_rng(seed).uniform(-1.0, 1.0, oracle.n_states)[x]
         est = rounded(truth + eps_in * eta)
         if abs(est - truth) > eps:
             est = rounded(truth)
         return QmciResult(est, charge, True, 0.0), None
 
     assert mode == "faithful" and oracle.M <= FAITHFUL_MAX_TERMS
-    rng = np.random.default_rng([seed, x])
+    rng = np.random.default_rng(seed)
     col = oracle.table[:, x]
     lo, hi = float(col.min()), float(col.max())
     if hi - lo < 1e-15:
@@ -140,8 +141,10 @@ def reference_qmci_mean(oracle, x, eps, delta, mode, seed):
             (est_values, med_pmf, good))
 
 
-# The per-state faithful estimator as it was before tables became one array pass,
-# verbatim, with the one-angle sampler and the one-p binomial tail it called.
+# The per-state faithful estimator as it was before tables became one array pass, with
+# the one-angle sampler and the one-p binomial tail it called; re-derived on the one
+# stream per table (state x's runs are column x of default_rng(seed).random((runs, n, 2)))
+# and the truncation bit floor(log2(eps / 1.5)), otherwise verbatim.
 
 def binomial_sf_before_the_array_pass(k: int, n: int, p: float) -> float:
     if not 0.0 < p < 1.0:
@@ -154,13 +157,12 @@ def binomial_sf_before_the_array_pass(k: int, n: int, p: float) -> float:
     return float(terms[k + 1:].sum() / terms.sum())
 
 
-def sample_folded_outcomes_before_the_array_pass(theta, t, runs, rng):
+def sample_folded_outcomes_before_the_array_pass(theta, t, u):
     N = 2**t
     plus = annealing._qpe_outcome_law(2.0 * theta, t, np.arange(N))
     plus /= plus.sum()
     laws = plus, np.roll(plus[::-1], 1)
     plus, minus = (np.cumsum(d) for d in laws)
-    u = rng.random((runs, 2))
     k = np.where(u[:, 0] < 0.5, (plus / plus[-1]).searchsorted(u[:, 1], side="right"),
                  (minus / minus[-1]).searchsorted(u[:, 1], side="right"))
     # either eigenvector gives m the same law; outcome N - j folds onto j
@@ -182,7 +184,7 @@ def qmci_mean_before_the_array_pass(oracle, x, eps, delta, mode, seed):
     oracle.charge(charge)
 
     truth = float(oracle.mean_table()[x])
-    b = int(np.floor(np.log2(eps)))
+    b = int(np.floor(np.log2(eps / 1.5)))
     lo, hi = float(oracle.table[:, x].min()), float(oracle.table[:, x].max())
     if hi - lo < 1e-15:
         return QmciResult(float(_truncate(truth, b)), charge, True, 0.0)
@@ -190,8 +192,8 @@ def qmci_mean_before_the_array_pass(oracle, x, eps, delta, mode, seed):
     eps_norm = 2.0 ** (b - 1) / (hi - lo)
     t = min(int(np.ceil(np.log2(2.0 * np.pi / min(eps_norm, 0.5)))) + 2, 16)
     runs = certified_runs(delta / 4.0, 11 / 12)
-    m, cdf = sample_folded_outcomes_before_the_array_pass(theta, t, runs,
-                                                          np.random.default_rng([seed, x]))
+    u = np.random.default_rng(seed).random((runs, oracle.n_states, 2))[:, x]
+    m, cdf = sample_folded_outcomes_before_the_array_pass(theta, t, u)
     median = int(np.median(m))
     # outcome m estimates sin^2(pi m / 2^t); the estimates rise with m, so the
     # good outcomes form one range [g0, g1] (empty when t = 16 cannot resolve eps)
@@ -533,9 +535,10 @@ class TestRejectBeforeCharge:
         with pytest.raises(ValueError, match="faithful mode limited"):
             qmci_mean(oracle, 0, 0.01, 0.1, "faithful", seed=0)
         assert oracle.queries == 0
-        # the shortcut needs no amplitude estimation, so the cap does not apply
+        # the shortcut needs no amplitude estimation, so the cap does not apply; it
+        # truncates the mean 3.0 at bit floor(log2(2.5 / 1.5)) = 0
         res = qmci_mean(oracle, 7, 2.5, 0.1, "faithful", seed=0)
-        assert (res.estimate, res.queries, oracle.queries) == (2.0, 0, 0)
+        assert (res.estimate, res.queries, oracle.queries) == (3.0, 0, 0)
 
 
 def run_fresh(code: str) -> str:
@@ -653,7 +656,7 @@ class TestMedianTail:
 def fold_cdf(a: float, t: int) -> np.ndarray:
     """The sampler's one-run CDF of the folded outcome at amplitude a, t ancillas."""
     theta = float(np.arcsin(np.sqrt(a)))
-    _, cdf = annealing.sample_folded_outcomes(theta, t, 1, np.random.default_rng(0))
+    _, cdf = annealing.sample_folded_outcomes(theta, t, np.zeros((1, 2)))
     return cdf()
 
 
@@ -738,7 +741,7 @@ class TestFaithfulArrayCode:
         stat, dof = 0.0, 0
         for t, a, runs in ((5, 0.05, 3), (6, 0.3, 45), (8, 0.71, 61)):
             m, _ = annealing.sample_folded_outcomes(float(np.arcsin(np.sqrt(a))), t,
-                                                    20_000 * runs, rng)
+                                                    rng.random((20_000 * runs, 2)))
             medians = np.median(m.reshape(-1, runs), axis=1).astype(int)
             expected = 20_000 * reference_median_distribution(
                 reference_outcome_distribution(a, t)[1], runs)
@@ -819,14 +822,14 @@ class TestFaithfulArrayPass:
         assert list(got.success) == [True, True, True, True, False]
         assert got.residual[0] == 0.0 and got.residual[4] == 1.0
 
-    @pytest.mark.parametrize("eps", [0.003, 0.012, 0.1, 0.75])
+    @pytest.mark.parametrize("eps", [0.003, 0.012, 0.1, 0.75, 2.0**-6, 2.0**-4, 0.25])
     def test_residual_within_the_certified_weight(self, eps):
-        # where t < 16 resolves eps' = 2^(b - 1) and eps >= 1.5 * 2^b, truncation at bit b
-        # keeps a run within eps' of the mean within eps, so every run succeeds with
-        # probability at least FAITHFUL_RUN_SUCCESS and the median misses with weight at
-        # most delta / 4, the weight its runs are sized at
-        b = np.floor(np.log2(eps))
-        assert eps >= 1.5 * 2.0**b
+        # where t < 16 resolves eps' = 2^(b - 1), truncation at b = floor(log2(eps / 1.5))
+        # keeps a run within eps' of the mean within 1.5 * 2^b <= eps, eps a power of two
+        # too, so every run succeeds with probability at least FAITHFUL_RUN_SUCCESS and the
+        # median misses with weight at most delta / 4, the weight its runs are sized at
+        b = qmci._truncation_bit(eps)
+        assert 1.5 * 2.0**b <= eps < 3.0 * 2.0**b
         rng = np.random.default_rng(23)
         resolved = 0
         for trial in range(30):
@@ -858,6 +861,73 @@ class TestFaithfulArrayPass:
         tracemalloc.stop()
         assert qmci._CHUNK_BYTES == 2**21
         assert peak <= 12 * qmci._CHUNK_BYTES
+
+
+class TestOneStreamPerTable:
+    """Each estimation call draws once from default_rng(seed), for every state of the
+    oracle, so a state's estimate is a fixed function of (x, seed) whatever else is asked."""
+
+    @pytest.mark.parametrize("mode", ["emulated", "faithful"])
+    def test_any_states_read_their_table_entries(self, mode):
+        # a scalar call, a subset and a shuffled repeat all equal the whole table's entries
+        rng = np.random.default_rng(31)
+        for trial in range(10):
+            M, n = int(rng.integers(2, FAITHFUL_MAX_TERMS + 1)), int(rng.integers(2, 12))
+            table = rng.uniform(-1.0, 3.0, size=(M, n))
+            oracle = LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05 + 1e-12)
+            for eps, delta in ((0.01, 0.1), (0.1, 1e-6), (2.0**-4, 0.2)):
+                whole = qmci_mean(oracle, np.arange(n), eps, delta, mode, seed=trial)
+                some = rng.choice(n, size=int(rng.integers(1, 2 * n)))
+                part = qmci_mean(oracle, some, eps, delta, mode, seed=trial)
+                for field in ("estimate", "success", "residual"):
+                    assert np.array_equal(getattr(part, field), getattr(whole, field)[some])
+                for x in (0, n - 1):
+                    one = qmci_mean(oracle, x, eps, delta, mode, seed=trial)
+                    assert (one.estimate, one.success, one.residual) == (
+                        whole.estimate[x], whole.success[x], whole.residual[x])
+
+    def test_emulated_eta_is_one_draw_over_every_state(self):
+        # eta = -1 + 2 random(n_states) from default_rng(seed): L~ before truncation
+        table = np.random.default_rng(4).uniform(0.0, 4.0, size=(8, 9))
+        oracle = LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05)
+        eps = 0.1
+        b = qmci._truncation_bit(eps)
+        for seed in range(20):
+            eta = -1.0 + 2.0 * np.random.default_rng(seed).random(9)
+            want = _truncate(oracle.mean_table() + 2.0 ** (b - 1) * eta, b)
+            got = qmci_mean(oracle, np.arange(9), eps, 0.1, "emulated", seed).estimate
+            assert np.array_equal(got, want)
+
+    def test_first_faithful_runs_do_not_depend_on_the_run_count(self):
+        # state x's runs are column x of random((runs, n_states, 2)), so a smaller delta's
+        # longer median reads the same leading runs of each state
+        table = np.random.default_rng(6).uniform(0.0, 4.0, size=(8, 7))
+        oracle = LikelihoodOracle(table, float(table.std(axis=0).max()) * 1.05)
+        seen = []
+        sampler = annealing.sample_folded_outcomes
+
+        def recording(theta, t, u):
+            seen.append(np.array(u))
+            return sampler(theta, t, u)
+
+        with mock.patch.object(annealing, "sample_folded_outcomes", recording):
+            for delta in (0.2, 1e-12):
+                seen.clear()
+                qmci_mean(oracle, np.arange(7), 0.05, delta, "faithful", seed=5)
+                assert len(seen) == 1                  # one ancilla count, one chunk
+                runs = annealing.median_runs(delta / 4.0, qmci.FAITHFUL_RUN_SUCCESS)
+                assert seen[0].shape == (7, runs, 2)
+                if delta == 0.2:
+                    fewer = seen[0]
+        assert fewer.shape[1] < seen[0].shape[1]
+        assert np.array_equal(fewer, seen[0][:, :fewer.shape[1]])
+
+    def test_library_draws_one_generator_per_call(self):
+        # no generator is seeded per state: every default_rng of qmci takes the call's seed
+        tree = ast.parse(Path(qmci.__file__).read_text())
+        seeds = [ast.unparse(node.args[0]) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("default_rng")]
+        assert seeds and set(seeds) == {"seed"}
 
 
 class TestApproxChain:
